@@ -1,4 +1,4 @@
-"""Robust estimation of discrete distributions from privatized, corrupted batches."""
+"""Robust estimation of discrete distributions from privatized, corrupted batch data."""
 
 from .adversary import (
     AttackSpec,
@@ -25,7 +25,6 @@ from .estimator import (
     EstimateResult,
     EstimatorConfig,
     batch_deletion,
-    batch_mean,
     check_nice_properties,
     collection_mean,
     covariance_lipschitz_check,

@@ -1,13 +1,13 @@
 """Corrupted batch collections: clean generation, attacks, shuffling, serialization.
 
-A collection holds n batches of k privatized samples each, stored as a
-(n, k, d) uint8 array.  Truth labels (good / adversarial) travel with the
-collection for evaluation only; estimators must never read them.
+A collection holds n batch records of k privatized samples each, stored as the
+(n, d) counts of ones per coordinate (a sufficient statistic) together with k.
+Truth labels (good / adversarial) travel with the collection for evaluation
+only; estimators must never read them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
@@ -20,6 +20,7 @@ from .errors import (
     BadCollectionFile,
     CountMismatch,
     DimensionMismatch,
+    EmptyBatch,
     EpsOutOfRange,
     InvalidAttackParams,
 )
@@ -29,52 +30,58 @@ LABEL_GOOD = 0
 LABEL_ADVERSARIAL = 1
 
 _MAGIC = b"LDPB"
-_VERSION = 1
+_VERSION = 2
+# magic, version, n, k, d, eps numerator, eps denominator, seed, label presence
+_HEADER = struct.Struct("<4sHIIIQQQB")
+
+
+def as_counts(counts) -> np.ndarray:
+    """The argument as an array, checked to be an (m, d) array of integer counts."""
+    c = np.asarray(counts)
+    if c.ndim != 2 or c.dtype.kind not in "biu":
+        raise DimensionMismatch("counts must be an (m, d) integer array")
+    return c
 
 
 @dataclass
 class BatchCollection:
-    """n batches of k privatized samples, with optional simulation-only labels."""
+    """n batch records of k privatized samples, as (n, d) counts of ones per coordinate.
 
-    batches: np.ndarray
+    Truth labels are optional and for simulation only.
+    """
+
+    counts: np.ndarray
+    k: int
     truth: Optional[np.ndarray] = None
     eps: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        b = np.asarray(self.batches, dtype=np.uint8)
-        if b.ndim != 3:
-            raise DimensionMismatch("batches must have shape (n, k, d)")
-        self.batches = b
+        c = as_counts(self.counts)
+        self.k = int(self.k)
+        if self.k < 1:
+            raise EmptyBatch("each batch must hold k >= 1 samples")
+        if c.min(initial=0) < 0 or c.max(initial=0) > self.k:
+            raise CountMismatch(f"counts must lie in [0, k] with k = {self.k}")
+        self.counts = c.astype(np.int64, copy=False)
         if self.truth is not None:
             t = np.asarray(self.truth, dtype=np.uint8).ravel()
-            if t.size != b.shape[0]:
+            if t.size != c.shape[0]:
                 raise CountMismatch("one truth label per batch required")
             self.truth = t
 
     @property
     def n(self) -> int:
-        return int(self.batches.shape[0])
-
-    @property
-    def k(self) -> int:
-        return int(self.batches.shape[1])
+        return int(self.counts.shape[0])
 
     @property
     def d(self) -> int:
-        return int(self.batches.shape[2])
+        return int(self.counts.shape[1])
 
     def adversarial_count(self) -> int:
         if self.truth is None:
             return 0
         return int((self.truth == LABEL_ADVERSARIAL).sum())
-
-    def batch_digests(self) -> np.ndarray:
-        """Content digest per batch, independent of batch order in the collection."""
-        out = np.empty(self.n, dtype="S16")
-        for i in range(self.n):
-            out[i] = hashlib.sha256(self.batches[i].tobytes()).digest()[:16]
-        return out
 
 
 @dataclass(frozen=True)
@@ -82,7 +89,7 @@ class AttackSpec:
     """One adversarial batch strategy.
 
     kinds:
-      all_ones / all_zeros        constant batches
+      all_ones / all_zeros        a constant batch
       swap_distribution           honest privatization of another distribution q
       targeted_subset             privatize uniform, then push masked coordinates
                                   to (1 + direction)/2 independently w.p. magnitude
@@ -119,14 +126,13 @@ class AttackSpec:
 
 def make_clean_collection(ch: RapporChannel, p: ProbVector, n_prime: int, k: int,
                           rng: RngSeed) -> BatchCollection:
-    """Generate n_prime iid batches of k privatized draws from p, labeled good."""
+    """Generate n_prime iid batch records of k privatized draws from p, labeled good."""
     if n_prime < 1 or k < 1:
         raise CountMismatch("need n_prime >= 1 and k >= 1")
     if p.d != ch.d:
         raise DimensionMismatch("p and channel disagree on d")
-    flat = sample_privatized(ch, p, n_prime * k, rng)
-    batches = flat.reshape(n_prime, k, ch.d)
-    return BatchCollection(batches=batches,
+    bits = sample_privatized(ch, p, n_prime * k, rng).reshape(n_prime, k, ch.d)
+    return BatchCollection(counts=bits.sum(axis=1, dtype=np.int64), k=k,
                            truth=np.zeros(n_prime, dtype=np.uint8),
                            eps=0.0, seed=rng.seed)
 
@@ -163,9 +169,9 @@ def attack_batch(attack: AttackSpec, ch: RapporChannel, k: int,
 
 def contaminate(clean: BatchCollection, attack: AttackSpec, eps: float, n: int,
                 ch: RapporChannel, rng: RngSeed) -> BatchCollection:
-    """Append floor(n * eps) adversarial batches and shuffle uniformly.
+    """Append floor(n * eps) adversarial batch records and shuffle uniformly.
 
-    The clean collection must hold exactly n - floor(n * eps) batches; truth
+    The clean collection must hold exactly n - floor(n * eps) records; truth
     labels are preserved through the shuffle.
     """
     if not 0.0 <= eps < 0.25:
@@ -173,61 +179,81 @@ def contaminate(clean: BatchCollection, attack: AttackSpec, eps: float, n: int,
     n_adv = int(math.floor(n * eps))
     n_prime = n - n_adv
     if clean.n != n_prime:
-        raise CountMismatch(f"clean collection has {clean.n} batches, expected {n_prime}")
-    k, d = clean.k, clean.d
-    if n_adv > 0:
-        adv = np.stack([attack_batch(attack, ch, k, rng.child(1, i))
-                        for i in range(n_adv)])
-    else:
-        adv = np.zeros((0, k, d), dtype=np.uint8)
-    batches = np.concatenate([clean.batches, adv], axis=0)
+        raise CountMismatch(f"clean collection has {clean.n} records, expected {n_prime}")
+    adv = np.zeros((n_adv, clean.d), dtype=np.int64)
+    for i in range(n_adv):
+        adv[i] = attack_batch(attack, ch, clean.k, rng.child(1, i)).sum(axis=0)
+    counts = np.concatenate([clean.counts, adv], axis=0)
     truth = np.concatenate([
         np.zeros(n_prime, dtype=np.uint8),
         np.full(n_adv, LABEL_ADVERSARIAL, dtype=np.uint8),
     ])
     perm = rng.generator(2).permutation(n)
-    return BatchCollection(batches=batches[perm], truth=truth[perm],
+    return BatchCollection(counts=counts[perm], k=clean.k, truth=truth[perm],
                            eps=eps, seed=rng.seed)
 
 
+def _count_dtype(k: int) -> np.dtype:
+    """Narrowest little-endian unsigned integer type that holds every count in [0, k]."""
+    return np.dtype("<u1" if k < 2 ** 8 else "<u2" if k < 2 ** 16 else "<u4")
+
+
 def save_collection(coll: BatchCollection, path) -> None:
-    """Write the binary collection format: header, packed bits, optional labels."""
+    """Write the version-2 collection format: header, counts, optional labels."""
     eps_num, eps_den = float(coll.eps).as_integer_ratio()
     if eps_num < 0 or eps_num >= 2 ** 64 or eps_den >= 2 ** 64:
         raise ValueError("eps outside serializable range")
-    header = _MAGIC + struct.pack(
-        "<HIIIQQQB", _VERSION, coll.n, coll.k, coll.d,
-        eps_num, eps_den, coll.seed, 1 if coll.truth is not None else 0,
-    )
-    rows = coll.batches.reshape(coll.n * coll.k, coll.d)
-    packed = np.packbits(rows, axis=1)
+    header = _HEADER.pack(_MAGIC, _VERSION, coll.n, coll.k, coll.d, eps_num, eps_den,
+                          coll.seed, 1 if coll.truth is not None else 0)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(packed.tobytes())
+        fh.write(coll.counts.astype(_count_dtype(coll.k)).tobytes())
         if coll.truth is not None:
             fh.write(coll.truth.tobytes())
 
 
 def load_collection(path) -> BatchCollection:
-    """Read a collection written by save_collection; byte-exact round trip."""
+    """Read a collection file of version 2, or of the bit-packed version 1.
+
+    The file size the header implies is checked before any array is built.  A
+    malformed file (bad magic, version or header field, truncated body,
+    trailing bytes, labels outside {0, 1}, counts above k) raises
+    BadCollectionFile.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise BadCollectionFile("bad magic")
-    off = 4
-    version, n, k, d, eps_num, eps_den, seed, has_labels = struct.unpack_from(
-        "<HIIIQQQB", raw, off)
-    if version != _VERSION:
+    if len(raw) < _HEADER.size or raw[:4] != _MAGIC:
+        raise BadCollectionFile("bad magic or truncated header")
+    _, version, n, k, d, eps_num, eps_den, seed, has_labels = _HEADER.unpack_from(raw)
+    if version == 2:
+        dtype = _count_dtype(k)
+        body = n * d * dtype.itemsize
+    elif version == 1:
+        row_bytes = (d + 7) // 8
+        body = n * k * row_bytes
+    else:
         raise BadCollectionFile(f"unsupported version {version}")
-    off += struct.calcsize("<HIIIQQQB")
-    row_bytes = (d + 7) // 8
-    body = n * k * row_bytes
-    packed = np.frombuffer(raw, dtype=np.uint8, count=body, offset=off)
-    off += body
-    rows = np.unpackbits(packed.reshape(n * k, row_bytes), axis=1)[:, :d]
+    if k < 1 or d < 1:
+        raise BadCollectionFile(f"header needs k >= 1 and d >= 1, got k={k}, d={d}")
+    if has_labels not in (0, 1) or eps_den == 0:
+        raise BadCollectionFile("bad label-presence byte or eps denominator")
+    size = _HEADER.size + body + (n if has_labels else 0)
+    if len(raw) != size:
+        raise BadCollectionFile(f"file holds {len(raw)} bytes, its header implies {size}")
+
+    off = _HEADER.size
+    if version == 2:
+        counts = np.frombuffer(raw, dtype=dtype, count=n * d, offset=off).reshape(n, d)
+        if counts.max(initial=0) > k:
+            raise BadCollectionFile(f"count above k = {k}")
+    else:
+        packed = np.frombuffer(raw, dtype=np.uint8, count=body, offset=off)
+        bits = np.unpackbits(packed.reshape(n * k, row_bytes), axis=1)[:, :d]
+        counts = bits.reshape(n, k, d).sum(axis=1, dtype=np.int64)
     truth = None
     if has_labels:
-        truth = np.frombuffer(raw, dtype=np.uint8, count=n, offset=off).copy()
-    eps = eps_num / eps_den if eps_den else 0.0
-    return BatchCollection(batches=rows.reshape(n, k, d), truth=truth,
-                           eps=eps, seed=seed)
+        truth = np.frombuffer(raw, dtype=np.uint8, count=n, offset=off + body).copy()
+        if np.any(truth > LABEL_ADVERSARIAL):
+            raise BadCollectionFile("labels must be 0 or 1")
+    return BatchCollection(counts=counts, k=k, truth=truth,
+                           eps=eps_num / eps_den, seed=seed)

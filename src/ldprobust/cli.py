@@ -165,7 +165,7 @@ def _cmd_assouad(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="ldprobust",
-                     description="Robust estimation from privatized batches")
+                     description="Robust estimation from privatized batch data")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, seed_default=0):

@@ -111,6 +111,10 @@ class ShiftTooLarge(ArtifactError):
     pass
 
 
+class InexactStatistics(ArtifactError):
+    pass
+
+
 # --- lower-bound constructions ---
 
 class EmptySubspace(ArtifactError):

@@ -1,16 +1,16 @@
-"""Robust estimation of the symbol distribution from corrupted privatized batches.
+"""Robust estimation of the symbol distribution from corrupted privatized batch data.
 
-The estimator iteratively scores the surviving batches and deletes suspicious
+The estimator iteratively scores the surviving batch rows and deletes suspicious
 ones.  Scoring compares the empirical covariance of batch means against the
 model covariance implied by the current mean; the comparison is maximized over
 the Gram relaxation, which sandwiches the exponential subset search.  The loop
 stops once the contamination rate sqrt(tau) falls below the configured
-threshold, then returns the inverted mean of the surviving batches.
+threshold, then returns the inverted mean of the survivors.
 
 Determinism: given (collection, config, master seed) the result is bit
-reproducible, and it is invariant under permutations of the input batches.
-All reductions over batches run in a canonical content order and the deletion
-randomness is keyed to batch content digests rather than positions.
+reproducible and invariant under permutations of the input rows.  Mean and
+covariance come from exact integer sums of the counts, which have no order;
+score ties and deletion clocks follow the lexicographic order of the count rows.
 """
 
 from __future__ import annotations
@@ -21,15 +21,15 @@ from typing import Optional
 
 import numpy as np
 
-from .adversary import BatchCollection
+from .adversary import BatchCollection, as_counts
 from .channel import RapporChannel, invert_mean, mean_response
 from .errors import (
     AllZeroScores,
     DimensionTooLarge,
-    EmptyBatch,
     EmptySelection,
     EpsOutOfRange,
     Exhausted,
+    InexactStatistics,
     IterationCap,
     ShiftTooLarge,
     TooFewBatches,
@@ -75,10 +75,9 @@ class EstimatorConfig:
 
 @dataclass
 class CovBundle:
-    """Per-batch and averaged covariance data for one selection of batches."""
+    """Mean and covariance data for one selection of batch rows."""
 
     qhat_col: np.ndarray
-    chat_b: np.ndarray
     chat: np.ndarray
     cmodel: np.ndarray
     dmat: np.ndarray
@@ -139,38 +138,32 @@ class EstimateResult:
         return "\n".join(lines)
 
 
-def batch_mean(batch: np.ndarray) -> np.ndarray:
-    """Per-coordinate average of the bits of one batch."""
-    b = np.asarray(batch, dtype=np.float64)
-    if b.ndim != 2 or b.shape[0] == 0:
-        raise EmptyBatch("batch must be a nonempty (k, d) array")
-    return b.mean(axis=0)
+def collection_mean(counts, k: int) -> np.ndarray:
+    """qhat = S1 / (n k): the mean fraction of ones per coordinate of a nonempty selection."""
+    c = as_counts(counts)
+    if c.shape[0] == 0:
+        raise EmptySelection("selection must be a nonempty (m, d) array of counts")
+    return c.sum(axis=0, dtype=np.int64) / float(c.shape[0] * k)
 
 
-def all_batch_means(batches: np.ndarray) -> np.ndarray:
-    b = np.asarray(batches, dtype=np.float64)
-    if b.ndim != 3 or b.shape[1] == 0:
-        raise EmptyBatch("batches must be a (n, k, d) array with k >= 1")
-    return b.mean(axis=1)
+def empirical_cov(counts, k: int) -> np.ndarray:
+    """Covariance of the batch means, (n S2 - S1 S1^T) / (n^2 k^2), from exact sums.
 
-
-def collection_mean(batch_means: np.ndarray) -> np.ndarray:
-    """Average of batch means over a nonempty selection."""
-    m = np.asarray(batch_means, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] == 0:
-        raise EmptySelection("selection must be a nonempty (m, d) array")
-    return m.mean(axis=0)
-
-
-def empirical_cov(batch_means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-one outer products of centered batch means and their average."""
-    m = np.asarray(batch_means, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] < 2:
-        raise TooFewBatches("need at least two batches")
-    centered = m - m.mean(axis=0)
-    chat_b = np.einsum("bi,bj->bij", centered, centered)
-    chat = chat_b.mean(axis=0)
-    return chat_b, chat
+    S2 comes from a float64 GEMM of the counts, exact while every partial sum
+    (at most n k^2) is an integer below 2^53; the numerator is exact in int64 while
+    (n k)^2 < 9.2e18.  Converting it to float64 and dividing are the only
+    roundings.  Outside these bounds InexactStatistics is raised.
+    """
+    c = as_counts(counts)
+    if c.shape[0] < 2:
+        raise TooFewBatches("need at least two batch rows")
+    n, k = c.shape[0], int(k)
+    if n * k * k >= 2 ** 53 or n * k >= 3 * 10 ** 9:
+        raise InexactStatistics(f"n={n}, k={k} exceed the exact-statistics bounds")
+    s1 = c.sum(axis=0, dtype=np.int64)
+    f = c.astype(np.float64)
+    s2 = (f.T @ f).astype(np.int64)
+    return (n * s2 - np.outer(s1, s1)) / float((n * k) ** 2)
 
 
 def model_cov(qhat, k: int, lam: float) -> np.ndarray:
@@ -187,13 +180,11 @@ def model_cov(qhat, k: int, lam: float) -> np.ndarray:
     return kc / k
 
 
-def build_cov_bundle(batch_means: np.ndarray, k: int, lam: float) -> CovBundle:
-    qhat_col = collection_mean(batch_means)
-    chat_b, chat = empirical_cov(batch_means)
+def build_cov_bundle(counts, k: int, lam: float) -> CovBundle:
+    qhat_col = collection_mean(counts, k)
+    chat = empirical_cov(counts, k)
     cmodel = model_cov(qhat_col, k, lam)
-    dmat = chat - cmodel
-    return CovBundle(qhat_col=qhat_col, chat_b=chat_b, chat=chat,
-                     cmodel=cmodel, dmat=dmat)
+    return CovBundle(qhat_col=qhat_col, chat=chat, cmodel=cmodel, dmat=chat - cmodel)
 
 
 def special_subset(qhat_col, lam: float) -> tuple[np.ndarray, float]:
@@ -212,47 +203,41 @@ def special_subset(qhat_col, lam: float) -> tuple[np.ndarray, float]:
     return ~a_mask, gap_c
 
 
-def score_collection(batches_or_means, cfg: EstimatorConfig, ch: RapporChannel,
+def score_collection(coll_or_counts, cfg: EstimatorConfig, ch: RapporChannel,
                      rng: RngSeed, k: Optional[int] = None) -> ScoreReport:
-    """Contamination rate and per-batch corruption scores for a selection.
+    """Contamination rate and per-row corruption scores for a selection.
 
-    Special mode fires when the mean gap |qhat(S*) - lam*|S*|| reaches the
-    configured threshold; tau is then +inf and scores are the per-batch gaps on
-    S*.  Otherwise tau normalizes the Gram maximum of Chat - C(qhat) and scores
-    are |<M*, Chat_b>|.
+    Takes a BatchCollection, or an (m, d) integer array of counts together
+    with k.  Special mode fires when the mean gap |qhat(S*) - lam*|S*|| reaches
+    the configured threshold; tau is then +inf and scores are the per-row gaps
+    on S*.  Otherwise tau normalizes the Gram maximum of Chat - C(qhat) and the
+    score of row b is |c_b^T M* c_b| for its centered mean c_b.
     """
-    if isinstance(batches_or_means, BatchCollection):
-        means = all_batch_means(batches_or_means.batches)
-        k = batches_or_means.k
+    if isinstance(coll_or_counts, BatchCollection):
+        counts, k = coll_or_counts.counts, coll_or_counts.k
     else:
-        arr = np.asarray(batches_or_means, dtype=np.float64)
-        if arr.ndim == 3:
-            means = all_batch_means(arr)
-            k = arr.shape[1]
-        else:
-            means = arr
-            if k is None:
-                raise ValueError("k is required when passing batch means")
-    if means.shape[0] < 2:
-        raise TooFewBatches("need at least two batches to score")
+        counts = as_counts(coll_or_counts)
+        if k is None:
+            raise ValueError("k is required when passing counts")
+    if counts.shape[0] < 2:
+        raise TooFewBatches("need at least two batch rows to score")
 
-    qhat_col = collection_mean(means)
+    qhat_col = collection_mean(counts, k)
     s_star, gap = special_subset(qhat_col, ch.lam)
     if gap >= cfg.special_gap_threshold:
-        shift = means[:, s_star].sum(axis=1) - ch.lam * float(s_star.sum())
+        shift = counts[:, s_star].sum(axis=1) / k - ch.lam * float(s_star.sum())
         return ScoreReport(mode="special", tau=math.inf,
                            scores=np.abs(shift), s_star=s_star)
 
     if cfg.eps <= 0.0:
         raise EpsOutOfRange("sdp scoring requires eps > 0")
-    bundle = build_cov_bundle(means, k, ch.lam)
-    dmat = check_symmetric(0.5 * (bundle.dmat + bundle.dmat.T))
-    sol = gram_maximize(dmat, rank=cfg.sdp_rank, restarts=cfg.sdp_restarts,
+    bundle = build_cov_bundle(counts, k, ch.lam)
+    sol = gram_maximize(check_symmetric(bundle.dmat), rank=cfg.sdp_rank, restarts=cfg.sdp_restarts,
                         sweep_tol=cfg.sdp_tol, rng=rng)
     tau = sol.value / rate_unit(cfg.eps, ch.d, k)
     mstar = sol.matrix()
-    centered = means - qhat_col
-    scores = np.abs(np.einsum("bi,ij,bj->b", centered, mstar, centered))
+    centered = counts / k - qhat_col
+    scores = np.abs(((centered @ mstar) * centered).sum(axis=1))
     return ScoreReport(mode="sdp", tau=tau, scores=scores,
                        gram=sol, bundle=bundle)
 
@@ -261,8 +246,8 @@ def _race_order(scores: np.ndarray, exponentials: np.ndarray) -> np.ndarray:
     """Deletion order of sequential weighted sampling without replacement.
 
     Sorting exponential clocks E_b / score_b ascending reproduces, exactly in
-    distribution, the sequential scheme that repeatedly deletes one batch with
-    probability proportional to its score.  Zero-score batches sort last.
+    distribution, the sequential scheme that repeatedly deletes one entry with
+    probability proportional to its score.  Zero-score entries sort last.
     """
     with np.errstate(divide="ignore"):
         keys = np.where(scores > 0.0, exponentials / scores, np.inf)
@@ -291,7 +276,7 @@ def _delete_until_halved(scores: np.ndarray, order: np.ndarray) -> np.ndarray:
 def batch_deletion(indices, scores, rng: RngSeed) -> np.ndarray:
     """Randomized deletion from a candidate pool until its score mass is halved.
 
-    Picks batches with probability proportional to their score, without
+    Picks entries with probability proportional to their score, without
     replacement; returns the deleted indices in deletion order.
     """
     idx = np.asarray(indices, dtype=np.int64).ravel()
@@ -308,20 +293,9 @@ def batch_deletion(indices, scores, rng: RngSeed) -> np.ndarray:
     return idx[local]
 
 
-def _content_exponentials(seed: RngSeed, iteration: int, digests, dup_rank) -> np.ndarray:
-    """Exponential clocks keyed to (master seed, iteration, batch content)."""
-    out = np.empty(len(digests), dtype=np.float64)
-    for i, (dig, rank) in enumerate(zip(digests, dup_rank)):
-        key = int.from_bytes(bytes(dig)[:8], "big")
-        gen = seed.generator(3, iteration, key, int(rank))
-        out[i] = gen.exponential()
-    return out
-
-
 def naive_estimate(coll: BatchCollection, ch: RapporChannel) -> EstimateResult:
-    """Mean over every batch, inverted and normalized; no filtering."""
-    means = all_batch_means(coll.batches)
-    qhat = collection_mean(means)
+    """Mean over every batch row, inverted and normalized; no filtering."""
+    qhat = collection_mean(coll.counts, coll.k)
     return _finalize(qhat, np.arange(coll.n, dtype=np.int64), [], ch)
 
 
@@ -342,52 +316,42 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
     """Score-and-delete loop followed by mean inversion and l1 normalization.
 
     Per iteration: score the survivors; stop when sqrt(tau) is below the
-    threshold; otherwise take the floor(eps * n) batches with top scores (ties
-    to the lower index) and run the randomized deletion on that pool.  With
-    eps = 0 the loop is skipped and the result equals naive_estimate exactly.
+    threshold; otherwise take the floor(eps * n) rows with top scores (ties to
+    the lower canonical rank, the rank in lexicographic order of count rows)
+    and run the randomized deletion on that pool, its clocks assigned in
+    canonical order.  With eps = 0 the result equals naive_estimate exactly.
     """
     n = coll.n
     if n < 2:
-        raise Exhausted("need at least two batches")
+        raise Exhausted("need at least two batch rows")
     if cfg.eps == 0.0:
         return naive_estimate(coll, ch)
 
-    means = all_batch_means(coll.batches)
-    digests = coll.batch_digests()
-    canonical = np.argsort(digests, kind="stable")
-    dup_rank = np.zeros(n, dtype=np.int64)
-    seen: dict[bytes, int] = {}
-    for pos in canonical:
-        key = bytes(digests[pos])
-        dup_rank[pos] = seen.get(key, 0)
-        seen[key] = dup_rank[pos] + 1
-
+    counts, k = coll.counts, coll.k
+    canonical = np.lexsort(counts.T[::-1])
     surviving = np.ones(n, dtype=bool)
     pool_size = int(math.floor(cfg.eps * n))
     max_iter = cfg.max_iterations if cfg.max_iterations is not None else n
     trace: list[IterationRecord] = []
 
     for iteration in range(max_iter + 1):
+        # survivors in canonical order, so position in sel is canonical rank
         sel = canonical[surviving[canonical]]
         if sel.size < 2:
-            raise Exhausted("fewer than two batches survive")
-        report = score_collection(means[sel], cfg, ch, rng.child(4, iteration),
-                                  k=coll.k)
+            raise Exhausted("fewer than two batch rows survive")
+        report = score_collection(counts[sel], cfg, ch, rng.child(4, iteration), k=k)
         if math.isfinite(report.tau) and math.sqrt(max(report.tau, 0.0)) < cfg.tau_threshold:
             trace.append(IterationRecord(tau=report.tau, mode=report.mode, deleted=()))
-            qhat = collection_mean(means[sel])
+            qhat = collection_mean(counts[sel], k)
             return _finalize(qhat, np.sort(sel), trace, ch)
 
-        order = np.lexsort((sel, -report.scores))
-        pool_local = order[:min(pool_size, sel.size)]
-        pool_global = sel[pool_local]
-        pool_scores = report.scores[pool_local]
+        top = np.argsort(-report.scores, kind="stable")[:min(pool_size, sel.size)]
+        pool = np.sort(top)
+        pool_scores = report.scores[pool]
         if float(pool_scores.sum()) <= 0.0:
             raise AllZeroScores("top-score pool carries no score mass")
-        exps = _content_exponentials(rng, iteration, digests[pool_global],
-                                     dup_rank[pool_global])
-        deleted_local = _delete_until_halved(pool_scores, _race_order(pool_scores, exps))
-        deleted = pool_global[deleted_local]
+        clocks = rng.generator(3, iteration).exponential(size=pool.size)
+        deleted = sel[pool[_delete_until_halved(pool_scores, _race_order(pool_scores, clocks))]]
         surviving[deleted] = False
         trace.append(IterationRecord(tau=report.tau, mode=report.mode,
                                      deleted=tuple(int(j) for j in deleted)))
@@ -444,7 +408,7 @@ def check_nice_properties(clean: BatchCollection, p_true: ProbVector, eps: float
     250*d*eps*ln(e/eps)/k of the model covariance at the sub-collection mean,
     uniformly over subset pairs (checked exactly via the subset oracle).
 
-    Condition 2: over every sub-collection of at most eps*|B_G| batches and each
+    Condition 2: over every sub-collection of at most eps*|B_G| rows and each
     inspected subset pair, the summed product of centered subset masses stays
     below 33*eps*d*|B_G|*ln(e/eps)/k; the worst sub-collection per pair is the
     positive part of the top scores, computed exactly.
@@ -459,7 +423,7 @@ def check_nice_properties(clean: BatchCollection, p_true: ProbVector, eps: float
     rng = rng or RngSeed(0)
     log_term = math.log(math.e / eps)
 
-    means = all_batch_means(clean.batches)
+    means = clean.counts / k
     q = mean_response(ch, p_true)
     subset_sums = _all_subset_sums(means, d)            # (n, 2^d)
     q_sums = _all_subset_sums(q[None, :], d)[0]         # (2^d,)
@@ -483,10 +447,9 @@ def check_nice_properties(clean: BatchCollection, p_true: ProbVector, eps: float
     for _ in range(n_subcollections):
         selections.append(np.sort(gen.choice(n, size=m_min, replace=False)))
     for sel in selections:
-        _, chat = empirical_cov(means[sel])
-        cmod = model_cov(collection_mean(means[sel]), k, ch.lam)
-        gap = 0.5 * (chat + chat.T) - cmod
-        val, _, _ = subset_bilinear_max(gap)
+        chat = empirical_cov(clean.counts[sel], k)
+        cmod = model_cov(collection_mean(clean.counts[sel], k), k, ch.lam)
+        val, _, _ = subset_bilinear_max(chat - cmod)
         cov_worst = max(cov_worst, val)
 
     # condition 2: exact worst small sub-collection per inspected pair

@@ -175,7 +175,7 @@ def run_trial(cell: TrialCell, trial: int, master_seed: int) -> TrialResult:
     """One full generate / contaminate / estimate cycle with derived randomness.
 
     For the hard-pair attack the estimation target is the certified pair's p:
-    the adversarial batches simulate its companion q, which is the scenario the
+    the adversarial batch records simulate its companion q, which is the scenario the
     indistinguishability construction speaks about.
     """
     base = RngSeed(master_seed).child(hash_cell(cell), trial)

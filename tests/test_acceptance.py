@@ -34,7 +34,7 @@ from ldprobust import (
 )
 from ldprobust.adversary import sample_privatized
 from ldprobust.cli import main as cli_main
-from ldprobust.estimator import DESK_TAU_THRESHOLD, all_batch_means
+from ldprobust.estimator import DESK_TAU_THRESHOLD
 from ldprobust.harness import SweepConfig, TrialCell, run_trial
 from ldprobust.lowerbound import (
     assouad_family,
@@ -105,13 +105,13 @@ def test_criterion_2_covariance_model():
         mean_sum = np.zeros(5)
         for ci in range(n_batches // chunk):
             coll = make_clean_collection(ch, p, chunk, k, rng.child(ci))
-            mean_sum += all_batch_means(coll.batches).sum(axis=0)
+            mean_sum += (coll.counts / coll.k).sum(axis=0)
         qbar = mean_sum / n_batches
         ssum = np.zeros((5, 5))
         ssq = np.zeros((5, 5))
         for ci in range(n_batches // chunk):
             coll = make_clean_collection(ch, p, chunk, k, rng.child(ci))
-            centered = all_batch_means(coll.batches) - qbar
+            centered = coll.counts / coll.k - qbar
             cb = np.einsum("bi,bj->bij", centered, centered)
             ssum += cb.sum(axis=0)
             ssq += (cb * cb).sum(axis=0)

@@ -1,11 +1,15 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ldprobust import (
     AttackSpec,
+    BatchCollection,
     RapporChannel,
     RngSeed,
     attack_batch,
@@ -17,9 +21,25 @@ from ldprobust import (
     save_collection,
 )
 from ldprobust.adversary import LABEL_ADVERSARIAL
-from ldprobust.errors import CountMismatch, EpsOutOfRange, InvalidAttackParams
+from ldprobust.errors import (
+    BadCollectionFile,
+    CountMismatch,
+    DimensionMismatch,
+    EmptyBatch,
+    EpsOutOfRange,
+    InvalidAttackParams,
+)
 
 from conftest import chi2_quantile, two_sample_chi2
+
+
+HEADER_SIZE = 4 + struct.calcsize("<HIIIQQQB")
+
+
+def _valid_file_bytes():
+    """A small labeled version-2 file: n=3, k=2, d=3, eps=1/4."""
+    header = b"LDPB" + struct.pack("<HIIIQQQB", 2, 3, 2, 3, 1, 4, 9, 1)
+    return header + bytes([0, 1, 2, 2, 2, 2, 1, 0, 0]) + bytes([0, 1, 0])
 
 
 @pytest.fixture
@@ -35,25 +55,26 @@ def p():
 class TestCleanCollection:
     def test_shapes_and_labels(self, ch, p):
         coll = make_clean_collection(ch, p, 7, 4, RngSeed(0))
-        assert coll.batches.shape == (7, 4, 5)
+        assert coll.counts.shape == (7, 5)
+        assert coll.k == 4
         assert coll.adversarial_count() == 0
 
     def test_noiseless_point_mass(self):
         ch = RapporChannel.from_lambda(3, 0.0)
         p = make_prob_vector([1.0, 0.0, 0.0])
         coll = make_clean_collection(ch, p, 5, 3, RngSeed(1))
-        assert np.all(coll.batches[:, :, 0] == 1)
-        assert np.all(coll.batches[:, :, 1:] == 0)
+        assert np.all(coll.counts[:, 0] == 3)
+        assert np.all(coll.counts[:, 1:] == 0)
 
     def test_grand_mean_matches_response(self, ch, p):
         coll = make_clean_collection(ch, p, 100, 50, RngSeed(7))
-        grand = coll.batches.reshape(-1, 5).mean(axis=0)
+        grand = coll.counts.sum(axis=0) / (100 * 50)
         assert np.abs(grand - mean_response(ch, p)).max() < 0.01
 
     def test_deterministic(self, ch, p):
         a = make_clean_collection(ch, p, 10, 5, RngSeed(3))
         b = make_clean_collection(ch, p, 10, 5, RngSeed(3))
-        assert np.array_equal(a.batches, b.batches)
+        assert np.array_equal(a.counts, b.counts)
 
 
 class TestAttackBatch:
@@ -95,7 +116,8 @@ class TestAttackBatch:
         n = 50_000
         spec = AttackSpec(kind="swap_distribution", q=uniform)
         adv = attack_batch(spec, ch4, n, RngSeed(6))
-        clean = make_clean_collection(ch4, uniform, n, 1, RngSeed(7)).batches[:, 0, :]
+        # with k = 1 the count rows are the privatized bit vectors themselves
+        clean = make_clean_collection(ch4, uniform, n, 1, RngSeed(7)).counts
         # compare the laws of the full bit patterns
         pow2 = 1 << np.arange(d)
         stat, dof = two_sample_chi2(adv @ pow2, clean @ pow2)
@@ -108,7 +130,7 @@ class TestContaminate:
         out = contaminate(clean, AttackSpec(kind="all_ones"), 0.0, 10, ch, RngSeed(9))
         assert out.n == 10
         assert out.adversarial_count() == 0
-        key = lambda c: sorted(c.batches.tobytes()[i * 15:(i + 1) * 15] for i in range(10))
+        key = lambda c: sorted(c.counts.tolist())
         assert key(out) == key(clean)
 
     def test_all_ones_count(self, ch, p):
@@ -116,16 +138,14 @@ class TestContaminate:
         out = contaminate(clean, AttackSpec(kind="all_ones"), 0.1, 20, ch, RngSeed(11))
         assert out.n == 20
         assert out.adversarial_count() == 2
-        adv = out.batches[out.truth == LABEL_ADVERSARIAL]
-        assert adv.all()
+        adv = out.counts[out.truth == LABEL_ADVERSARIAL]
+        assert np.all(adv == out.k)
 
     def test_good_batches_preserved(self, ch, p):
         clean = make_clean_collection(ch, p, 9, 4, RngSeed(12))
         out = contaminate(clean, AttackSpec(kind="all_zeros"), 0.1, 10, ch, RngSeed(13))
-        good = out.batches[out.truth == 0]
-        orig = {clean.batches[i].tobytes() for i in range(9)}
-        shuffled = {good[i].tobytes() for i in range(9)}
-        assert orig == shuffled
+        good = out.counts[out.truth == 0]
+        assert sorted(good.tolist()) == sorted(clean.counts.tolist())
 
     def test_count_mismatch(self, ch, p):
         clean = make_clean_collection(ch, p, 10, 3, RngSeed(14))
@@ -142,21 +162,21 @@ class TestContaminate:
         clean = make_clean_collection(ch, p, 160, 50, RngSeed(18))
         out = contaminate(clean, AttackSpec(kind="swap_distribution", q=q_swap),
                           0.2, 200, ch, RngSeed(19))
-        adv = out.batches[out.truth == LABEL_ADVERSARIAL]
-        mean = adv.reshape(-1, 5).mean(axis=0)
+        adv = out.counts[out.truth == LABEL_ADVERSARIAL]
+        mean = adv.sum(axis=0) / (adv.shape[0] * out.k)
         assert np.abs(mean - mean_response(ch, q_swap)).max() < 0.02
 
     def test_shuffle_uniformity(self, ch, p):
         # 5 distinguishable batches, 10^4 shuffles: all 120 permutation
         # frequencies within 4 sigma of 1/120 at this fixed seed
         clean = make_clean_collection(ch, p, 5, 2, RngSeed(20))
-        ranks = {clean.batches[i].tobytes(): i for i in range(5)}
+        ranks = {tuple(clean.counts[i]): i for i in range(5)}
         assert len(ranks) == 5
         counts = {}
         for rep in range(10_000):
             out = contaminate(clean, AttackSpec(kind="all_ones"), 0.0, 5, ch,
                               RngSeed(21, rep))
-            perm = tuple(ranks[out.batches[i].tobytes()] for i in range(5))
+            perm = tuple(ranks[tuple(out.counts[i])] for i in range(5))
             counts[perm] = counts.get(perm, 0) + 1
         freqs = np.array([counts.get(perm, 0) for perm in
                           itertools.permutations(range(5))]) / 10_000
@@ -171,7 +191,8 @@ class TestSerialization:
         path = tmp_path / "coll.ldpb"
         save_collection(coll, path)
         back = load_collection(path)
-        assert np.array_equal(back.batches, coll.batches)
+        assert np.array_equal(back.counts, coll.counts)
+        assert back.k == coll.k
         assert np.array_equal(back.truth, coll.truth)
         assert back.eps == coll.eps
         assert back.seed == coll.seed
@@ -181,7 +202,103 @@ class TestSerialization:
         p1, p2 = tmp_path / "a.ldpb", tmp_path / "b.ldpb"
         save_collection(coll, p1)
         save_collection(load_collection(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        data = p1.read_bytes()
+        assert data == p2.read_bytes()
+        # version 2: header, then one u1 per count (k = 3), then the labels
+        assert struct.unpack_from("<H", data, 4) == (2,)
+        assert data[HEADER_SIZE:] == coll.counts.astype("<u1").tobytes() + bytes(4)
+
+    @pytest.mark.parametrize("k, width", [(255, 1), (256, 2), (65535, 2), (65536, 4)])
+    def test_count_width(self, ch, tmp_path, k, width):
+        counts = np.array([[0, 1, k, 2, 3], [k, k, 0, 0, 1]])
+        coll = BatchCollection(counts=counts, k=k)
+        path = tmp_path / "w.ldpb"
+        save_collection(coll, path)
+        assert path.stat().st_size == HEADER_SIZE + counts.size * width
+        back = load_collection(path)
+        assert np.array_equal(back.counts, counts) and back.k == k
+
+    def test_reads_version_1(self, tmp_path):
+        # hand-packed version-1 file: n=2, k=3, d=10, eps=1/8, seed=5, labels;
+        # each sample row is 10 bits packed MSB first into two bytes
+        rows = np.array([
+            [1, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+            [1, 1, 0, 0, 0, 0, 0, 0, 0, 1],
+            [1, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            [0, 1, 0, 0, 0, 0, 0, 0, 1, 0],
+            [0, 1, 0, 0, 0, 0, 0, 1, 1, 1],
+        ])
+        packed = bytes([0x80, 0x40, 0xC0, 0x40, 0xA0, 0x00,
+                        0x00, 0x00, 0x40, 0x80, 0x41, 0xC0])
+        assert np.packbits(rows.astype(np.uint8), axis=1).tobytes() == packed
+        header = b"LDPB" + struct.pack("<HIIIQQQB", 1, 2, 3, 10, 1, 8, 5, 1)
+        path = tmp_path / "v1.ldpb"
+        path.write_bytes(header + packed + bytes([1, 0]))
+        coll = load_collection(path)
+        expected = [[3, 1, 1, 0, 0, 0, 0, 0, 0, 2],
+                    [0, 2, 0, 0, 0, 0, 0, 1, 2, 1]]
+        assert coll.counts.tolist() == expected
+        assert coll.k == 3 and coll.truth.tolist() == [1, 0]
+        assert coll.eps == 0.125 and coll.seed == 5
+
+    @pytest.mark.parametrize("defect", ["truncated", "trailing", "label", "count",
+                                        "version", "magic", "header"])
+    def test_rejects_malformed(self, ch, p, tmp_path, defect):
+        coll = contaminate(make_clean_collection(ch, p, 9, 4, RngSeed(26)),
+                           AttackSpec(kind="all_ones"), 0.1, 10, ch, RngSeed(27))
+        path = tmp_path / "m.ldpb"
+        save_collection(coll, path)
+        data = bytearray(path.read_bytes())
+        if defect == "truncated":
+            data = data[:-3]
+        elif defect == "trailing":
+            data += b"\x00"
+        elif defect == "label":
+            data[-1] = 7
+        elif defect == "count":
+            data[HEADER_SIZE] = 5  # k = 4
+        elif defect == "version":
+            data[4:6] = struct.pack("<H", 3)
+        elif defect == "magic":
+            data[:4] = b"LDPX"
+        else:
+            data = data[:HEADER_SIZE - 1]
+        path.write_bytes(bytes(data))
+        with pytest.raises(BadCollectionFile):
+            load_collection(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_files_load_or_raise_typed(self, tmp_path, data):
+        valid = _valid_file_bytes()
+        mode = data.draw(st.sampled_from(["arbitrary", "truncate", "flip"]))
+        if mode == "arbitrary":
+            raw = data.draw(st.binary(max_size=200))
+            if data.draw(st.booleans()):
+                raw = valid[:4] + raw
+        elif mode == "truncate":
+            raw = valid[:data.draw(st.integers(0, len(valid) - 1))]
+        else:
+            raw = bytearray(valid)
+            for _ in range(data.draw(st.integers(1, 4))):
+                pos = data.draw(st.integers(0, len(raw) - 1))
+                raw[pos] ^= data.draw(st.integers(1, 255))
+            raw = bytes(raw)
+        path = tmp_path / "fuzz.ldpb"
+        path.write_bytes(raw)
+        try:
+            coll = load_collection(path)
+        except BadCollectionFile:
+            return
+        assert isinstance(coll, BatchCollection)
+        assert coll.counts.shape == (coll.n, coll.d)
+        assert coll.k >= 1 and coll.counts.min(initial=0) >= 0
+        assert coll.counts.max(initial=0) <= coll.k
+        if coll.truth is not None:
+            assert coll.truth.size == coll.n
+            assert set(coll.truth.tolist()) <= {0, 1}
 
     def test_no_labels(self, ch, p, tmp_path):
         coll = make_clean_collection(ch, p, 4, 3, RngSeed(25))
@@ -189,3 +306,24 @@ class TestSerialization:
         path = tmp_path / "c.ldpb"
         save_collection(coll, path)
         assert load_collection(path).truth is None
+
+
+class TestBatchCollection:
+    def test_rejects_counts_outside_range(self):
+        with pytest.raises(CountMismatch):
+            BatchCollection(counts=np.array([[0, 4]]), k=3)
+        with pytest.raises(CountMismatch):
+            BatchCollection(counts=np.array([[-1, 0]]), k=3)
+        with pytest.raises(DimensionMismatch):
+            BatchCollection(counts=np.array([[0.5, 0.0]]), k=3)
+        with pytest.raises(DimensionMismatch):
+            BatchCollection(counts=np.zeros((2, 3, 4), dtype=np.int64), k=3)
+
+    def test_rejects_empty_batch(self):
+        with pytest.raises(EmptyBatch):
+            BatchCollection(counts=np.zeros((2, 3), dtype=np.int64), k=0)
+
+    def test_counts_stored_as_int64(self):
+        coll = BatchCollection(counts=np.array([[1, 2, 3]], dtype=np.uint8), k=3)
+        assert coll.counts.dtype == np.int64
+        assert (coll.n, coll.d, coll.k) == (1, 3, 3)

@@ -9,7 +9,6 @@ from ldprobust import (
     RapporChannel,
     RngSeed,
     batch_deletion,
-    batch_mean,
     check_nice_properties,
     collection_mean,
     contaminate,
@@ -28,12 +27,15 @@ from ldprobust import (
 from ldprobust.adversary import BatchCollection
 from ldprobust.errors import (
     AllZeroScores,
+    DimensionMismatch,
     EmptyBatch,
+    EmptySelection,
     EpsOutOfRange,
     Exhausted,
+    InexactStatistics,
     TooFewBatches,
 )
-from ldprobust.estimator import DESK_TAU_THRESHOLD, all_batch_means, build_cov_bundle
+from ldprobust.estimator import DESK_TAU_THRESHOLD, build_cov_bundle
 
 from conftest import brute_force_special_gap
 
@@ -57,54 +59,83 @@ def attacked_collection(ch, p, n=2000, k=50, eps=0.05, seed=0, kind="all_ones"):
 
 class TestMeans:
     def test_all_ones_batch(self):
-        assert np.array_equal(batch_mean(np.ones((4, 3))), np.ones(3))
+        assert np.array_equal(collection_mean(np.full((1, 3), 4), 4), np.ones(3))
 
     def test_all_zeros_batch(self):
-        assert np.array_equal(batch_mean(np.zeros((4, 3))), np.zeros(3))
+        assert np.array_equal(collection_mean(np.zeros((1, 3), dtype=np.int64), 4),
+                              np.zeros(3))
 
     def test_direct_average(self):
-        batch = np.array([[1, 0, 0], [0, 0, 1]], dtype=np.uint8)
-        assert np.allclose(batch_mean(batch), [0.5, 0.0, 0.5])
+        # one batch of samples [1, 0, 0] and [0, 0, 1]
+        assert np.array_equal(collection_mean(np.array([[1, 0, 1]]), 2), [0.5, 0.0, 0.5])
 
     def test_empty_batch(self):
         with pytest.raises(EmptyBatch):
-            batch_mean(np.zeros((0, 3)))
+            BatchCollection(counts=np.zeros((1, 3), dtype=np.int64), k=0)
+        with pytest.raises(EmptySelection):
+            collection_mean(np.zeros((0, 3), dtype=np.int64), 4)
 
     def test_collection_mean_single(self):
-        m = np.array([[0.2, 0.8]])
-        assert np.array_equal(collection_mean(m), m[0])
+        c = np.array([[1, 4]])
+        assert np.array_equal(collection_mean(c, 5), c[0] / 5)
 
     def test_collection_mean_two(self):
-        m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(collection_mean(m), [0.5, 0.5])
+        c = np.array([[0, 5], [5, 0]])
+        assert np.array_equal(collection_mean(c, 5), [0.5, 0.5])
 
 
 class TestEmpiricalCov:
     def test_identical_batches_zero(self):
-        means = np.tile([0.3, 0.7], (6, 1))
-        _, chat = empirical_cov(means)
-        assert np.abs(chat).max() <= 1e-30
+        counts = np.tile([3, 7], (6, 1))
+        assert np.all(empirical_cov(counts, 10) == 0.0)
 
     def test_two_batch_outer_product(self):
+        # batch means 0.4 +- delta with delta = [0.1, -0.05, 0] at k = 20
+        counts = np.array([[10, 7, 8], [6, 9, 8]])
         delta = np.array([0.1, -0.05, 0.0])
-        means = np.stack([0.4 + delta, 0.4 - delta])
-        _, chat = empirical_cov(means)
-        assert np.allclose(chat, np.outer(delta, delta), atol=1e-15)
+        assert np.allclose(empirical_cov(counts, 20), np.outer(delta, delta), atol=1e-15)
 
-    def test_chat_is_average_of_chat_b(self):
+    def test_chat_matches_mean_of_outer_products(self):
         gen = np.random.default_rng(0)
-        means = gen.random((50, 4))
-        chat_b, chat = empirical_cov(means)
-        assert np.abs(chat - chat_b.mean(axis=0)).max() < 1e-10
-        assert np.abs(chat - chat.T).max() <= 1e-12
+        k = 30
+        counts = gen.integers(0, k + 1, size=(50, 4))
+        chat = empirical_cov(counts, k)
+        means = counts / k
+        centered = means - means.mean(axis=0)
+        ref = np.einsum("bi,bj->bij", centered, centered).mean(axis=0)
+        assert np.abs(chat - ref).max() <= 1e-15 * np.abs(ref).max()
+        assert np.array_equal(chat, chat.T)
+        for seed in range(5):
+            perm = np.random.default_rng(seed).permutation(50)
+            assert np.array_equal(empirical_cov(counts[perm], k), chat)
 
     def test_too_few(self):
         with pytest.raises(TooFewBatches):
-            empirical_cov(np.array([[0.5, 0.5]]))
+            empirical_cov(np.array([[1, 1]]), 2)
+
+    def test_rejects_float_means(self, ch):
+        means = np.full((4, ch.d), 0.4)
+        with pytest.raises(DimensionMismatch):
+            empirical_cov(means, 20)
+        with pytest.raises(DimensionMismatch):
+            collection_mean(means, 20)
+        with pytest.raises(DimensionMismatch):
+            score_collection(means, EstimatorConfig(eps=0.05), ch, RngSeed(0), k=20)
+
+    def test_exactness_guard(self):
+        # n k^2 = 2^53: the float64 GEMM for S2 could round
+        with pytest.raises(InexactStatistics):
+            empirical_cov(np.zeros((2, 3), dtype=np.int64), 2 ** 26)
+        empirical_cov(np.zeros((2, 3), dtype=np.int64), 2 ** 26 - 1)
+        # n k = 3e9: the int64 numerator could overflow; a zero-stride view
+        # stands in for three billion rows
+        rows = np.broadcast_to(np.zeros((1, 3), dtype=np.int64), (3 * 10 ** 9, 3))
+        with pytest.raises(InexactStatistics):
+            empirical_cov(rows, 1)
 
     def test_monte_carlo_matches_model(self, ch, p):
         coll = make_clean_collection(ch, p, 10 ** 5, 20, RngSeed(5))
-        _, chat = empirical_cov(all_batch_means(coll.batches))
+        chat = empirical_cov(coll.counts, coll.k)
         cm = model_cov(mean_response(ch, p), 20, ch.lam)
         assert np.abs(chat - cm).max() <= 1e-2
 
@@ -154,12 +185,13 @@ class TestSpecialSubset:
 
 class TestScoreCollection:
     def test_identical_batches_at_lambda(self, ch):
-        means = np.tile(np.full(ch.d, ch.lam), (10, 1))
+        # every batch holds round(20 * lam) = 8 ones per coordinate
+        counts = np.tile(np.full(ch.d, round(20 * ch.lam)), (10, 1))
         cfg = EstimatorConfig(eps=0.05)
-        rep = score_collection(means, cfg, ch, RngSeed(0), k=20)
+        rep = score_collection(counts, cfg, ch, RngSeed(0), k=20)
         assert rep.mode == "sdp"
         assert math.isfinite(rep.tau)
-        assert np.abs(rep.scores).max() < 1e-18
+        assert np.all(rep.scores == 0.0)
 
     def test_special_mode_flags_attacked_batch(self):
         # gap >= 11 requires d * (1 - lam) beyond 11; three all-ones batches
@@ -169,10 +201,10 @@ class TestScoreCollection:
         gen = np.random.default_rng(3)
         p = make_prob_vector(gen.dirichlet(np.ones(d)))
         q = mean_response(ch, p)
-        clean_batch = (gen.random((1, 30, d)) < q).astype(np.uint8)
-        ones = np.ones((3, 30, d), dtype=np.uint8)
-        coll = BatchCollection(batches=np.concatenate([clean_batch, ones]))
-        qbar = all_batch_means(coll.batches).mean(axis=0)
+        clean_batch = (gen.random((1, 30, d)) < q).sum(axis=1)
+        ones = np.full((3, d), 30)
+        coll = BatchCollection(counts=np.concatenate([clean_batch, ones]), k=30)
+        qbar = collection_mean(coll.counts, coll.k)
         gap = brute_force_special_gap_fast(qbar, ch.lam)
         assert gap >= 11.0
         rep = score_collection(coll, EstimatorConfig(eps=0.05), ch, RngSeed(1))
@@ -276,13 +308,31 @@ class TestRobustEstimate:
     def test_permutation_invariance(self, ch, p):
         coll, rng = attacked_collection(ch, p, n=300, seed=9)
         perm = np.random.default_rng(10).permutation(coll.n)
-        shuffled = BatchCollection(batches=coll.batches[perm].copy(),
+        shuffled = BatchCollection(counts=coll.counts[perm].copy(), k=coll.k,
                                    truth=coll.truth[perm].copy(), eps=coll.eps)
         cfg = EstimatorConfig(eps=0.05, tau_threshold=DESK_TAU_THRESHOLD)
         res_a = robust_estimate(coll, cfg, ch, rng.child(3))
         res_b = robust_estimate(shuffled, cfg, ch, rng.child(3))
+        assert res_a.iterations >= 2
         assert np.array_equal(res_a.phat, res_b.phat)
         assert np.array_equal(res_a.qhat, res_b.qhat)
+        assert [(r.mode, r.tau) for r in res_a.trace] == [(r.mode, r.tau) for r in res_b.trace]
+        for rec_a, rec_b in zip(res_a.trace, res_b.trace):
+            rows_a = sorted(coll.counts[list(rec_a.deleted)].tolist())
+            rows_b = sorted(shuffled.counts[list(rec_b.deleted)].tolist())
+            assert rows_a == rows_b
+
+    def test_naive_permutation_invariance(self, ch, p):
+        coll, rng = attacked_collection(ch, p, n=2000, seed=9)
+        cfg = EstimatorConfig(eps=0.0)
+        base = naive_estimate(coll, ch)
+        assert np.array_equal(robust_estimate(coll, cfg, ch, rng.child(3)).phat, base.phat)
+        for s in range(20):
+            perm = np.random.default_rng(s).permutation(coll.n)
+            shuffled = BatchCollection(counts=coll.counts[perm], k=coll.k)
+            assert np.array_equal(naive_estimate(shuffled, ch).phat, base.phat)
+            assert np.array_equal(robust_estimate(shuffled, cfg, ch, rng.child(3)).phat,
+                                  base.phat)
 
     def test_exhausted(self, ch, p):
         coll = make_clean_collection(ch, p, 1, 5, RngSeed(11))
@@ -345,7 +395,7 @@ class TestNaive:
         n, k, eps = 2000, 50, 0.05
         coll, _ = attacked_collection(ch, p, n=n, k=k, eps=eps, seed=16)
         res = naive_estimate(coll, ch)
-        clean_means = all_batch_means(coll.batches[coll.truth == 0])
+        clean_means = coll.counts[coll.truth == 0] / coll.k
         qc = clean_means.mean(axis=0)
         f = coll.adversarial_count() / n
         predicted = (qc - ch.lam) / (1 - 2 * ch.lam) + f * (1 - qc) / (1 - 2 * ch.lam)
@@ -370,9 +420,9 @@ class TestNiceProperties:
 
     def test_shifted_batches_fail(self, ch, p):
         coll = make_clean_collection(ch, p, 200, 50, RngSeed(19))
-        batches = coll.batches.copy()
-        batches[:60] = 1  # 30% corrupted but labeled good: iid assumption broken
-        bad = BatchCollection(batches=batches, truth=np.zeros(200, dtype=np.uint8))
+        counts = coll.counts.copy()
+        counts[:60] = coll.k  # 30% all-ones but labeled good: iid assumption broken
+        bad = BatchCollection(counts=counts, k=coll.k, truth=np.zeros(200, dtype=np.uint8))
         rep = check_nice_properties(bad, p, 0.1, ch, RngSeed(20))
         assert not rep.mean_ok
 
@@ -384,8 +434,7 @@ class TestNiceProperties:
         coll = make_clean_collection(ch, p, 500, k, RngSeed(21))
         rep = check_nice_properties(coll, p, eps, ch, RngSeed(22))
         assert rep.all_ok
-        means = all_batch_means(coll.batches)
-        bundle = build_cov_bundle(means, k, ch.lam)
+        bundle = build_cov_bundle(coll.counts, k, ch.lam)
         gap_mat = 0.5 * (bundle.dmat + bundle.dmat.T)
         bits = _bit_matrix(ch.d)
         var_gaps = np.abs(np.einsum("si,ij,sj->s", bits, gap_mat, bits))
