@@ -37,6 +37,7 @@ from .estimator import (
 )
 from .gram import (
     GramSolution,
+    dual_upper_bound,
     gram_maximize,
     indicator_embedding,
     sandwich_check,

@@ -1,6 +1,8 @@
 """Command-line entry points.
 
-Exit codes: 0 on success, 1 on usage or I/O errors, 2 on invariant violations.
+Exit codes: 0 on success; 1 on usage or I/O errors, including any parameter
+outside the documented contract (InputError); 2 on failed certificates and
+broken invariants.
 All primary outputs (JSON / CSV files and stdout reports) are byte-identical
 across reruns with the same seed and across thread counts.
 """
@@ -16,9 +18,9 @@ import numpy as np
 
 from . import harness
 from .channel import RapporChannel
-from .errors import ArtifactError
+from .errors import ArtifactError, InputError
 from .estimator import DESK_TAU_THRESHOLD
-from .gram import sandwich_check
+from .gram import gram_maximize, sandwich_check
 from .lowerbound import (
     assouad_chi2_check,
     assouad_family,
@@ -38,6 +40,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         sys.exit(USAGE_ERROR)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _emit(payload: dict, out_path) -> None:
@@ -80,18 +89,24 @@ def _cmd_sdp_check(args) -> int:
     failures = 0
     worst_lower = math.inf
     worst_upper = math.inf
+    worst_gap = 0.0
+    max_restarts = 0
     for i in range(args.instances):
         gen = rng.generator(5, i)
         raw = gen.standard_normal((args.d, args.d))
         A = 0.5 * (raw + raw.T)
-        report = sandwich_check(A, rng=rng.child(6, i))
+        sol = gram_maximize(A, rng=rng.child(6, i))
+        report = sandwich_check(A, sol=sol)
         worst_lower = min(worst_lower, report.lower_margin)
         worst_upper = min(worst_upper, report.upper_margin)
+        worst_gap = max(worst_gap, sol.relative_gap)
+        max_restarts = max(max_restarts, sol.restarts_used)
         if not report.ok:
             failures += 1
     _emit({
         "d": args.d, "instances": args.instances, "failures": failures,
         "worst_lower_margin": worst_lower, "worst_upper_margin": worst_upper,
+        "worst_relative_gap": worst_gap, "max_restarts_used": max_restarts,
     }, args.out)
     return 0 if failures == 0 else INVARIANT_ERROR
 
@@ -196,7 +211,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sdp-check", help="random-matrix sandwich certification")
     common(p)
     p.add_argument("--d", type=int, default=8)
-    p.add_argument("--instances", type=int, default=200)
+    p.add_argument("--instances", type=_positive_int, default=200)
     p.set_defaults(func=_cmd_sdp_check)
 
     p = sub.add_parser("lowerbound", help="emit a hard-pair certificate")
@@ -231,6 +246,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InputError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return USAGE_ERROR
     except ArtifactError as exc:
         sys.stderr.write(f"invariant violation: {exc}\n")
         return INVARIANT_ERROR

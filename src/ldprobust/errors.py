@@ -2,7 +2,18 @@
 
 
 class ArtifactError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    An ArtifactError that is not an InputError reports a failed certificate or
+    a broken invariant; the CLI exits 2 on it.
+    """
+
+
+class InputError(ArtifactError):
+    """A caller-supplied parameter or input lies outside the documented contract.
+
+    The CLI exits 1 on it, as for any other usage error.
+    """
 
 
 # --- vectors, distributions, masks ---
@@ -15,7 +26,7 @@ class NotNormalized(ArtifactError):
     pass
 
 
-class TooSmallAlphabet(ArtifactError):
+class TooSmallAlphabet(InputError):
     pass
 
 
@@ -29,11 +40,11 @@ class OutcomeMismatch(ArtifactError):
 
 # --- privatization channel ---
 
-class NonPositiveAlpha(ArtifactError):
+class NonPositiveAlpha(InputError):
     pass
 
 
-class AlphaOutOfRange(ArtifactError):
+class AlphaOutOfRange(InputError):
     pass
 
 
@@ -55,29 +66,37 @@ class CountMismatch(ArtifactError):
     pass
 
 
-class EpsOutOfRange(ArtifactError):
+class EpsOutOfRange(InputError):
     pass
 
 
-class InvalidAttackParams(ArtifactError):
+class InvalidAttackParams(InputError):
     pass
 
 
-class BadCollectionFile(ArtifactError):
+class BadCollectionFile(InputError):
     pass
 
 
 # --- bilinear maximization ---
 
-class DimensionTooLarge(ArtifactError):
+class DimensionTooLarge(InputError):
     pass
 
 
-class RankTooSmall(ArtifactError):
+class RankTooSmall(InputError):
     pass
 
 
 class NotSymmetric(ArtifactError):
+    pass
+
+
+class TooFewRestarts(InputError):
+    pass
+
+
+class InvalidGramSolution(ArtifactError):
     pass
 
 

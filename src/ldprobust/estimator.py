@@ -91,12 +91,24 @@ class ScoreReport:
     s_star: Optional[np.ndarray] = None
     gram: Optional[GramSolution] = None
     bundle: Optional[CovBundle] = None
+    tau_upper: float = math.inf     # certified bound on tau: gram upper bound / rate unit
 
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One filtering iteration: the rows it scored, its tau and what it deleted.
+
+    gram_value and gram_upper are the Gram solver's value and certified upper
+    bound (None in special mode); pool_size is the number of top-score
+    candidates the deletion drew from (0 on the stopping iteration).
+    """
+
     tau: float
     mode: str
+    survivors: int
+    pool_size: int
+    gram_value: Optional[float]
+    gram_upper: Optional[float]
     deleted: tuple
 
 
@@ -131,7 +143,9 @@ class EstimateResult:
         ]
         for i, rec in enumerate(self.trace):
             deleted = ",".join(str(j) for j in rec.deleted)
-            lines.append(f"trace[{i}]=mode:{rec.mode} tau:{rec.tau!r} deleted:[{deleted}]")
+            lines.append(f"trace[{i}]=mode:{rec.mode} tau:{rec.tau!r} "
+                         f"gram_value:{rec.gram_value!r} gram_upper:{rec.gram_upper!r} "
+                         f"survivors:{rec.survivors} pool:{rec.pool_size} deleted:[{deleted}]")
         lines.append("qhat=" + " ".join(repr(x) for x in self.qhat))
         lines.append("phat=" + " ".join(repr(x) for x in self.phat))
         lines.append("phat_normalized=" + " ".join(repr(x) for x in self.phat_normalized))
@@ -234,12 +248,12 @@ def score_collection(coll_or_counts, cfg: EstimatorConfig, ch: RapporChannel,
     bundle = build_cov_bundle(counts, k, ch.lam)
     sol = gram_maximize(check_symmetric(bundle.dmat), rank=cfg.sdp_rank, restarts=cfg.sdp_restarts,
                         sweep_tol=cfg.sdp_tol, rng=rng)
-    tau = sol.value / rate_unit(cfg.eps, ch.d, k)
+    unit = rate_unit(cfg.eps, ch.d, k)
     mstar = sol.matrix()
     centered = counts / k - qhat_col
     scores = np.abs(((centered @ mstar) * centered).sum(axis=1))
-    return ScoreReport(mode="sdp", tau=tau, scores=scores,
-                       gram=sol, bundle=bundle)
+    return ScoreReport(mode="sdp", tau=sol.value / unit, scores=scores,
+                       gram=sol, bundle=bundle, tau_upper=sol.upper_bound / unit)
 
 
 def _race_order(scores: np.ndarray, exponentials: np.ndarray) -> np.ndarray:
@@ -340,8 +354,12 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
         if sel.size < 2:
             raise Exhausted("fewer than two batch rows survive")
         report = score_collection(counts[sel], cfg, ch, rng.child(4, iteration), k=k)
+        gram = report.gram
+        record = dict(tau=report.tau, mode=report.mode, survivors=int(sel.size),
+                      gram_value=None if gram is None else gram.value,
+                      gram_upper=None if gram is None else gram.upper_bound)
         if math.isfinite(report.tau) and math.sqrt(max(report.tau, 0.0)) < cfg.tau_threshold:
-            trace.append(IterationRecord(tau=report.tau, mode=report.mode, deleted=()))
+            trace.append(IterationRecord(pool_size=0, deleted=(), **record))
             qhat = collection_mean(counts[sel], k)
             return _finalize(qhat, np.sort(sel), trace, ch)
 
@@ -353,8 +371,8 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
         clocks = rng.generator(3, iteration).exponential(size=pool.size)
         deleted = sel[pool[_delete_until_halved(pool_scores, _race_order(pool_scores, clocks))]]
         surviving[deleted] = False
-        trace.append(IterationRecord(tau=report.tau, mode=report.mode,
-                                     deleted=tuple(int(j) for j in deleted)))
+        trace.append(IterationRecord(pool_size=int(pool.size),
+                                     deleted=tuple(int(j) for j in deleted), **record))
 
     raise IterationCap(f"exceeded {max_iter} filtering iterations")
 

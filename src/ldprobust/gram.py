@@ -6,20 +6,40 @@ set sandwiches the exponential-time subset maximum:
 
     max_{S,S'} |<1_S 1_{S'}^T, A>|  <=  max_M <M, A>  <=  8 * max_{S,S'} |...|
 
-The solver is low-rank alternating maximization over a product of spheres.
-Each block update is exact (u_i <- normalize(sum_j A_ij v_j)), so the
-objective is nondecreasing per half sweep; random restarts guard against bad
-stationary points and the subset oracle certifies the sandwich on test sizes.
-The returned value is always a feasible lower bound on the true maximum.
+The maximum is a semidefinite program.  With Y = [U; V] stacking the factor
+rows and B = [[0, A/2], [A/2, 0]], it is max <B, X> over positive semidefinite
+2d x 2d matrices X with unit diagonal, and <B, Y Y^T> = <U V^T, A>.
+
+The solver factors X = Y Y^T at rank ceil(2 sqrt(d)) + 1, above the
+Barvinok-Pataki bound for the 2d diagonal constraints (Burer & Monteiro), and
+maximizes by alternating exact block updates u_i <- normalize((A v)_i), so the
+objective is nondecreasing per half sweep.  The returned value is feasible and
+therefore a lower bound on the maximum.  What vouches for it is an
+a-posteriori weak-duality certificate: with y_i = <(B Y)_i, Y_i>, every
+feasible X satisfies
+
+    <B, X>  <=  sum(y) + 2d * max(0, -lambda_min(Diag(y) - B)),
+
+one symmetric eigenvalue problem of size 2d.  Random restarts run only until
+this upper bound is within GAP_TOL of the value, so a solution carries both
+ends of an interval that holds the true maximum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionTooLarge, NotSymmetric, RankTooSmall
+from .errors import (
+    DimensionTooLarge,
+    InvalidGramSolution,
+    LengthMismatch,
+    NotSymmetric,
+    RankTooSmall,
+    TooFewRestarts,
+)
 from .prob import RngSeed
 
 #: Enumeration guard for the exact subset oracle.
@@ -27,6 +47,16 @@ MAX_ENUM_D = 22
 _ENUM_CHUNK = 1 << 14
 
 SYMMETRY_TOL = 1e-12
+#: Certified relative gap (upper_bound - value) / |upper_bound| at which the
+#: solver stops restarting.
+GAP_TOL = 1e-4
+# Floor on |upper_bound| in the relative gap, so that A = 0 (bound and value
+# both 0) certifies.
+_GAP_FLOOR = np.finfo(np.float64).tiny
+
+
+def _relative_gap(value: float, upper: float) -> float:
+    return (upper - value) / max(abs(upper), _GAP_FLOOR)
 
 
 def check_symmetric(A: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
@@ -75,16 +105,28 @@ def subset_bilinear_max(A) -> tuple[float, np.ndarray, np.ndarray]:
 
 @dataclass
 class GramSolution:
-    """Feasible factors (rows are unit vectors) and the objective they achieve."""
+    """Feasible factors (rows are unit vectors), the objective they achieve and a
+    certified upper bound on the maximum over the whole Gram feasible set."""
 
     u_factors: np.ndarray
     v_factors: np.ndarray
     value: float
+    upper_bound: float
+    restarts_used: int
     history: list = field(default_factory=list, repr=False)
 
     @property
     def rank(self) -> int:
         return int(self.u_factors.shape[1])
+
+    @property
+    def gap(self) -> float:
+        """upper_bound - value: how far below the true maximum value may lie."""
+        return self.upper_bound - self.value
+
+    @property
+    def relative_gap(self) -> float:
+        return _relative_gap(self.value, self.upper_bound)
 
     def matrix(self) -> np.ndarray:
         return self.u_factors @ self.v_factors.T
@@ -96,20 +138,46 @@ class GramSolution:
         for F in (self.u_factors, self.v_factors):
             norms = np.linalg.norm(F, axis=1)
             if float(np.abs(norms - 1.0).max()) > 1e-10:
-                raise ValueError("factor rows are not unit vectors")
+                raise InvalidGramSolution("factor rows are not unit vectors")
         M = self.matrix()
         if float(np.abs(M).max()) > 1.0 + 1e-10:
-            raise ValueError("Gram entries exceed 1 in absolute value")
-        if A is not None and abs(self.recompute_value(A) - self.value) > 1e-9 * max(1.0, abs(self.value)):
-            raise ValueError("stored value does not match factors")
+            raise InvalidGramSolution("Gram entries exceed 1 in absolute value")
+        tol = 1e-9 * max(1.0, abs(self.value))
+        if self.upper_bound < self.value - tol:
+            raise InvalidGramSolution("upper bound lies below the value")
+        if A is not None and abs(self.recompute_value(A) - self.value) > tol:
+            raise InvalidGramSolution("stored value does not match factors")
 
 
 def _normalize_rows(G: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(G, axis=1)
-    out = fallback.copy()
+    norms = np.sqrt(np.einsum("ij,ij->i", G, G))
     nz = norms > 0.0
+    if nz.all():
+        return G / norms[:, None]
+    out = fallback.copy()
     out[nz] = G[nz] / norms[nz, None]
     return out
+
+
+def dual_upper_bound(A, u_factors, v_factors) -> float:
+    """Weak-duality upper bound on max <M, A> over the Gram set, from any factors.
+
+    With Y = [U; V], B = [[0, A/2], [A/2, 0]] and y_i = <(B Y)_i, Y_i>, the vector
+    y + max(0, -lambda_min(Diag(y) - B)) 1 is dual feasible, so the bound is
+    sum(y) + 2d * max(0, -lambda_min(Diag(y) - B)).  It equals the maximum when
+    the factors are optimal and Diag(y) - B is positive semidefinite.
+    """
+    A = check_symmetric(A)
+    U = np.asarray(u_factors, dtype=np.float64)
+    V = np.asarray(v_factors, dtype=np.float64)
+    d = A.shape[0]
+    y = 0.5 * np.concatenate([np.einsum("ij,ij->i", U, A @ V),
+                              np.einsum("ij,ij->i", V, A @ U)])
+    S = np.zeros((2 * d, 2 * d))
+    S[:d, d:] = S[d:, :d] = -0.5 * A
+    S[np.diag_indices(2 * d)] = y
+    lam_min = float(np.linalg.eigvalsh(S)[0])
+    return float(y.sum()) + 2 * d * max(0.0, -lam_min)
 
 
 def gram_maximize(A, rank: int | None = None, restarts: int = 16,
@@ -118,41 +186,56 @@ def gram_maximize(A, rank: int | None = None, restarts: int = 16,
     """Maximize <M, A> over Gram matrices by alternating row updates.
 
     With v fixed each u_i has the closed-form optimum normalize((A v)_i); rows
-    with zero gradient are left unchanged.  Runs `restarts` independent starts
-    and returns the best; ties break toward the lowest restart index.
+    with zero gradient are left unchanged.  A half sweep costs one product
+    with A, whose result also gives the objective: after U = normalize(A V)
+    the value is <U, A V>.  The default rank is ceil(2 sqrt(d)) + 1.
+
+    Each start runs until a sweep gains at most sweep_tol.  After a start
+    that improves the best value, the dual bound of the best factors is
+    computed; restarting stops once the relative gap is at most GAP_TOL, or
+    after `restarts` starts.  Ties break toward the lowest restart index.
     """
     A = check_symmetric(A)
     d = A.shape[0]
     if rank is None:
-        rank = min(d, 8)
+        rank = math.ceil(2.0 * math.sqrt(d)) + 1
     if rank < 3:
         raise RankTooSmall(f"rank must be >= 3, got {rank}")
     if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+        raise TooFewRestarts(f"restarts must be >= 1, got {restarts}")
     if rng is None:
         rng = RngSeed(0)
 
-    best: GramSolution | None = None
+    best = None
+    upper = math.inf
+    fallback = np.tile(_e(rank, 0), (d, 1))
     for r in range(restarts):
         gen = rng.generator(r) if isinstance(rng, RngSeed) else rng
-        U = _normalize_rows(gen.standard_normal((d, rank)), np.tile(_e(rank, 0), (d, 1)))
-        V = _normalize_rows(gen.standard_normal((d, rank)), np.tile(_e(rank, 0), (d, 1)))
-        value = float(np.sum((U @ V.T) * A))
+        U = _normalize_rows(gen.standard_normal((d, rank)), fallback)
+        V = _normalize_rows(gen.standard_normal((d, rank)), fallback)
+        AV = A @ V
+        value = float(np.vdot(U, AV))
         history = [value]
         for _ in range(max_sweeps):
-            U = _normalize_rows(A @ V, U)
-            history.append(float(np.sum((U @ V.T) * A)))
-            V = _normalize_rows(A.T @ U, V)
-            new_value = float(np.sum((U @ V.T) * A))
+            U = _normalize_rows(AV, U)
+            history.append(float(np.vdot(U, AV)))
+            AU = A @ U
+            V = _normalize_rows(AU, V)
+            new_value = float(np.vdot(V, AU))
             history.append(new_value)
-            if new_value - value <= sweep_tol * max(1.0, abs(new_value)):
-                value = new_value
-                break
+            converged = new_value - value <= sweep_tol * max(1.0, abs(new_value))
             value = new_value
-        if best is None or value > best.value:
-            best = GramSolution(u_factors=U, v_factors=V, value=value, history=history)
-    assert best is not None
-    return best
+            if converged:
+                break
+            AV = A @ V
+        if best is None or value > best[0]:
+            best = (value, U, V, history)
+            upper = min(upper, dual_upper_bound(A, U, V))
+        if _relative_gap(best[0], upper) <= GAP_TOL:
+            break
+    value, U, V, history = best
+    return GramSolution(u_factors=U, v_factors=V, value=value, upper_bound=upper,
+                        restarts_used=r + 1, history=history)
 
 
 def _e(r: int, i: int) -> np.ndarray:
@@ -172,7 +255,7 @@ def indicator_embedding(s_mask, sp_mask, rank: int = 3) -> tuple[np.ndarray, np.
     s = np.asarray(s_mask, dtype=bool).ravel()
     sp = np.asarray(sp_mask, dtype=bool).ravel()
     if s.size != sp.size:
-        raise ValueError("masks differ in length")
+        raise LengthMismatch(f"masks differ in length: {s.size} and {sp.size}")
     d = s.size
     U = np.tile(_e(rank, 1), (d, 1))
     U[s] = _e(rank, 0)
@@ -185,6 +268,7 @@ def indicator_embedding(s_mask, sp_mask, rank: int = 3) -> tuple[np.ndarray, np.
 class SandwichReport:
     subset_value: float
     gram_value: float
+    gram_upper: float
     lower_margin: float
     upper_margin: float
     lower_ok: bool
@@ -197,9 +281,11 @@ class SandwichReport:
 
 def sandwich_check(A, sol: GramSolution | None = None, rng: RngSeed | None = None,
                    tol_scale: float = 1e-6, **solver_kwargs) -> SandwichReport:
-    """Certify subset_max <= gram value + tol and gram value <= 8 * subset_max + tol.
+    """Certify subset_max <= gram value + tol and gram upper bound <= 8 * subset_max + tol.
 
-    The tolerance is tol_scale times the Frobenius norm of A on both sides.
+    The upper side checks the certified upper bound, so it holds for the true
+    Gram maximum and not only for the value the solver reached.  The tolerance
+    is tol_scale times the Frobenius norm of A on both sides.
     """
     A = check_symmetric(A)
     if A.shape[0] > MAX_ENUM_D:
@@ -209,10 +295,11 @@ def sandwich_check(A, sol: GramSolution | None = None, rng: RngSeed | None = Non
     bf, _, _ = subset_bilinear_max(A)
     tol = tol_scale * float(np.linalg.norm(A))
     lower_margin = sol.value + tol - bf
-    upper_margin = 8.0 * bf + tol - sol.value
+    upper_margin = 8.0 * bf + tol - sol.upper_bound
     return SandwichReport(
         subset_value=bf,
         gram_value=sol.value,
+        gram_upper=sol.upper_bound,
         lower_margin=lower_margin,
         upper_margin=upper_margin,
         lower_ok=lower_margin >= 0.0,

@@ -30,7 +30,7 @@ from .adversary import (
     make_clean_collection,
 )
 from .channel import RapporChannel
-from .errors import InsufficientData, NoRoot
+from .errors import InsufficientData, InvalidAttackParams, NoRoot
 from .estimator import (
     DESK_TAU_THRESHOLD,
     EstimatorConfig,
@@ -158,7 +158,7 @@ def resolve_attack(cell: TrialCell, p: ProbVector, ch: RapporChannel,
                           direction=int(params.get("direction", 1)),
                           magnitude=float(params.get("magnitude", 1.0)),
                           name="targeted_subset")
-    raise ValueError(f"unknown attack {kind!r}")
+    raise InvalidAttackParams(f"unknown attack {kind!r}")
 
 
 def build_collection(cell: TrialCell, p: ProbVector, attack: Optional[AttackSpec],

@@ -1,12 +1,23 @@
+import dataclasses
 import json
 
 import pytest
 
+from ldprobust import cli, harness
 from ldprobust.cli import main
+from ldprobust.errors import InvalidGramSolution
 
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def exit_code(args):
+    """Exit code of a CLI run, whether main returns it or argparse exits."""
+    try:
+        return run_cli(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestSimulate:
@@ -59,6 +70,8 @@ class TestCertificates:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["failures"] == 0
+        assert 0.0 <= payload["worst_relative_gap"] <= 1e-4
+        assert 1 <= payload["max_restarts_used"] <= 16
 
     def test_lowerbound_certificate(self, tmp_path):
         out = tmp_path / "pair.json"
@@ -112,3 +125,42 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run_cli(["simulate", "--nonsense", 4])
         assert exc.value.code == 1
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--attack", "nope"],
+        ["simulate", "--eps", 0.3],
+        ["simulate", "--d", 2],
+        ["sdp-check", "--d", 30, "--instances", 1],
+        ["sdp-check", "--instances", 0],
+        ["simulate", "--attack", "hard_pair_swap", "--alpha", 1.5],
+        ["simulate", "--attack", "hard_pair_swap", "--d", 20],
+        ["lowerbound", "--d", 20],
+    ], ids=["unknown-attack", "eps-too-large", "d-too-small", "sdp-d-too-large",
+            "no-instances", "hard-pair-alpha", "hard-pair-d", "lowerbound-d"])
+    def test_input_contract_errors_exit_1(self, args, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert exit_code(args + ["--out", out]) == 1
+        assert not out.exists()
+
+    def test_failed_certificate_exits_2(self, tmp_path, monkeypatch):
+        solve = cli.gram_maximize
+
+        def uncertified(A, **kwargs):
+            sol = solve(A, **kwargs)
+            return dataclasses.replace(sol, upper_bound=100.0 * abs(sol.value))
+
+        monkeypatch.setattr(cli, "gram_maximize", uncertified)
+        out = tmp_path / "sdp.json"
+        assert exit_code(["sdp-check", "--d", 6, "--instances", 3, "--out", out]) == 2
+        payload = json.loads(out.read_text())
+        assert payload["failures"] == 3
+
+    def test_broken_invariant_exits_2(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InvalidGramSolution("factor rows are not unit vectors")
+
+        monkeypatch.setattr(harness, "robust_estimate", broken)
+        assert exit_code(["simulate", "--n", 50, "--k", 5, "--d", 4,
+                          "--out", tmp_path / "t.json"]) == 2

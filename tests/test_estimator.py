@@ -231,6 +231,16 @@ class TestScoreCollection:
         rep = score_collection(coll, EstimatorConfig(eps=0.05), ch, rng.child(5))
         assert rep.scores.min() >= 0.0
 
+    def test_tau_upper_is_certified_bound_over_rate_unit(self, ch, p):
+        from ldprobust.estimator import rate_unit
+        coll, rng = attacked_collection(ch, p, n=200, seed=4)
+        rep = score_collection(coll, EstimatorConfig(eps=0.05), ch, rng.child(5))
+        assert rep.mode == "sdp"
+        unit = rate_unit(0.05, ch.d, coll.k)
+        assert rep.tau_upper == rep.gram.upper_bound / unit
+        assert rep.tau == rep.gram.value / unit
+        assert rep.tau <= rep.tau_upper <= rep.tau / (1.0 - 1e-4)
+
 
 def brute_force_special_gap_fast(qhat, lam):
     shift = qhat - lam
@@ -354,8 +364,23 @@ class TestRobustEstimate:
         assert res.iterations >= 2
         assert res.trace[-1].deleted == ()
         assert math.sqrt(res.final_tau) < DESK_TAU_THRESHOLD
+        survivors = coll.n
+        for rec in res.trace:
+            assert rec.survivors == survivors
+            survivors -= len(rec.deleted)
+            if rec.mode == "sdp":
+                assert rec.gram_upper >= rec.gram_value
+                assert rec.gram_upper - rec.gram_value <= 1e-4 * abs(rec.gram_upper)
+            else:
+                assert rec.gram_value is None and rec.gram_upper is None
+        assert [rec.pool_size for rec in res.trace] == \
+            [math.floor(0.05 * coll.n)] * (res.iterations - 1) + [0]
+        assert survivors == res.surviving.size
         text = res.to_text()
         assert "trace[0]" in text and "final_tau" in text
+        last = res.trace[-1]
+        assert (f"gram_value:{last.gram_value!r} gram_upper:{last.gram_upper!r} "
+                f"survivors:{last.survivors} pool:0 deleted:[]") in text
 
     def test_error_after_filter_bound(self, ch, p):
         # final subset error obeys (30 + 2 sqrt(tau)) eps sqrt(d ln(e/eps)/k)
