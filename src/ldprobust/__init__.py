@@ -3,7 +3,7 @@
 from .adversary import (
     AttackSpec,
     BatchCollection,
-    attack_batch,
+    attack_counts,
     contaminate,
     load_collection,
     make_clean_collection,
@@ -17,6 +17,7 @@ from .channel import (
     mean_response,
     privatize,
     privatize_batch,
+    sample_counts,
     sample_privatized,
     subset_sum_law_sample,
 )

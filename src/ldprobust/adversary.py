@@ -2,6 +2,8 @@
 
 A collection holds n batch records of k privatized samples each, stored as the
 (n, d) counts of ones per coordinate (a sufficient statistic) together with k.
+Clean and adversarial records are drawn directly as counts, each kind in one
+vectorized call (`sample_counts`, `attack_counts`); no k x d bit array is built.
 Truth labels (good / adversarial) travel with the collection for evaluation
 only; estimators must never read them.
 """
@@ -15,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import RapporChannel, privatize_batch, sample_privatized
+from .channel import RapporChannel, sample_counts
 from .errors import (
     BadCollectionFile,
     CountMismatch,
@@ -131,40 +133,46 @@ def make_clean_collection(ch: RapporChannel, p: ProbVector, n_prime: int, k: int
         raise CountMismatch("need n_prime >= 1 and k >= 1")
     if p.d != ch.d:
         raise DimensionMismatch("p and channel disagree on d")
-    bits = sample_privatized(ch, p, n_prime * k, rng).reshape(n_prime, k, ch.d)
-    return BatchCollection(counts=bits.sum(axis=1, dtype=np.int64), k=k,
+    return BatchCollection(counts=sample_counts(ch, p, n_prime, k, rng), k=k,
                            truth=np.zeros(n_prime, dtype=np.uint8),
                            eps=0.0, seed=rng.seed)
 
 
-def attack_batch(attack: AttackSpec, ch: RapporChannel, k: int,
-                 rng: RngSeed) -> np.ndarray:
-    """Produce one adversarial batch of k samples under the given strategy."""
+def attack_counts(attack: AttackSpec, ch: RapporChannel, m: int, k: int,
+                  rng) -> np.ndarray:
+    """Count rows of m adversarial batches of k samples, as an (m, d) int64 array.
+
+    Each row has the law of the per-coordinate sums of one batch the strategy
+    would emit sample by sample.  For targeted_subset the masked coordinates of
+    uniform counts gain Bin(k - ones, magnitude) ones upward or lose
+    Bin(ones, magnitude) downward, since each sample's bit is forced
+    independently.  `rng` is an RngSeed or a numpy Generator.
+    """
     if k < 1:
         raise InvalidAttackParams("k must be >= 1")
+    if m < 0:
+        raise InvalidAttackParams("m must be >= 0")
     if attack.kind == "all_ones":
-        return np.ones((k, ch.d), dtype=np.uint8)
+        return np.full((m, ch.d), k, dtype=np.int64)
     if attack.kind == "all_zeros":
-        return np.zeros((k, ch.d), dtype=np.uint8)
+        return np.zeros((m, ch.d), dtype=np.int64)
     if attack.kind == "swap_distribution":
-        return sample_privatized(ch, attack.q, k, rng).reshape(k, ch.d)
+        return sample_counts(ch, attack.q, m, k, rng)
     if attack.kind == "hard_pair_swap":
-        return sample_privatized(ch, attack.pair.q, k, rng).reshape(k, ch.d)
+        return sample_counts(ch, attack.pair.q, m, k, rng)
     # targeted_subset
     mask = np.asarray(attack.mask, dtype=bool).ravel()
     if mask.size != ch.d:
         raise InvalidAttackParams("mask length != d")
+    gen = rng.generator() if isinstance(rng, RngSeed) else rng
     uniform = ProbVector(np.full(ch.d, 1.0 / ch.d))
-    gen = rng.generator()
-    xs = gen.choice(ch.d, size=k, p=uniform.weights) + 1
-    batch = privatize_batch(ch, xs, gen)
-    hit = gen.random((k, int(mask.sum()))) < attack.magnitude
-    target = 1 if attack.direction > 0 else 0
-    cols = np.where(mask)[0]
-    sub = batch[:, cols]
-    sub[hit] = target
-    batch[:, cols] = sub
-    return batch
+    counts = sample_counts(ch, uniform, m, k, gen)
+    ones = counts[:, mask]
+    if attack.direction > 0:
+        counts[:, mask] = ones + gen.binomial(k - ones, attack.magnitude)
+    else:
+        counts[:, mask] = ones - gen.binomial(ones, attack.magnitude)
+    return counts
 
 
 def contaminate(clean: BatchCollection, attack: AttackSpec, eps: float, n: int,
@@ -172,7 +180,8 @@ def contaminate(clean: BatchCollection, attack: AttackSpec, eps: float, n: int,
     """Append floor(n * eps) adversarial batch records and shuffle uniformly.
 
     The clean collection must hold exactly n - floor(n * eps) records; truth
-    labels are preserved through the shuffle.
+    labels are preserved through the shuffle.  All adversarial rows come from
+    one `attack_counts` draw on stream 1, the shuffle from stream 2.
     """
     if not 0.0 <= eps < 0.25:
         raise EpsOutOfRange(f"eps must lie in [0, 1/4), got {eps}")
@@ -180,9 +189,7 @@ def contaminate(clean: BatchCollection, attack: AttackSpec, eps: float, n: int,
     n_prime = n - n_adv
     if clean.n != n_prime:
         raise CountMismatch(f"clean collection has {clean.n} records, expected {n_prime}")
-    adv = np.zeros((n_adv, clean.d), dtype=np.int64)
-    for i in range(n_adv):
-        adv[i] = attack_batch(attack, ch, clean.k, rng.child(1, i)).sum(axis=0)
+    adv = attack_counts(attack, ch, n_adv, clean.k, rng.generator(1))
     counts = np.concatenate([clean.counts, adv], axis=0)
     truth = np.concatenate([
         np.zeros(n_prime, dtype=np.uint8),

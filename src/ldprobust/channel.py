@@ -6,7 +6,11 @@ independently per coordinate, with lambda = 1 / (exp(alpha/2) + 1).  This
 mechanism is alpha-locally differentially private: the worst-case single
 output likelihood ratio over input pairs equals ((1-lambda)/lambda)^2 = e^alpha.
 
-Samples are numpy uint8 arrays; a batch of k samples is a (k, d) array.
+A batch of k privatized samples is summarized by its count of ones per
+coordinate.  `sample_counts` draws those counts directly from their exact law
+as (m, d) int64 arrays.  The bit-level samplers (`privatize_batch`,
+`sample_privatized`) return uint8 arrays of shape (count, d) and serve as the
+reference the count sampler is tested against.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 
 from .errors import (
     AlphaOutOfRange,
+    CountMismatch,
     DimensionMismatch,
     DimensionTooLarge,
     EmptySubset,
@@ -139,6 +144,28 @@ def sample_privatized(ch: RapporChannel, p: ProbVector, count: int,
         pos += m
         idx += 1
     return out
+
+
+def sample_counts(ch: RapporChannel, p: ProbVector, m: int, k: int,
+                  rng) -> np.ndarray:
+    """Counts of ones per coordinate of m batches of k privatized draws from p.
+
+    Returns an (m, d) int64 array.  Each row draws its symbol counts
+    c ~ Multinomial(k, p); given c the coordinates are independent, coordinate
+    j keeping Bin(c_j, 1 - lam) of its c_j ones and flipping Bin(k - c_j, lam)
+    of its zeros.  This is the exact law of the per-batch sums of k
+    `sample_privatized` rows.  `rng` is an RngSeed or a numpy Generator.
+    """
+    if p.d != ch.d:
+        raise DimensionMismatch(f"p has d={p.d}, channel has d={ch.d}")
+    if m < 0 or k < 0:
+        raise CountMismatch(f"need m >= 0 and k >= 0, got m={m}, k={k}")
+    gen = rng.generator() if isinstance(rng, RngSeed) else rng
+    # ProbVector admits entries down to -1e-12 and sums 1e-12 away from 1,
+    # which multinomial rejects; clip and renormalize.
+    w = np.clip(p.weights, 0.0, None)
+    symbols = gen.multinomial(k, w / w.sum(), size=m)
+    return gen.binomial(symbols, 1.0 - ch.lam) + gen.binomial(k - symbols, ch.lam)
 
 
 def mean_response(ch: RapporChannel, p: ProbVector) -> np.ndarray:

@@ -16,6 +16,13 @@ class InputError(ArtifactError):
     """
 
 
+class InvalidConfig(InputError, ValueError):
+    """A sweep, trial-cell or estimator setting outside its documented range.
+
+    Also a ValueError, which these settings raised before they were typed.
+    """
+
+
 # --- vectors, distributions, masks ---
 
 class NegativeMass(ArtifactError):

@@ -30,6 +30,7 @@ from .errors import (
     EpsOutOfRange,
     Exhausted,
     InexactStatistics,
+    InvalidConfig,
     IterationCap,
     ShiftTooLarge,
     TooFewBatches,
@@ -69,8 +70,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if not 0.0 <= self.eps < 0.25:
             raise EpsOutOfRange(f"eps must lie in [0, 1/4), got {self.eps}")
-        if self.tau_threshold <= 0 or self.special_gap_threshold <= 0:
-            raise ValueError("thresholds must be positive")
+        if not (self.tau_threshold > 0 and self.special_gap_threshold > 0):
+            raise InvalidConfig("thresholds must be positive")
 
 
 @dataclass
@@ -152,6 +153,21 @@ class EstimateResult:
         return "\n".join(lines)
 
 
+#: Passes over the rows of a count array convert them in blocks of about this
+#: many entries.  Their float temporaries then stay small and of one size
+#: however many rows there are, so a filtering loop whose selection shrinks
+#: each iteration reuses the same memory, and peak RSS does not hinge on how
+#: the heap happened to fragment.
+_BLOCK_SCALARS = 1 << 16
+
+
+def _row_blocks(c: np.ndarray):
+    """Pairs (index of the first row, view of the rows) over consecutive row blocks of c."""
+    step = max(1, _BLOCK_SCALARS // max(c.shape[1], 1))
+    for start in range(0, c.shape[0], step):
+        yield start, c[start:start + step]
+
+
 def collection_mean(counts, k: int) -> np.ndarray:
     """qhat = S1 / (n k): the mean fraction of ones per coordinate of a nonempty selection."""
     c = as_counts(counts)
@@ -163,10 +179,11 @@ def collection_mean(counts, k: int) -> np.ndarray:
 def empirical_cov(counts, k: int) -> np.ndarray:
     """Covariance of the batch means, (n S2 - S1 S1^T) / (n^2 k^2), from exact sums.
 
-    S2 comes from a float64 GEMM of the counts, exact while every partial sum
-    (at most n k^2) is an integer below 2^53; the numerator is exact in int64 while
-    (n k)^2 < 9.2e18.  Converting it to float64 and dividing are the only
-    roundings.  Outside these bounds InexactStatistics is raised.
+    S2 comes from float64 GEMMs of row blocks of the counts, exact while every
+    partial sum (at most n k^2) is an integer below 2^53; the numerator is
+    exact in int64 while (n k)^2 < 9.2e18.  Converting it to float64 and
+    dividing are the only roundings.  Outside these bounds InexactStatistics is
+    raised.
     """
     c = as_counts(counts)
     if c.shape[0] < 2:
@@ -175,8 +192,10 @@ def empirical_cov(counts, k: int) -> np.ndarray:
     if n * k * k >= 2 ** 53 or n * k >= 3 * 10 ** 9:
         raise InexactStatistics(f"n={n}, k={k} exceed the exact-statistics bounds")
     s1 = c.sum(axis=0, dtype=np.int64)
-    f = c.astype(np.float64)
-    s2 = (f.T @ f).astype(np.int64)
+    s2 = np.zeros((c.shape[1], c.shape[1]), dtype=np.int64)
+    for _, block in _row_blocks(c):
+        f = block.astype(np.float64)
+        s2 += (f.T @ f).astype(np.int64)
     return (n * s2 - np.outer(s1, s1)) / float((n * k) ** 2)
 
 
@@ -199,6 +218,21 @@ def build_cov_bundle(counts, k: int, lam: float) -> CovBundle:
     chat = empirical_cov(counts, k)
     cmodel = model_cov(qhat_col, k, lam)
     return CovBundle(qhat_col=qhat_col, chat=chat, cmodel=cmodel, dmat=chat - cmodel)
+
+
+def canonical_order(counts, k: int) -> np.ndarray:
+    """Stable permutation sorting count rows lexicographically, first column first.
+
+    Equals np.lexsort(counts.T[::-1]).  Each row is viewed as one byte string
+    of fixed-width big-endian entries, the narrowest width holding k; memcmp
+    order of those strings is lexicographic order of the rows, so a single
+    stable argsort replaces a d-key lexsort.
+    """
+    c = as_counts(counts)
+    width = next(w for w in (1, 2, 4, 8) if int(k) < 2 ** (8 * w))
+    rows = np.ascontiguousarray(c, dtype=f">u{width}")
+    keys = rows.view(np.dtype((np.void, width * rows.shape[1]))).ravel()
+    return np.argsort(keys, kind="stable")
 
 
 def special_subset(qhat_col, lam: float) -> tuple[np.ndarray, float]:
@@ -238,10 +272,13 @@ def score_collection(coll_or_counts, cfg: EstimatorConfig, ch: RapporChannel,
 
     qhat_col = collection_mean(counts, k)
     s_star, gap = special_subset(qhat_col, ch.lam)
+    scores = np.empty(counts.shape[0], dtype=np.float64)
     if gap >= cfg.special_gap_threshold:
-        shift = counts[:, s_star].sum(axis=1) / k - ch.lam * float(s_star.sum())
-        return ScoreReport(mode="special", tau=math.inf,
-                           scores=np.abs(shift), s_star=s_star)
+        offset = ch.lam * float(s_star.sum())
+        for start, block in _row_blocks(counts):
+            shift = block[:, s_star].sum(axis=1) / k - offset
+            scores[start:start + shift.size] = np.abs(shift)
+        return ScoreReport(mode="special", tau=math.inf, scores=scores, s_star=s_star)
 
     if cfg.eps <= 0.0:
         raise EpsOutOfRange("sdp scoring requires eps > 0")
@@ -250,8 +287,10 @@ def score_collection(coll_or_counts, cfg: EstimatorConfig, ch: RapporChannel,
                         sweep_tol=cfg.sdp_tol, rng=rng)
     unit = rate_unit(cfg.eps, ch.d, k)
     mstar = sol.matrix()
-    centered = counts / k - qhat_col
-    scores = np.abs(((centered @ mstar) * centered).sum(axis=1))
+    for start, block in _row_blocks(counts):
+        centered = block / k - qhat_col
+        quad = ((centered @ mstar) * centered).sum(axis=1)
+        scores[start:start + quad.size] = np.abs(quad)
     return ScoreReport(mode="sdp", tau=sol.value / unit, scores=scores,
                        gram=sol, bundle=bundle, tau_upper=sol.upper_bound / unit)
 
@@ -272,19 +311,17 @@ def _delete_until_halved(scores: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Prefix of the deletion order that halves the total score mass.
 
     Deletion continues while the remaining mass exceeds half the initial total,
-    i.e. it stops as soon as the deleted mass reaches half.
+    i.e. it stops as soon as the deleted mass reaches half.  The remaining mass
+    is rounded exactly as by subtracting the scores one by one.
     """
     total = float(scores.sum())
     if total <= 0.0:
         raise AllZeroScores("cannot delete from an all-zero score pool")
-    remaining = total
-    deleted = []
-    for idx in order:
-        if remaining <= total / 2.0:
-            break
-        deleted.append(int(idx))
-        remaining -= float(scores[idx])
-    return np.asarray(deleted, dtype=np.int64)
+    # remaining[j]: mass left after j deletions, subtracted one score at a time
+    # in deletion order (a sequential cumsum), so it is nonincreasing
+    remaining = np.cumsum(np.concatenate(([total], -scores[order])))
+    stop = int(np.searchsorted(-remaining, -(total / 2.0), side="left"))
+    return np.asarray(order[:stop], dtype=np.int64)
 
 
 def batch_deletion(indices, scores, rng: RngSeed) -> np.ndarray:
@@ -342,7 +379,10 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
         return naive_estimate(coll, ch)
 
     counts, k = coll.counts, coll.k
-    canonical = np.lexsort(counts.T[::-1])
+    canonical = canonical_order(counts, k)
+    # survivors are gathered into one buffer reused by every iteration, so no
+    # (m, d) array of a new size is allocated per iteration
+    work = np.empty(counts.shape, dtype=counts.dtype)
     surviving = np.ones(n, dtype=bool)
     pool_size = int(math.floor(cfg.eps * n))
     max_iter = cfg.max_iterations if cfg.max_iterations is not None else n
@@ -353,14 +393,16 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
         sel = canonical[surviving[canonical]]
         if sel.size < 2:
             raise Exhausted("fewer than two batch rows survive")
-        report = score_collection(counts[sel], cfg, ch, rng.child(4, iteration), k=k)
+        # mode="clip" (sel is in range) writes straight into out; "raise" buffers
+        chosen = np.take(counts, sel, axis=0, out=work[:sel.size], mode="clip")
+        report = score_collection(chosen, cfg, ch, rng.child(4, iteration), k=k)
         gram = report.gram
         record = dict(tau=report.tau, mode=report.mode, survivors=int(sel.size),
                       gram_value=None if gram is None else gram.value,
                       gram_upper=None if gram is None else gram.upper_bound)
         if math.isfinite(report.tau) and math.sqrt(max(report.tau, 0.0)) < cfg.tau_threshold:
             trace.append(IterationRecord(pool_size=0, deleted=(), **record))
-            qhat = collection_mean(counts[sel], k)
+            qhat = collection_mean(chosen, k)
             return _finalize(qhat, np.sort(sel), trace, ch)
 
         top = np.argsort(-report.scores, kind="stable")[:min(pool_size, sel.size)]

@@ -234,7 +234,9 @@ def gram_maximize(A, rank: int | None = None, restarts: int = 16,
         if _relative_gap(best[0], upper) <= GAP_TOL:
             break
     value, U, V, history = best
-    return GramSolution(u_factors=U, v_factors=V, value=value, upper_bound=upper,
+    # the maximum is at least the attained value; on a tight instance the
+    # rounded dual bound can land an ulp below it
+    return GramSolution(u_factors=U, v_factors=V, value=value, upper_bound=max(upper, value),
                         restarts_used=r + 1, history=history)
 
 

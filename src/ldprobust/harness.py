@@ -30,7 +30,7 @@ from .adversary import (
     make_clean_collection,
 )
 from .channel import RapporChannel
-from .errors import InsufficientData, InvalidAttackParams, NoRoot
+from .errors import InsufficientData, InvalidAttackParams, InvalidConfig, NoRoot
 from .estimator import (
     DESK_TAU_THRESHOLD,
     EstimatorConfig,
@@ -68,6 +68,12 @@ class TrialCell:
     p_family: str = "dirichlet"
     tau_threshold: float = DESK_TAU_THRESHOLD
     sdp_restarts: int = 16
+
+    def __post_init__(self):
+        if self.n < 2 or self.k < 1:
+            raise InvalidConfig(f"need n >= 2 and k >= 1, got n={self.n}, k={self.k}")
+        if self.p_family not in P_FAMILIES:
+            raise InvalidConfig(f"unknown p family {self.p_family!r}")
 
     def estimator_config(self) -> EstimatorConfig:
         return EstimatorConfig(eps=self.eps, tau_threshold=self.tau_threshold,
@@ -126,7 +132,7 @@ def sample_p(family: str, d: int, rng: RngSeed) -> ProbVector:
         w = 0.3 * w
         w[0] += 0.7
         return make_prob_vector(w)
-    raise ValueError(f"unknown p family {family!r}")
+    raise InvalidConfig(f"unknown p family {family!r}")
 
 
 def resolve_attack(cell: TrialCell, p: ProbVector, ch: RapporChannel,
@@ -241,24 +247,31 @@ class SweepConfig:
         for name in ("n_grid", "k_grid", "d_grid", "alpha_grid", "eps_grid"):
             grid = getattr(self, name)
             if len(tuple(grid)) == 0:
-                raise ValueError(f"{name} must be nonempty")
+                raise InvalidConfig(f"{name} must be nonempty")
             object.__setattr__(self, name, tuple(grid))
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise InvalidConfig("trials must be >= 1")
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
-        raw = json.loads(text)
-        return cls(
-            n_grid=tuple(raw["n_grid"]), k_grid=tuple(raw["k_grid"]),
-            d_grid=tuple(raw["d_grid"]), alpha_grid=tuple(raw["alpha_grid"]),
-            eps_grid=tuple(raw["eps_grid"]),
-            attack=raw.get("attack", "all_ones"),
-            attack_params=raw.get("attack_params", {}),
-            trials=int(raw.get("trials", 1)), seed=int(raw.get("seed", 0)),
-            p_family=raw.get("p_family", "dirichlet"),
-            tau_threshold=float(raw.get("tau_threshold", DESK_TAU_THRESHOLD)),
-        )
+        """Parse a JSON sweep config; malformed text or fields raise InvalidConfig."""
+        try:
+            raw = json.loads(text)
+            if not isinstance(raw, dict):
+                raise TypeError("top level must be a JSON object")
+            kwargs = dict(
+                n_grid=tuple(raw["n_grid"]), k_grid=tuple(raw["k_grid"]),
+                d_grid=tuple(raw["d_grid"]), alpha_grid=tuple(raw["alpha_grid"]),
+                eps_grid=tuple(raw["eps_grid"]),
+                attack=raw.get("attack", "all_ones"),
+                attack_params=dict(raw.get("attack_params", {})),
+                trials=int(raw.get("trials", 1)), seed=int(raw.get("seed", 0)),
+                p_family=raw.get("p_family", "dirichlet"),
+                tau_threshold=float(raw.get("tau_threshold", DESK_TAU_THRESHOLD)),
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InvalidConfig(f"malformed sweep config: {exc!r}") from exc
+        return cls(**kwargs)
 
     def cells(self) -> list[TrialCell]:
         out = []

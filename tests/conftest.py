@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 from scipy import stats
 
+from ldprobust import ProbVector, privatize_batch
+
 
 def brute_force_sup_gap(p, v):
     """Exhaustive max_S |p(S) - v(S)| over all subsets."""
@@ -85,3 +87,48 @@ def two_sample_chi2(values_a, values_b, min_expected: int = 10):
 
 def chi2_quantile(level: float, dof: int) -> float:
     return float(stats.chi2.ppf(level, dof))
+
+
+
+def attack_bits(attack, ch, count, rng):
+    """Bit-level reference attack: `count` adversarial samples as a (count, d) uint8 array.
+
+    Every strategy emits independent samples, so k consecutive rows form one
+    adversarial batch; `attack_counts` draws their per-coordinate sums
+    directly.  `rng` is a numpy Generator.
+    """
+    if attack.kind == "all_ones":
+        return np.ones((count, ch.d), dtype=np.uint8)
+    if attack.kind == "all_zeros":
+        return np.zeros((count, ch.d), dtype=np.uint8)
+    if attack.kind in ("swap_distribution", "hard_pair_swap"):
+        q = attack.q if attack.kind == "swap_distribution" else attack.pair.q
+        return privatize_batch(ch, rng.choice(ch.d, size=count, p=q.weights) + 1, rng)
+    # targeted_subset: privatize uniform, then force each masked bit to the
+    # target value independently with probability magnitude
+    mask = np.asarray(attack.mask, dtype=bool)
+    uniform = ProbVector(np.full(ch.d, 1.0 / ch.d))
+    bits = privatize_batch(ch, rng.choice(ch.d, size=count, p=uniform.weights) + 1, rng)
+    hit = rng.random((count, int(mask.sum()))) < attack.magnitude
+    sub = bits[:, mask]
+    sub[hit] = 1 if attack.direction > 0 else 0
+    bits[:, mask] = sub
+    return bits
+
+
+def batch_sums(bits, k):
+    """(m, d) counts of ones of consecutive batches of k bit rows."""
+    return bits.reshape(-1, k, bits.shape[1]).sum(axis=1, dtype=np.int64)
+
+
+def count_law_stats(a, b, subset):
+    """Two-sample chi-square of each coordinate of two count arrays and of one subset sum.
+
+    Returns a list of (label, statistic, dof).
+    """
+    out = []
+    for j in range(a.shape[1]):
+        out.append((f"coord {j}", *two_sample_chi2(a[:, j], b[:, j])))
+    out.append(("subset", *two_sample_chi2(a[:, subset].sum(axis=1),
+                                            b[:, subset].sum(axis=1))))
+    return out

@@ -32,7 +32,7 @@ from ldprobust import (
     subset_sum_law_sample,
     sweep,
 )
-from ldprobust.adversary import sample_privatized
+from ldprobust.channel import sample_privatized
 from ldprobust.cli import main as cli_main
 from ldprobust.estimator import DESK_TAU_THRESHOLD
 from ldprobust.harness import SweepConfig, TrialCell, run_trial

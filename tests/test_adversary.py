@@ -12,15 +12,17 @@ from ldprobust import (
     BatchCollection,
     RapporChannel,
     RngSeed,
-    attack_batch,
+    attack_counts,
     contaminate,
     load_collection,
     make_clean_collection,
     make_prob_vector,
     mean_response,
+    sample_counts,
     save_collection,
 )
 from ldprobust.adversary import LABEL_ADVERSARIAL
+from ldprobust.lowerbound import hard_pair
 from ldprobust.errors import (
     BadCollectionFile,
     CountMismatch,
@@ -30,7 +32,13 @@ from ldprobust.errors import (
     InvalidAttackParams,
 )
 
-from conftest import chi2_quantile, two_sample_chi2
+from conftest import (
+    attack_bits,
+    batch_sums,
+    chi2_quantile,
+    count_law_stats,
+    two_sample_chi2,
+)
 
 
 HEADER_SIZE = 4 + struct.calcsize("<HIIIQQQB")
@@ -67,9 +75,14 @@ class TestCleanCollection:
         assert np.all(coll.counts[:, 1:] == 0)
 
     def test_grand_mean_matches_response(self, ch, p):
-        coll = make_clean_collection(ch, p, 100, 50, RngSeed(7))
-        grand = coll.counts.sum(axis=0) / (100 * 50)
-        assert np.abs(grand - mean_response(ch, p)).max() < 0.01
+        # the grand mean averages n k iid Bernoulli(q_j) bits per coordinate;
+        # allow 4.5 standard errors (about 0.003 here) per coordinate
+        n, k = 10 ** 4, 50
+        coll = make_clean_collection(ch, p, n, k, RngSeed(7))
+        grand = coll.counts.sum(axis=0) / (n * k)
+        q = mean_response(ch, p)
+        se = np.sqrt(q * (1 - q) / (n * k))
+        assert np.all(np.abs(grand - q) <= 4.5 * se)
 
     def test_deterministic(self, ch, p):
         a = make_clean_collection(ch, p, 10, 5, RngSeed(3))
@@ -79,35 +92,41 @@ class TestCleanCollection:
 
 class TestAttackBatch:
     def test_all_zeros(self, ch):
-        batch = attack_batch(AttackSpec(kind="all_zeros"), ch, 3, RngSeed(0))
-        assert batch.shape == (3, 5)
-        assert not batch.any()
+        counts = attack_counts(AttackSpec(kind="all_zeros"), ch, 3, 4, RngSeed(0))
+        assert counts.shape == (3, 5) and counts.dtype == np.int64
+        assert not counts.any()
 
     def test_all_ones(self, ch):
-        batch = attack_batch(AttackSpec(kind="all_ones"), ch, 2, RngSeed(0))
-        assert batch.all()
+        counts = attack_counts(AttackSpec(kind="all_ones"), ch, 3, 2, RngSeed(0))
+        assert counts.shape == (3, 5) and counts.dtype == np.int64
+        assert np.all(counts == 2)
 
     def test_targeted_full_magnitude(self, ch):
         mask = np.array([True, True, False, False, False])
         spec = AttackSpec(kind="targeted_subset", mask=mask, direction=1, magnitude=1.0)
-        batch = attack_batch(spec, ch, 20, RngSeed(4))
-        assert batch[:, :2].all()
+        counts = attack_counts(spec, ch, 50, 20, RngSeed(4))
+        assert np.all(counts[:, :2] == 20)
 
     def test_targeted_downward_partial(self, ch):
         mask = np.array([True, False, False, False, False])
         spec = AttackSpec(kind="targeted_subset", mask=mask, direction=-1,
                           magnitude=0.5)
-        batch = attack_batch(spec, ch, 4000, RngSeed(5))
+        counts = attack_counts(spec, ch, 400, 10, RngSeed(5))
         # half the hits force the coordinate to zero; the rest keep the
         # privatized uniform mean (1 - 2 lam)/d + lam
         base = (1 - 2 * ch.lam) / 5 + ch.lam
-        assert abs(batch[:, 0].mean() - 0.5 * base) < 0.02
+        assert abs(counts[:, 0].mean() / 10 - 0.5 * base) < 0.02
 
-    def test_bad_params(self):
+    def test_bad_params(self, ch):
         with pytest.raises(InvalidAttackParams):
             AttackSpec(kind="swap_distribution")
         with pytest.raises(InvalidAttackParams):
             AttackSpec(kind="nonsense")
+        spec = AttackSpec(kind="targeted_subset", mask=np.array([True, False]))
+        with pytest.raises(InvalidAttackParams):
+            attack_counts(spec, ch, 2, 3, RngSeed(0))
+        with pytest.raises(InvalidAttackParams):
+            attack_counts(AttackSpec(kind="all_ones"), ch, 2, 0, RngSeed(0))
 
     def test_swap_uniform_indistinguishable_from_clean(self, ch):
         d = 4
@@ -115,13 +134,80 @@ class TestAttackBatch:
         uniform = make_prob_vector([0.25] * d)
         n = 50_000
         spec = AttackSpec(kind="swap_distribution", q=uniform)
-        adv = attack_batch(spec, ch4, n, RngSeed(6))
+        adv = attack_counts(spec, ch4, n, 1, RngSeed(6))
         # with k = 1 the count rows are the privatized bit vectors themselves
         clean = make_clean_collection(ch4, uniform, n, 1, RngSeed(7)).counts
         # compare the laws of the full bit patterns
         pow2 = 1 << np.arange(d)
         stat, dof = two_sample_chi2(adv @ pow2, clean @ pow2)
         assert stat < chi2_quantile(0.999, dof)
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_targeted_magnitude_zero_keeps_uniform_counts(self, ch, direction):
+        # magnitude 0 forces nothing: the counts are exactly the uniform
+        # counts drawn from the same stream
+        mask = np.array([False, True, True, False, True])
+        spec = AttackSpec(kind="targeted_subset", mask=mask, direction=direction,
+                          magnitude=0.0)
+        counts = attack_counts(spec, ch, 200, 9, np.random.default_rng(8))
+        uniform = make_prob_vector([0.2] * 5)
+        ref = sample_counts(ch, uniform, 200, 9, np.random.default_rng(8))
+        assert np.array_equal(counts, ref)
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_targeted_magnitude_one_is_constant_on_mask(self, ch, direction):
+        mask = np.array([True, False, True, False, False])
+        spec = AttackSpec(kind="targeted_subset", mask=mask, direction=direction,
+                          magnitude=1.0)
+        counts = attack_counts(spec, ch, 300, 7, RngSeed(9))
+        assert np.all(counts[:, mask] == (7 if direction > 0 else 0))
+        assert counts[:, ~mask].min() >= 0 and counts[:, ~mask].max() <= 7
+        assert counts[:, ~mask].std() > 0
+
+
+def _attack_specs(d, ch):
+    mask = np.zeros(d, dtype=bool)
+    mask[: max(1, d // 2)] = True
+    q = make_prob_vector(np.random.default_rng(40 + d).dirichlet(np.ones(d)))
+    specs = {
+        "swap_distribution": AttackSpec(kind="swap_distribution", q=q),
+        "targeted_up": AttackSpec(kind="targeted_subset", mask=mask, direction=1,
+                                  magnitude=0.4),
+        "targeted_down": AttackSpec(kind="targeted_subset", mask=mask, direction=-1,
+                                    magnitude=0.7),
+    }
+    if d <= 16:
+        pair = hard_pair(ch, eps=0.1, k=50, rng=RngSeed(50 + d))
+        specs["hard_pair_swap"] = AttackSpec(kind="hard_pair_swap", pair=pair)
+    return specs
+
+
+class TestAttackCountsLaw:
+    """attack_counts against per-batch sums of the bit-level reference attack."""
+
+    @pytest.mark.parametrize("d, k", [(3, 7), (5, 1), (5, 50), (16, 7)])
+    def test_matches_bit_level_attack(self, d, k):
+        ch = RapporChannel.create(d, 1.0)
+        m = 20_000
+        results = []
+        for i, (name, spec) in enumerate(sorted(_attack_specs(d, ch).items())):
+            direct = attack_counts(spec, ch, m, k, RngSeed(60 + d, i))
+            ref = batch_sums(attack_bits(spec, ch, m * k,
+                                         np.random.default_rng([70 + d, k, i])), k)
+            subset = np.arange(d) % 2 == 0
+            results += [(name, *r) for r in count_law_stats(direct, ref, subset)]
+        # Bonferroni: every statistic of the case below its 1 - 0.001/len level
+        level = 1 - 1e-3 / len(results)
+        worst = max(results, key=lambda r: r[2] / chi2_quantile(level, r[3]))
+        assert worst[2] < chi2_quantile(level, worst[3]), worst
+
+    def test_constant_attacks_exact(self, ch):
+        for k in (1, 7, 50):
+            ones = attack_counts(AttackSpec(kind="all_ones"), ch, 4, k, RngSeed(1))
+            zeros = attack_counts(AttackSpec(kind="all_zeros"), ch, 4, k, RngSeed(1))
+            assert np.array_equal(ones, np.full((4, 5), k))
+            assert np.array_equal(zeros, np.zeros((4, 5)))
+        assert attack_counts(AttackSpec(kind="all_ones"), ch, 0, 3, RngSeed(1)).shape == (0, 5)
 
 
 class TestContaminate:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldprobust import (
     ProbVector,
@@ -14,6 +16,7 @@ from ldprobust import (
     mean_response,
     privatize,
     privatize_batch,
+    sample_counts,
     sample_privatized,
     subset_sum_law_sample,
 )
@@ -25,7 +28,7 @@ from ldprobust.errors import (
 )
 from ldprobust.prob import subset_mask
 
-from conftest import chi2_quantile, two_sample_chi2
+from conftest import batch_sums, chi2_quantile, count_law_stats, two_sample_chi2
 
 
 class TestLambda:
@@ -192,3 +195,64 @@ class TestUnbiasedness:
         bits = sample_privatized(ch, p, n, RngSeed(31))
         dev = np.abs(bits.mean(axis=0) - mean_response(ch, p)).max()
         assert dev <= 5 * math.sqrt(0.25 / n)
+
+
+class TestSampleCounts:
+    """The direct count sampler against per-batch sums of the bit-level sampler."""
+
+    @pytest.mark.parametrize("d", [3, 5, 16])
+    @pytest.mark.parametrize("k", [1, 7, 50])
+    def test_matches_summed_privatized_batches(self, d, k):
+        ch = RapporChannel.create(d, 1.0)
+        p = make_prob_vector(np.random.default_rng(d).dirichlet(np.ones(d)))
+        m = 20_000
+        direct = sample_counts(ch, p, m, k, RngSeed(600 + d, k))
+        ref = batch_sums(sample_privatized(ch, p, m * k, RngSeed(700 + d, k)), k)
+        stats = count_law_stats(direct, ref, np.arange(d) < (d + 1) // 2)
+        # Bonferroni: every statistic below its 1 - 0.001/len level
+        level = 1 - 1e-3 / len(stats)
+        for label, stat, dof in stats:
+            assert stat < chi2_quantile(level, dof), (label, stat, dof)
+
+    def test_shape_dtype_and_determinism(self):
+        ch = RapporChannel.create(4, 1.0)
+        p = make_prob_vector([0.4, 0.3, 0.2, 0.1])
+        a = sample_counts(ch, p, 6, 9, RngSeed(3))
+        assert a.shape == (6, 4) and a.dtype == np.int64
+        assert np.array_equal(a, sample_counts(ch, p, 6, 9, RngSeed(3)))
+        assert sample_counts(ch, p, 0, 9, RngSeed(3)).shape == (0, 4)
+
+    def test_noiseless_counts_are_symbol_counts(self):
+        ch = RapporChannel.from_lambda(3, 0.0)
+        counts = sample_counts(ch, make_prob_vector([0.5, 0.5, 0.0]), 100, 8, RngSeed(4))
+        assert np.all(counts[:, :2].sum(axis=1) == 8)
+        assert np.all(counts[:, 2] == 0)
+
+    def test_dimension_mismatch(self):
+        ch = RapporChannel.create(4, 1.0)
+        with pytest.raises(DimensionMismatch):
+            sample_counts(ch, make_prob_vector([0.5, 0.3, 0.2]), 3, 2, RngSeed(0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_prob_vector_gives_valid_counts(self, data):
+        # ProbVector admits entries down to -1e-12 and sums within 1e-12 of 1;
+        # include zeros, tiny negatives and sums 1e-13 away from 1
+        d = data.draw(st.integers(3, 12))
+        raw = np.array(data.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), min_size=d, max_size=d)))
+        if raw.sum() == 0.0:
+            raw[data.draw(st.integers(0, d - 1))] = 1.0
+        w = raw / raw.sum()
+        j = data.draw(st.integers(0, d - 1))
+        w[j] += data.draw(st.sampled_from([0.0, 1e-13, -1e-13]))
+        zeros = np.flatnonzero(w == 0.0)
+        if zeros.size and data.draw(st.booleans()):
+            w[data.draw(st.sampled_from(zeros.tolist()))] = -5e-13
+        p = ProbVector(w)
+        k = data.draw(st.integers(1, 60))
+        lam = data.draw(st.sampled_from([0.0, 0.1, 0.3775, 0.5]))
+        ch = RapporChannel.from_lambda(d, lam)
+        counts = sample_counts(ch, p, 5, k, RngSeed(data.draw(st.integers(0, 2 ** 32))))
+        assert counts.shape == (5, d) and counts.dtype == np.int64
+        assert counts.min() >= 0 and counts.max() <= k

@@ -137,11 +137,36 @@ class TestExitCodes:
         ["simulate", "--attack", "hard_pair_swap", "--alpha", 1.5],
         ["simulate", "--attack", "hard_pair_swap", "--d", 20],
         ["lowerbound", "--d", 20],
+        ["simulate", "--tau-threshold", 0],
+        ["simulate", "--n", 1],
+        ["simulate", "--k", 0],
     ], ids=["unknown-attack", "eps-too-large", "d-too-small", "sdp-d-too-large",
-            "no-instances", "hard-pair-alpha", "hard-pair-d", "lowerbound-d"])
+            "no-instances", "hard-pair-alpha", "hard-pair-d", "lowerbound-d",
+            "tau-threshold-zero", "n-one", "k-zero"])
     def test_input_contract_errors_exit_1(self, args, tmp_path, capsys):
         out = tmp_path / "out.json"
         assert exit_code(args + ["--out", out]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({"n_grid": [], "k_grid": [5], "d_grid": [4], "alpha_grid": [1.0],
+                    "eps_grid": [0.0]}),
+        json.dumps({"n_grid": [40], "k_grid": [5], "d_grid": [4], "alpha_grid": [1.0],
+                    "eps_grid": [0.0], "trials": 0}),
+        '{"n_grid": [40], "k_grid": [5],',
+        json.dumps({"n_grid": [40], "k_grid": [5]}),
+        json.dumps([1, 2, 3]),
+        json.dumps({"n_grid": [1], "k_grid": [5], "d_grid": [4], "alpha_grid": [1.0],
+                    "eps_grid": [0.0]}),
+        json.dumps({"n_grid": [40], "k_grid": [5], "d_grid": [4], "alpha_grid": [1.0],
+                    "eps_grid": [0.0], "p_family": "nope"}),
+    ], ids=["empty-grid", "zero-trials", "malformed-json", "missing-grid",
+            "not-an-object", "n-one", "unknown-family"])
+    def test_bad_sweep_config_exits_1(self, text, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "out.csv"
+        assert exit_code(["sweep", "--config", cfg_path, "--out", out]) == 1
         assert not out.exists()
 
     def test_failed_certificate_exits_2(self, tmp_path, monkeypatch):

@@ -24,6 +24,7 @@ from ldprobust import (
     score_collection,
     special_subset,
 )
+from ldprobust import estimator as estimator_module
 from ldprobust.adversary import BatchCollection
 from ldprobust.errors import (
     AllZeroScores,
@@ -35,7 +36,13 @@ from ldprobust.errors import (
     InexactStatistics,
     TooFewBatches,
 )
-from ldprobust.estimator import DESK_TAU_THRESHOLD, build_cov_bundle
+from ldprobust.estimator import (
+    DESK_TAU_THRESHOLD,
+    _delete_until_halved,
+    _race_order,
+    build_cov_bundle,
+    canonical_order,
+)
 
 from conftest import brute_force_special_gap
 
@@ -247,6 +254,65 @@ def brute_force_special_gap_fast(qhat, lam):
     return max(shift[shift > 0].sum(initial=0.0), -shift[shift < 0].sum(initial=0.0))
 
 
+class TestRowBlocks:
+    """Row passes convert their rows in blocks; the blocking changes no result."""
+
+    @pytest.fixture(params=[None, 7, 200])
+    def block_scalars(self, request, monkeypatch):
+        # None keeps the default; 7 gives one row per block at d >= 4
+        if request.param is not None:
+            monkeypatch.setattr(estimator_module, "_BLOCK_SCALARS", request.param)
+        return request.param
+
+    def test_covariance_is_exact_in_any_blocking(self, block_scalars):
+        gen = np.random.default_rng(11)
+        k = 20
+        counts = gen.integers(0, k + 1, size=(300, 8))
+        f = counts.astype(np.float64)
+        s1 = counts.sum(axis=0)
+        ref = (300 * (f.T @ f).astype(np.int64) - np.outer(s1, s1)) / float((300 * k) ** 2)
+        assert np.array_equal(empirical_cov(counts, k), ref)
+        assert np.array_equal(empirical_cov(np.asfortranarray(counts), k), ref)
+        assert np.array_equal(empirical_cov(counts.astype(np.uint8), k), ref)
+
+    def test_special_scores_in_any_blocking(self, block_scalars):
+        d = 24
+        ch = RapporChannel.from_lambda(d, 0.38)
+        gen = np.random.default_rng(3)
+        clean = gen.integers(0, 31, size=(10, d))
+        counts = np.concatenate([clean, np.full((60, d), 30)])
+        rep = score_collection(counts, EstimatorConfig(eps=0.05), ch, RngSeed(1), k=30)
+        assert rep.mode == "special"
+        shift = counts[:, rep.s_star].sum(axis=1) / 30 - ch.lam * float(rep.s_star.sum())
+        assert np.array_equal(rep.scores, np.abs(shift))
+
+    def test_sdp_scores_in_any_blocking(self, ch, p, block_scalars):
+        coll, rng = attacked_collection(ch, p, n=400, seed=6)
+        cfg = EstimatorConfig(eps=0.05)
+        rep = score_collection(coll, cfg, ch, rng.child(5))
+        assert rep.mode == "sdp"
+        # reference: the same quadratic forms over all rows at once; the exact
+        # covariance gives the same Gram input, hence the same tau and M*
+        centered = coll.counts / coll.k - collection_mean(coll.counts, coll.k)
+        ref = np.abs(((centered @ rep.gram.matrix()) * centered).sum(axis=1))
+        assert np.allclose(rep.scores, ref, rtol=1e-12, atol=0.0)
+
+    def test_estimate_in_any_blocking_and_dtype(self, ch, p, monkeypatch):
+        coll, rng = attacked_collection(ch, p, n=600, seed=8)
+        narrow = BatchCollection(counts=coll.counts.astype(np.uint8), k=coll.k, truth=coll.truth)
+        cfg = EstimatorConfig(eps=0.05, tau_threshold=DESK_TAU_THRESHOLD)
+        ref = robust_estimate(coll, cfg, ch, rng.child(3))
+        assert len(ref.trace) >= 2
+        # the survivors' mean, not that of the reused gather buffer
+        assert np.array_equal(ref.qhat, collection_mean(coll.counts[ref.surviving], coll.k))
+        for block_scalars in (7, 200):
+            monkeypatch.setattr(estimator_module, "_BLOCK_SCALARS", block_scalars)
+            for c in (coll, narrow):
+                res = robust_estimate(c, cfg, ch, rng.child(3))
+                assert [t.deleted for t in res.trace] == [t.deleted for t in ref.trace]
+                assert np.allclose(res.phat, ref.phat, rtol=1e-12, atol=0.0)
+
+
 class TestBatchDeletion:
     def test_equal_scores_halving(self):
         deleted = batch_deletion(np.arange(4), np.ones(4), RngSeed(0))
@@ -274,6 +340,75 @@ class TestBatchDeletion:
                 pytest.fail(f"unexpected outcome {deleted}")
         assert abs(solo / runs - 0.75) < 0.01
         assert abs(both / runs - 0.25) < 0.01
+
+
+def _delete_until_halved_loop(scores, order):
+    """Sequential reference: delete in order while the remaining mass exceeds half."""
+    total = float(scores.sum())
+    remaining = total
+    deleted = []
+    for idx in order:
+        if remaining <= total / 2.0:
+            break
+        deleted.append(int(idx))
+        remaining -= float(scores[idx])
+    return np.asarray(deleted, dtype=np.int64)
+
+
+class TestDeleteUntilHalved:
+    def _pools(self, gen, integer):
+        for _ in range(1000):
+            size = int(gen.integers(1, 60))
+            if integer:
+                scores = gen.integers(0, 6, size=size).astype(np.float64)
+            else:
+                # a few random values, scale spread over 6 decades, plus zeros:
+                # many exact ties
+                values = gen.random(int(gen.integers(1, 5))) * 10.0 ** gen.uniform(-3, 3)
+                scores = gen.choice(np.append(values, 0.0), size=size)
+            if scores.sum() <= 0.0:
+                continue
+            yield scores, _race_order(scores, gen.exponential(size=size))
+
+    @pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
+    def test_matches_sequential_loop(self, integer):
+        gen = np.random.default_rng(31 if integer else 32)
+        pools = 0
+        for scores, order in self._pools(gen, integer):
+            fast = _delete_until_halved(scores, order)
+            assert fast.dtype == np.int64
+            assert np.array_equal(fast, _delete_until_halved_loop(scores, order))
+            pools += 1
+        assert pools > 900
+
+    def test_all_zero_pool_rejected(self):
+        with pytest.raises(AllZeroScores):
+            _delete_until_halved(np.zeros(3), np.arange(3))
+
+
+class TestCanonicalOrder:
+    @pytest.mark.parametrize("k, shape", [
+        (20, (4000, 128)),      # random rows, one-byte entries
+        (1, (3000, 5)),         # tie-heavy: at most 32 distinct rows
+        (3, (2000, 3)),
+        (300, (2500, 7)),       # k >= 256: two-byte entries
+        (70_000, (1500, 6)),    # k >= 2^16: four-byte entries
+        (255, (500, 4)),
+        (256, (500, 4)),
+    ])
+    def test_equals_lexsort(self, k, shape):
+        gen = np.random.default_rng(k)
+        counts = gen.integers(0, k + 1, size=shape)
+        # force exact duplicate rows and shared prefixes
+        counts[::7] = counts[0]
+        counts[1::5, :-1] = counts[1, :-1]
+        counts[2::11, 0] = k
+        order = canonical_order(counts, k)
+        assert np.array_equal(order, np.lexsort(counts.T[::-1]))
+
+    def test_sorted_rows_and_stable_ties(self):
+        counts = np.array([[2, 0, 1], [0, 5, 5], [2, 0, 1], [0, 5, 4], [1, 0, 0]])
+        assert canonical_order(counts, 5).tolist() == [3, 1, 4, 0, 2]
 
 
 class TestRobustEstimate:

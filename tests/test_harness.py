@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ldprobust import RngSeed, eps_prime_solve, rate_fit, sweep
-from ldprobust.errors import InsufficientData, NoRoot
+from ldprobust.errors import InputError, InsufficientData, InvalidConfig, NoRoot
 from ldprobust.harness import (
     CSV_COLUMNS,
     SweepConfig,
@@ -49,6 +49,16 @@ class TestRunTrial:
         assert res.deleted_good + res.deleted_bad <= 200
 
 
+class TestTrialCell:
+    @pytest.mark.parametrize("kw", [dict(n=1), dict(n=0), dict(k=0),
+                                    dict(p_family="nope")])
+    def test_rejects_out_of_range_settings(self, kw):
+        base = dict(n=100, k=10, d=4, alpha=1.0, eps=0.0)
+        base.update(kw)
+        with pytest.raises(InvalidConfig):
+            TrialCell(**base)
+
+
 class TestSweep:
     def _config(self, tmp_path, **kw):
         base = dict(n_grid=(60, 80), k_grid=(5,), d_grid=(4,), alpha_grid=(1.0,),
@@ -77,6 +87,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepConfig(n_grid=(), k_grid=(5,), d_grid=(4,), alpha_grid=(1.0,),
                         eps_grid=(0.0,))
+
+    @pytest.mark.parametrize("text", [
+        "{", "[]", '{"n_grid": [10]}', '{"n_grid": 5, "k_grid": [5], "d_grid": [4], '
+        '"alpha_grid": [1.0], "eps_grid": [0.1]}',
+        '{"n_grid": [10], "k_grid": [5], "d_grid": [4], "alpha_grid": [1.0], '
+        '"eps_grid": [0.1], "trials": "many"}',
+    ])
+    def test_malformed_json_is_input_error(self, text):
+        with pytest.raises(InvalidConfig) as exc:
+            SweepConfig.from_json(text)
+        assert isinstance(exc.value, InputError)
 
     def test_json_round_trip(self):
         cfg = SweepConfig(n_grid=(10,), k_grid=(5,), d_grid=(4,),
