@@ -56,6 +56,7 @@ from .harness import (
 )
 from .lowerbound import (
     AssouadFamily,
+    CommonMixture,
     HardPair,
     OmegaMatrix,
     assouad_chi2_check,

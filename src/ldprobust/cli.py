@@ -14,8 +14,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import harness
 from .channel import RapporChannel
 from .errors import ArtifactError, InputError
@@ -25,7 +23,6 @@ from .lowerbound import (
     assouad_chi2_check,
     assouad_family,
     assouad_l1,
-    channel_output_dist,
     common_mixture,
     hard_pair,
 )
@@ -134,22 +131,14 @@ def _cmd_lowerbound(args) -> int:
 def _cmd_mixture_check(args) -> int:
     ch = RapporChannel.create(args.d, args.alpha)
     pair = hard_pair(ch, eps=args.eps, k=args.k, rng=RngSeed(args.seed))
-    a, n_p, n_q = common_mixture(pair, ch, args.k)
-    sp = channel_output_dist(ch, pair.p)
-    sq = channel_output_dist(ch, pair.q)
-    prod_p, prod_q = sp, sq
-    for _ in range(args.k - 1):
-        prod_p = np.kron(prod_p, sp)
-        prod_q = np.kron(prod_q, sq)
-    res_p = float(np.abs((1 - args.eps) * prod_p + args.eps * n_p.masses - a.masses).max())
-    res_q = float(np.abs((1 - args.eps) * prod_q + args.eps * n_q.masses - a.masses).max())
-    ok = res_p <= 1e-12 and res_q <= 1e-12
+    mix = common_mixture(pair, ch, args.k)
+    ok = mix.residual_p <= 1e-12 and mix.residual_q <= 1e-12
     _emit({
         "d": args.d, "k": args.k, "alpha": args.alpha, "eps": args.eps,
-        "outcomes": len(a.outcomes),
-        "residual_p": res_p, "residual_q": res_q,
-        "min_mass_n_p": float(n_p.masses.min()),
-        "min_mass_n_q": float(n_q.masses.min()),
+        "outcomes": len(mix.mixture.outcomes),
+        "residual_p": mix.residual_p, "residual_q": mix.residual_q,
+        "min_mass_n_p": float(mix.n_p.masses.min()),
+        "min_mass_n_q": float(mix.n_q.masses.min()),
         "ok": ok,
     }, args.out)
     return 0 if ok else INVARIANT_ERROR

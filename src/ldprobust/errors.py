@@ -23,6 +23,14 @@ class InvalidConfig(InputError, ValueError):
     """
 
 
+class InvalidArgument(InputError, ValueError):
+    """A function argument outside its documented contract: a seed or trial
+    index, a batch size, a missing k, mismatched or negative scores.
+
+    Also a ValueError, which these checks raised before they were typed.
+    """
+
+
 # --- vectors, distributions, masks ---
 
 class NegativeMass(ArtifactError):

@@ -11,6 +11,13 @@ Determinism: given (collection, config, master seed) the result is bit
 reproducible and invariant under permutations of the input rows.  Mean and
 covariance come from exact integer sums of the counts, which have no order;
 score ties and deletion clocks follow the lexicographic order of the count rows.
+
+Cost per iteration: the sums S1 and S2 are computed once, at the first
+iteration that needs the covariance, and each deletion subtracts the deleted
+rows' contributions exactly, so an iteration costs O(|deleted| d^2) for the
+statistics rather than O(m d^2), with results bitwise those of a recompute.
+The Gram solution M* = U V^T has rank r = ceil(2 sqrt(d)) + 1, and each row's
+score (c^T U) . (c^T V) comes from one product with the d x 2r factors, O(m d r).
 """
 
 from __future__ import annotations
@@ -30,8 +37,10 @@ from .errors import (
     EpsOutOfRange,
     Exhausted,
     InexactStatistics,
+    InvalidArgument,
     InvalidConfig,
     IterationCap,
+    LengthMismatch,
     ShiftTooLarge,
     TooFewBatches,
 )
@@ -76,12 +85,14 @@ class EstimatorConfig:
 
 @dataclass
 class CovBundle:
-    """Mean and covariance data for one selection of batch rows."""
+    """Mean and covariance data for one selection of batch rows, and the exact
+    sums they come from."""
 
     qhat_col: np.ndarray
     chat: np.ndarray
     cmodel: np.ndarray
     dmat: np.ndarray
+    sums: ExactSums
 
 
 @dataclass
@@ -162,10 +173,35 @@ _BLOCK_SCALARS = 1 << 16
 
 
 def _row_blocks(c: np.ndarray):
-    """Pairs (index of the first row, view of the rows) over consecutive row blocks of c."""
-    step = max(1, _BLOCK_SCALARS // max(c.shape[1], 1))
-    for start in range(0, c.shape[0], step):
-        yield start, c[start:start + step]
+    """Pairs (index of the first row, view of the rows) over consecutive row blocks of c.
+
+    No block holds a lone row unless c does: BLAS computes a one-row product
+    by another kernel, which can round differently, and a row's score should
+    not depend on how the rows were blocked.
+    """
+    m = c.shape[0]
+    step = max(2, _BLOCK_SCALARS // max(c.shape[1], 1))
+    start = 0
+    while start < m:
+        stop = m if m - start <= step + 1 else start + step
+        yield start, c[start:stop]
+        start = stop
+
+
+def _second_moment(c: np.ndarray) -> np.ndarray:
+    """S2 = sum of c_b c_b^T over the rows of c, in int64, from float64 GEMMs of row blocks.
+
+    Exact while every partial sum (at most rows * k^2) is an integer below 2^53.
+    """
+    s2 = np.zeros((c.shape[1], c.shape[1]), dtype=np.int64)
+    for _, block in _row_blocks(c):
+        f = block.astype(np.float64)
+        s2 += (f.T @ f).astype(np.int64)
+    return s2
+
+
+def _mean(s1: np.ndarray, n: int, k: int) -> np.ndarray:
+    return s1 / float(n * k)
 
 
 def collection_mean(counts, k: int) -> np.ndarray:
@@ -173,30 +209,63 @@ def collection_mean(counts, k: int) -> np.ndarray:
     c = as_counts(counts)
     if c.shape[0] == 0:
         raise EmptySelection("selection must be a nonempty (m, d) array of counts")
-    return c.sum(axis=0, dtype=np.int64) / float(c.shape[0] * k)
+    return _mean(c.sum(axis=0, dtype=np.int64), c.shape[0], k)
+
+
+@dataclass(frozen=True)
+class ExactSums:
+    """Exact integer sums of n count rows: S1 = sum c_b and S2 = sum c_b c_b^T.
+
+    `of` computes them from the rows; `without` subtracts the contributions of
+    rows leaving the selection, so the sums of what remains, and the mean and
+    covariance built from them, are bitwise those of a recompute.
+    """
+
+    n: int
+    k: int
+    s1: np.ndarray
+    s2: np.ndarray
+
+    @classmethod
+    def of(cls, counts, k: int) -> ExactSums:
+        """Sums of at least two rows, within the bounds that keep the covariance exact.
+
+        S2 is exact while n k^2 < 2^53 (see _second_moment), and the numerator
+        n S2 - S1 S1^T is exact in int64 while (n k)^2 < 9.2e18; outside these
+        bounds InexactStatistics is raised.  Rows removed later only lower n.
+        """
+        c = as_counts(counts)
+        if c.shape[0] < 2:
+            raise TooFewBatches("need at least two batch rows")
+        n, k = c.shape[0], int(k)
+        if n * k * k >= 2 ** 53 or n * k >= 3 * 10 ** 9:
+            raise InexactStatistics(f"n={n}, k={k} exceed the exact-statistics bounds")
+        return cls(n=n, k=k, s1=c.sum(axis=0, dtype=np.int64), s2=_second_moment(c))
+
+    def without(self, rows) -> ExactSums:
+        """Sums after the given count rows, a subset of the summed rows, are removed."""
+        c = as_counts(rows)
+        return ExactSums(n=self.n - c.shape[0], k=self.k,
+                         s1=self.s1 - c.sum(axis=0, dtype=np.int64),
+                         s2=self.s2 - _second_moment(c))
+
+    def mean(self) -> np.ndarray:
+        """qhat = S1 / (n k), rounded as collection_mean rounds it."""
+        return _mean(self.s1, self.n, self.k)
+
+    def cov(self) -> np.ndarray:
+        """(n S2 - S1 S1^T) / (n^2 k^2): the exact integer numerator, one rounding, one division."""
+        return (self.n * self.s2 - np.outer(self.s1, self.s1)) / float((self.n * self.k) ** 2)
 
 
 def empirical_cov(counts, k: int) -> np.ndarray:
     """Covariance of the batch means, (n S2 - S1 S1^T) / (n^2 k^2), from exact sums.
 
-    S2 comes from float64 GEMMs of row blocks of the counts, exact while every
-    partial sum (at most n k^2) is an integer below 2^53; the numerator is
-    exact in int64 while (n k)^2 < 9.2e18.  Converting it to float64 and
-    dividing are the only roundings.  Outside these bounds InexactStatistics is
-    raised.
+    Converting the exact integer numerator to float64 and dividing are the
+    only roundings; InexactStatistics is raised where the sums could not be
+    exact (see ExactSums.of).
     """
-    c = as_counts(counts)
-    if c.shape[0] < 2:
-        raise TooFewBatches("need at least two batch rows")
-    n, k = c.shape[0], int(k)
-    if n * k * k >= 2 ** 53 or n * k >= 3 * 10 ** 9:
-        raise InexactStatistics(f"n={n}, k={k} exceed the exact-statistics bounds")
-    s1 = c.sum(axis=0, dtype=np.int64)
-    s2 = np.zeros((c.shape[1], c.shape[1]), dtype=np.int64)
-    for _, block in _row_blocks(c):
-        f = block.astype(np.float64)
-        s2 += (f.T @ f).astype(np.int64)
-    return (n * s2 - np.outer(s1, s1)) / float((n * k) ** 2)
+    return ExactSums.of(counts, k).cov()
 
 
 def model_cov(qhat, k: int, lam: float) -> np.ndarray:
@@ -205,7 +274,7 @@ def model_cov(qhat, k: int, lam: float) -> np.ndarray:
     k * C(q) = -(lam*1 - q)(lam*1 - q)^T + lam*(1-lam)*I - (1-2*lam)*Diag(lam*1 - q)
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidArgument(f"k must be >= 1, got {k}")
     q = np.asarray(qhat, dtype=np.float64).ravel()
     delta = lam - q
     kc = -np.outer(delta, delta) + lam * (1.0 - lam) * np.eye(q.size) \
@@ -213,11 +282,20 @@ def model_cov(qhat, k: int, lam: float) -> np.ndarray:
     return kc / k
 
 
-def build_cov_bundle(counts, k: int, lam: float) -> CovBundle:
-    qhat_col = collection_mean(counts, k)
-    chat = empirical_cov(counts, k)
+def build_cov_bundle(counts, k: int, lam: float,
+                     sums: Optional[ExactSums] = None) -> CovBundle:
+    """Mean, empirical and model covariance of a selection and their difference.
+
+    `sums`, when given, are the exact sums of the rows of counts, kept up to
+    date by the caller; the bundle then costs O(d^2) and reads no row.
+    """
+    if sums is None:
+        sums = ExactSums.of(counts, k)
+    qhat_col = sums.mean()
+    chat = sums.cov()
     cmodel = model_cov(qhat_col, k, lam)
-    return CovBundle(qhat_col=qhat_col, chat=chat, cmodel=cmodel, dmat=chat - cmodel)
+    return CovBundle(qhat_col=qhat_col, chat=chat, cmodel=cmodel, dmat=chat - cmodel,
+                     sums=sums)
 
 
 def canonical_order(counts, k: int) -> np.ndarray:
@@ -252,25 +330,32 @@ def special_subset(qhat_col, lam: float) -> tuple[np.ndarray, float]:
 
 
 def score_collection(coll_or_counts, cfg: EstimatorConfig, ch: RapporChannel,
-                     rng: RngSeed, k: Optional[int] = None) -> ScoreReport:
+                     rng: RngSeed, k: Optional[int] = None,
+                     sums: Optional[ExactSums] = None) -> ScoreReport:
     """Contamination rate and per-row corruption scores for a selection.
 
     Takes a BatchCollection, or an (m, d) integer array of counts together
-    with k.  Special mode fires when the mean gap |qhat(S*) - lam*|S*|| reaches
-    the configured threshold; tau is then +inf and scores are the per-row gaps
-    on S*.  Otherwise tau normalizes the Gram maximum of Chat - C(qhat) and the
-    score of row b is |c_b^T M* c_b| for its centered mean c_b.
+    with k, and optionally the exact sums of those rows (see ExactSums), which
+    then stand in for a pass over the rows to get the mean and covariance.
+    Special mode fires when the mean gap |qhat(S*) - lam*|S*|| reaches the
+    configured threshold; tau is then +inf and scores are the per-row gaps on
+    S*.  Otherwise tau normalizes the Gram maximum of Chat - C(qhat) and the
+    score of row b is |c_b^T M* c_b| for its centered mean c_b, computed from
+    the rank-r factors as (c_b^T U) . (c_b^T V).
     """
     if isinstance(coll_or_counts, BatchCollection):
         counts, k = coll_or_counts.counts, coll_or_counts.k
     else:
         counts = as_counts(coll_or_counts)
         if k is None:
-            raise ValueError("k is required when passing counts")
+            raise InvalidArgument("k is required when passing counts")
     if counts.shape[0] < 2:
         raise TooFewBatches("need at least two batch rows to score")
+    if sums is not None and (sums.n, sums.k) != (counts.shape[0], int(k)):
+        raise LengthMismatch(f"sums of {sums.n} rows at k={sums.k} passed with "
+                             f"{counts.shape[0]} rows at k={k}")
 
-    qhat_col = collection_mean(counts, k)
+    qhat_col = collection_mean(counts, k) if sums is None else sums.mean()
     s_star, gap = special_subset(qhat_col, ch.lam)
     scores = np.empty(counts.shape[0], dtype=np.float64)
     if gap >= cfg.special_gap_threshold:
@@ -282,14 +367,18 @@ def score_collection(coll_or_counts, cfg: EstimatorConfig, ch: RapporChannel,
 
     if cfg.eps <= 0.0:
         raise EpsOutOfRange("sdp scoring requires eps > 0")
-    bundle = build_cov_bundle(counts, k, ch.lam)
+    bundle = build_cov_bundle(counts, k, ch.lam, sums=sums)
     sol = gram_maximize(check_symmetric(bundle.dmat), rank=cfg.sdp_rank, restarts=cfg.sdp_restarts,
                         sweep_tol=cfg.sdp_tol, rng=rng)
     unit = rate_unit(cfg.eps, ch.d, k)
-    mstar = sol.matrix()
+    # c^T U V^T c = (c^T U) . (c^T V): one (rows, 2r) product per block
+    factors = np.hstack([sol.u_factors, sol.v_factors])
+    r = sol.rank
     for start, block in _row_blocks(counts):
-        centered = block / k - qhat_col
-        quad = ((centered @ mstar) * centered).sum(axis=1)
+        centered = block / k
+        centered -= qhat_col
+        proj = centered @ factors
+        quad = np.einsum("ij,ij->i", proj[:, :r], proj[:, r:])
         scores[start:start + quad.size] = np.abs(quad)
     return ScoreReport(mode="sdp", tau=sol.value / unit, scores=scores,
                        gram=sol, bundle=bundle, tau_upper=sol.upper_bound / unit)
@@ -335,9 +424,9 @@ def batch_deletion(indices, scores, rng: RngSeed) -> np.ndarray:
     if idx.size == 0:
         raise AllZeroScores("empty candidate pool")
     if idx.size != sc.size:
-        raise ValueError("indices and scores differ in length")
+        raise InvalidArgument(f"indices and scores differ in length: {idx.size} and {sc.size}")
     if np.any(sc < 0):
-        raise ValueError("scores must be nonnegative")
+        raise InvalidArgument("scores must be nonnegative")
     gen = rng.generator() if isinstance(rng, RngSeed) else rng
     exps = gen.exponential(size=idx.size)
     local = _delete_until_halved(sc, _race_order(sc, exps))
@@ -371,6 +460,12 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
     the lower canonical rank, the rank in lexicographic order of count rows)
     and run the randomized deletion on that pool, its clocks assigned in
     canonical order.  With eps = 0 the result equals naive_estimate exactly.
+
+    The exact sums S1 and S2 of the survivors are computed once, by the first
+    iteration that scores in sdp mode, and downdated exactly after each
+    deletion (ExactSums.without), so qhat, Chat and the Gram input of every
+    iteration are bitwise those of a recompute from the survivors.  Scores
+    come from the rank-r Gram factors (score_collection).
     """
     n = coll.n
     if n < 2:
@@ -384,6 +479,8 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
     # (m, d) array of a new size is allocated per iteration
     work = np.empty(counts.shape, dtype=counts.dtype)
     surviving = np.ones(n, dtype=bool)
+    # exact sums of the survivors, from the first sdp iteration on
+    sums: Optional[ExactSums] = None
     pool_size = int(math.floor(cfg.eps * n))
     max_iter = cfg.max_iterations if cfg.max_iterations is not None else n
     trace: list[IterationRecord] = []
@@ -395,15 +492,17 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
             raise Exhausted("fewer than two batch rows survive")
         # mode="clip" (sel is in range) writes straight into out; "raise" buffers
         chosen = np.take(counts, sel, axis=0, out=work[:sel.size], mode="clip")
-        report = score_collection(chosen, cfg, ch, rng.child(4, iteration), k=k)
+        report = score_collection(chosen, cfg, ch, rng.child(4, iteration), k=k, sums=sums)
+        if report.bundle is not None:
+            sums = report.bundle.sums
         gram = report.gram
         record = dict(tau=report.tau, mode=report.mode, survivors=int(sel.size),
                       gram_value=None if gram is None else gram.value,
                       gram_upper=None if gram is None else gram.upper_bound)
         if math.isfinite(report.tau) and math.sqrt(max(report.tau, 0.0)) < cfg.tau_threshold:
             trace.append(IterationRecord(pool_size=0, deleted=(), **record))
-            qhat = collection_mean(chosen, k)
-            return _finalize(qhat, np.sort(sel), trace, ch)
+            # a finite tau comes from sdp mode, whose bundle holds the survivors' mean
+            return _finalize(report.bundle.qhat_col, np.sort(sel), trace, ch)
 
         top = np.argsort(-report.scores, kind="stable")[:min(pool_size, sel.size)]
         pool = np.sort(top)
@@ -413,6 +512,8 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
         clocks = rng.generator(3, iteration).exponential(size=pool.size)
         deleted = sel[pool[_delete_until_halved(pool_scores, _race_order(pool_scores, clocks))]]
         surviving[deleted] = False
+        if sums is not None:
+            sums = sums.without(counts[deleted])
         trace.append(IterationRecord(pool_size=int(pool.size),
                                      deleted=tuple(int(j) for j in deleted), **record))
 

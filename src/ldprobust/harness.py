@@ -30,7 +30,13 @@ from .adversary import (
     make_clean_collection,
 )
 from .channel import RapporChannel
-from .errors import InsufficientData, InvalidAttackParams, InvalidConfig, NoRoot
+from .errors import (
+    InsufficientData,
+    InvalidArgument,
+    InvalidAttackParams,
+    InvalidConfig,
+    NoRoot,
+)
 from .estimator import (
     DESK_TAU_THRESHOLD,
     EstimatorConfig,
@@ -72,6 +78,9 @@ class TrialCell:
     def __post_init__(self):
         if self.n < 2 or self.k < 1:
             raise InvalidConfig(f"need n >= 2 and k >= 1, got n={self.n}, k={self.k}")
+        # also rejects NaN and +-inf, before floor(n * eps) sizes the attack
+        if not 0.0 <= self.eps < 0.25:
+            raise InvalidConfig(f"eps must lie in [0, 1/4), got {self.eps}")
         if self.p_family not in P_FAMILIES:
             raise InvalidConfig(f"unknown p family {self.p_family!r}")
 
@@ -184,6 +193,8 @@ def run_trial(cell: TrialCell, trial: int, master_seed: int) -> TrialResult:
     the adversarial batch records simulate its companion q, which is the scenario the
     indistinguishability construction speaks about.
     """
+    if trial < 0:
+        raise InvalidArgument(f"trial must be nonnegative, got {trial}")
     base = RngSeed(master_seed).child(hash_cell(cell), trial)
     ch = RapporChannel.create(cell.d, cell.alpha)
     if cell.attack == "hard_pair_swap" and cell.eps > 0.0:

@@ -259,14 +259,27 @@ def hard_pair(ch: RapporChannel, eps: float, k: int, rng: RngSeed,
     return pair
 
 
-def common_mixture(pair: HardPair, ch: RapporChannel,
-                   k: int) -> tuple[FiniteDist, FiniteDist, FiniteDist]:
+@dataclass(frozen=True)
+class CommonMixture:
+    """Mixture A, components N_p and N_q, and the worst outcome residuals
+    |(1-eps) Qp^k + eps N_p - A| and |(1-eps) Qq^k + eps N_q - A| of the stored masses."""
+
+    mixture: FiniteDist
+    n_p: FiniteDist
+    n_q: FiniteDist
+    residual_p: float
+    residual_q: float
+
+
+def common_mixture(pair: HardPair, ch: RapporChannel, k: int) -> CommonMixture:
     """Mixture A and components N_p, N_q with
     (1-eps) Qp^k + eps N_p = A = (1-eps) Qq^k + eps N_q, outcome by outcome.
 
     A is the normalized pointwise maximum of the two k-fold product laws;
     nonnegativity of N_p and N_q is exactly the indistinguishability property
-    of the pair.  Requires (2^d)^k <= 2^20 for exact product enumeration.
+    of the pair.  The residuals check both identities against the k-fold
+    products built here.  Requires (2^d)^k <= 2^20 for exact product
+    enumeration.
     """
     d = ch.d
     if (1 << d) ** k > 1 << 20:
@@ -281,12 +294,15 @@ def common_mixture(pair: HardPair, ch: RapporChannel,
     tv_exact = 0.5 * float(np.abs(prod_p - prod_q).sum())
     a = np.maximum(prod_p, prod_q) / (1.0 + tv_exact)
     eps = pair.eps
-    n_p = (a - (1.0 - eps) * prod_p) / eps
-    n_q = (a - (1.0 - eps) * prod_q) / eps
     outcomes = tuple(range(a.size))
-    return (FiniteDist(outcomes, a),
-            FiniteDist(outcomes, n_p),
-            FiniteDist(outcomes, n_q))
+    mixture = FiniteDist(outcomes, a)
+    n_p = FiniteDist(outcomes, (a - (1.0 - eps) * prod_p) / eps)
+    n_q = FiniteDist(outcomes, (a - (1.0 - eps) * prod_q) / eps)
+    return CommonMixture(
+        mixture=mixture, n_p=n_p, n_q=n_q,
+        residual_p=float(np.abs((1.0 - eps) * prod_p + eps * n_p.masses - mixture.masses).max()),
+        residual_q=float(np.abs((1.0 - eps) * prod_q + eps * n_q.masses - mixture.masses).max()),
+    )
 
 
 def _snap_gamma(gamma: float, bits: int = 16) -> float:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    InvalidArgument,
     LengthMismatch,
     NegativeMass,
     NotNormalized,
@@ -35,9 +36,9 @@ class RngSeed:
 
     def __post_init__(self):
         if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+            raise InvalidArgument(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
         if self.stream_index < 0:
-            raise ValueError("stream_index must be nonnegative")
+            raise InvalidArgument(f"stream_index must be nonnegative, got {self.stream_index}")
 
     def generator(self, *extra: int) -> np.random.Generator:
         """Return a fresh generator; distinct `extra` tuples give independent streams."""

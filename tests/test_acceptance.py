@@ -256,7 +256,8 @@ def test_criterion_9_lowerbound_certificates():
 
     ch3 = RapporChannel.create(3, alpha)
     pair3 = hard_pair(ch3, eps, 2, RngSeed(919))
-    a, n_p, n_q = common_mixture(pair3, ch3, 2)
+    mix = common_mixture(pair3, ch3, 2)
+    a, n_p, n_q = mix.mixture, mix.n_p, mix.n_q
     sp = channel_output_dist(ch3, pair3.p)
     sq = channel_output_dist(ch3, pair3.q)
     res_p = float(np.abs((1 - eps) * np.kron(sp, sp) + eps * n_p.masses - a.masses).max())

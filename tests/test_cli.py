@@ -140,9 +140,14 @@ class TestExitCodes:
         ["simulate", "--tau-threshold", 0],
         ["simulate", "--n", 1],
         ["simulate", "--k", 0],
+        ["simulate", "--seed", -1],
+        ["simulate", "--trial", -1],
+        ["simulate", "--eps", "nan"],
+        ["simulate", "--eps", "inf"],
     ], ids=["unknown-attack", "eps-too-large", "d-too-small", "sdp-d-too-large",
             "no-instances", "hard-pair-alpha", "hard-pair-d", "lowerbound-d",
-            "tau-threshold-zero", "n-one", "k-zero"])
+            "tau-threshold-zero", "n-one", "k-zero", "negative-seed", "negative-trial",
+            "eps-nan", "eps-inf"])
     def test_input_contract_errors_exit_1(self, args, tmp_path, capsys):
         out = tmp_path / "out.json"
         assert exit_code(args + ["--out", out]) == 1

@@ -34,15 +34,20 @@ from ldprobust.errors import (
     EpsOutOfRange,
     Exhausted,
     InexactStatistics,
+    InputError,
+    InvalidArgument,
+    LengthMismatch,
     TooFewBatches,
 )
 from ldprobust.estimator import (
     DESK_TAU_THRESHOLD,
+    ExactSums,
     _delete_until_halved,
     _race_order,
     build_cov_bundle,
     canonical_order,
 )
+from ldprobust.harness import TrialCell, build_collection, resolve_attack, sample_p
 
 from conftest import brute_force_special_gap
 
@@ -167,6 +172,11 @@ class TestModelCov:
         cm = model_cov(mean_response(ch, p), 3, ch.lam)
         assert np.abs(cm - cm.T).max() == 0.0
 
+    def test_rejects_k_below_one(self, ch, p):
+        with pytest.raises(InvalidArgument) as exc:
+            model_cov(mean_response(ch, p), 0, ch.lam)
+        assert isinstance(exc.value, InputError) and isinstance(exc.value, ValueError)
+
 
 class TestSpecialSubset:
     def test_lambda_vector_ties_to_full_set(self, ch):
@@ -218,6 +228,11 @@ class TestScoreCollection:
         assert rep.mode == "special"
         assert math.isinf(rep.tau)
         assert rep.scores[1:].min() > rep.scores[0]
+
+    def test_counts_need_k(self, ch):
+        with pytest.raises(InvalidArgument) as exc:
+            score_collection(np.full((4, ch.d), 3), EstimatorConfig(eps=0.05), ch, RngSeed(0))
+        assert isinstance(exc.value, InputError) and isinstance(exc.value, ValueError)
 
     def test_requires_positive_eps_for_sdp(self, ch, p):
         coll = make_clean_collection(ch, p, 10, 5, RngSeed(2))
@@ -287,15 +302,24 @@ class TestRowBlocks:
         assert np.array_equal(rep.scores, np.abs(shift))
 
     def test_sdp_scores_in_any_blocking(self, ch, p, block_scalars):
-        coll, rng = attacked_collection(ch, p, n=400, seed=6)
+        attacked, rng = attacked_collection(ch, p, n=400, seed=6)
+        clean = make_clean_collection(ch, p, 400, 50, rng.child(1))
         cfg = EstimatorConfig(eps=0.05)
-        rep = score_collection(coll, cfg, ch, rng.child(5))
-        assert rep.mode == "sdp"
-        # reference: the same quadratic forms over all rows at once; the exact
-        # covariance gives the same Gram input, hence the same tau and M*
-        centered = coll.counts / coll.k - collection_mean(coll.counts, coll.k)
-        ref = np.abs(((centered @ rep.gram.matrix()) * centered).sum(axis=1))
-        assert np.allclose(rep.scores, ref, rtol=1e-12, atol=0.0)
+        for coll in (attacked, clean):
+            for counts in (coll.counts, coll.counts.astype(np.uint8)):
+                rep = score_collection(counts, cfg, ch, rng.child(5), k=coll.k)
+                assert rep.mode == "sdp"
+                # reference: the quadratic forms with the d x d matrix M* = U V^T
+                # over all rows at once, where the scores use the rank-r factors;
+                # the exact covariance gives the same Gram input, hence the same
+                # tau and M*
+                centered = coll.counts / coll.k - collection_mean(coll.counts, coll.k)
+                ref = np.abs(((centered @ rep.gram.matrix()) * centered).sum(axis=1))
+                assert np.allclose(rep.scores, ref, rtol=1e-12, atol=0.0)
+        # the clean collection's Gram input is indefinite: V is far from +-U, so
+        # a mix-up of the two factors shows in its scores
+        u, v = rep.gram.u_factors, rep.gram.v_factors
+        assert min(np.abs(u - v).max(), np.abs(u + v).max()) > 0.5
 
     def test_estimate_in_any_blocking_and_dtype(self, ch, p, monkeypatch):
         coll, rng = attacked_collection(ch, p, n=600, seed=8)
@@ -313,6 +337,116 @@ class TestRowBlocks:
                 assert np.allclose(res.phat, ref.phat, rtol=1e-12, atol=0.0)
 
 
+def trial_collection(n, k, d, attack, eps, seed):
+    """A harness trial's collection and channel, without running the estimator."""
+    cell = TrialCell(n=n, k=k, d=d, alpha=1.0, eps=eps, attack=attack)
+    ch = RapporChannel.create(d, 1.0)
+    rng = RngSeed(seed)
+    target = sample_p(cell.p_family, d, rng.child(1))
+    attack_spec = resolve_attack(cell, target, ch, rng.child(4))
+    return build_collection(cell, target, attack_spec, ch, rng.child(2)), ch
+
+
+def recompute_loop(coll, cfg, ch, rng):
+    """The filtering loop with mean and covariance recomputed from the survivors.
+
+    Mirrors robust_estimate, but every iteration reads the survivors' rows
+    through collection_mean and empirical_cov.  Returns one (mode, qhat, chat,
+    Gram input) tuple per iteration, chat and the Gram input None in special
+    mode, and the deleted rows of each iteration.
+    """
+    counts, k = coll.counts, coll.k
+    canonical = canonical_order(counts, k)
+    surviving = np.ones(coll.n, dtype=bool)
+    pool_size = math.floor(cfg.eps * coll.n)
+    stats, deletions = [], []
+    for iteration in range(coll.n + 1):
+        sel = canonical[surviving[canonical]]
+        chosen = counts[sel]
+        report = score_collection(chosen, cfg, ch, rng.child(4, iteration), k=k)
+        qhat = collection_mean(chosen, k)
+        if report.mode == "sdp":
+            chat = empirical_cov(chosen, k)
+            stats.append(("sdp", qhat, chat, chat - model_cov(qhat, k, ch.lam)))
+        else:
+            stats.append(("special", qhat, None, None))
+        if math.isfinite(report.tau) and math.sqrt(max(report.tau, 0.0)) < cfg.tau_threshold:
+            deletions.append(())
+            return stats, deletions
+        pool = np.sort(np.argsort(-report.scores, kind="stable")[:pool_size])
+        scores = report.scores[pool]
+        clocks = rng.generator(3, iteration).exponential(size=pool.size)
+        deleted = sel[pool[_delete_until_halved(scores, _race_order(scores, clocks))]]
+        surviving[deleted] = False
+        deletions.append(tuple(int(j) for j in deleted))
+    raise AssertionError("reference loop did not stop")
+
+
+class TestDowndatedStatistics:
+    """S1 and S2 are computed once and downdated exactly after each deletion."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    def test_without_equals_recompute(self, dtype):
+        gen = np.random.default_rng(21)
+        k = 30
+        counts = gen.integers(0, k + 1, size=(500, 9)).astype(dtype)
+        keep = np.ones(500, dtype=bool)
+        sums = ExactSums.of(counts, k)
+        for size in (1, 40, 120, 7):
+            gone = gen.choice(np.flatnonzero(keep), size=size, replace=False)
+            keep[gone] = False
+            sums = sums.without(counts[gone])
+            ref = ExactSums.of(counts[keep], k)
+            assert sums.n == ref.n == keep.sum()
+            assert np.array_equal(sums.s1, ref.s1) and np.array_equal(sums.s2, ref.s2)
+            assert np.array_equal(sums.mean(), collection_mean(counts[keep], k))
+            assert np.array_equal(sums.cov(), empirical_cov(counts[keep], k))
+
+    def test_sums_must_match_rows(self, ch):
+        counts = np.random.default_rng(2).integers(0, 21, size=(50, ch.d))
+        sums = ExactSums.of(counts[:49], 20)
+        with pytest.raises(LengthMismatch):
+            score_collection(counts, EstimatorConfig(eps=0.05), ch, RngSeed(0), k=20, sums=sums)
+
+    @pytest.mark.parametrize("n, k, d, attack, eps, overrides", [
+        (1000, 20, 128, "targeted_subset", 0.05, {}),
+        (2000, 50, 5, "all_ones", 0.1, dict(special_gap_threshold=0.35)),
+        (2000, 50, 5, "swap_mix", 0.1, dict(tau_threshold=0.3)),
+    ], ids=["d128-targeted_subset", "d5-all_ones", "d5-swap_mix"])
+    def test_loop_matches_recompute_from_survivors(self, monkeypatch, n, k, d, attack, eps,
+                                                   overrides):
+        coll, ch = trial_collection(n, k, d, attack, eps, seed=0)
+        cfg = EstimatorConfig(eps=eps, **{"tau_threshold": DESK_TAU_THRESHOLD, **overrides})
+        rng = RngSeed(3)
+        ref_stats, ref_deletions = recompute_loop(coll, cfg, ch, rng)
+        assert len(ref_stats) >= 2 and any(mode == "sdp" for mode, *_ in ref_stats[:-1])
+
+        bundles, gram_inputs = [], []
+        build, solve = estimator_module.build_cov_bundle, estimator_module.gram_maximize
+
+        def recording_build(*args, **kwargs):
+            bundles.append(build(*args, **kwargs))
+            return bundles[-1]
+
+        def recording_solve(A, **kwargs):
+            gram_inputs.append(A.copy())
+            return solve(A, **kwargs)
+
+        monkeypatch.setattr(estimator_module, "build_cov_bundle", recording_build)
+        monkeypatch.setattr(estimator_module, "gram_maximize", recording_solve)
+        res = robust_estimate(coll, cfg, ch, rng)
+
+        assert [rec.deleted for rec in res.trace] == ref_deletions
+        assert [rec.mode for rec in res.trace] == [mode for mode, *_ in ref_stats]
+        sdp = [st for st in ref_stats if st[0] == "sdp"]
+        assert len(bundles) == len(gram_inputs) == len(sdp)
+        for (_, qhat, chat, gram_input), bundle, A in zip(sdp, bundles, gram_inputs):
+            assert np.array_equal(bundle.qhat_col, qhat)
+            assert np.array_equal(bundle.chat, chat)
+            assert np.array_equal(A, gram_input)
+        assert np.array_equal(res.qhat, ref_stats[-1][1])
+
+
 class TestBatchDeletion:
     def test_equal_scores_halving(self):
         deleted = batch_deletion(np.arange(4), np.ones(4), RngSeed(0))
@@ -325,6 +459,14 @@ class TestBatchDeletion:
     def test_all_zero_scores(self):
         with pytest.raises(AllZeroScores):
             batch_deletion([0, 1], [0.0, 0.0], RngSeed(0))
+
+    @pytest.mark.parametrize("indices, scores", [([0, 1, 2], [1.0, 2.0]),
+                                                 ([0, 1], [1.0, -0.5])],
+                             ids=["length-mismatch", "negative-score"])
+    def test_rejects_malformed_pool(self, indices, scores):
+        with pytest.raises(InvalidArgument) as exc:
+            batch_deletion(indices, scores, RngSeed(0))
+        assert isinstance(exc.value, InputError) and isinstance(exc.value, ValueError)
 
     def test_probability_tree(self):
         # scores [3, 1]: delete {0} with p = 3/4, else {1, 0} with p = 1/4

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from ldprobust import RngSeed, eps_prime_solve, rate_fit, sweep
-from ldprobust.errors import InputError, InsufficientData, InvalidConfig, NoRoot
+from ldprobust.errors import (
+    InputError,
+    InsufficientData,
+    InvalidArgument,
+    InvalidConfig,
+    NoRoot,
+)
 from ldprobust.harness import (
     CSV_COLUMNS,
     SweepConfig,
@@ -48,10 +54,18 @@ class TestRunTrial:
         res = run_trial(cell, 0, 13)
         assert res.deleted_good + res.deleted_bad <= 200
 
+    @pytest.mark.parametrize("trial, seed", [(-1, 0), (0, -1)])
+    def test_negative_trial_or_seed_rejected(self, trial, seed):
+        cell = TrialCell(n=100, k=10, d=4, alpha=1.0, eps=0.0)
+        with pytest.raises(InvalidArgument):
+            run_trial(cell, trial, seed)
+
 
 class TestTrialCell:
     @pytest.mark.parametrize("kw", [dict(n=1), dict(n=0), dict(k=0),
-                                    dict(p_family="nope")])
+                                    dict(p_family="nope"), dict(eps=0.25), dict(eps=-0.01),
+                                    dict(eps=math.nan), dict(eps=math.inf),
+                                    dict(eps=-math.inf)])
     def test_rejects_out_of_range_settings(self, kw):
         base = dict(n=100, k=10, d=4, alpha=1.0, eps=0.0)
         base.update(kw)

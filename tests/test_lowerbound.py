@@ -145,7 +145,8 @@ class TestCommonMixture:
     def test_identities_and_nonnegativity(self):
         ch = RapporChannel.create(3, 1.0)
         pair = hard_pair(ch, 0.1, 2, RngSeed(0))
-        a, n_p, n_q = common_mixture(pair, ch, 2)
+        mix = common_mixture(pair, ch, 2)
+        a, n_p, n_q = mix.mixture, mix.n_p, mix.n_q
         assert len(a.outcomes) == 64
         sp = channel_output_dist(ch, pair.p)
         sq = channel_output_dist(ch, pair.q)
@@ -154,6 +155,8 @@ class TestCommonMixture:
         res_p = np.abs((1 - 0.1) * prod_p + 0.1 * n_p.masses - a.masses).max()
         res_q = np.abs((1 - 0.1) * prod_q + 0.1 * n_q.masses - a.masses).max()
         assert res_p <= 1e-12 and res_q <= 1e-12
+        # the residuals it reports equal the ones recomputed here
+        assert (mix.residual_p, mix.residual_q) == (res_p, res_q)
         assert n_p.masses.min() >= -1e-12
         assert n_q.masses.min() >= -1e-12
         assert abs(a.masses.sum() - 1) <= 1e-10
@@ -163,7 +166,8 @@ class TestCommonMixture:
         p = make_prob_vector([0.5, 0.3, 0.2])
         pair = HardPair(p=p, q=p, delta=np.zeros(3), chi2_one_sample=0.0,
                         quad_form=0.0, tv_bound_k=0.0, eps=0.1, k=2, alpha=1.0)
-        a, n_p, n_q = common_mixture(pair, ch, 2)
+        mix = common_mixture(pair, ch, 2)
+        a, n_p, n_q = mix.mixture, mix.n_p, mix.n_q
         prod = np.kron(channel_output_dist(ch, p), channel_output_dist(ch, p))
         assert np.abs(a.masses - prod).max() <= 1e-15
         assert np.abs(n_p.masses - a.masses).max() <= 1e-12

@@ -19,6 +19,8 @@ from ldprobust import (
     tv_product_bound,
 )
 from ldprobust.errors import (
+    InputError,
+    InvalidArgument,
     LengthMismatch,
     NegativeMass,
     NotNormalized,
@@ -218,3 +220,9 @@ class TestRngSeed:
         a = RngSeed(7, 3).generator().random(16)
         b = RngSeed(7, 4).generator().random(16)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (2 ** 64, 0), (0, -1)])
+    def test_out_of_range_is_typed_input_error(self, seed, stream):
+        with pytest.raises(InvalidArgument) as exc:
+            RngSeed(seed, stream)
+        assert isinstance(exc.value, InputError) and isinstance(exc.value, ValueError)
