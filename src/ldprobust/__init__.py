@@ -65,7 +65,6 @@ from .lowerbound import (
     hard_pair,
     low_eigenspace_delta,
     omega_matrix,
-    omega_matrix_mc,
 )
 from .prob import (
     FiniteDist,

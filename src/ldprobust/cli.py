@@ -10,6 +10,7 @@ across reruns with the same seed and across thread counts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -70,13 +71,7 @@ def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
         cfg = harness.SweepConfig.from_json(fh.read())
     if args.seed is not None:
-        cfg = harness.SweepConfig(
-            n_grid=cfg.n_grid, k_grid=cfg.k_grid, d_grid=cfg.d_grid,
-            alpha_grid=cfg.alpha_grid, eps_grid=cfg.eps_grid,
-            attack=cfg.attack, attack_params=cfg.attack_params,
-            trials=cfg.trials, seed=args.seed, p_family=cfg.p_family,
-            tau_threshold=cfg.tau_threshold,
-        )
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     harness.sweep(cfg, args.out, threads=args.threads)
     return 0
 
@@ -110,12 +105,8 @@ def _cmd_sdp_check(args) -> int:
 
 def _cmd_lowerbound(args) -> int:
     ch = RapporChannel.create(args.d, args.alpha)
+    # hard_pair validates the pair before returning it
     pair = hard_pair(ch, eps=args.eps, k=args.k, rng=RngSeed(args.seed))
-    try:
-        pair.validate()
-        ok = True
-    except ValueError:
-        ok = False
     _emit({
         "d": args.d, "alpha": args.alpha, "k": args.k, "eps": args.eps,
         "p": list(pair.p.weights), "q": list(pair.q.weights),
@@ -123,9 +114,9 @@ def _cmd_lowerbound(args) -> int:
         "chi2_one_sample": pair.chi2_one_sample,
         "quad_form": pair.quad_form,
         "tv_bound_k": pair.tv_bound_k,
-        "invariants_ok": ok,
+        "invariants_ok": True,
     }, args.out)
-    return 0 if ok else INVARIANT_ERROR
+    return 0
 
 
 def _cmd_mixture_check(args) -> int:

@@ -25,7 +25,8 @@ class InvalidConfig(InputError, ValueError):
 
 class InvalidArgument(InputError, ValueError):
     """A function argument outside its documented contract: a seed or trial
-    index, a batch size, a missing k, mismatched or negative scores.
+    index, a batch size, a missing k, mismatched or negative scores, or a
+    lower-bound family parameter (alpha, n, c_gamma, gamma, sample count).
 
     Also a ValueError, which these checks raised before they were typed.
     """

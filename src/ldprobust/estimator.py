@@ -12,10 +12,10 @@ reproducible and invariant under permutations of the input rows.  Mean and
 covariance come from exact integer sums of the counts, which have no order;
 score ties and deletion clocks follow the lexicographic order of the count rows.
 
-Cost per iteration: the sums S1 and S2 are computed once, at the first
-iteration that needs the covariance, and each deletion subtracts the deleted
-rows' contributions exactly, so an iteration costs O(|deleted| d^2) for the
-statistics rather than O(m d^2), with results bitwise those of a recompute.
+Cost per iteration: the sums S1 and S2 are computed once, before the first
+iteration, and each deletion subtracts the deleted rows' contributions
+exactly, so an iteration costs O(|deleted| d^2) for the statistics rather
+than O(m d^2), with results bitwise those of a recompute.
 The Gram solution M* = U V^T has rank r = ceil(2 sqrt(d)) + 1, and each row's
 score (c^T U) . (c^T V) comes from one product with the d x 2r factors, O(m d r).
 """
@@ -44,8 +44,8 @@ from .errors import (
     ShiftTooLarge,
     TooFewBatches,
 )
-from .gram import GramSolution, check_symmetric, gram_maximize, subset_bilinear_max
-from .prob import ProbVector, RngSeed
+from .gram import GramSolution, gram_maximize, subset_bilinear_max
+from .prob import ProbVector, RngSeed, subset_indicators
 
 #: Loop threshold on sqrt(tau) matching the termination constant of the
 #: analysis.  At desk scales this value is far above anything an attack can
@@ -71,9 +71,6 @@ class EstimatorConfig:
     eps: float
     tau_threshold: float = DEFAULT_TAU_THRESHOLD
     special_gap_threshold: float = DEFAULT_SPECIAL_GAP
-    sdp_rank: Optional[int] = None
-    sdp_restarts: int = 16
-    sdp_tol: float = 1e-8
     max_iterations: Optional[int] = None
 
     def __post_init__(self):
@@ -85,14 +82,12 @@ class EstimatorConfig:
 
 @dataclass
 class CovBundle:
-    """Mean and covariance data for one selection of batch rows, and the exact
-    sums they come from."""
+    """Mean, empirical covariance and its gap to the model covariance for one
+    selection of batch rows."""
 
     qhat_col: np.ndarray
     chat: np.ndarray
-    cmodel: np.ndarray
     dmat: np.ndarray
-    sums: ExactSums
 
 
 @dataclass
@@ -102,7 +97,6 @@ class ScoreReport:
     scores: np.ndarray
     s_star: Optional[np.ndarray] = None
     gram: Optional[GramSolution] = None
-    bundle: Optional[CovBundle] = None
     tau_upper: float = math.inf     # certified bound on tau: gram upper bound / rate unit
 
 
@@ -282,20 +276,13 @@ def model_cov(qhat, k: int, lam: float) -> np.ndarray:
     return kc / k
 
 
-def build_cov_bundle(counts, k: int, lam: float,
-                     sums: Optional[ExactSums] = None) -> CovBundle:
-    """Mean, empirical and model covariance of a selection and their difference.
-
-    `sums`, when given, are the exact sums of the rows of counts, kept up to
-    date by the caller; the bundle then costs O(d^2) and reads no row.
-    """
-    if sums is None:
-        sums = ExactSums.of(counts, k)
+def build_cov_bundle(sums: ExactSums, lam: float) -> CovBundle:
+    """Mean and empirical covariance of the rows summed in `sums`, and the
+    empirical minus the model covariance at that mean; O(d^2), reads no row."""
     qhat_col = sums.mean()
     chat = sums.cov()
-    cmodel = model_cov(qhat_col, k, lam)
-    return CovBundle(qhat_col=qhat_col, chat=chat, cmodel=cmodel, dmat=chat - cmodel,
-                     sums=sums)
+    return CovBundle(qhat_col=qhat_col, chat=chat,
+                     dmat=chat - model_cov(qhat_col, sums.k, lam))
 
 
 def canonical_order(counts, k: int) -> np.ndarray:
@@ -335,11 +322,11 @@ def score_collection(coll_or_counts, cfg: EstimatorConfig, ch: RapporChannel,
     """Contamination rate and per-row corruption scores for a selection.
 
     Takes a BatchCollection, or an (m, d) integer array of counts together
-    with k, and optionally the exact sums of those rows (see ExactSums), which
-    then stand in for a pass over the rows to get the mean and covariance.
-    Special mode fires when the mean gap |qhat(S*) - lam*|S*|| reaches the
-    configured threshold; tau is then +inf and scores are the per-row gaps on
-    S*.  Otherwise tau normalizes the Gram maximum of Chat - C(qhat) and the
+    with k, and optionally the exact sums of those rows (see ExactSums); they
+    are computed from the rows when not passed.  The mean, and in sdp mode the
+    covariance, are read from the sums.  Special mode fires when the mean gap
+    |qhat(S*) - lam*|S*|| reaches the configured threshold; tau is then +inf
+    and scores are the per-row gaps on S*.  Otherwise tau normalizes the Gram maximum of Chat - C(qhat) and the
     score of row b is |c_b^T M* c_b| for its centered mean c_b, computed from
     the rank-r factors as (c_b^T U) . (c_b^T V).
     """
@@ -355,7 +342,9 @@ def score_collection(coll_or_counts, cfg: EstimatorConfig, ch: RapporChannel,
         raise LengthMismatch(f"sums of {sums.n} rows at k={sums.k} passed with "
                              f"{counts.shape[0]} rows at k={k}")
 
-    qhat_col = collection_mean(counts, k) if sums is None else sums.mean()
+    if sums is None:
+        sums = ExactSums.of(counts, k)
+    qhat_col = sums.mean()
     s_star, gap = special_subset(qhat_col, ch.lam)
     scores = np.empty(counts.shape[0], dtype=np.float64)
     if gap >= cfg.special_gap_threshold:
@@ -367,9 +356,8 @@ def score_collection(coll_or_counts, cfg: EstimatorConfig, ch: RapporChannel,
 
     if cfg.eps <= 0.0:
         raise EpsOutOfRange("sdp scoring requires eps > 0")
-    bundle = build_cov_bundle(counts, k, ch.lam, sums=sums)
-    sol = gram_maximize(check_symmetric(bundle.dmat), rank=cfg.sdp_rank, restarts=cfg.sdp_restarts,
-                        sweep_tol=cfg.sdp_tol, rng=rng)
+    bundle = build_cov_bundle(sums, ch.lam)
+    sol = gram_maximize(bundle.dmat, rng=rng)
     unit = rate_unit(cfg.eps, ch.d, k)
     # c^T U V^T c = (c^T U) . (c^T V): one (rows, 2r) product per block
     factors = np.hstack([sol.u_factors, sol.v_factors])
@@ -381,7 +369,7 @@ def score_collection(coll_or_counts, cfg: EstimatorConfig, ch: RapporChannel,
         quad = np.einsum("ij,ij->i", proj[:, :r], proj[:, r:])
         scores[start:start + quad.size] = np.abs(quad)
     return ScoreReport(mode="sdp", tau=sol.value / unit, scores=scores,
-                       gram=sol, bundle=bundle, tau_upper=sol.upper_bound / unit)
+                       gram=sol, tau_upper=sol.upper_bound / unit)
 
 
 def _race_order(scores: np.ndarray, exponentials: np.ndarray) -> np.ndarray:
@@ -413,11 +401,13 @@ def _delete_until_halved(scores: np.ndarray, order: np.ndarray) -> np.ndarray:
     return np.asarray(order[:stop], dtype=np.int64)
 
 
-def batch_deletion(indices, scores, rng: RngSeed) -> np.ndarray:
+def batch_deletion(indices, scores, rng: RngSeed | np.random.Generator) -> np.ndarray:
     """Randomized deletion from a candidate pool until its score mass is halved.
 
     Picks entries with probability proportional to their score, without
-    replacement; returns the deleted indices in deletion order.
+    replacement; returns the deleted indices in deletion order.  The clocks
+    are one exponential per entry, drawn from rng (a Generator, or an RngSeed's
+    default stream).
     """
     idx = np.asarray(indices, dtype=np.int64).ravel()
     sc = np.asarray(scores, dtype=np.float64).ravel()
@@ -461,11 +451,12 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
     and run the randomized deletion on that pool, its clocks assigned in
     canonical order.  With eps = 0 the result equals naive_estimate exactly.
 
-    The exact sums S1 and S2 of the survivors are computed once, by the first
-    iteration that scores in sdp mode, and downdated exactly after each
-    deletion (ExactSums.without), so qhat, Chat and the Gram input of every
-    iteration are bitwise those of a recompute from the survivors.  Scores
-    come from the rank-r Gram factors (score_collection).
+    The exact sums S1 and S2 of all rows are computed once, before the first
+    iteration, so InexactStatistics is raised there, from the full n.  They
+    are downdated exactly after each deletion (ExactSums.without), so qhat,
+    Chat and the Gram input of every iteration, and the returned qhat, are
+    bitwise those of a recompute from the survivors.  Scores come from the
+    rank-r Gram factors (score_collection); deletions from batch_deletion.
     """
     n = coll.n
     if n < 2:
@@ -479,8 +470,7 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
     # (m, d) array of a new size is allocated per iteration
     work = np.empty(counts.shape, dtype=counts.dtype)
     surviving = np.ones(n, dtype=bool)
-    # exact sums of the survivors, from the first sdp iteration on
-    sums: Optional[ExactSums] = None
+    sums = ExactSums.of(counts, k)
     pool_size = int(math.floor(cfg.eps * n))
     max_iter = cfg.max_iterations if cfg.max_iterations is not None else n
     trace: list[IterationRecord] = []
@@ -493,27 +483,19 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
         # mode="clip" (sel is in range) writes straight into out; "raise" buffers
         chosen = np.take(counts, sel, axis=0, out=work[:sel.size], mode="clip")
         report = score_collection(chosen, cfg, ch, rng.child(4, iteration), k=k, sums=sums)
-        if report.bundle is not None:
-            sums = report.bundle.sums
         gram = report.gram
         record = dict(tau=report.tau, mode=report.mode, survivors=int(sel.size),
                       gram_value=None if gram is None else gram.value,
                       gram_upper=None if gram is None else gram.upper_bound)
         if math.isfinite(report.tau) and math.sqrt(max(report.tau, 0.0)) < cfg.tau_threshold:
             trace.append(IterationRecord(pool_size=0, deleted=(), **record))
-            # a finite tau comes from sdp mode, whose bundle holds the survivors' mean
-            return _finalize(report.bundle.qhat_col, np.sort(sel), trace, ch)
+            return _finalize(sums.mean(), np.sort(sel), trace, ch)
 
         top = np.argsort(-report.scores, kind="stable")[:min(pool_size, sel.size)]
         pool = np.sort(top)
-        pool_scores = report.scores[pool]
-        if float(pool_scores.sum()) <= 0.0:
-            raise AllZeroScores("top-score pool carries no score mass")
-        clocks = rng.generator(3, iteration).exponential(size=pool.size)
-        deleted = sel[pool[_delete_until_halved(pool_scores, _race_order(pool_scores, clocks))]]
+        deleted = sel[batch_deletion(pool, report.scores[pool], rng.generator(3, iteration))]
         surviving[deleted] = False
-        if sums is not None:
-            sums = sums.without(counts[deleted])
+        sums = sums.without(counts[deleted])
         trace.append(IterationRecord(pool_size=int(pool.size),
                                      deleted=tuple(int(j) for j in deleted), **record))
 
@@ -545,13 +527,6 @@ class NicePropertiesReport:
     @property
     def all_ok(self) -> bool:
         return self.condition1 and self.condition2
-
-
-def _all_subset_sums(vectors: np.ndarray, d: int) -> np.ndarray:
-    """(rows, 2^d) matrix of subset sums of each row vector."""
-    masks = np.arange(1 << d, dtype=np.uint64)
-    bits = ((masks[:, None] >> np.arange(d, dtype=np.uint64)[None, :]) & 1).astype(np.float64)
-    return vectors @ bits.T
 
 
 def check_nice_properties(clean: BatchCollection, p_true: ProbVector, eps: float,
@@ -586,8 +561,9 @@ def check_nice_properties(clean: BatchCollection, p_true: ProbVector, eps: float
 
     means = clean.counts / k
     q = mean_response(ch, p_true)
-    subset_sums = _all_subset_sums(means, d)            # (n, 2^d)
-    q_sums = _all_subset_sums(q[None, :], d)[0]         # (2^d,)
+    bits_t = subset_indicators(d).T                     # (d, 2^d)
+    subset_sums = means @ bits_t                        # (n, 2^d)
+    q_sums = (q[None, :] @ bits_t)[0]                   # (2^d,)
 
     # condition 1a: exact worst trimmed means over subsets x subcollections
     m_min = int(math.ceil((1.0 - 2.0 * eps) * n))
@@ -663,14 +639,13 @@ def covariance_lipschitz_check(q, q_shift, k: int, lam: float,
     if d > 12:
         raise DimensionTooLarge("subset enumeration capped at d = 12")
     shift = qb - qa
-    shift_sums = _all_subset_sums(shift[None, :], d)[0]
+    bits_f = subset_indicators(d)
+    shift_sums = (shift[None, :] @ bits_f.T)[0]
     abs_shift = np.abs(shift_sums)
     if float(abs_shift.max()) > 12.0:
         raise ShiftTooLarge("subset shift exceeds 12")
     diff = model_cov(qa, k, lam) - model_cov(qb, k, lam)
     masks = np.arange(1 << d, dtype=np.uint64)
-    bits = (masks[:, None] >> np.arange(d, dtype=np.uint64)[None, :]) & 1
-    bits_f = bits.astype(np.float64)
     right = diff @ bits_f.T                    # (d, 2^d)
     max_gap = 0.0
     worst_violation = -math.inf

@@ -40,7 +40,7 @@ from .errors import (
     RankTooSmall,
     TooFewRestarts,
 )
-from .prob import RngSeed
+from .prob import RngSeed, subset_indicators
 
 #: Enumeration guard for the exact subset oracle.
 MAX_ENUM_D = 22
@@ -53,6 +53,10 @@ GAP_TOL = 1e-4
 # Floor on |upper_bound| in the relative gap, so that A = 0 (bound and value
 # both 0) certifies.
 _GAP_FLOOR = np.finfo(np.float64).tiny
+#: A start stops once a full sweep gains at most SWEEP_TOL (relative above 1).
+SWEEP_TOL = 1e-8
+#: Tolerance of both sides of the sandwich, relative to the Frobenius norm of A.
+SANDWICH_TOL = 1e-6
 
 
 def _relative_gap(value: float, upper: float) -> float:
@@ -66,11 +70,6 @@ def check_symmetric(A: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
     if float(np.abs(A - A.T).max(initial=0.0)) > tol:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     return A
-
-
-def _mask_block(start: int, stop: int, d: int) -> np.ndarray:
-    masks = np.arange(start, stop, dtype=np.uint64)
-    return ((masks[:, None] >> np.arange(d, dtype=np.uint64)[None, :]) & 1).astype(np.float64)
 
 
 def subset_bilinear_max(A) -> tuple[float, np.ndarray, np.ndarray]:
@@ -88,7 +87,7 @@ def subset_bilinear_max(A) -> tuple[float, np.ndarray, np.ndarray]:
     best_sp = np.zeros(d, dtype=bool)
     for start in range(0, 1 << d, _ENUM_CHUNK):
         stop = min(start + _ENUM_CHUNK, 1 << d)
-        bits = _mask_block(start, stop, d)
+        bits = subset_indicators(d, start, stop)
         W = bits @ A
         pos = np.where(W > 0.0, W, 0.0).sum(axis=1)
         neg = np.where(W < 0.0, -W, 0.0).sum(axis=1)
@@ -181,8 +180,7 @@ def dual_upper_bound(A, u_factors, v_factors) -> float:
 
 
 def gram_maximize(A, rank: int | None = None, restarts: int = 16,
-                  sweep_tol: float = 1e-8, rng: RngSeed | None = None,
-                  max_sweeps: int = 500) -> GramSolution:
+                  rng: RngSeed | None = None, max_sweeps: int = 500) -> GramSolution:
     """Maximize <M, A> over Gram matrices by alternating row updates.
 
     With v fixed each u_i has the closed-form optimum normalize((A v)_i); rows
@@ -190,8 +188,9 @@ def gram_maximize(A, rank: int | None = None, restarts: int = 16,
     with A, whose result also gives the objective: after U = normalize(A V)
     the value is <U, A V>.  The default rank is ceil(2 sqrt(d)) + 1.
 
-    Each start runs until a sweep gains at most sweep_tol.  After a start
-    that improves the best value, the dual bound of the best factors is
+    Each start runs until a sweep gains at most SWEEP_TOL, or for max_sweeps
+    sweeps, and start r draws its factors from rng.generator(r).  After a
+    start that improves the best value, the dual bound of the best factors is
     computed; restarting stops once the relative gap is at most GAP_TOL, or
     after `restarts` starts.  Ties break toward the lowest restart index.
     """
@@ -210,7 +209,7 @@ def gram_maximize(A, rank: int | None = None, restarts: int = 16,
     upper = math.inf
     fallback = np.tile(_e(rank, 0), (d, 1))
     for r in range(restarts):
-        gen = rng.generator(r) if isinstance(rng, RngSeed) else rng
+        gen = rng.generator(r)
         U = _normalize_rows(gen.standard_normal((d, rank)), fallback)
         V = _normalize_rows(gen.standard_normal((d, rank)), fallback)
         AV = A @ V
@@ -223,7 +222,7 @@ def gram_maximize(A, rank: int | None = None, restarts: int = 16,
             V = _normalize_rows(AU, V)
             new_value = float(np.vdot(V, AU))
             history.append(new_value)
-            converged = new_value - value <= sweep_tol * max(1.0, abs(new_value))
+            converged = new_value - value <= SWEEP_TOL * max(1.0, abs(new_value))
             value = new_value
             if converged:
                 break
@@ -281,21 +280,22 @@ class SandwichReport:
         return self.lower_ok and self.upper_ok
 
 
-def sandwich_check(A, sol: GramSolution | None = None, rng: RngSeed | None = None,
-                   tol_scale: float = 1e-6, **solver_kwargs) -> SandwichReport:
+def sandwich_check(A, sol: GramSolution | None = None,
+                   rng: RngSeed | None = None) -> SandwichReport:
     """Certify subset_max <= gram value + tol and gram upper bound <= 8 * subset_max + tol.
 
     The upper side checks the certified upper bound, so it holds for the true
     Gram maximum and not only for the value the solver reached.  The tolerance
-    is tol_scale times the Frobenius norm of A on both sides.
+    is SANDWICH_TOL times the Frobenius norm of A on both sides.  Without sol,
+    A is solved by gram_maximize with rng.
     """
     A = check_symmetric(A)
     if A.shape[0] > MAX_ENUM_D:
         raise DimensionTooLarge("sandwich certification requires enumerable d")
     if sol is None:
-        sol = gram_maximize(A, rng=rng, **solver_kwargs)
+        sol = gram_maximize(A, rng=rng)
     bf, _, _ = subset_bilinear_max(A)
-    tol = tol_scale * float(np.linalg.norm(A))
+    tol = SANDWICH_TOL * float(np.linalg.norm(A))
     lower_margin = sol.value + tol - bf
     upper_margin = 8.0 * bf + tol - sol.upper_bound
     return SandwichReport(

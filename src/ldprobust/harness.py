@@ -73,7 +73,6 @@ class TrialCell:
     attack_params: dict = field(default_factory=dict)
     p_family: str = "dirichlet"
     tau_threshold: float = DESK_TAU_THRESHOLD
-    sdp_restarts: int = 16
 
     def __post_init__(self):
         if self.n < 2 or self.k < 1:
@@ -85,8 +84,7 @@ class TrialCell:
             raise InvalidConfig(f"unknown p family {self.p_family!r}")
 
     def estimator_config(self) -> EstimatorConfig:
-        return EstimatorConfig(eps=self.eps, tau_threshold=self.tau_threshold,
-                               sdp_restarts=self.sdp_restarts)
+        return EstimatorConfig(eps=self.eps, tau_threshold=self.tau_threshold)
 
 
 @dataclass

@@ -27,10 +27,18 @@ from .errors import (
     EmptySubspace,
     EpsOutOfRange,
     InfeasibleScale,
+    InvalidArgument,
     ProductSpaceTooLarge,
     TooSmallAlphabet,
 )
-from .prob import FiniteDist, ProbVector, RngSeed, make_prob_vector, tv_product_bound
+from .prob import (
+    FiniteDist,
+    ProbVector,
+    RngSeed,
+    make_prob_vector,
+    subset_indicators,
+    tv_product_bound,
+)
 
 #: Exact output-space enumeration guard.
 MAX_EXACT_D = 16
@@ -46,8 +54,7 @@ _RANK_TOL = 1e-10
 def _output_bits(d: int) -> np.ndarray:
     if d > MAX_EXACT_D:
         raise DimensionTooLarge(f"exact enumeration capped at d={MAX_EXACT_D}")
-    masks = np.arange(1 << d, dtype=np.uint64)
-    return ((masks[:, None] >> np.arange(d, dtype=np.uint64)[None, :]) & 1).astype(np.float64)
+    return subset_indicators(d)
 
 
 def _conditional_outputs(ch: RapporChannel) -> np.ndarray:
@@ -111,36 +118,6 @@ def omega_matrix(ch: RapporChannel) -> OmegaMatrix:
     return OmegaMatrix(matrix=omega, alpha=ch.alpha, d=ch.d)
 
 
-def omega_matrix_mc(ch: RapporChannel, n_samples: int, rng: RngSeed,
-                    chunk: int = 1 << 18) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo estimate of the information matrix with entrywise standard errors.
-
-    Samples outputs from Q(. | 1); usable beyond the exact-enumeration cap but
-    excluded from acceptance checks.
-    """
-    d, lam = ch.d, ch.lam
-    ratio = (1.0 - lam) / lam
-    table = np.array([1.0 / ratio ** 2 - 1.0, 0.0, ratio ** 2 - 1.0])
-    total = np.zeros((d, d))
-    total_sq = np.zeros((d, d))
-    done = 0
-    idx = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        gen = rng.generator(idx)
-        z = (gen.random((m, d)) < lam).astype(np.int8)
-        z[:, 0] = (gen.random(m) < (1.0 - lam)).astype(np.int8)
-        qvals = table[(z - z[:, [0]]) + 1]
-        total += qvals.T @ qvals
-        total_sq += (qvals * qvals).T @ (qvals * qvals)
-        done += m
-        idx += 1
-    mean = total / n_samples
-    var = total_sq / n_samples - mean * mean
-    se = np.sqrt(np.clip(var, 0.0, None) / n_samples)
-    return mean, se
-
-
 def low_eigenspace_delta(omega: OmegaMatrix, eps: float, k: int,
                          gaussian_samples: int, rng: RngSeed) -> np.ndarray:
     """Sum-zero direction in the low eigenspace with a large l1-to-l2 ratio.
@@ -158,7 +135,7 @@ def low_eigenspace_delta(omega: OmegaMatrix, eps: float, k: int,
     if omega.d < 3:
         raise TooSmallAlphabet("d must be >= 3")
     if gaussian_samples < 1:
-        raise ValueError("need at least one sample")
+        raise InvalidArgument(f"need at least one sample, got {gaussian_samples}")
     vals, vecs = np.linalg.eigh(omega.matrix)
     cutoff = EIGENVALUE_CAP * omega.alpha ** 2
     j0 = int((vals <= cutoff + 1e-12).sum())
@@ -237,7 +214,7 @@ def hard_pair(ch: RapporChannel, eps: float, k: int, rng: RngSeed,
     if not 0.0 < eps < 0.5:
         raise EpsOutOfRange("eps must lie in (0, 1/2)")
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidArgument(f"k must be >= 1, got {k}")
     if ch.alpha > 1.0:
         raise AlphaOutOfRange("hard pair construction requires alpha <= 1")
     omega = omega_matrix(ch)
@@ -307,8 +284,8 @@ def common_mixture(pair: HardPair, ch: RapporChannel, k: int) -> CommonMixture:
 
 def _snap_gamma(gamma: float, bits: int = 16) -> float:
     """Round gamma to a 16-bit significand so paired offsets subtract exactly."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise InvalidArgument(f"gamma must be positive and finite, got {gamma}")
     exp = math.floor(math.log2(gamma))
     scale = 2.0 ** (exp - (bits - 1))
     return round(gamma / scale) * scale
@@ -355,9 +332,9 @@ def assouad_family(d: int, n: int, alpha: float, c_gamma: float) -> AssouadFamil
     if d < 3:
         raise TooSmallAlphabet("d must be >= 3")
     if not 0.0 < c_gamma < 1.0:
-        raise ValueError("c_gamma must lie in (0, 1)")
-    if alpha <= 0 or n < 1:
-        raise ValueError("need alpha > 0 and n >= 1")
+        raise InvalidArgument(f"c_gamma must lie in (0, 1), got {c_gamma}")
+    if not (0.0 < alpha < math.inf and n >= 1):
+        raise InvalidArgument(f"need a finite alpha > 0 and n >= 1, got alpha={alpha}, n={n}")
     gamma = min(c_gamma / (alpha * math.sqrt(n)), c_gamma / d)
     return AssouadFamily(d=d, n=n, alpha=alpha, c_gamma=c_gamma,
                          gamma=_snap_gamma(gamma))

@@ -185,6 +185,13 @@ def subset_mask(d: int, members) -> np.ndarray:
     return mask
 
 
+def subset_indicators(d: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """(stop - start, d) float64 0/1 matrix whose row i indicates the subset with
+    bit mask start + i (bit j is coordinate j); by default all 2^d subsets."""
+    masks = np.arange(start, 1 << d if stop is None else stop, dtype=np.uint64)
+    return ((masks[:, None] >> np.arange(d, dtype=np.uint64)[None, :]) & 1).astype(np.float64)
+
+
 def subset_mass(v, mask: np.ndarray) -> float:
     """Sum of the coordinates of v selected by a boolean mask."""
     va = v.weights if isinstance(v, ProbVector) else np.asarray(v, dtype=np.float64).ravel()

@@ -446,6 +446,35 @@ class TestDowndatedStatistics:
             assert np.array_equal(A, gram_input)
         assert np.array_equal(res.qhat, ref_stats[-1][1])
 
+    def test_loop_deletes_through_batch_deletion(self, monkeypatch):
+        # deletes in two special-mode and two sdp-mode iterations
+        coll, ch = trial_collection(2000, 50, 5, "all_ones", 0.1, seed=0)
+        cfg = EstimatorConfig(eps=0.1, tau_threshold=DESK_TAU_THRESHOLD, special_gap_threshold=0.35)
+        reports, calls = [], []
+        score, delete = estimator_module.score_collection, estimator_module.batch_deletion
+
+        def recording_score(*args, **kwargs):
+            reports.append(score(*args, **kwargs))
+            return reports[-1]
+
+        def recording_delete(indices, pool_scores, rng):
+            calls.append((np.array(indices), np.array(pool_scores), delete(indices, pool_scores, rng)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(estimator_module, "score_collection", recording_score)
+        monkeypatch.setattr(estimator_module, "batch_deletion", recording_delete)
+        res = robust_estimate(coll, cfg, ch, RngSeed(3))
+
+        deleting = [(rec, rep) for rec, rep in zip(res.trace, reports) if rec.deleted]
+        assert {rep.mode for _, rep in deleting} == {"special", "sdp"}
+        assert len(calls) == len(deleting)
+        for (pool, pool_scores, out), (rec, rep) in zip(calls, deleting):
+            # the pool holds the top scores of this iteration, with their scores
+            assert pool.size == rec.pool_size
+            assert np.array_equal(pool_scores, rep.scores[pool])
+            assert pool_scores.min() >= np.delete(rep.scores, pool).max()
+            assert len(out) == len(rec.deleted)
+
 
 class TestBatchDeletion:
     def test_equal_scores_halving(self):
@@ -736,7 +765,7 @@ class TestNiceProperties:
         coll = make_clean_collection(ch, p, 500, k, RngSeed(21))
         rep = check_nice_properties(coll, p, eps, ch, RngSeed(22))
         assert rep.all_ok
-        bundle = build_cov_bundle(coll.counts, k, ch.lam)
+        bundle = build_cov_bundle(ExactSums.of(coll.counts, k), ch.lam)
         gap_mat = 0.5 * (bundle.dmat + bundle.dmat.T)
         bits = _bit_matrix(ch.d)
         var_gaps = np.abs(np.einsum("si,ij,sj->s", bits, gap_mat, bits))

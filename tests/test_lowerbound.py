@@ -36,7 +36,6 @@ from ldprobust.lowerbound import (
     hard_pair,
     low_eigenspace_delta,
     omega_matrix,
-    omega_matrix_mc,
 )
 
 
@@ -65,13 +64,6 @@ class TestOmegaMatrix:
     def test_rejects_large_d(self):
         with pytest.raises(DimensionTooLarge):
             omega_matrix(RapporChannel.create(17, 1.0))
-
-    def test_monte_carlo_agrees(self):
-        ch = RapporChannel.create(4, 1.0)
-        exact = omega_matrix(ch).matrix
-        est, se = omega_matrix_mc(ch, 10 ** 7, RngSeed(3))
-        se = np.where(se > 0, se, np.inf)
-        assert (np.abs(est - exact) <= 5 * se).all()
 
 
 class TestLowEigenspaceDelta:
