@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatch,
     EmptyBatch,
     EpsOutOfRange,
+    InvalidArgument,
     InvalidAttackParams,
 )
 from .prob import ProbVector, RngSeed
@@ -95,7 +96,6 @@ class AttackSpec:
       swap_distribution           honest privatization of another distribution q
       targeted_subset             privatize uniform, then push masked coordinates
                                   to (1 + direction)/2 independently w.p. magnitude
-      hard_pair_swap              swap_distribution on the q of a hard pair
     """
 
     kind: str
@@ -103,18 +103,14 @@ class AttackSpec:
     mask: Optional[np.ndarray] = None
     direction: int = 1
     magnitude: float = 1.0
-    pair: object = None
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
-        kinds = {"all_ones", "all_zeros", "swap_distribution", "targeted_subset",
-                 "hard_pair_swap"}
+        kinds = {"all_ones", "all_zeros", "swap_distribution", "targeted_subset"}
         if self.kind not in kinds:
             raise InvalidAttackParams(f"unknown attack kind {self.kind!r}")
         if self.kind == "swap_distribution" and self.q is None:
             raise InvalidAttackParams("swap_distribution requires q")
-        if self.kind == "hard_pair_swap" and self.pair is None:
-            raise InvalidAttackParams("hard_pair_swap requires a pair")
         if self.kind == "targeted_subset":
             if self.mask is None:
                 raise InvalidAttackParams("targeted_subset requires a mask")
@@ -133,20 +129,20 @@ def make_clean_collection(ch: RapporChannel, p: ProbVector, n_prime: int, k: int
         raise CountMismatch("need n_prime >= 1 and k >= 1")
     if p.d != ch.d:
         raise DimensionMismatch("p and channel disagree on d")
-    return BatchCollection(counts=sample_counts(ch, p, n_prime, k, rng), k=k,
+    return BatchCollection(counts=sample_counts(ch, p, n_prime, k, rng.generator()), k=k,
                            truth=np.zeros(n_prime, dtype=np.uint8),
                            eps=0.0, seed=rng.seed)
 
 
 def attack_counts(attack: AttackSpec, ch: RapporChannel, m: int, k: int,
-                  rng) -> np.ndarray:
+                  gen: np.random.Generator) -> np.ndarray:
     """Count rows of m adversarial batches of k samples, as an (m, d) int64 array.
 
     Each row has the law of the per-coordinate sums of one batch the strategy
     would emit sample by sample.  For targeted_subset the masked coordinates of
     uniform counts gain Bin(k - ones, magnitude) ones upward or lose
     Bin(ones, magnitude) downward, since each sample's bit is forced
-    independently.  `rng` is an RngSeed or a numpy Generator.
+    independently.
     """
     if k < 1:
         raise InvalidAttackParams("k must be >= 1")
@@ -157,14 +153,11 @@ def attack_counts(attack: AttackSpec, ch: RapporChannel, m: int, k: int,
     if attack.kind == "all_zeros":
         return np.zeros((m, ch.d), dtype=np.int64)
     if attack.kind == "swap_distribution":
-        return sample_counts(ch, attack.q, m, k, rng)
-    if attack.kind == "hard_pair_swap":
-        return sample_counts(ch, attack.pair.q, m, k, rng)
+        return sample_counts(ch, attack.q, m, k, gen)
     # targeted_subset
     mask = np.asarray(attack.mask, dtype=bool).ravel()
     if mask.size != ch.d:
         raise InvalidAttackParams("mask length != d")
-    gen = rng.generator() if isinstance(rng, RngSeed) else rng
     uniform = ProbVector(np.full(ch.d, 1.0 / ch.d))
     counts = sample_counts(ch, uniform, m, k, gen)
     ones = counts[:, mask]
@@ -209,7 +202,7 @@ def save_collection(coll: BatchCollection, path) -> None:
     """Write the version-2 collection format: header, counts, optional labels."""
     eps_num, eps_den = float(coll.eps).as_integer_ratio()
     if eps_num < 0 or eps_num >= 2 ** 64 or eps_den >= 2 ** 64:
-        raise ValueError("eps outside serializable range")
+        raise InvalidArgument("eps outside serializable range")
     header = _HEADER.pack(_MAGIC, _VERSION, coll.n, coll.k, coll.d, eps_num, eps_den,
                           coll.seed, 1 if coll.truth is not None else 0)
     with open(path, "wb") as fh:

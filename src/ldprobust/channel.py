@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
     EmptySubset,
+    InvalidArgument,
     NonPositiveAlpha,
     SymbolOutOfRange,
     TooSmallAlphabet,
@@ -101,10 +102,9 @@ def _check_symbols(ch: RapporChannel, xs: np.ndarray) -> np.ndarray:
     return xs
 
 
-def privatize_batch(ch: RapporChannel, xs, rng: RngSeed) -> np.ndarray:
+def privatize_batch(ch: RapporChannel, xs, gen: np.random.Generator) -> np.ndarray:
     """Privatize a sequence of symbols independently; returns a (len(xs), d) array."""
     xs = _check_symbols(ch, xs)
-    gen = rng.generator() if isinstance(rng, RngSeed) else rng
     if xs.size == 0:
         return np.zeros((0, ch.d), dtype=np.uint8)
     onehot = np.zeros((xs.size, ch.d), dtype=np.uint8)
@@ -113,9 +113,9 @@ def privatize_batch(ch: RapporChannel, xs, rng: RngSeed) -> np.ndarray:
     return onehot ^ flips
 
 
-def privatize(ch: RapporChannel, x: int, rng: RngSeed) -> np.ndarray:
+def privatize(ch: RapporChannel, x: int, gen: np.random.Generator) -> np.ndarray:
     """Privatize a single symbol; returns a length-d bit vector."""
-    return privatize_batch(ch, [x], rng)[0]
+    return privatize_batch(ch, [x], gen)[0]
 
 
 def sample_privatized(ch: RapporChannel, p: ProbVector, count: int,
@@ -128,7 +128,7 @@ def sample_privatized(ch: RapporChannel, p: ProbVector, count: int,
     if p.d != ch.d:
         raise DimensionMismatch(f"p has d={p.d}, channel has d={ch.d}")
     if count < 0:
-        raise ValueError("count must be nonnegative")
+        raise InvalidArgument("count must be nonnegative")
     out = np.empty((count, ch.d), dtype=np.uint8)
     chunk = max(1, _CHUNK_SCALARS // ch.d)
     pos = 0
@@ -147,20 +147,19 @@ def sample_privatized(ch: RapporChannel, p: ProbVector, count: int,
 
 
 def sample_counts(ch: RapporChannel, p: ProbVector, m: int, k: int,
-                  rng) -> np.ndarray:
+                  gen: np.random.Generator) -> np.ndarray:
     """Counts of ones per coordinate of m batches of k privatized draws from p.
 
     Returns an (m, d) int64 array.  Each row draws its symbol counts
     c ~ Multinomial(k, p); given c the coordinates are independent, coordinate
     j keeping Bin(c_j, 1 - lam) of its c_j ones and flipping Bin(k - c_j, lam)
     of its zeros.  This is the exact law of the per-batch sums of k
-    `sample_privatized` rows.  `rng` is an RngSeed or a numpy Generator.
+    `sample_privatized` rows.
     """
     if p.d != ch.d:
         raise DimensionMismatch(f"p has d={p.d}, channel has d={ch.d}")
     if m < 0 or k < 0:
         raise CountMismatch(f"need m >= 0 and k >= 0, got m={m}, k={k}")
-    gen = rng.generator() if isinstance(rng, RngSeed) else rng
     # ProbVector admits entries down to -1e-12 and sums 1e-12 away from 1,
     # which multinomial rejects; clip and renormalize.
     w = np.clip(p.weights, 0.0, None)
@@ -189,7 +188,7 @@ def invert_mean(ch: RapporChannel, qhat) -> np.ndarray:
 
 
 def subset_sum_law_sample(ch: RapporChannel, p: ProbVector, mask: np.ndarray,
-                          rng: RngSeed, count: int = 1) -> np.ndarray:
+                          gen: np.random.Generator, count: int = 1) -> np.ndarray:
     """Sample sum_{j in S} Z(j) via its closed-form law instead of privatizing.
 
     The subset sum of a privatized sample equals, in distribution, the sum of
@@ -203,7 +202,6 @@ def subset_sum_law_sample(ch: RapporChannel, p: ProbVector, mask: np.ndarray,
     s = int(m.sum())
     if s == 0:
         raise EmptySubset("subset must be nonempty")
-    gen = rng.generator() if isinstance(rng, RngSeed) else rng
     ps = subset_mass(p.weights, m)
     special = ch.lam + (1.0 - 2.0 * ch.lam) * ps
     base = gen.binomial(s - 1, ch.lam, size=count) if s > 1 else np.zeros(count, dtype=np.int64)

@@ -25,8 +25,10 @@ class InvalidConfig(InputError, ValueError):
 
 class InvalidArgument(InputError, ValueError):
     """A function argument outside its documented contract: a seed or trial
-    index, a batch size, a missing k, mismatched or negative scores, or a
-    lower-bound family parameter (alpha, n, c_gamma, gamma, sample count).
+    index, a batch size or sample count, a missing k, mismatched or negative
+    scores, a malformed vector or outcome set, an unserializable eps, an
+    unknown fit axis, or a lower-bound family parameter (alpha, n, c_gamma,
+    gamma).
 
     Also a ValueError, which these checks raised before they were typed.
     """
@@ -100,15 +102,7 @@ class DimensionTooLarge(InputError):
     pass
 
 
-class RankTooSmall(InputError):
-    pass
-
-
 class NotSymmetric(ArtifactError):
-    pass
-
-
-class TooFewRestarts(InputError):
     pass
 
 
@@ -138,10 +132,6 @@ class Exhausted(ArtifactError):
     pass
 
 
-class IterationCap(ArtifactError):
-    pass
-
-
 class ShiftTooLarge(ArtifactError):
     pass
 
@@ -160,8 +150,13 @@ class InfeasibleScale(ArtifactError):
     pass
 
 
-class ProductSpaceTooLarge(ArtifactError):
+class ProductSpaceTooLarge(InputError):
     pass
+
+
+class CertificateViolation(ArtifactError):
+    """A constructed certificate (the information matrix, a hard pair) fails
+    one of the properties it is built to have."""
 
 
 class BadSigns(ArtifactError):

@@ -22,6 +22,7 @@ score (c^T U) . (c^T V) comes from one product with the d x 2r factors, O(m d r)
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -39,7 +40,6 @@ from .errors import (
     InexactStatistics,
     InvalidArgument,
     InvalidConfig,
-    IterationCap,
     LengthMismatch,
     ShiftTooLarge,
     TooFewBatches,
@@ -52,7 +52,7 @@ from .prob import ProbVector, RngSeed, subset_indicators
 #: produce, so sweeps use the recalibrated DESK_TAU_THRESHOLD instead.
 DEFAULT_TAU_THRESHOLD = 200.0
 #: Gap at which the scoring switches to the special large-mean mode.
-DEFAULT_SPECIAL_GAP = 11.0
+SPECIAL_GAP = 11.0
 #: Pilot-calibrated sqrt(tau) threshold for desk-scale experiments: clean
 #: collections at (d=5, k=50, n~2000) score sqrt(tau) well below 1 while the
 #: attacks of interest score several times higher.  Frozen after a pilot run.
@@ -70,14 +70,12 @@ def rate_unit(eps: float, d: int, k: int) -> float:
 class EstimatorConfig:
     eps: float
     tau_threshold: float = DEFAULT_TAU_THRESHOLD
-    special_gap_threshold: float = DEFAULT_SPECIAL_GAP
-    max_iterations: Optional[int] = None
 
     def __post_init__(self):
         if not 0.0 <= self.eps < 0.25:
             raise EpsOutOfRange(f"eps must lie in [0, 1/4), got {self.eps}")
-        if not (self.tau_threshold > 0 and self.special_gap_threshold > 0):
-            raise InvalidConfig("thresholds must be positive")
+        if not self.tau_threshold > 0:
+            raise InvalidConfig("tau_threshold must be positive")
 
 
 @dataclass
@@ -325,10 +323,10 @@ def score_collection(coll_or_counts, cfg: EstimatorConfig, ch: RapporChannel,
     with k, and optionally the exact sums of those rows (see ExactSums); they
     are computed from the rows when not passed.  The mean, and in sdp mode the
     covariance, are read from the sums.  Special mode fires when the mean gap
-    |qhat(S*) - lam*|S*|| reaches the configured threshold; tau is then +inf
-    and scores are the per-row gaps on S*.  Otherwise tau normalizes the Gram maximum of Chat - C(qhat) and the
-    score of row b is |c_b^T M* c_b| for its centered mean c_b, computed from
-    the rank-r factors as (c_b^T U) . (c_b^T V).
+    |qhat(S*) - lam*|S*|| reaches SPECIAL_GAP; tau is then +inf and scores
+    are the per-row gaps on S*.  Otherwise tau normalizes the Gram maximum of
+    Chat - C(qhat) and the score of row b is |c_b^T M* c_b| for its centered
+    mean c_b, computed from the rank-r factors as (c_b^T U) . (c_b^T V).
     """
     if isinstance(coll_or_counts, BatchCollection):
         counts, k = coll_or_counts.counts, coll_or_counts.k
@@ -347,7 +345,7 @@ def score_collection(coll_or_counts, cfg: EstimatorConfig, ch: RapporChannel,
     qhat_col = sums.mean()
     s_star, gap = special_subset(qhat_col, ch.lam)
     scores = np.empty(counts.shape[0], dtype=np.float64)
-    if gap >= cfg.special_gap_threshold:
+    if gap >= SPECIAL_GAP:
         offset = ch.lam * float(s_star.sum())
         for start, block in _row_blocks(counts):
             shift = block[:, s_star].sum(axis=1) / k - offset
@@ -401,13 +399,12 @@ def _delete_until_halved(scores: np.ndarray, order: np.ndarray) -> np.ndarray:
     return np.asarray(order[:stop], dtype=np.int64)
 
 
-def batch_deletion(indices, scores, rng: RngSeed | np.random.Generator) -> np.ndarray:
+def batch_deletion(indices, scores, gen: np.random.Generator) -> np.ndarray:
     """Randomized deletion from a candidate pool until its score mass is halved.
 
     Picks entries with probability proportional to their score, without
     replacement; returns the deleted indices in deletion order.  The clocks
-    are one exponential per entry, drawn from rng (a Generator, or an RngSeed's
-    default stream).
+    are one exponential per entry, drawn from gen.
     """
     idx = np.asarray(indices, dtype=np.int64).ravel()
     sc = np.asarray(scores, dtype=np.float64).ravel()
@@ -417,7 +414,6 @@ def batch_deletion(indices, scores, rng: RngSeed | np.random.Generator) -> np.nd
         raise InvalidArgument(f"indices and scores differ in length: {idx.size} and {sc.size}")
     if np.any(sc < 0):
         raise InvalidArgument("scores must be nonnegative")
-    gen = rng.generator() if isinstance(rng, RngSeed) else rng
     exps = gen.exponential(size=idx.size)
     local = _delete_until_halved(sc, _race_order(sc, exps))
     return idx[local]
@@ -450,6 +446,8 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
     the lower canonical rank, the rank in lexicographic order of count rows)
     and run the randomized deletion on that pool, its clocks assigned in
     canonical order.  With eps = 0 the result equals naive_estimate exactly.
+    Every iteration that does not stop deletes at least one row, so the loop
+    ends, at the latest with Exhausted or AllZeroScores.
 
     The exact sums S1 and S2 of all rows are computed once, before the first
     iteration, so InexactStatistics is raised there, from the full n.  They
@@ -472,10 +470,9 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
     surviving = np.ones(n, dtype=bool)
     sums = ExactSums.of(counts, k)
     pool_size = int(math.floor(cfg.eps * n))
-    max_iter = cfg.max_iterations if cfg.max_iterations is not None else n
     trace: list[IterationRecord] = []
 
-    for iteration in range(max_iter + 1):
+    for iteration in itertools.count():
         # survivors in canonical order, so position in sel is canonical rank
         sel = canonical[surviving[canonical]]
         if sel.size < 2:
@@ -499,10 +496,17 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
         trace.append(IterationRecord(pool_size=int(pool.size),
                                      deleted=tuple(int(j) for j in deleted), **record))
 
-    raise IterationCap(f"exceeded {max_iter} filtering iterations")
-
 
 # --- statistical test suites for clean-batch behavior ---
+
+#: Random trimmed sub-collections, besides the full one, on which
+#: check_nice_properties checks the covariance, and random subset pairs it
+#: inspects for condition 2.
+NICE_SUBCOLLECTIONS = 8
+NICE_PAIRS = 128
+# Rows of subsets per block in covariance_lipschitz_check.
+_LIPSCHITZ_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class NicePropertiesReport:
@@ -530,9 +534,8 @@ class NicePropertiesReport:
 
 
 def check_nice_properties(clean: BatchCollection, p_true: ProbVector, eps: float,
-                          ch: RapporChannel, rng: Optional[RngSeed] = None,
-                          n_subcollections: int = 8,
-                          n_pairs: int = 128) -> NicePropertiesReport:
+                          ch: RapporChannel,
+                          rng: Optional[RngSeed] = None) -> NicePropertiesReport:
     """Concentration checks that clean batch collections satisfy with high probability.
 
     Condition 1a: every sub-collection keeping at least a (1 - 2*eps) fraction
@@ -542,15 +545,16 @@ def check_nice_properties(clean: BatchCollection, p_true: ProbVector, eps: float
 
     Condition 1b: the empirical covariance of such sub-collections stays within
     250*d*eps*ln(e/eps)/k of the model covariance at the sub-collection mean,
-    uniformly over subset pairs (checked exactly via the subset oracle).
+    uniformly over subset pairs (checked exactly via the subset oracle), on
+    the full collection and NICE_SUBCOLLECTIONS random trims.
 
     Condition 2: over every sub-collection of at most eps*|B_G| rows and each
-    inspected subset pair, the summed product of centered subset masses stays
-    below 33*eps*d*|B_G|*ln(e/eps)/k; the worst sub-collection per pair is the
-    positive part of the top scores, computed exactly.
+    of NICE_PAIRS random subset pairs, the summed product of centered subset
+    masses stays below 33*eps*d*|B_G|*ln(e/eps)/k; the worst sub-collection
+    per pair is the positive part of the top scores, computed exactly.
     """
     if clean.truth is not None and clean.adversarial_count() != 0:
-        raise ValueError("collection must be entirely clean")
+        raise InvalidArgument("collection must be entirely clean")
     d, k, n = clean.d, clean.k, clean.n
     if d > 12:
         raise DimensionTooLarge("subset enumeration capped at d = 12")
@@ -581,7 +585,7 @@ def check_nice_properties(clean: BatchCollection, p_true: ProbVector, eps: float
     cov_worst = 0.0
     selections = [np.arange(n)]
     gen = rng.generator(11)
-    for _ in range(n_subcollections):
+    for _ in range(NICE_SUBCOLLECTIONS):
         selections.append(np.sort(gen.choice(n, size=m_min, replace=False)))
     for sel in selections:
         chat = empirical_cov(clean.counts[sel], k)
@@ -596,7 +600,7 @@ def check_nice_properties(clean: BatchCollection, p_true: ProbVector, eps: float
     diag_scores = np.sort(centered_true * centered_true, axis=0)[::-1]
     small_worst = float(np.maximum(diag_scores[:m_small], 0.0).sum(axis=0).max())
     n_masks = 1 << d
-    for _ in range(n_pairs):
+    for _ in range(NICE_PAIRS):
         i = int(gen.integers(n_masks))
         j = int(gen.integers(n_masks))
         prod = centered_true[:, i] * centered_true[:, j]
@@ -622,8 +626,7 @@ class LipschitzReport:
     ok: bool
 
 
-def covariance_lipschitz_check(q, q_shift, k: int, lam: float,
-                               chunk: int = 256) -> LipschitzReport:
+def covariance_lipschitz_check(q, q_shift, k: int, lam: float) -> LipschitzReport:
     """Verify the covariance Lipschitz bound exactly over every subset pair.
 
     The bound checked is
@@ -649,8 +652,8 @@ def covariance_lipschitz_check(q, q_shift, k: int, lam: float,
     right = diff @ bits_f.T                    # (d, 2^d)
     max_gap = 0.0
     worst_violation = -math.inf
-    for start in range(0, 1 << d, chunk):
-        stop = min(start + chunk, 1 << d)
+    for start in range(0, 1 << d, _LIPSCHITZ_CHUNK):
+        stop = min(start + _LIPSCHITZ_CHUNK, 1 << d)
         vals = np.abs(bits_f[start:stop] @ right)
         inter = masks[start:stop, None] & masks[None, :]
         cap = np.maximum(np.maximum.outer(abs_shift[start:stop], abs_shift),

@@ -37,8 +37,6 @@ from .errors import (
     InvalidGramSolution,
     LengthMismatch,
     NotSymmetric,
-    RankTooSmall,
-    TooFewRestarts,
 )
 from .prob import RngSeed, subset_indicators
 
@@ -53,8 +51,12 @@ GAP_TOL = 1e-4
 # Floor on |upper_bound| in the relative gap, so that A = 0 (bound and value
 # both 0) certifies.
 _GAP_FLOOR = np.finfo(np.float64).tiny
-#: A start stops once a full sweep gains at most SWEEP_TOL (relative above 1).
+#: A start stops once a full sweep gains at most SWEEP_TOL (relative above 1),
+#: or after MAX_SWEEPS sweeps.
 SWEEP_TOL = 1e-8
+MAX_SWEEPS = 500
+#: Cap on the random starts of one solve.
+MAX_RESTARTS = 16
 #: Tolerance of both sides of the sandwich, relative to the Frobenius norm of A.
 SANDWICH_TOL = 1e-6
 
@@ -63,11 +65,11 @@ def _relative_gap(value: float, upper: float) -> float:
     return (upper - value) / max(abs(upper), _GAP_FLOOR)
 
 
-def check_symmetric(A: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
+def check_symmetric(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetric("matrix must be square")
-    if float(np.abs(A - A.T).max(initial=0.0)) > tol:
+    if float(np.abs(A - A.T).max(initial=0.0)) > SYMMETRY_TOL:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     return A
 
@@ -179,43 +181,37 @@ def dual_upper_bound(A, u_factors, v_factors) -> float:
     return float(y.sum()) + 2 * d * max(0.0, -lam_min)
 
 
-def gram_maximize(A, rank: int | None = None, restarts: int = 16,
-                  rng: RngSeed | None = None, max_sweeps: int = 500) -> GramSolution:
+def gram_maximize(A, rng: RngSeed | None = None) -> GramSolution:
     """Maximize <M, A> over Gram matrices by alternating row updates.
 
     With v fixed each u_i has the closed-form optimum normalize((A v)_i); rows
     with zero gradient are left unchanged.  A half sweep costs one product
     with A, whose result also gives the objective: after U = normalize(A V)
-    the value is <U, A V>.  The default rank is ceil(2 sqrt(d)) + 1.
+    the value is <U, A V>.  The rank is ceil(2 sqrt(d)) + 1.
 
-    Each start runs until a sweep gains at most SWEEP_TOL, or for max_sweeps
+    Each start runs until a sweep gains at most SWEEP_TOL, or for MAX_SWEEPS
     sweeps, and start r draws its factors from rng.generator(r).  After a
     start that improves the best value, the dual bound of the best factors is
     computed; restarting stops once the relative gap is at most GAP_TOL, or
-    after `restarts` starts.  Ties break toward the lowest restart index.
+    after MAX_RESTARTS starts.  Ties break toward the lowest restart index.
     """
     A = check_symmetric(A)
     d = A.shape[0]
-    if rank is None:
-        rank = math.ceil(2.0 * math.sqrt(d)) + 1
-    if rank < 3:
-        raise RankTooSmall(f"rank must be >= 3, got {rank}")
-    if restarts < 1:
-        raise TooFewRestarts(f"restarts must be >= 1, got {restarts}")
+    rank = math.ceil(2.0 * math.sqrt(d)) + 1
     if rng is None:
         rng = RngSeed(0)
 
     best = None
     upper = math.inf
     fallback = np.tile(_e(rank, 0), (d, 1))
-    for r in range(restarts):
+    for r in range(MAX_RESTARTS):
         gen = rng.generator(r)
         U = _normalize_rows(gen.standard_normal((d, rank)), fallback)
         V = _normalize_rows(gen.standard_normal((d, rank)), fallback)
         AV = A @ V
         value = float(np.vdot(U, AV))
         history = [value]
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             U = _normalize_rows(AV, U)
             history.append(float(np.vdot(U, AV)))
             AU = A @ U
@@ -245,23 +241,20 @@ def _e(r: int, i: int) -> np.ndarray:
     return v
 
 
-def indicator_embedding(s_mask, sp_mask, rank: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-vector factors whose Gram matrix equals 1_S 1_{S'}^T exactly.
+def indicator_embedding(s_mask, sp_mask) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-3 unit-vector factors whose Gram matrix equals 1_S 1_{S'}^T exactly.
 
     Rows of u are e0 on S and e1 off it; rows of v are e0 on S' and e2 off it.
-    Requires rank >= 3 for the three orthonormal directions.
     """
-    if rank < 3:
-        raise RankTooSmall("indicator embedding needs rank >= 3")
     s = np.asarray(s_mask, dtype=bool).ravel()
     sp = np.asarray(sp_mask, dtype=bool).ravel()
     if s.size != sp.size:
         raise LengthMismatch(f"masks differ in length: {s.size} and {sp.size}")
     d = s.size
-    U = np.tile(_e(rank, 1), (d, 1))
-    U[s] = _e(rank, 0)
-    V = np.tile(_e(rank, 2), (d, 1))
-    V[sp] = _e(rank, 0)
+    U = np.tile(_e(3, 1), (d, 1))
+    U[s] = _e(3, 0)
+    V = np.tile(_e(3, 2), (d, 1))
+    V[sp] = _e(3, 0)
     return U, V
 
 

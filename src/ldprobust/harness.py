@@ -142,8 +142,7 @@ def sample_p(family: str, d: int, rng: RngSeed) -> ProbVector:
     raise InvalidConfig(f"unknown p family {family!r}")
 
 
-def resolve_attack(cell: TrialCell, p: ProbVector, ch: RapporChannel,
-                   rng: RngSeed) -> AttackSpec:
+def resolve_attack(cell: TrialCell, p: ProbVector, ch: RapporChannel) -> AttackSpec:
     """Instantiate the cell's attack, resolving per-trial parameters.
 
     swap_mix swaps in a mixture of the target with a point mass, a fixed-shape
@@ -198,10 +197,10 @@ def run_trial(cell: TrialCell, trial: int, master_seed: int) -> TrialResult:
     if cell.attack == "hard_pair_swap" and cell.eps > 0.0:
         pair = hard_pair(ch, eps=cell.eps, k=cell.k, rng=base.child(1))
         p = pair.p
-        attack = AttackSpec(kind="hard_pair_swap", pair=pair, name="hard_pair_swap")
+        attack = AttackSpec(kind="swap_distribution", q=pair.q, name="hard_pair_swap")
     else:
         p = sample_p(cell.p_family, cell.d, base.child(1))
-        attack = resolve_attack(cell, p, ch, base.child(4)) if cell.eps > 0.0 else None
+        attack = resolve_attack(cell, p, ch) if cell.eps > 0.0 else None
     coll = build_collection(cell, p, attack, ch, base.child(2))
 
     t0 = time.monotonic()
@@ -352,7 +351,7 @@ def rate_fit(csv_path, axis: str) -> RateFitReport:
     parameter held fixed.
     """
     if axis not in ("n", "k", "eps"):
-        raise ValueError("axis must be one of n, k, eps")
+        raise InvalidArgument("axis must be one of n, k, eps")
     with open(csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:

@@ -23,6 +23,7 @@ from .channel import RapporChannel
 from .errors import (
     AlphaOutOfRange,
     BadSigns,
+    CertificateViolation,
     DimensionTooLarge,
     EmptySubspace,
     EpsOutOfRange,
@@ -47,6 +48,9 @@ MAX_EXACT_D = 16
 QUAD_FORM_CONSTANT = math.exp(-2.0)
 #: Eigenvalue cutoff multiplier defining the low eigenspace.
 EIGENVALUE_CAP = 3.0 * math.e ** 2
+#: Standard normal draws in the low eigenspace from which the direction with
+#: the largest l1-to-l2 ratio is kept.
+GAUSSIAN_SAMPLES = 10_000
 
 _RANK_TOL = 1e-10
 
@@ -110,19 +114,19 @@ def omega_matrix(ch: RapporChannel) -> OmegaMatrix:
     omega = 0.5 * (omega + omega.T)
     eig_min = float(np.linalg.eigvalsh(omega).min())
     if eig_min < -1e-9:
-        raise ValueError(f"information matrix not PSD (min eig {eig_min})")
+        raise CertificateViolation(f"information matrix not PSD (min eig {eig_min})")
     if ch.alpha <= 1.0:
         trace_cap = ch.d * (math.e * ch.alpha) ** 2
         if float(np.trace(omega)) > trace_cap * (1.0 + 1e-9):
-            raise ValueError("trace bound violated")
+            raise CertificateViolation("trace bound violated")
     return OmegaMatrix(matrix=omega, alpha=ch.alpha, d=ch.d)
 
 
 def low_eigenspace_delta(omega: OmegaMatrix, eps: float, k: int,
-                         gaussian_samples: int, rng: RngSeed) -> np.ndarray:
+                         gen: np.random.Generator) -> np.ndarray:
     """Sum-zero direction in the low eigenspace with a large l1-to-l2 ratio.
 
-    Draws standard normal vectors in an orthonormal basis of
+    Draws GAUSSIAN_SAMPLES standard normal vectors in an orthonormal basis of
     span(low eigenvectors) intersected with the sum-zero hyperplane and keeps
     the draw maximizing ||x||_1 / ||x||_2.  The result is scaled so that its
     quadratic form x^T Omega x equals C * eps^2 / k exactly (or its l2 norm
@@ -134,8 +138,6 @@ def low_eigenspace_delta(omega: OmegaMatrix, eps: float, k: int,
     """
     if omega.d < 3:
         raise TooSmallAlphabet("d must be >= 3")
-    if gaussian_samples < 1:
-        raise InvalidArgument(f"need at least one sample, got {gaussian_samples}")
     vals, vecs = np.linalg.eigh(omega.matrix)
     cutoff = EIGENVALUE_CAP * omega.alpha ** 2
     j0 = int((vals <= cutoff + 1e-12).sum())
@@ -156,8 +158,7 @@ def low_eigenspace_delta(omega: OmegaMatrix, eps: float, k: int,
     if m == 0:
         raise EmptySubspace("sum-zero intersection is empty")
 
-    gen = rng.generator() if isinstance(rng, RngSeed) else rng
-    draws = gen.standard_normal((gaussian_samples, m))
+    draws = gen.standard_normal((GAUSSIAN_SAMPLES, m))
     X = draws @ W.T
     l1 = np.abs(X).sum(axis=1)
     l2 = np.linalg.norm(X, axis=1)
@@ -191,20 +192,19 @@ class HardPair:
 
     def validate(self) -> None:
         if abs(float(self.delta.sum())) > 1e-12:
-            raise ValueError("delta is not sum-zero")
+            raise CertificateViolation("delta is not sum-zero")
         if float(np.abs((self.p.weights - self.delta) - self.q.weights).max()) > 1e-9:
-            raise ValueError("q != p - delta")
+            raise CertificateViolation("q != p - delta")
         cap = QUAD_FORM_CONSTANT * self.eps ** 2 / self.k
         if self.quad_form > cap * (1.0 + 1e-9):
-            raise ValueError("quadratic form exceeds C * eps^2 / k")
+            raise CertificateViolation("quadratic form exceeds C * eps^2 / k")
         if self.chi2_one_sample > math.exp(self.alpha) * self.quad_form + 1e-9:
-            raise ValueError("chi-square exceeds e^alpha * quadratic form")
+            raise CertificateViolation("chi-square exceeds e^alpha * quadratic form")
         if self.tv_bound_k > self.eps:
-            raise ValueError("k-fold TV bound exceeds eps")
+            raise CertificateViolation("k-fold TV bound exceeds eps")
 
 
-def hard_pair(ch: RapporChannel, eps: float, k: int, rng: RngSeed,
-              gaussian_samples: int = 10_000) -> HardPair:
+def hard_pair(ch: RapporChannel, eps: float, k: int, rng: RngSeed) -> HardPair:
     """Construct and certify a hard pair for the given channel, eps and k.
 
     p places mass |Delta_j| / ||Delta||_1 on symbol j and q = p - Delta; both
@@ -218,7 +218,7 @@ def hard_pair(ch: RapporChannel, eps: float, k: int, rng: RngSeed,
     if ch.alpha > 1.0:
         raise AlphaOutOfRange("hard pair construction requires alpha <= 1")
     omega = omega_matrix(ch)
-    delta = low_eigenspace_delta(omega, eps, k, gaussian_samples, rng)
+    delta = low_eigenspace_delta(omega, eps, k, rng.generator())
     l1 = float(np.abs(delta).sum())
     if l1 > 1.0:
         raise InfeasibleScale("||Delta||_1 > 1 after scaling")

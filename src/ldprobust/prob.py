@@ -29,7 +29,12 @@ INVARIANT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RngSeed:
-    """Deterministic random stream identified by a 64-bit seed and a stream index."""
+    """Deterministic random stream identified by a 64-bit seed and a stream index.
+
+    A function that draws from a single stream takes a numpy Generator, and a
+    caller holding an RngSeed passes rng.generator().  A function that derives
+    several streams, or records the seed, takes an RngSeed.
+    """
 
     seed: int
     stream_index: int = 0
@@ -57,7 +62,7 @@ class RngSeed:
 def _as_float_array(values, name: str = "vector") -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
+        raise InvalidArgument(f"{name} must be one-dimensional")
     return arr
 
 
@@ -120,7 +125,7 @@ class FiniteDist:
         if len(outcomes) != m.size:
             raise LengthMismatch("outcomes and masses differ in length")
         if len(set(outcomes)) != len(outcomes):
-            raise ValueError("outcomes must be distinct")
+            raise InvalidArgument("outcomes must be distinct")
         if np.any(m < -INVARIANT_TOL):
             raise NegativeMass("negative outcome mass")
         s = float(m.sum())
@@ -223,13 +228,12 @@ def sup_subset_gap(p, v) -> tuple[float, np.ndarray]:
     return val_neg, neg
 
 
-def sample_categorical(p: ProbVector, count: int, rng: RngSeed) -> np.ndarray:
-    """Draw `count` iid symbols (1-based) from p; deterministic given rng."""
+def sample_categorical(p: ProbVector, count: int, gen: np.random.Generator) -> np.ndarray:
+    """Draw `count` iid symbols (1-based) from p."""
     if count < 0:
-        raise ValueError("count must be nonnegative")
+        raise InvalidArgument("count must be nonnegative")
     if count == 0:
         return np.zeros(0, dtype=np.int64)
-    gen = rng.generator() if isinstance(rng, RngSeed) else rng
     return gen.choice(p.d, size=count, p=p.weights).astype(np.int64) + 1
 
 
@@ -239,9 +243,9 @@ def tv_product_bound(chi2_single: float, k: int) -> float:
     Uses expm1/log1p so small divergences do not lose precision.
     """
     if chi2_single < 0:
-        raise ValueError("chi-square divergence must be nonnegative")
+        raise InvalidArgument("chi-square divergence must be nonnegative")
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise InvalidArgument("k must be at least 1")
     if math.isinf(chi2_single):
         return 1.0
     raised = math.expm1(k * math.log1p(chi2_single))

@@ -101,9 +101,8 @@ def attack_bits(attack, ch, count, rng):
         return np.ones((count, ch.d), dtype=np.uint8)
     if attack.kind == "all_zeros":
         return np.zeros((count, ch.d), dtype=np.uint8)
-    if attack.kind in ("swap_distribution", "hard_pair_swap"):
-        q = attack.q if attack.kind == "swap_distribution" else attack.pair.q
-        return privatize_batch(ch, rng.choice(ch.d, size=count, p=q.weights) + 1, rng)
+    if attack.kind == "swap_distribution":
+        return privatize_batch(ch, rng.choice(ch.d, size=count, p=attack.q.weights) + 1, rng)
     # targeted_subset: privatize uniform, then force each masked bit to the
     # target value independently with probability magnitude
     mask = np.asarray(attack.mask, dtype=bool)

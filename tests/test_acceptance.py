@@ -82,7 +82,7 @@ def test_criterion_1_channel_correctness():
         for size in range(1, min(4, d) + 1):
             mask = subset_mask(d, range(1, size + 1))
             direct = sample_privatized(ch, p, n, RngSeed(400 + d, size))[:, mask].sum(axis=1)
-            law = subset_sum_law_sample(ch, p, mask, RngSeed(500 + d, size), count=n)
+            law = subset_sum_law_sample(ch, p, mask, RngSeed(500 + d, size).generator(), count=n)
             stat, dof = two_sample_chi2(direct, law)
             quantile = chi2_quantile(0.999, dof)
             worst_q = max(worst_q, stat / quantile)

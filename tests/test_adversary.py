@@ -92,26 +92,26 @@ class TestCleanCollection:
 
 class TestAttackBatch:
     def test_all_zeros(self, ch):
-        counts = attack_counts(AttackSpec(kind="all_zeros"), ch, 3, 4, RngSeed(0))
+        counts = attack_counts(AttackSpec(kind="all_zeros"), ch, 3, 4, RngSeed(0).generator())
         assert counts.shape == (3, 5) and counts.dtype == np.int64
         assert not counts.any()
 
     def test_all_ones(self, ch):
-        counts = attack_counts(AttackSpec(kind="all_ones"), ch, 3, 2, RngSeed(0))
+        counts = attack_counts(AttackSpec(kind="all_ones"), ch, 3, 2, RngSeed(0).generator())
         assert counts.shape == (3, 5) and counts.dtype == np.int64
         assert np.all(counts == 2)
 
     def test_targeted_full_magnitude(self, ch):
         mask = np.array([True, True, False, False, False])
         spec = AttackSpec(kind="targeted_subset", mask=mask, direction=1, magnitude=1.0)
-        counts = attack_counts(spec, ch, 50, 20, RngSeed(4))
+        counts = attack_counts(spec, ch, 50, 20, RngSeed(4).generator())
         assert np.all(counts[:, :2] == 20)
 
     def test_targeted_downward_partial(self, ch):
         mask = np.array([True, False, False, False, False])
         spec = AttackSpec(kind="targeted_subset", mask=mask, direction=-1,
                           magnitude=0.5)
-        counts = attack_counts(spec, ch, 400, 10, RngSeed(5))
+        counts = attack_counts(spec, ch, 400, 10, RngSeed(5).generator())
         # half the hits force the coordinate to zero; the rest keep the
         # privatized uniform mean (1 - 2 lam)/d + lam
         base = (1 - 2 * ch.lam) / 5 + ch.lam
@@ -124,9 +124,9 @@ class TestAttackBatch:
             AttackSpec(kind="nonsense")
         spec = AttackSpec(kind="targeted_subset", mask=np.array([True, False]))
         with pytest.raises(InvalidAttackParams):
-            attack_counts(spec, ch, 2, 3, RngSeed(0))
+            attack_counts(spec, ch, 2, 3, RngSeed(0).generator())
         with pytest.raises(InvalidAttackParams):
-            attack_counts(AttackSpec(kind="all_ones"), ch, 2, 0, RngSeed(0))
+            attack_counts(AttackSpec(kind="all_ones"), ch, 2, 0, RngSeed(0).generator())
 
     def test_swap_uniform_indistinguishable_from_clean(self, ch):
         d = 4
@@ -134,7 +134,7 @@ class TestAttackBatch:
         uniform = make_prob_vector([0.25] * d)
         n = 50_000
         spec = AttackSpec(kind="swap_distribution", q=uniform)
-        adv = attack_counts(spec, ch4, n, 1, RngSeed(6))
+        adv = attack_counts(spec, ch4, n, 1, RngSeed(6).generator())
         # with k = 1 the count rows are the privatized bit vectors themselves
         clean = make_clean_collection(ch4, uniform, n, 1, RngSeed(7)).counts
         # compare the laws of the full bit patterns
@@ -159,7 +159,7 @@ class TestAttackBatch:
         mask = np.array([True, False, True, False, False])
         spec = AttackSpec(kind="targeted_subset", mask=mask, direction=direction,
                           magnitude=1.0)
-        counts = attack_counts(spec, ch, 300, 7, RngSeed(9))
+        counts = attack_counts(spec, ch, 300, 7, RngSeed(9).generator())
         assert np.all(counts[:, mask] == (7 if direction > 0 else 0))
         assert counts[:, ~mask].min() >= 0 and counts[:, ~mask].max() <= 7
         assert counts[:, ~mask].std() > 0
@@ -178,7 +178,7 @@ def _attack_specs(d, ch):
     }
     if d <= 16:
         pair = hard_pair(ch, eps=0.1, k=50, rng=RngSeed(50 + d))
-        specs["hard_pair_swap"] = AttackSpec(kind="hard_pair_swap", pair=pair)
+        specs["hard_pair_swap"] = AttackSpec(kind="swap_distribution", q=pair.q)
     return specs
 
 
@@ -191,7 +191,7 @@ class TestAttackCountsLaw:
         m = 20_000
         results = []
         for i, (name, spec) in enumerate(sorted(_attack_specs(d, ch).items())):
-            direct = attack_counts(spec, ch, m, k, RngSeed(60 + d, i))
+            direct = attack_counts(spec, ch, m, k, RngSeed(60 + d, i).generator())
             ref = batch_sums(attack_bits(spec, ch, m * k,
                                          np.random.default_rng([70 + d, k, i])), k)
             subset = np.arange(d) % 2 == 0
@@ -203,11 +203,12 @@ class TestAttackCountsLaw:
 
     def test_constant_attacks_exact(self, ch):
         for k in (1, 7, 50):
-            ones = attack_counts(AttackSpec(kind="all_ones"), ch, 4, k, RngSeed(1))
-            zeros = attack_counts(AttackSpec(kind="all_zeros"), ch, 4, k, RngSeed(1))
+            ones = attack_counts(AttackSpec(kind="all_ones"), ch, 4, k, RngSeed(1).generator())
+            zeros = attack_counts(AttackSpec(kind="all_zeros"), ch, 4, k, RngSeed(1).generator())
             assert np.array_equal(ones, np.full((4, 5), k))
             assert np.array_equal(zeros, np.zeros((4, 5)))
-        assert attack_counts(AttackSpec(kind="all_ones"), ch, 0, 3, RngSeed(1)).shape == (0, 5)
+        empty = attack_counts(AttackSpec(kind="all_ones"), ch, 0, 3, RngSeed(1).generator())
+        assert empty.shape == (0, 5)
 
 
 class TestContaminate:

@@ -49,12 +49,12 @@ class TestLambda:
 class TestPrivatize:
     def test_noiseless(self):
         ch = RapporChannel.from_lambda(3, 0.0)
-        z = privatize(ch, 2, RngSeed(0))
+        z = privatize(ch, 2, RngSeed(0).generator())
         assert z.tolist() == [0, 1, 0]
 
     def test_fully_randomized(self):
         ch = RapporChannel.from_lambda(4, 0.5)
-        bits = privatize_batch(ch, np.full(10 ** 5, 1), RngSeed(5))
+        bits = privatize_batch(ch, np.full(10 ** 5, 1), RngSeed(5).generator())
         assert np.abs(bits.mean(axis=0) - 0.5).max() < 0.01
 
     def test_mean_uniform(self):
@@ -68,11 +68,11 @@ class TestPrivatize:
     def test_symbol_out_of_range(self):
         ch = RapporChannel.create(3, 1.0)
         with pytest.raises(SymbolOutOfRange):
-            privatize(ch, 4, RngSeed(0))
+            privatize(ch, 4, RngSeed(0).generator())
 
     def test_empty_batch(self):
         ch = RapporChannel.create(3, 1.0)
-        assert privatize_batch(ch, [], RngSeed(0)).shape == (0, 3)
+        assert privatize_batch(ch, [], RngSeed(0).generator()).shape == (0, 3)
 
     def test_point_mass_coordinate_mean(self):
         ch = RapporChannel.create(3, 1.0)
@@ -82,8 +82,8 @@ class TestPrivatize:
 
     def test_single_symbol_delegates_to_batch(self):
         ch = RapporChannel.create(4, 1.0)
-        assert np.array_equal(privatize(ch, 3, RngSeed(8)),
-                              privatize_batch(ch, [3], RngSeed(8))[0])
+        assert np.array_equal(privatize(ch, 3, RngSeed(8).generator()),
+                              privatize_batch(ch, [3], RngSeed(8).generator())[0])
 
 
 class TestMeanResponse:
@@ -147,7 +147,7 @@ class TestSumLaw:
     def test_single_coordinate_point_mass(self):
         ch = RapporChannel.create(3, 1.0)
         p = make_prob_vector([1.0, 0.0, 0.0])
-        draws = subset_sum_law_sample(ch, p, subset_mask(3, [1]), RngSeed(2),
+        draws = subset_sum_law_sample(ch, p, subset_mask(3, [1]), RngSeed(2).generator(),
                                       count=50_000)
         assert abs(draws.mean() - (1 - ch.lam)) < 0.01
 
@@ -155,14 +155,14 @@ class TestSumLaw:
         ch = RapporChannel.from_lambda(5, 0.5)
         p = make_prob_vector([0.2] * 5)
         mask = subset_mask(5, [1, 2, 3])
-        draws = subset_sum_law_sample(ch, p, mask, RngSeed(4), count=50_000)
+        draws = subset_sum_law_sample(ch, p, mask, RngSeed(4).generator(), count=50_000)
         assert abs(draws.mean() - 1.5) < 0.02
 
     def test_empty_subset(self):
         ch = RapporChannel.create(3, 1.0)
         with pytest.raises(EmptySubset):
             subset_sum_law_sample(ch, make_prob_vector([1, 0, 0]),
-                                  np.zeros(3, dtype=bool), RngSeed(0))
+                                  np.zeros(3, dtype=bool), RngSeed(0).generator())
 
     @pytest.mark.parametrize("d,subset", [(3, [1, 2]), (5, [2, 4, 5]), (6, [1, 3, 5, 6])])
     def test_matches_direct_privatization(self, d, subset):
@@ -171,7 +171,7 @@ class TestSumLaw:
         mask = subset_mask(d, subset)
         n = 10 ** 5
         direct = sample_privatized(ch, p, n, RngSeed(100 + d))[:, mask].sum(axis=1)
-        law = subset_sum_law_sample(ch, p, mask, RngSeed(200 + d), count=n)
+        law = subset_sum_law_sample(ch, p, mask, RngSeed(200 + d).generator(), count=n)
         stat, dof = two_sample_chi2(direct, law)
         assert stat < chi2_quantile(0.999, dof)
 
@@ -206,7 +206,7 @@ class TestSampleCounts:
         ch = RapporChannel.create(d, 1.0)
         p = make_prob_vector(np.random.default_rng(d).dirichlet(np.ones(d)))
         m = 20_000
-        direct = sample_counts(ch, p, m, k, RngSeed(600 + d, k))
+        direct = sample_counts(ch, p, m, k, RngSeed(600 + d, k).generator())
         ref = batch_sums(sample_privatized(ch, p, m * k, RngSeed(700 + d, k)), k)
         stats = count_law_stats(direct, ref, np.arange(d) < (d + 1) // 2)
         # Bonferroni: every statistic below its 1 - 0.001/len level
@@ -217,21 +217,22 @@ class TestSampleCounts:
     def test_shape_dtype_and_determinism(self):
         ch = RapporChannel.create(4, 1.0)
         p = make_prob_vector([0.4, 0.3, 0.2, 0.1])
-        a = sample_counts(ch, p, 6, 9, RngSeed(3))
+        a = sample_counts(ch, p, 6, 9, RngSeed(3).generator())
         assert a.shape == (6, 4) and a.dtype == np.int64
-        assert np.array_equal(a, sample_counts(ch, p, 6, 9, RngSeed(3)))
-        assert sample_counts(ch, p, 0, 9, RngSeed(3)).shape == (0, 4)
+        assert np.array_equal(a, sample_counts(ch, p, 6, 9, RngSeed(3).generator()))
+        assert sample_counts(ch, p, 0, 9, RngSeed(3).generator()).shape == (0, 4)
 
     def test_noiseless_counts_are_symbol_counts(self):
         ch = RapporChannel.from_lambda(3, 0.0)
-        counts = sample_counts(ch, make_prob_vector([0.5, 0.5, 0.0]), 100, 8, RngSeed(4))
+        counts = sample_counts(ch, make_prob_vector([0.5, 0.5, 0.0]), 100, 8,
+                               RngSeed(4).generator())
         assert np.all(counts[:, :2].sum(axis=1) == 8)
         assert np.all(counts[:, 2] == 0)
 
     def test_dimension_mismatch(self):
         ch = RapporChannel.create(4, 1.0)
         with pytest.raises(DimensionMismatch):
-            sample_counts(ch, make_prob_vector([0.5, 0.3, 0.2]), 3, 2, RngSeed(0))
+            sample_counts(ch, make_prob_vector([0.5, 0.3, 0.2]), 3, 2, RngSeed(0).generator())
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -253,6 +254,7 @@ class TestSampleCounts:
         k = data.draw(st.integers(1, 60))
         lam = data.draw(st.sampled_from([0.0, 0.1, 0.3775, 0.5]))
         ch = RapporChannel.from_lambda(d, lam)
-        counts = sample_counts(ch, p, 5, k, RngSeed(data.draw(st.integers(0, 2 ** 32))))
+        gen = RngSeed(data.draw(st.integers(0, 2 ** 32))).generator()
+        counts = sample_counts(ch, p, 5, k, gen)
         assert counts.shape == (5, d) and counts.dtype == np.int64
         assert counts.min() >= 0 and counts.max() <= k

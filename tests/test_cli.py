@@ -151,11 +151,13 @@ class TestExitCodes:
         ["assouad", "--alpha", "nan"],
         ["lowerbound", "--k", 0],
         ["mixture-check", "--k", 0],
+        ["mixture-check", "--d", 9, "--k", 3],
     ], ids=["unknown-attack", "eps-too-large", "d-too-small", "sdp-d-too-large",
             "no-instances", "hard-pair-alpha", "hard-pair-d", "lowerbound-d",
             "tau-threshold-zero", "n-one", "k-zero", "negative-seed", "negative-trial",
             "eps-nan", "eps-inf", "assouad-c-gamma", "assouad-n-zero", "assouad-alpha-zero",
-            "assouad-alpha-inf", "assouad-alpha-nan", "lowerbound-k-zero", "mixture-k-zero"])
+            "assouad-alpha-inf", "assouad-alpha-nan", "lowerbound-k-zero", "mixture-k-zero",
+            "mixture-product-space"])
     def test_input_contract_errors_exit_1(self, args, tmp_path, capsys):
         out = tmp_path / "out.json"
         assert exit_code(args + ["--out", out]) == 1

@@ -343,7 +343,7 @@ def trial_collection(n, k, d, attack, eps, seed):
     ch = RapporChannel.create(d, 1.0)
     rng = RngSeed(seed)
     target = sample_p(cell.p_family, d, rng.child(1))
-    attack_spec = resolve_attack(cell, target, ch, rng.child(4))
+    attack_spec = resolve_attack(cell, target, ch)
     return build_collection(cell, target, attack_spec, ch, rng.child(2)), ch
 
 
@@ -408,15 +408,17 @@ class TestDowndatedStatistics:
         with pytest.raises(LengthMismatch):
             score_collection(counts, EstimatorConfig(eps=0.05), ch, RngSeed(0), k=20, sums=sums)
 
-    @pytest.mark.parametrize("n, k, d, attack, eps, overrides", [
-        (1000, 20, 128, "targeted_subset", 0.05, {}),
-        (2000, 50, 5, "all_ones", 0.1, dict(special_gap_threshold=0.35)),
-        (2000, 50, 5, "swap_mix", 0.1, dict(tau_threshold=0.3)),
+    @pytest.mark.parametrize("n, k, d, attack, eps, tau_threshold, special_gap", [
+        (1000, 20, 128, "targeted_subset", 0.05, DESK_TAU_THRESHOLD, None),
+        (2000, 50, 5, "all_ones", 0.1, DESK_TAU_THRESHOLD, 0.35),
+        (2000, 50, 5, "swap_mix", 0.1, 0.3, None),
     ], ids=["d128-targeted_subset", "d5-all_ones", "d5-swap_mix"])
     def test_loop_matches_recompute_from_survivors(self, monkeypatch, n, k, d, attack, eps,
-                                                   overrides):
+                                                   tau_threshold, special_gap):
+        if special_gap is not None:
+            monkeypatch.setattr(estimator_module, "SPECIAL_GAP", special_gap)
         coll, ch = trial_collection(n, k, d, attack, eps, seed=0)
-        cfg = EstimatorConfig(eps=eps, **{"tau_threshold": DESK_TAU_THRESHOLD, **overrides})
+        cfg = EstimatorConfig(eps=eps, tau_threshold=tau_threshold)
         rng = RngSeed(3)
         ref_stats, ref_deletions = recompute_loop(coll, cfg, ch, rng)
         assert len(ref_stats) >= 2 and any(mode == "sdp" for mode, *_ in ref_stats[:-1])
@@ -448,8 +450,9 @@ class TestDowndatedStatistics:
 
     def test_loop_deletes_through_batch_deletion(self, monkeypatch):
         # deletes in two special-mode and two sdp-mode iterations
+        monkeypatch.setattr(estimator_module, "SPECIAL_GAP", 0.35)
         coll, ch = trial_collection(2000, 50, 5, "all_ones", 0.1, seed=0)
-        cfg = EstimatorConfig(eps=0.1, tau_threshold=DESK_TAU_THRESHOLD, special_gap_threshold=0.35)
+        cfg = EstimatorConfig(eps=0.1, tau_threshold=DESK_TAU_THRESHOLD)
         reports, calls = [], []
         score, delete = estimator_module.score_collection, estimator_module.batch_deletion
 
@@ -457,9 +460,10 @@ class TestDowndatedStatistics:
             reports.append(score(*args, **kwargs))
             return reports[-1]
 
-        def recording_delete(indices, pool_scores, rng):
-            calls.append((np.array(indices), np.array(pool_scores), delete(indices, pool_scores, rng)))
-            return calls[-1][2]
+        def recording_delete(indices, pool_scores, gen):
+            out = delete(indices, pool_scores, gen)
+            calls.append((np.array(indices), np.array(pool_scores), out))
+            return out
 
         monkeypatch.setattr(estimator_module, "score_collection", recording_score)
         monkeypatch.setattr(estimator_module, "batch_deletion", recording_delete)
@@ -478,23 +482,23 @@ class TestDowndatedStatistics:
 
 class TestBatchDeletion:
     def test_equal_scores_halving(self):
-        deleted = batch_deletion(np.arange(4), np.ones(4), RngSeed(0))
+        deleted = batch_deletion(np.arange(4), np.ones(4), RngSeed(0).generator())
         assert deleted.size == 2
 
     def test_zero_weight_batches_unpickable(self):
-        deleted = batch_deletion([0, 1, 2], [0.0, 0.0, 10.0], RngSeed(1))
+        deleted = batch_deletion([0, 1, 2], [0.0, 0.0, 10.0], RngSeed(1).generator())
         assert deleted.tolist() == [2]
 
     def test_all_zero_scores(self):
         with pytest.raises(AllZeroScores):
-            batch_deletion([0, 1], [0.0, 0.0], RngSeed(0))
+            batch_deletion([0, 1], [0.0, 0.0], RngSeed(0).generator())
 
     @pytest.mark.parametrize("indices, scores", [([0, 1, 2], [1.0, 2.0]),
                                                  ([0, 1], [1.0, -0.5])],
                              ids=["length-mismatch", "negative-score"])
     def test_rejects_malformed_pool(self, indices, scores):
         with pytest.raises(InvalidArgument) as exc:
-            batch_deletion(indices, scores, RngSeed(0))
+            batch_deletion(indices, scores, RngSeed(0).generator())
         assert isinstance(exc.value, InputError) and isinstance(exc.value, ValueError)
 
     def test_probability_tree(self):
@@ -502,7 +506,7 @@ class TestBatchDeletion:
         solo = both = 0
         runs = 10 ** 5
         for i in range(runs):
-            deleted = batch_deletion([0, 1], [3.0, 1.0], RngSeed(2, i))
+            deleted = batch_deletion([0, 1], [3.0, 1.0], RngSeed(2, i).generator())
             if deleted.tolist() == [0]:
                 solo += 1
             elif deleted.tolist() == [1, 0]:
@@ -655,13 +659,22 @@ class TestRobustEstimate:
         with pytest.raises(Exhausted):
             robust_estimate(coll, EstimatorConfig(eps=0.1), ch, RngSeed(12))
 
-    def test_iteration_cap(self, ch, p):
-        from ldprobust.errors import IterationCap
+    def test_unreachable_threshold_ends_in_fewer_than_n_iterations(self, ch, p, monkeypatch):
+        # sqrt(tau) never drops below a tiny threshold, so only deletions end
+        # the loop; each iteration deletes at least one row
         coll, rng = attacked_collection(ch, p, n=200, eps=0.1, seed=25)
-        cfg = EstimatorConfig(eps=0.1, tau_threshold=DESK_TAU_THRESHOLD,
-                              max_iterations=1)
-        with pytest.raises(IterationCap):
+        cfg = EstimatorConfig(eps=0.1, tau_threshold=1e-12)
+        score = estimator_module.score_collection
+        reports = []
+
+        def recording_score(*args, **kwargs):
+            reports.append(score(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(estimator_module, "score_collection", recording_score)
+        with pytest.raises((Exhausted, AllZeroScores)):
             robust_estimate(coll, cfg, ch, rng.child(3))
+        assert 2 <= len(reports) < coll.n
 
     def test_trace_records_iterations(self, ch, p):
         coll, rng = attacked_collection(ch, p, n=400, seed=13)

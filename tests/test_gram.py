@@ -18,9 +18,8 @@ from ldprobust.errors import (
     InvalidGramSolution,
     LengthMismatch,
     NotSymmetric,
-    RankTooSmall,
-    TooFewRestarts,
 )
+from ldprobust import gram as gram_module
 from ldprobust.gram import GAP_TOL, GramSolution
 
 from conftest import brute_force_bilinear
@@ -89,9 +88,10 @@ class TestGramMaximize:
         sol = gram_maximize(-0.7 * np.eye(5), rng=RngSeed(3))
         assert sol.value == pytest.approx(3.5, rel=1e-9)
 
-    def test_monotone_history(self):
+    def test_monotone_history(self, monkeypatch):
+        monkeypatch.setattr(gram_module, "MAX_RESTARTS", 1)
         A = random_symmetric(8, 7)
-        sol = gram_maximize(A, restarts=1, rng=RngSeed(4))
+        sol = gram_maximize(A, rng=RngSeed(4))
         hist = np.asarray(sol.history)
         assert np.all(np.diff(hist) >= -1e-12)
 
@@ -102,14 +102,6 @@ class TestGramMaximize:
         assert np.abs(np.linalg.norm(sol.u_factors, axis=1) - 1).max() < 1e-10
         assert abs(sol.recompute_value(A) - sol.value) < 1e-9
         assert np.abs(sol.matrix()).max() <= 1 + 1e-10
-
-    def test_rank_too_small(self):
-        with pytest.raises(RankTooSmall):
-            gram_maximize(np.eye(4), rank=2, rng=RngSeed(0))
-
-    def test_too_few_restarts(self):
-        with pytest.raises(TooFewRestarts):
-            gram_maximize(np.eye(4), restarts=0, rng=RngSeed(0))
 
     @pytest.mark.parametrize("d", [3, 4, 12, 64])
     def test_default_rank_exceeds_barvinok_pataki(self, d):
@@ -190,11 +182,14 @@ class TestDualCertificate:
         assert abs(sol.relative_gap) <= 1e-9
         assert sol.restarts_used == 1
 
-    def test_restarts_capped(self):
+    def test_restarts_capped(self, monkeypatch):
         # one sweep per start never certifies, so every start runs
         for seed in range(5):
             A = random_symmetric(12, 40 + seed)
-            sol = gram_maximize(A, restarts=3, max_sweeps=1, rng=RngSeed(seed))
+            with monkeypatch.context() as m:
+                m.setattr(gram_module, "MAX_RESTARTS", 3)
+                m.setattr(gram_module, "MAX_SWEEPS", 1)
+                sol = gram_maximize(A, rng=RngSeed(seed))
             assert sol.restarts_used == 3
             assert sol.relative_gap > GAP_TOL
             sol.validate(A)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,10 +19,13 @@ from ldprobust import (
 from ldprobust.errors import (
     AlphaOutOfRange,
     BadSigns,
+    CertificateViolation,
     DimensionTooLarge,
     EpsOutOfRange,
+    InputError,
     ProductSpaceTooLarge,
 )
+from ldprobust import lowerbound as lowerbound_module
 from ldprobust.estimator import DESK_TAU_THRESHOLD
 from ldprobust.lowerbound import (
     EIGENVALUE_CAP,
@@ -70,7 +74,7 @@ class TestLowEigenspaceDelta:
     def test_sum_zero_and_quad_cap(self):
         ch = RapporChannel.create(6, 1.0)
         om = omega_matrix(ch)
-        delta = low_eigenspace_delta(om, 0.1, 50, 2000, RngSeed(1))
+        delta = low_eigenspace_delta(om, 0.1, 50, RngSeed(1).generator())
         assert abs(delta.sum()) <= 1e-12
         quad = delta @ om.matrix @ delta
         assert quad <= QUAD_FORM_CONSTANT * 0.1 ** 2 / 50 * (1 + 1e-9)
@@ -80,7 +84,7 @@ class TestLowEigenspaceDelta:
     @pytest.mark.parametrize("d", [6, 10, 16])
     def test_l1_ratio_threshold(self, d):
         ch = RapporChannel.create(d, 1.0)
-        delta = low_eigenspace_delta(omega_matrix(ch), 0.1, 100, 10_000, RngSeed(d))
+        delta = low_eigenspace_delta(omega_matrix(ch), 0.1, 100, RngSeed(d).generator())
         ratio = np.abs(delta).sum() / np.linalg.norm(delta)
         assert ratio >= 0.2 * math.sqrt(d)
         assert np.abs(delta).sum() <= math.sqrt(d) * np.linalg.norm(delta) + 1e-12
@@ -101,6 +105,30 @@ class TestHardPair:
             ch = RapporChannel.create(d, 1.0)
             pair = hard_pair(ch, 0.1, k, RngSeed(d + k))
             assert pair.chi2_one_sample <= math.exp(1.0) * pair.quad_form + 1e-9
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("delta", lambda pair: pair.delta + 1e-6, "sum-zero"),
+        ("q", lambda pair: pair.p, "p - delta"),
+        ("quad_form", lambda pair: 10.0 * pair.quad_form, "quadratic form"),
+        ("chi2_one_sample", lambda pair: 1.0, "chi-square"),
+        ("tv_bound_k", lambda pair: 1.0, "TV bound"),
+    ], ids=["delta", "q", "quad-form", "chi2", "tv-bound"])
+    def test_broken_pair_raises_certificate_violation(self, field, value, message):
+        pair = hard_pair(RapporChannel.create(6, 1.0), 0.1, 50, RngSeed(3))
+        broken = dataclasses.replace(pair, **{field: value(pair)})
+        with pytest.raises(CertificateViolation, match=message) as exc:
+            broken.validate()
+        assert not isinstance(exc.value, (InputError, ValueError))
+
+    @pytest.mark.parametrize("scale, message", [(-1.0, "not PSD"), (1000.0, "trace")],
+                             ids=["not-psd", "trace"])
+    def test_broken_information_matrix_raises_certificate_violation(self, monkeypatch,
+                                                                    scale, message):
+        outputs = lowerbound_module._conditional_outputs
+        monkeypatch.setattr(lowerbound_module, "_conditional_outputs",
+                            lambda ch: scale * outputs(ch))
+        with pytest.raises(CertificateViolation, match=message):
+            omega_matrix(RapporChannel.create(5, 1.0))
 
     def test_rejects_large_alpha(self):
         ch = RapporChannel.create(5, 1.5)

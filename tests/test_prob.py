@@ -5,13 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ldprobust import (
+    BatchCollection,
     FiniteDist,
     ProbVector,
+    RapporChannel,
     RngSeed,
+    check_nice_properties,
+    rate_fit,
     chi_square,
     l1_dist,
     make_prob_vector,
     sample_categorical,
+    sample_privatized,
+    save_collection,
     subset_mask,
     subset_mass,
     sup_subset_gap,
@@ -171,23 +177,23 @@ class TestSupSubsetGap:
 class TestSampling:
     def test_point_mass(self):
         p = make_prob_vector([0.0, 1.0, 0.0])
-        xs = sample_categorical(p, 5, RngSeed(0))
+        xs = sample_categorical(p, 5, RngSeed(0).generator())
         assert xs.tolist() == [2, 2, 2, 2, 2]
 
     def test_empty(self):
         p = make_prob_vector([0.5, 0.25, 0.25])
-        assert sample_categorical(p, 0, RngSeed(0)).size == 0
+        assert sample_categorical(p, 0, RngSeed(0).generator()).size == 0
 
     def test_uniform_frequencies(self):
         p = make_prob_vector([0.25] * 4)
-        xs = sample_categorical(p, 10 ** 6, RngSeed(123))
+        xs = sample_categorical(p, 10 ** 6, RngSeed(123).generator())
         freqs = np.bincount(xs, minlength=5)[1:] / 10 ** 6
         assert np.abs(freqs - 0.25).max() < 0.002
 
     def test_deterministic(self):
         p = make_prob_vector([0.5, 0.3, 0.2])
-        a = sample_categorical(p, 100, RngSeed(9, 4))
-        b = sample_categorical(p, 100, RngSeed(9, 4))
+        a = sample_categorical(p, 100, RngSeed(9, 4).generator())
+        b = sample_categorical(p, 100, RngSeed(9, 4).generator())
         assert np.array_equal(a, b)
 
 
@@ -226,3 +232,30 @@ class TestRngSeed:
         with pytest.raises(InvalidArgument) as exc:
             RngSeed(seed, stream)
         assert isinstance(exc.value, InputError) and isinstance(exc.value, ValueError)
+
+
+_P3 = make_prob_vector([0.5, 0.3, 0.2])
+_CH3 = RapporChannel.create(3, 1.0)
+_ZEROS = np.zeros((4, 3), dtype=np.int64)
+
+
+class TestInvalidArgument:
+    @pytest.mark.parametrize("call", [
+        lambda tmp: make_prob_vector([[0.5, 0.3, 0.2]]),
+        lambda tmp: FiniteDist(("a", "a"), [0.5, 0.5]),
+        lambda tmp: sample_categorical(_P3, -1, RngSeed(0).generator()),
+        lambda tmp: tv_product_bound(-0.1, 2),
+        lambda tmp: tv_product_bound(0.1, 0),
+        lambda tmp: sample_privatized(_CH3, _P3, -1, RngSeed(0)),
+        lambda tmp: save_collection(BatchCollection(_ZEROS, k=1, eps=-0.1), tmp / "c.bin"),
+        lambda tmp: rate_fit(tmp / "sweep.csv", "d"),
+        lambda tmp: check_nice_properties(BatchCollection(_ZEROS, k=2, truth=[0, 1, 0, 0]),
+                                          _P3, 0.1, _CH3),
+    ], ids=["vector-2d", "repeated-outcomes", "categorical-count", "tv-negative-chi2",
+            "tv-k-zero", "privatized-count", "unserializable-eps", "fit-axis",
+            "nice-properties-not-clean"])
+    def test_contract_violation_is_typed_value_error(self, call, tmp_path):
+        with pytest.raises(InvalidArgument) as exc:
+            call(tmp_path)
+        assert isinstance(exc.value, InputError) and isinstance(exc.value, ValueError)
+        assert not list(tmp_path.iterdir())
