@@ -7,10 +7,12 @@ mechanism is alpha-locally differentially private: the worst-case single
 output likelihood ratio over input pairs equals ((1-lambda)/lambda)^2 = e^alpha.
 
 A batch of k privatized samples is summarized by its count of ones per
-coordinate.  `sample_counts` draws those counts directly from their exact law
-as (m, d) int64 arrays.  The bit-level samplers (`privatize_batch`,
-`sample_privatized`) return uint8 arrays of shape (count, d) and serve as the
-reference the count sampler is tested against.
+coordinate.  `sample_counts` draws those counts directly from their law as
+(m, d) int64 arrays: symbol counts first, then the ones of each coordinate
+given its symbol count, by inversion of a tabulated CDF where the table pays
+for itself and by two binomials elsewhere.  The bit-level samplers
+(`privatize_batch`, `sample_privatized`) return uint8 arrays of shape
+(count, d) and serve as the reference the count sampler is tested against.
 """
 
 from __future__ import annotations
@@ -41,6 +43,14 @@ MAX_ALPHA = 2.0
 # Fixed generation chunk (in scalar samples) so that chunking is a pure
 # function of (k, d) and results never depend on memory pressure.
 _CHUNK_SCALARS = 1 << 21
+
+# `Generator.random` returns multiples of 2^-53; CDF thresholds live on that grid.
+_UNIT_BITS = 53
+# The guide table splits [0, 1) into 2^_GUIDE_BITS equal cells per symbol count.
+_GUIDE_BITS = 10
+# Largest k drawn by table inversion: search keys (c << 53) + u must fit in
+# 64 bits, and the table rows stay at most a few MB.
+_TABLE_MAX_K = 1024
 
 
 def lambda_of_alpha(alpha: float) -> float:
@@ -151,10 +161,29 @@ def sample_counts(ch: RapporChannel, p: ProbVector, m: int, k: int,
     """Counts of ones per coordinate of m batches of k privatized draws from p.
 
     Returns an (m, d) int64 array.  Each row draws its symbol counts
-    c ~ Multinomial(k, p); given c the coordinates are independent, coordinate
-    j keeping Bin(c_j, 1 - lam) of its c_j ones and flipping Bin(k - c_j, lam)
-    of its zeros.  This is the exact law of the per-batch sums of k
-    `sample_privatized` rows.
+    c ~ Multinomial(k, p); given c the coordinates are independent, and
+    coordinate j has the law L_{c_j} = Bin(c_j, 1 - lam) * Bin(k - c_j, lam)
+    (kept ones plus flipped zeros).  This is the law of the per-batch sums of
+    k `sample_privatized` rows.  Two rules, each a cost estimate from the
+    shape, pick how the draw is made; neither changes the law:
+
+    - Symbols: when 2k <= d, each of the k samples of a row draws its symbol
+      by a search of one uniform in the CDF of p and the rows are counted by
+      one `bincount` (cost ~ m*k); otherwise by `multinomial` (cost ~ m*d).
+    - Ones: when k <= 1024 and (k+1) * (2^10 + (k+1)^2 // 16) <= 8*m*d, by
+      inversion: the CDFs of L_0, ..., L_k are tabulated once per call
+      ((k+1)^3/3 elementwise updates, the same bits on every IEEE machine),
+      and each entry takes one uniform u.  A guide table of 2^10 cells per
+      symbol count answers most entries outright; the rest search the key
+      (c << 53) + u in the flattened thresholds (c << 53) + ceil(CDF * 2^53).
+      Otherwise (large k, or too few entries to pay for building the table)
+      by two binomials per entry.
+
+    Inversion resolves the CDF to 2^-53, as `Generator.random` does: each
+    probability is off by less than 2^-53 (plus the table's rounding, about
+    1e-15), so an outcome of probability below 2^-53 may never be drawn.
+    The output is a fixed function of the generator state; which draws it
+    consumes depends on the rules, so a change to them re-draws every seed.
     """
     if p.d != ch.d:
         raise DimensionMismatch(f"p has d={p.d}, channel has d={ch.d}")
@@ -163,8 +192,104 @@ def sample_counts(ch: RapporChannel, p: ProbVector, m: int, k: int,
     # ProbVector admits entries down to -1e-12 and sums 1e-12 away from 1,
     # which multinomial rejects; clip and renormalize.
     w = np.clip(p.weights, 0.0, None)
-    symbols = gen.multinomial(k, w / w.sum(), size=m)
+    w /= w.sum()
+    if 2 * k <= ch.d:
+        symbols = _categorical_counts(w, m, k, gen)
+    else:
+        symbols = gen.multinomial(k, w, size=m)
+    guide = 1 << _GUIDE_BITS
+    if k <= _TABLE_MAX_K and (k + 1) * (guide + (k + 1) ** 2 // 16) <= 8 * m * ch.d:
+        return _invert_ones(symbols, k, ch.lam, gen)
     return gen.binomial(symbols, 1.0 - ch.lam) + gen.binomial(k - symbols, ch.lam)
+
+
+def _categorical_counts(w: np.ndarray, m: int, k: int,
+                        gen: np.random.Generator) -> np.ndarray:
+    """(m, d) counts of m rows of k iid symbols from the normalized weights w."""
+    d = w.size
+    # every entry from the last symbol of positive mass on is exactly 1, so
+    # no uniform lands on a symbol of zero mass
+    cdf = np.cumsum(w)
+    cdf /= cdf[-1]
+    draws = np.searchsorted(cdf[:-1], gen.random((m, k)), side="right")
+    draws += np.arange(0, m * d, d)[:, None]
+    return np.bincount(draws.ravel(), minlength=m * d).reshape(m, d)
+
+
+def _ones_pmf(k: int, lam: float) -> np.ndarray:
+    """(k+1, k+1) array whose row c is the pmf of Bin(c, 1 - lam) * Bin(k - c, lam).
+
+    Row a of level n holds Bin(a, 1 - lam) * Bin(n - a, lam); level n + 1
+    convolves row a - 1 with one Bernoulli(1 - lam) into row a and row 0 with
+    one Bernoulli(lam).  Only elementwise products and sums are used (no
+    BLAS), so the table has the same bits on every IEEE machine.
+    """
+    keep = 1.0 - lam
+    pmf = np.ones((1, 1))
+    for n in range(k):
+        nxt = np.zeros((n + 2, n + 2))
+        nxt[1:, :-1] = lam * pmf
+        nxt[1:, 1:] += keep * pmf
+        nxt[0, :-1] = keep * pmf[0]
+        nxt[0, 1:] += lam * pmf[0]
+        pmf = nxt
+    return pmf
+
+
+def _ones_thresholds(k: int, lam: float) -> np.ndarray:
+    """(k+1, k) int64 thresholds ceil(CDF * 2^53) of L_0, ..., L_k at 0, ..., k-1.
+
+    An integer uniform u in [0, 2^53) draws ones = #{i : t[c, i] <= u} from
+    L_c, to a resolution of 2^-53.  Each row is nondecreasing and at most 2^53.
+    """
+    cdf = np.cumsum(_ones_pmf(k, lam)[:, :k], axis=1)
+    return np.minimum(np.ceil(cdf * (1 << _UNIT_BITS)), 1 << _UNIT_BITS).astype(np.int64)
+
+
+def _guide_table(thresholds: np.ndarray) -> np.ndarray:
+    """Flattened ((k+1) * 2^_GUIDE_BITS,) guide table of the thresholds.
+
+    Cell j of row c covers the integer uniforms [j, j + 1) * 2^(53 - _GUIDE_BITS).
+    It holds the common number of ones of every u in the cell when no
+    threshold of row c lies strictly inside it, and -1 otherwise.
+    """
+    rows, k = thresholds.shape
+    cells = 1 << _GUIDE_BITS
+    shift = _UNIT_BITS - _GUIDE_BITS
+    base = np.arange(rows)[:, None] * (cells + 1)
+    # outside the cell of t, t <= u for every u of cell j exactly when
+    # j >= t >> shift; the cell of t is marked -1 unless t is its first u
+    ones = np.bincount((base + (thresholds >> shift)).ravel(), minlength=rows * (cells + 1))
+    ones = ones.reshape(rows, cells + 1).cumsum(axis=1)[:, :cells]
+    row, col = np.nonzero((thresholds & ((1 << shift) - 1)) != 0)
+    ones[row, thresholds[row, col] >> shift] = -1
+    return ones.ravel()
+
+
+def _invert_ones(symbols: np.ndarray, k: int, lam: float,
+                 gen: np.random.Generator) -> np.ndarray:
+    """Draw each entry's ones from L_{symbols} by guided inversion.
+
+    Takes one uniform per entry and overwrites `symbols` with guide-table
+    indices.
+    """
+    thresholds = _ones_thresholds(k, lam)
+    table = _guide_table(thresholds)
+    u = gen.random(symbols.shape)
+    u *= 1 << _GUIDE_BITS  # exact: the integer part is the cell
+    cell = symbols
+    cell <<= _GUIDE_BITS
+    cell += u.astype(np.int64)
+    ones = table[cell]
+    todo = np.flatnonzero(ones < 0)
+    if todo.size:
+        c = cell.ravel()[todo] >> _GUIDE_BITS
+        key = ((c.astype(np.uint64) << _UNIT_BITS)
+               + (u.ravel()[todo] * (1 << (_UNIT_BITS - _GUIDE_BITS))).astype(np.uint64))
+        flat = ((np.arange(k + 1, dtype=np.uint64)[:, None] << _UNIT_BITS)
+                + thresholds.astype(np.uint64)).ravel()
+        ones.ravel()[todo] = np.searchsorted(flat, key, side="right") - c * k
+    return ones
 
 
 def mean_response(ch: RapporChannel, p: ProbVector) -> np.ndarray:

@@ -357,15 +357,20 @@ def score_collection(coll_or_counts, cfg: EstimatorConfig, ch: RapporChannel,
     bundle = build_cov_bundle(sums, ch.lam)
     sol = gram_maximize(bundle.dmat, rng=rng)
     unit = rate_unit(cfg.eps, ch.d, k)
-    # c^T U V^T c = (c^T U) . (c^T V): one (rows, 2r) product per block
+    # c^T U V^T c = (c^T U) . (c^T V): one (rows, 2r) product per block.  Rows
+    # are centred in count units (counts - S1/n, which is k c), so each block
+    # is converted to float once and a row at the mean count centres to
+    # exactly zero; the k^2 is divided out at the end.
     factors = np.hstack([sol.u_factors, sol.v_factors])
+    mean_count = sums.s1 / float(sums.n)
     r = sol.rank
     for start, block in _row_blocks(counts):
-        centered = block / k
-        centered -= qhat_col
+        centered = block.astype(np.float64)
+        centered -= mean_count
         proj = centered @ factors
         quad = np.einsum("ij,ij->i", proj[:, :r], proj[:, r:])
         scores[start:start + quad.size] = np.abs(quad)
+    scores /= k * k
     return ScoreReport(mode="sdp", tau=sol.value / unit, scores=scores,
                        gram=sol, tau_upper=sol.upper_bound / unit)
 

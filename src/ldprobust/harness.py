@@ -146,14 +146,16 @@ def resolve_attack(cell: TrialCell, p: ProbVector, ch: RapporChannel) -> AttackS
     """Instantiate the cell's attack, resolving per-trial parameters.
 
     swap_mix swaps in a mixture of the target with a point mass, a fixed-shape
-    contamination the filter cannot tell apart batchwise.
+    contamination the filter cannot tell apart batchwise.  A parameter that is
+    not a number, a mix outside [0, 1] or a subset size outside [1, d] raises
+    InvalidAttackParams (AttackSpec checks direction and magnitude).
     """
     kind = cell.attack
     params = cell.attack_params
     if kind in ("all_ones", "all_zeros"):
         return AttackSpec(kind=kind, name=kind)
     if kind == "swap_mix":
-        mix = float(params.get("mix", 0.5))
+        mix = _attack_param(params, "mix", 0.5, float, 0.0, 1.0)
         w = (1.0 - mix) * p.weights.copy()
         w[0] += mix
         return AttackSpec(kind="swap_distribution", q=make_prob_vector(w),
@@ -163,14 +165,26 @@ def resolve_attack(cell: TrialCell, p: ProbVector, ch: RapporChannel) -> AttackS
                           q=ProbVector(np.full(ch.d, 1.0 / ch.d)),
                           name="swap_uniform")
     if kind == "targeted_subset":
-        size = int(params.get("subset_size", max(1, ch.d // 2)))
+        size = _attack_param(params, "subset_size", max(1, ch.d // 2), int, 1, ch.d)
         mask = np.zeros(ch.d, dtype=bool)
         mask[:size] = True
         return AttackSpec(kind="targeted_subset", mask=mask,
-                          direction=int(params.get("direction", 1)),
-                          magnitude=float(params.get("magnitude", 1.0)),
+                          direction=_attack_param(params, "direction", 1, int),
+                          magnitude=_attack_param(params, "magnitude", 1.0, float),
                           name="targeted_subset")
     raise InvalidAttackParams(f"unknown attack {kind!r}")
+
+
+def _attack_param(params: dict, key: str, default, kind, low=None, high=None):
+    """params[key] (or the default) converted by kind and checked against [low, high]."""
+    raw = params.get(key, default)
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidAttackParams(f"attack parameter {key}={raw!r} is not a number") from exc
+    if low is not None and not low <= value <= high:
+        raise InvalidAttackParams(f"attack parameter {key}={raw!r} outside [{low}, {high}]")
+    return value
 
 
 def build_collection(cell: TrialCell, p: ProbVector, attack: Optional[AttackSpec],

@@ -24,6 +24,7 @@ from .errors import (
     AlphaOutOfRange,
     BadSigns,
     CertificateViolation,
+    DimensionMismatch,
     DimensionTooLarge,
     EmptySubspace,
     EpsOutOfRange,
@@ -358,7 +359,7 @@ def assouad_chi2_check(family: AssouadFamily, ch: RapporChannel) -> AssouadChi2R
     the product total-variation bound at sample size n.
     """
     if ch.d != family.d:
-        raise DimensionTooLarge("channel and family disagree on d")
+        raise DimensionMismatch(f"channel has d={ch.d}, family has d={family.d}")
     base = family.member(np.ones(family.half, dtype=np.int64))
     fwd = np.zeros(family.half)
     bwd = np.zeros(family.half)

@@ -26,6 +26,7 @@ from ldprobust.errors import (
     NonPositiveAlpha,
     SymbolOutOfRange,
 )
+from ldprobust import channel as channel_module
 from ldprobust.prob import subset_mask
 
 from conftest import batch_sums, chi2_quantile, count_law_stats, two_sample_chi2
@@ -197,6 +198,91 @@ class TestUnbiasedness:
         assert dev <= 5 * math.sqrt(0.25 / n)
 
 
+def _binomial_pmf(n, q):
+    return np.array([math.comb(n, j) * q ** j * (1.0 - q) ** (n - j) for j in range(n + 1)])
+
+
+class TestSamplerParts:
+    """The inversion table and the categorical symbol draw behind sample_counts."""
+
+    @pytest.mark.parametrize("k", [1, 7, 20, 50])
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.3775, 0.5])
+    def test_rows_are_binomial_convolutions(self, k, lam):
+        pmf = channel_module._ones_pmf(k, lam)
+        assert pmf.shape == (k + 1, k + 1)
+        assert pmf.min() >= 0.0
+        # a float sum of k + 1 terms that sum to 1 exactly
+        assert np.abs(pmf.sum(axis=1) - 1.0).max() <= (k + 1) * 2.0 ** -52
+        for c in range(k + 1):
+            ref = np.convolve(_binomial_pmf(c, 1.0 - lam), _binomial_pmf(k - c, lam))
+            assert np.abs(pmf[c] - ref).max() <= 1e-15, c
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 20, 50, 200])
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.3775, 0.5])
+    def test_inversion_counts_thresholds_at_or_below_u(self, k, lam):
+        # ones = #{i : t[c, i] <= u} for an integer uniform u in [0, 2^53), at
+        # random u and at every threshold and the integer below it
+        thresholds = channel_module._ones_thresholds(k, lam)
+        assert thresholds.shape == (k + 1, k)
+        assert np.all(np.diff(thresholds, axis=1) >= 0)
+        assert thresholds.min(initial=0) >= 0 and thresholds.max(initial=0) <= 2 ** 53
+        gen = np.random.default_rng(k)
+        rows = np.repeat(np.arange(k + 1), k)
+        edges = thresholds.ravel()
+        symbols = np.concatenate([rows, rows, gen.integers(0, k + 1, size=4000)])
+        u = np.concatenate([edges, edges - 1, gen.integers(0, 2 ** 53, size=4000)])
+        inside = (u >= 0) & (u < 2 ** 53)
+        symbols, u = symbols[inside].reshape(-1, 1), u[inside].reshape(-1, 1)
+        ones = channel_module._invert_ones(symbols.copy(), k, lam, _FixedUniforms(u / 2.0 ** 53))
+        ref = (thresholds[symbols[:, 0]] <= u).sum(axis=1)
+        assert np.array_equal(ones[:, 0], ref)
+
+    def test_largest_uniform_draws_no_symbol_of_zero_mass(self):
+        # these weights, normalized, have a float sum just below 1
+        w = np.array([0.1, 0.1, 0.6, 0.0])
+        w /= w.sum()
+        assert np.cumsum(w)[-1] < 1.0
+        counts = channel_module._categorical_counts(
+            w, 1, 2, _FixedUniforms(np.array([0.0, 1.0 - 2.0 ** -53])))
+        assert counts.tolist() == [[1, 0, 1, 0]]
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose `random` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        return self.u.reshape(shape)
+
+
+def _prob_vectors(data, d):
+    """A ProbVector with zeros, tiny negatives and sums 1e-13 away from 1.
+
+    ProbVector admits entries down to -1e-12 and sums within 1e-12 of 1.
+    """
+    raw = np.array(data.draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), min_size=d, max_size=d)))
+    if raw.sum() == 0.0:
+        raw[data.draw(st.integers(0, d - 1))] = 1.0
+    w = raw / raw.sum()
+    j = data.draw(st.integers(0, d - 1))
+    w[j] += data.draw(st.sampled_from([0.0, 1e-13, -1e-13]))
+    zeros = np.flatnonzero(w == 0.0)
+    if zeros.size and data.draw(st.booleans()):
+        w[data.draw(st.sampled_from(zeros.tolist()))] = -5e-13
+    return ProbVector(w)
+
+
+def _assert_same_count_law(direct, ref, d):
+    stats = count_law_stats(direct, ref, np.arange(d) < (d + 1) // 2)
+    # Bonferroni: every statistic below its 1 - 0.001/len level
+    level = 1 - 1e-3 / len(stats)
+    for label, stat, dof in stats:
+        assert stat < chi2_quantile(level, dof), (label, stat, dof)
+
+
 class TestSampleCounts:
     """The direct count sampler against per-batch sums of the bit-level sampler."""
 
@@ -208,11 +294,36 @@ class TestSampleCounts:
         m = 20_000
         direct = sample_counts(ch, p, m, k, RngSeed(600 + d, k).generator())
         ref = batch_sums(sample_privatized(ch, p, m * k, RngSeed(700 + d, k)), k)
-        stats = count_law_stats(direct, ref, np.arange(d) < (d + 1) // 2)
-        # Bonferroni: every statistic below its 1 - 0.001/len level
-        level = 1 - 1e-3 / len(stats)
-        for label, stat, dof in stats:
-            assert stat < chi2_quantile(level, dof), (label, stat, dof)
+        _assert_same_count_law(direct, ref, d)
+
+    @pytest.mark.parametrize("d, k, m, paths", [
+        (128, 20, 20_000, {"_categorical_counts", "_invert_ones"}),
+        (40, 20, 50, {"_categorical_counts"}),
+        (3, 200, 20_000, set()),
+        (5, 50, 20_000, {"_invert_ones"}),
+    ], ids=["categorical-table", "categorical-binomial", "multinomial-binomial",
+            "multinomial-table"])
+    def test_each_path_matches_summed_privatized_batches(self, d, k, m, paths, monkeypatch):
+        # 20 000 rows from calls of m rows each; every case runs the symbol
+        # draw and the ones draw it names (the others are multinomial, binomials)
+        used = set()
+
+        def spy(name, inner):
+            def call(*args):
+                used.add(name)
+                return inner(*args)
+            return call
+
+        for name in ("_categorical_counts", "_invert_ones"):
+            monkeypatch.setattr(channel_module, name, spy(name, getattr(channel_module, name)))
+        ch = RapporChannel.create(d, 1.0)
+        p = make_prob_vector(np.random.default_rng(d).dirichlet(np.ones(d)))
+        gen = RngSeed(800 + d, k).generator()
+        direct = np.concatenate([sample_counts(ch, p, m, k, gen)
+                                 for _ in range(20_000 // m)])
+        assert used == paths
+        ref = batch_sums(sample_privatized(ch, p, direct.shape[0] * k, RngSeed(900 + d, k)), k)
+        _assert_same_count_law(direct, ref, d)
 
     def test_shape_dtype_and_determinism(self):
         ch = RapporChannel.create(4, 1.0)
@@ -237,20 +348,8 @@ class TestSampleCounts:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_every_prob_vector_gives_valid_counts(self, data):
-        # ProbVector admits entries down to -1e-12 and sums within 1e-12 of 1;
-        # include zeros, tiny negatives and sums 1e-13 away from 1
         d = data.draw(st.integers(3, 12))
-        raw = np.array(data.draw(st.lists(
-            st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), min_size=d, max_size=d)))
-        if raw.sum() == 0.0:
-            raw[data.draw(st.integers(0, d - 1))] = 1.0
-        w = raw / raw.sum()
-        j = data.draw(st.integers(0, d - 1))
-        w[j] += data.draw(st.sampled_from([0.0, 1e-13, -1e-13]))
-        zeros = np.flatnonzero(w == 0.0)
-        if zeros.size and data.draw(st.booleans()):
-            w[data.draw(st.sampled_from(zeros.tolist()))] = -5e-13
-        p = ProbVector(w)
+        p = _prob_vectors(data, d)
         k = data.draw(st.integers(1, 60))
         lam = data.draw(st.sampled_from([0.0, 0.1, 0.3775, 0.5]))
         ch = RapporChannel.from_lambda(d, lam)
@@ -258,3 +357,19 @@ class TestSampleCounts:
         counts = sample_counts(ch, p, 5, k, gen)
         assert counts.shape == (5, d) and counts.dtype == np.int64
         assert counts.min() >= 0 and counts.max() <= k
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_noiseless_counts_on_every_path(self, data):
+        # at lam = 0 every row holds k ones, none on a coordinate of zero mass;
+        # m and k span both sides of both rules, and zero
+        d = data.draw(st.integers(3, 12))
+        p = _prob_vectors(data, d)
+        m = data.draw(st.sampled_from([0, 1, 5, 3000]))
+        k = data.draw(st.integers(0, 60))
+        ch = RapporChannel.from_lambda(d, 0.0)
+        gen = RngSeed(data.draw(st.integers(0, 2 ** 32))).generator()
+        counts = sample_counts(ch, p, m, k, gen)
+        assert counts.shape == (m, d) and counts.dtype == np.int64
+        assert np.all(counts.sum(axis=1) == k)
+        assert np.all(counts[:, p.weights <= 0.0] == 0)

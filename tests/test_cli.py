@@ -175,8 +175,16 @@ class TestExitCodes:
                     "eps_grid": [0.0]}),
         json.dumps({"n_grid": [40], "k_grid": [5], "d_grid": [4], "alpha_grid": [1.0],
                     "eps_grid": [0.0], "p_family": "nope"}),
+        *(json.dumps({"n_grid": [40], "k_grid": [5], "d_grid": [4], "alpha_grid": [1.0],
+                      "eps_grid": [0.1], "attack": attack, "attack_params": {key: value}})
+          for attack, key, value in [
+              ("targeted_subset", "magnitude", "abc"), ("swap_mix", "mix", "abc"),
+              ("targeted_subset", "subset_size", "abc"), ("targeted_subset", "direction", "abc"),
+              ("swap_mix", "mix", -0.5), ("targeted_subset", "subset_size", 0)]),
     ], ids=["empty-grid", "zero-trials", "malformed-json", "missing-grid",
-            "not-an-object", "n-one", "unknown-family"])
+            "not-an-object", "n-one", "unknown-family", "magnitude-not-a-number",
+            "mix-not-a-number", "subset-size-not-a-number", "direction-not-a-number",
+            "mix-negative", "subset-size-zero"])
     def test_bad_sweep_config_exits_1(self, text, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)

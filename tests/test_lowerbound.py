@@ -20,6 +20,7 @@ from ldprobust.errors import (
     AlphaOutOfRange,
     BadSigns,
     CertificateViolation,
+    DimensionMismatch,
     DimensionTooLarge,
     EpsOutOfRange,
     InputError,
@@ -256,3 +257,7 @@ class TestAssouadChi2:
         gap = np.abs(rep.chi2_forward - rep.chi2_backward)
         cap = 0.1 * np.maximum(rep.chi2_forward, rep.chi2_backward)
         assert (gap <= cap).all()
+
+    def test_channel_of_other_d_is_a_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            assouad_chi2_check(assouad_family(6, 400, 1.0, 0.1), RapporChannel.create(4, 1.0))
