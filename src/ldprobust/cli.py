@@ -19,7 +19,7 @@ from . import harness
 from .channel import RapporChannel
 from .errors import ArtifactError, InputError
 from .estimator import DESK_TAU_THRESHOLD
-from .gram import gram_maximize, sandwich_check
+from .gram import CERTIFICATE_PATHS, gram_maximize, sandwich_check
 from .lowerbound import (
     assouad_chi2_check,
     assouad_family,
@@ -44,6 +44,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -83,6 +90,7 @@ def _cmd_sdp_check(args) -> int:
     worst_upper = math.inf
     worst_gap = 0.0
     max_restarts = 0
+    certified_by = dict.fromkeys(CERTIFICATE_PATHS, 0)
     for i in range(args.instances):
         gen = rng.generator(5, i)
         raw = gen.standard_normal((args.d, args.d))
@@ -93,12 +101,14 @@ def _cmd_sdp_check(args) -> int:
         worst_upper = min(worst_upper, report.upper_margin)
         worst_gap = max(worst_gap, sol.relative_gap)
         max_restarts = max(max_restarts, sol.restarts_used)
+        certified_by[sol.certified_by] += 1
         if not report.ok:
             failures += 1
     _emit({
         "d": args.d, "instances": args.instances, "failures": failures,
         "worst_lower_margin": worst_lower, "worst_upper_margin": worst_upper,
         "worst_relative_gap": worst_gap, "max_restarts_used": max_restarts,
+        "certified_by": certified_by,
     }, args.out)
     return 0 if failures == 0 else INVARIANT_ERROR
 
@@ -166,7 +176,7 @@ def build_parser() -> _Parser:
     def common(p, seed_default=0):
         p.add_argument("--seed", type=int, default=seed_default)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_non_negative_int, default=1,
                        help="0 = auto; affects scheduling only, never results")
 
     p = sub.add_parser("simulate", help="run a single experiment cell")
@@ -190,7 +200,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sdp-check", help="random-matrix sandwich certification")
     common(p)
-    p.add_argument("--d", type=int, default=8)
+    p.add_argument("--d", type=_positive_int, default=8)
     p.add_argument("--instances", type=_positive_int, default=200)
     p.set_defaults(func=_cmd_sdp_check)
 

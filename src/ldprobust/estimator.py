@@ -103,8 +103,9 @@ class IterationRecord:
     """One filtering iteration: the rows it scored, its tau and what it deleted.
 
     gram_value and gram_upper are the Gram solver's value and certified upper
-    bound (None in special mode); pool_size is the number of top-score
-    candidates the deletion drew from (0 on the stopping iteration).
+    bound, and certified_by the path that computed the bound, "cholesky" or
+    "eigvalsh" (all three None in special mode); pool_size is the number of
+    top-score candidates the deletion drew from (0 on the stopping iteration).
     """
 
     tau: float
@@ -113,6 +114,7 @@ class IterationRecord:
     pool_size: int
     gram_value: Optional[float]
     gram_upper: Optional[float]
+    certified_by: Optional[str]
     deleted: tuple
 
 
@@ -148,6 +150,7 @@ class EstimateResult:
         for i, rec in enumerate(self.trace):
             deleted = ",".join(str(j) for j in rec.deleted)
             lines.append(f"trace[{i}]=mode:{rec.mode} tau:{rec.tau!r} "
+                         f"certified_by:{rec.certified_by} "
                          f"gram_value:{rec.gram_value!r} gram_upper:{rec.gram_upper!r} "
                          f"survivors:{rec.survivors} pool:{rec.pool_size} deleted:[{deleted}]")
         lines.append("qhat=" + " ".join(repr(x) for x in self.qhat))
@@ -488,7 +491,8 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
         gram = report.gram
         record = dict(tau=report.tau, mode=report.mode, survivors=int(sel.size),
                       gram_value=None if gram is None else gram.value,
-                      gram_upper=None if gram is None else gram.upper_bound)
+                      gram_upper=None if gram is None else gram.upper_bound,
+                      certified_by=None if gram is None else gram.certified_by)
         if math.isfinite(report.tau) and math.sqrt(max(report.tau, 0.0)) < cfg.tau_threshold:
             trace.append(IterationRecord(pool_size=0, deleted=(), **record))
             return _finalize(sums.mean(), np.sort(sel), trace, ch)

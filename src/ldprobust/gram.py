@@ -15,14 +15,23 @@ Barvinok-Pataki bound for the 2d diagonal constraints (Burer & Monteiro), and
 maximizes by alternating exact block updates u_i <- normalize((A v)_i), so the
 objective is nondecreasing per half sweep.  The returned value is feasible and
 therefore a lower bound on the maximum.  What vouches for it is an
-a-posteriori weak-duality certificate: with y_i = <(B Y)_i, Y_i>, every
-feasible X satisfies
+a-posteriori weak-duality certificate: with y_i = <(B Y)_i, Y_i>, the vector
+y + t 1 is dual feasible whenever Diag(y) - B + t I is positive semidefinite,
+and then every feasible X satisfies <B, X> <= sum(y) + 2d t.
 
-    <B, X>  <=  sum(y) + 2d * max(0, -lambda_min(Diag(y) - B)),
-
-one symmetric eigenvalue problem of size 2d.  Random restarts run only until
-this upper bound is within GAP_TOL of the value, so a solution carries both
-ends of an interval that holds the true maximum.
+The certificate is decided in two rungs, t = delta0 = GAP_TOL |value| / (4d)
+and the tight t = 2^-20 delta0, the smaller passing one giving the bound.  A
+rung passes when D_u + t is positive and the d x d Schur complement
+(D_v + t) - (A/2)(D_u + t)^-1(A/2) has a Cholesky factor after an a-priori
+shift that covers the rounding in forming it and Rump's margin for the
+factorization (Rump 2006, "Verification of positive definiteness", BIT 46),
+so a factor proves Diag(y) - B + t I PSD.  A rung whose bound lies below
+the value one more half sweep would reach cannot pass and is skipped.  Only
+when delta0 fails is t taken from one symmetric eigenvalue problem of size
+2d, t = max(0, -lambda_min(Diag(y) - B)), plus a margin for the
+eigensolver's backward error.  Either bound is rounded upward.  Random
+restarts run only until the upper bound is within GAP_TOL of the value, so a
+solution carries both ends of an interval that holds the true maximum.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ import numpy as np
 
 from .errors import (
     DimensionTooLarge,
+    InvalidArgument,
     InvalidGramSolution,
     LengthMismatch,
     NotSymmetric,
@@ -59,6 +69,14 @@ MAX_SWEEPS = 500
 MAX_RESTARTS = 16
 #: Tolerance of both sides of the sandwich, relative to the Frobenius norm of A.
 SANDWICH_TOL = 1e-6
+#: The paths that can compute GramSolution.upper_bound.
+CERTIFICATE_PATHS = ("cholesky", "eigvalsh")
+# Unit roundoff of float64, and the smallest normal float64, which bounds the
+# absolute error a gradual underflow adds to one operation.
+_UNIT = np.finfo(np.float64).eps / 2
+_TINY = np.finfo(np.float64).tiny
+# The tight rung of the Cholesky test, as a fraction of delta0.
+_TIGHT_RUNG = 2.0 ** -20
 
 
 def _relative_gap(value: float, upper: float) -> float:
@@ -69,6 +87,8 @@ def check_symmetric(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetric("matrix must be square")
+    if A.shape[0] == 0:
+        raise InvalidArgument("matrix must be at least 1 x 1")
     if float(np.abs(A - A.T).max(initial=0.0)) > SYMMETRY_TOL:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     return A
@@ -107,13 +127,19 @@ def subset_bilinear_max(A) -> tuple[float, np.ndarray, np.ndarray]:
 @dataclass
 class GramSolution:
     """Feasible factors (rows are unit vectors), the objective they achieve and a
-    certified upper bound on the maximum over the whole Gram feasible set."""
+    certified upper bound on the maximum over the whole Gram feasible set.
+
+    certified_by names the path that computed upper_bound: "cholesky" for the
+    shifted Cholesky test, "eigvalsh" for the eigenvalue bound of
+    dual_upper_bound, the reference, which hand-built solutions default to.
+    """
 
     u_factors: np.ndarray
     v_factors: np.ndarray
     value: float
     upper_bound: float
     restarts_used: int
+    certified_by: str = "eigvalsh"
     history: list = field(default_factory=list, repr=False)
 
     @property
@@ -160,25 +186,127 @@ def _normalize_rows(G: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return out
 
 
-def dual_upper_bound(A, u_factors, v_factors) -> float:
-    """Weak-duality upper bound on max <M, A> over the Gram set, from any factors.
+def _sum_rounded_up(y: np.ndarray, extra: float) -> float:
+    """A float at least the exact sum(y) + extra, for extra >= 0."""
+    n = y.size + 1
+    total = float(y.sum()) + extra
+    # summing n terms errs by at most (n-1)u sum|terms|; additions are exact
+    # in gradual underflow, so no absolute term is needed
+    err = (n + 1) * _UNIT * (float(np.abs(y).sum()) + extra)
+    return math.nextafter(total + err, math.inf)
 
-    With Y = [U; V], B = [[0, A/2], [A/2, 0]] and y_i = <(B Y)_i, Y_i>, the vector
-    y + max(0, -lambda_min(Diag(y) - B)) 1 is dual feasible, so the bound is
-    sum(y) + 2d * max(0, -lambda_min(Diag(y) - B)).  It equals the maximum when
-    the factors are optimal and Diag(y) - B is positive semidefinite.
-    """
-    A = check_symmetric(A)
-    U = np.asarray(u_factors, dtype=np.float64)
-    V = np.asarray(v_factors, dtype=np.float64)
+
+def _dual_vector(U: np.ndarray, V: np.ndarray, AU: np.ndarray, AV: np.ndarray) -> np.ndarray:
+    """y_i = <(B Y)_i, Y_i> for Y = [U; V], given AU = A @ U and AV = A @ V."""
+    return 0.5 * np.concatenate([np.einsum("ij,ij->i", U, AV),
+                                 np.einsum("ij,ij->i", V, AU)])
+
+
+def _eigvalsh_bound(A: np.ndarray, y: np.ndarray) -> float:
+    """sum(y) + 2d t, rounded upward, with t from lambda_min(Diag(y) - B)."""
     d = A.shape[0]
-    y = 0.5 * np.concatenate([np.einsum("ij,ij->i", U, A @ V),
-                              np.einsum("ij,ij->i", V, A @ U)])
     S = np.zeros((2 * d, 2 * d))
     S[:d, d:] = S[d:, :d] = -0.5 * A
     S[np.diag_indices(2 * d)] = y
     lam_min = float(np.linalg.eigvalsh(S)[0])
-    return float(y.sum()) + 2 * d * max(0.0, -lam_min)
+    # the computed eigenvalues are those of S + E with ||E||_2 a modest multiple
+    # of n u ||S||_2 (n = 2d); the row-sum norm bounds ||S||_2
+    margin = 2 * d * _UNIT * float(np.abs(S).sum(axis=1).max())
+    return _sum_rounded_up(y, 2 * d * max(0.0, margin - lam_min))
+
+
+def _schur_cholesky_proves_psd(A: np.ndarray, y: np.ndarray, t: float,
+                               abs_a: np.ndarray, abs_row_sums: np.ndarray) -> bool:
+    """True if a shifted Cholesky proves Diag(y) - B + t I positive semidefinite.
+
+    With P = D_u + t > 0, the matrix is PSD exactly when the Schur complement
+    T = (D_v + t) - G^T G, G = P^-1/2 A / 2, is.  The computed T differs from it
+    by E with ||E||_2 <= (2d + 16) u (max row sum of |G|^T |G| + max(D_v + t)),
+    a row-sum bound on the rounding in P, G, G^T G and the diagonal.  If the
+    floating-point Cholesky of T - c I succeeds, T - c I is PSD up to
+    gamma_{d+1} / (1 - gamma_{d+1}) trace(T) (Rump 2006), so the shift c, the
+    sum of both bounds, makes success a proof.  abs_a and abs_row_sums are |A|
+    and its row sums.
+    """
+    d = A.shape[0]
+    p = y[:d] + t
+    if not p.min() > 0.0:
+        return False
+    s = 0.5 / np.sqrt(p)
+    G = A * s[:, None]
+    T = G.T @ G
+    np.negative(T, out=T)
+    diag = T.reshape(-1)[::d + 1]
+    q = y[d:] + t
+    diag += q
+    # |G|^T |G| = |A| Diag(s^2) |A|, whose row sums are one product
+    row_sums = abs_a @ (s * s * abs_row_sums)
+    form_err = (2 * d + 16) * _UNIT * (float(row_sums.max()) + float(q.max()))
+    gamma = (d + 1) * _UNIT / (1.0 - (d + 1) * _UNIT)
+    # a success leaves every diagonal entry positive, so the sum is the trace
+    # Rump's margin needs; clamping it at 0 keeps the shift nonnegative
+    trace = max(float(diag.sum()), 0.0)
+    diag -= form_err + gamma * trace + 4 * (d + 1) * _TINY
+    # a NaN pivot does not stop every Cholesky kernel, so overflow in P^-1/2
+    # or in y must fail here
+    if not np.isfinite(T).all():
+        return False
+    try:
+        np.linalg.cholesky(T)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _cholesky_bound(A: np.ndarray, y: np.ndarray, value: float,
+                    AV: np.ndarray) -> float | None:
+    """sum(y) + 2d t, rounded upward, for the smaller rung t at which a shifted
+    Cholesky proves Diag(y) - B + t I positive semidefinite; None if neither
+    rung does.
+
+    The rungs are delta0 = GAP_TOL |value| / (4d) and 2^-20 delta0.  delta0
+    decides: a matrix PSD at the tight rung is PSD with margin at delta0, so
+    the tight rung is tried only after delta0 passes.  AV = A @ V gives a
+    lower bound on the maximum, the value sum_i ||(A V)_i|| that one more half
+    sweep U <- normalize(A V) would reach, less its rounding; a rung whose
+    bound lies below it cannot pass, so its Cholesky is not run.
+    """
+    d = A.shape[0]
+    delta0 = GAP_TOL * abs(value) / (4 * d)
+    if not delta0 > 0.0:
+        return None
+    abs_a = np.abs(A)
+    abs_row_sums = abs_a.sum(axis=1)
+    # rows of V are unit to within (rank + 3) u, and the product, the norms and
+    # their sum each add at most d or rank + 3 units; rank <= d + 2
+    reach = (float(np.sqrt(np.einsum("ij,ij->i", AV, AV)).sum())
+             - (4 * d + 16) * _UNIT * float(abs_row_sums.sum()))
+    bound = _sum_rounded_up(y, 2 * d * delta0)
+    if reach > bound or not _schur_cholesky_proves_psd(A, y, delta0, abs_a, abs_row_sums):
+        return None
+    tight = _TIGHT_RUNG * delta0
+    tight_bound = _sum_rounded_up(y, 2 * d * tight)
+    if reach <= tight_bound and _schur_cholesky_proves_psd(A, y, tight, abs_a, abs_row_sums):
+        return tight_bound
+    return bound
+
+
+def dual_upper_bound(A, u_factors, v_factors) -> float:
+    """Weak-duality upper bound on max <M, A> over the Gram set, from any factors.
+
+    With Y = [U; V], B = [[0, A/2], [A/2, 0]] and y_i = <(B Y)_i, Y_i>, the vector
+    y + t 1 with t = max(0, -lambda_min(Diag(y) - B)) is dual feasible, so the
+    bound is sum(y) + 2d t.  t comes from one eigvalsh of the 2d x 2d matrix,
+    raised by 2d u ||Diag(y) - B||_inf to cover the eigensolver's backward
+    error, and the sum is rounded upward, so the bound is rigorous.  It is
+    the reference gram_maximize falls back on when its Cholesky test fails.
+    It equals the maximum, to rounding, when the factors are optimal and
+    Diag(y) - B is positive semidefinite.
+    """
+    A = check_symmetric(A)
+    U = np.asarray(u_factors, dtype=np.float64)
+    V = np.asarray(v_factors, dtype=np.float64)
+    return _eigvalsh_bound(A, _dual_vector(U, V, A @ U, A @ V))
 
 
 def gram_maximize(A, rng: RngSeed | None = None) -> GramSolution:
@@ -191,9 +319,17 @@ def gram_maximize(A, rng: RngSeed | None = None) -> GramSolution:
 
     Each start runs until a sweep gains at most SWEEP_TOL, or for MAX_SWEEPS
     sweeps, and start r draws its factors from rng.generator(r).  After a
-    start that improves the best value, the dual bound of the best factors is
-    computed; restarting stops once the relative gap is at most GAP_TOL, or
-    after MAX_RESTARTS starts.  Ties break toward the lowest restart index.
+    start that improves the best value, the best factors are certified: y
+    comes from them, the start's last A U and one more A V, the shifted
+    Cholesky test of the Schur complement tries t = delta0 =
+    GAP_TOL |value| / (4d) and, if that passes, the tight t = 2^-20 delta0;
+    only if delta0 fails is the eigvalsh bound of dual_upper_bound computed.  A pass at delta0 means
+    lambda_min(Diag(y) - B) >= -delta0, where the eigvalsh bound is within
+    GAP_TOL too, and a failure falls back on that bound, so every restart
+    decision is the one the eigvalsh bound alone would make.  Restarting
+    stops once the relative gap is at most GAP_TOL, or after MAX_RESTARTS
+    starts.  Ties break toward the lowest restart index.  The smallest bound
+    is returned, and certified_by names the path that computed it.
     """
     A = check_symmetric(A)
     d = A.shape[0]
@@ -203,6 +339,7 @@ def gram_maximize(A, rng: RngSeed | None = None) -> GramSolution:
 
     best = None
     upper = math.inf
+    certified_by = "eigvalsh"
     fallback = np.tile(_e(rank, 0), (d, 1))
     for r in range(MAX_RESTARTS):
         gen = rng.generator(r)
@@ -225,14 +362,20 @@ def gram_maximize(A, rng: RngSeed | None = None) -> GramSolution:
             AV = A @ V
         if best is None or value > best[0]:
             best = (value, U, V, history)
-            upper = min(upper, dual_upper_bound(A, U, V))
+            AV = A @ V
+            y = _dual_vector(U, V, AU, AV)
+            bound, path = _cholesky_bound(A, y, value, AV), "cholesky"
+            if bound is None:
+                bound, path = _eigvalsh_bound(A, y), "eigvalsh"
+            if bound < upper:
+                upper, certified_by = bound, path
         if _relative_gap(best[0], upper) <= GAP_TOL:
             break
     value, U, V, history = best
     # the maximum is at least the attained value; on a tight instance the
-    # rounded dual bound can land an ulp below it
+    # rounded value can land an ulp above the bound
     return GramSolution(u_factors=U, v_factors=V, value=value, upper_bound=max(upper, value),
-                        restarts_used=r + 1, history=history)
+                        restarts_used=r + 1, certified_by=certified_by, history=history)
 
 
 def _e(r: int, i: int) -> np.ndarray:

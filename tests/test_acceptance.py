@@ -17,6 +17,7 @@ from ldprobust import (
     RapporChannel,
     RngSeed,
     contaminate,
+    gram_maximize,
     invert_mean,
     l1_dist,
     ldp_ratio_check,
@@ -35,6 +36,7 @@ from ldprobust import (
 from ldprobust.channel import sample_privatized
 from ldprobust.cli import main as cli_main
 from ldprobust.estimator import DESK_TAU_THRESHOLD
+from ldprobust.gram import CERTIFICATE_PATHS
 from ldprobust.harness import SweepConfig, TrialCell, run_trial
 from ldprobust.lowerbound import (
     assouad_family,
@@ -127,16 +129,22 @@ def test_criterion_3_grothendieck_sandwich():
     rng = RngSeed(333)
     violations = 0
     worst_lo = worst_hi = math.inf
+    paths = dict.fromkeys(CERTIFICATE_PATHS, 0)
     for d in (4, 8, 12):
         for i in range(500):
             gen = rng.generator(d, i)
             raw = gen.standard_normal((d, d))
-            rep = sandwich_check(0.5 * (raw + raw.T), rng=rng.child(d, i))
+            A = 0.5 * (raw + raw.T)
+            sol = gram_maximize(A, rng=rng.child(d, i))
+            rep = sandwich_check(A, sol=sol)
             worst_lo = min(worst_lo, rep.lower_margin)
             worst_hi = min(worst_hi, rep.upper_margin)
             violations += not rep.ok
+            paths[sol.certified_by] += 1
+    certified = " ".join(f"{path}={count}" for path, count in paths.items())
     report(3, "grothendieck sandwich", violations == 0,
-           f"violations={violations}/1500 margins=({worst_lo:.2e},{worst_hi:.2e})",
+           f"violations={violations}/1500 margins=({worst_lo:.2e},{worst_hi:.2e}) "
+           f"certified_by=({certified})",
            t0, 300)
 
 

@@ -2,6 +2,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ldprobust import cli, harness
 from ldprobust.cli import main
@@ -152,12 +154,18 @@ class TestExitCodes:
         ["lowerbound", "--k", 0],
         ["mixture-check", "--k", 0],
         ["mixture-check", "--d", 9, "--k", 3],
+        ["sdp-check", "--d", 0],
+        ["sdp-check", "--d", -3],
+        *([command, "--threads", -1] for command in
+          ("simulate", "sdp-check", "lowerbound", "mixture-check", "assouad")),
     ], ids=["unknown-attack", "eps-too-large", "d-too-small", "sdp-d-too-large",
             "no-instances", "hard-pair-alpha", "hard-pair-d", "lowerbound-d",
             "tau-threshold-zero", "n-one", "k-zero", "negative-seed", "negative-trial",
             "eps-nan", "eps-inf", "assouad-c-gamma", "assouad-n-zero", "assouad-alpha-zero",
             "assouad-alpha-inf", "assouad-alpha-nan", "lowerbound-k-zero", "mixture-k-zero",
-            "mixture-product-space"])
+            "mixture-product-space", "sdp-d-zero", "sdp-d-negative",
+            *(f"{command}-threads-negative" for command in
+              ("simulate", "sdp-check", "lowerbound", "mixture-check", "assouad"))])
     def test_input_contract_errors_exit_1(self, args, tmp_path, capsys):
         out = tmp_path / "out.json"
         assert exit_code(args + ["--out", out]) == 1
@@ -212,3 +220,74 @@ class TestExitCodes:
         monkeypatch.setattr(harness, "robust_estimate", broken)
         assert exit_code(["simulate", "--n", 50, "--k", 5, "--d", 4,
                           "--out", tmp_path / "t.json"]) == 2
+
+
+#: The value options of each subcommand the property test draws from.
+_OPTIONS = {
+    "simulate": ("--d", "--n", "--k", "--alpha", "--eps", "--seed"),
+    "sdp-check": ("--d", "--instances", "--seed"),
+    "lowerbound": ("--d", "--alpha", "--k", "--eps", "--seed"),
+    "mixture-check": ("--d", "--alpha", "--k", "--eps", "--seed"),
+    "assouad": ("--d", "--n", "--alpha", "--seed"),
+}
+# Values in range for every subcommand that has the option, kept tiny so that
+# every draw runs in milliseconds.  Some subcommands still reject some of
+# them (simulate needs d >= 3), so they may exit 1.
+_IN_RANGE = {
+    "--d": st.integers(1, 6).map(str),
+    "--n": st.integers(1, 60).map(str),
+    "--k": st.integers(1, 8).map(str),
+    "--alpha": st.floats(0.05, 3.0).map(repr),
+    "--eps": st.floats(0.0, 0.3).map(repr),
+    "--instances": st.integers(1, 3).map(str),
+    "--seed": st.integers(0, 2 ** 32).map(str),
+}
+# Values outside the contract of every subcommand that has the option.
+_NOT_INT = ["nan", "inf", "abc", "", "2.5", "1e400", "2 ** 3"]
+_OUT_OF_RANGE = {
+    "--d": ["0", "-1", "-3", *_NOT_INT],
+    "--n": ["0", "-1", *_NOT_INT],
+    "--k": ["0", "-1", *_NOT_INT],
+    "--alpha": ["0", "-1", "nan", "inf", "-inf", "abc", ""],
+    "--eps": ["-1", "-0.1", "0.7", "nan", "inf", "abc", ""],
+    "--instances": ["0", "-1", *_NOT_INT],
+    "--seed": ["-1", *_NOT_INT],
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    """An argv and whether one of its values lies outside the contract."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv, invalid = [command], False
+    for option in _OPTIONS[command]:
+        if draw(st.booleans()):
+            bad = draw(st.booleans())
+            strategy = st.sampled_from(_OUT_OF_RANGE[option]) if bad else _IN_RANGE[option]
+            argv += [option, draw(strategy)]
+            invalid |= bad
+    if draw(st.booleans()):
+        threads = draw(st.sampled_from([-1, 0, 1, 2]))
+        argv += ["--threads", str(threads)]
+        invalid |= threads < 0
+    if command == "sdp-check" and "--instances" not in argv:
+        argv += ["--instances", "3"]
+    return argv, invalid
+
+
+class TestCliProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_cli_argv())
+    @example(case=(["sdp-check", "--d", "0"], True))
+    @example(case=(["sdp-check", "--d", "-3", "--instances", "1"], True))
+    @example(case=(["simulate", "--n", "60", "--threads", "-1"], True))
+    def test_exit_code_class(self, case):
+        # nothing escapes main; a value outside the contract exits 1, and an
+        # in-range draw exits 0, 1 (a subcommand-specific limit) or 2 (a
+        # certificate that fails)
+        argv, invalid = case
+        code = exit_code(argv)
+        if invalid:
+            assert code == 1, argv
+        else:
+            assert code in (0, 1, 2), argv

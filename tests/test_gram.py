@@ -6,21 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldprobust import (
+    RapporChannel,
     RngSeed,
     dual_upper_bound,
     gram_maximize,
     indicator_embedding,
+    robust_estimate,
     sandwich_check,
     subset_bilinear_max,
 )
 from ldprobust.errors import (
     DimensionTooLarge,
+    InvalidArgument,
     InvalidGramSolution,
     LengthMismatch,
     NotSymmetric,
 )
+from ldprobust import estimator as estimator_module
 from ldprobust import gram as gram_module
 from ldprobust.gram import GAP_TOL, GramSolution
+from ldprobust.harness import TrialCell, build_collection, resolve_attack, sample_p
 
 from conftest import brute_force_bilinear
 
@@ -197,6 +202,147 @@ class TestDualCertificate:
             assert 1 <= certified.restarts_used <= 16
             assert certified.relative_gap <= GAP_TOL or certified.restarts_used == 16
             assert certified.upper_bound >= certified.value
+
+
+def dual_matrix(A, y):
+    d = A.shape[0]
+    return np.block([[np.diag(y[:d]), -0.5 * A], [-0.5 * A, np.diag(y[d:])]])
+
+
+def filtering_run_solves(count, d=64):
+    """Gram inputs (matrix, rng) of the in-loop solves of d-dimensional filtering
+    runs, and the (collection, rng) of each run, until count solves are taken."""
+    solves, runs = [], []
+    solve = estimator_module.gram_maximize
+
+    def recording(A, rng=None):
+        solves.append((A.copy(), rng))
+        return solve(A, rng=rng)
+
+    cell = TrialCell(n=2000, k=20, d=d, alpha=1.0, eps=0.05, attack="targeted_subset")
+    ch = RapporChannel.create(d, 1.0)
+    trial = 0
+    while len(solves) < count:
+        base = RngSeed(64).child(trial)
+        p = sample_p(cell.p_family, d, base.child(1))
+        coll = build_collection(cell, p, resolve_attack(cell, p, ch), ch, base.child(2))
+        estimator_module.gram_maximize = recording
+        try:
+            robust_estimate(coll, cell.estimator_config(), ch, base.child(3))
+        finally:
+            estimator_module.gram_maximize = solve
+        runs.append((coll, base.child(3)))
+        trial += 1
+    return solves[:count], runs, cell.estimator_config(), ch
+
+
+@pytest.fixture(scope="module")
+def d64_solves():
+    return filtering_run_solves(40)
+
+
+class TestCholeskyCertificate:
+    def test_bound_at_least_reference_on_random_cases(self):
+        # the 200 cases of test_weak_duality_random_factors, drawn in the same order
+        gen = np.random.default_rng(21)
+        paths = dict.fromkeys(gram_module.CERTIFICATE_PATHS, 0)
+        for i in range(200):
+            d = int(gen.integers(3, 10))
+            A = random_symmetric(d, 5000 + i)
+            sol = gram_maximize(A, rng=RngSeed(i))
+            random_factors(d, int(gen.integers(3, 2 * d + 1)), gen)
+            random_factors(d, int(gen.integers(3, 2 * d + 1)), gen)
+            paths[sol.certified_by] += 1
+            if sol.certified_by == "cholesky":
+                reference = dual_upper_bound(A, sol.u_factors, sol.v_factors)
+                assert sol.upper_bound >= reference
+                assert sol.relative_gap <= GAP_TOL / 2 * (1 + 1e-9)
+        assert paths["cholesky"] > paths["eigvalsh"]
+
+    @pytest.mark.parametrize("d", [3, 12, 64])
+    def test_certifies_just_inside_delta0_only(self, d):
+        A = random_symmetric(d, 300 + d)
+        sol = gram_maximize(A, rng=RngSeed(d))
+        U, V = sol.u_factors, sol.v_factors
+        y = gram_module._dual_vector(U, V, A @ U, A @ V)
+        lam_min = np.linalg.eigvalsh(dual_matrix(A, y))[0]
+        delta0 = GAP_TOL * abs(sol.value) / (4 * d)
+        inside = y + (-0.999 * delta0 - lam_min)
+        outside = y + (-1.001 * delta0 - lam_min)
+        assert np.linalg.eigvalsh(dual_matrix(A, inside))[0] == pytest.approx(
+            -0.999 * delta0, rel=1e-6)
+        bound = gram_module._cholesky_bound(A, inside, sol.value, A @ V)
+        assert bound is not None
+        exact = inside.sum() + 2 * d * delta0
+        assert exact <= bound <= exact + 1e-12 * abs(exact)
+        assert gram_module._cholesky_bound(A, outside, sol.value, A @ V) is None
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_zero_matrix_falls_back(self, d):
+        sol = gram_maximize(np.zeros((d, d)), rng=RngSeed(0))
+        assert sol.certified_by == "eigvalsh"
+        assert sol.value == 0.0
+        assert 0.0 <= sol.upper_bound <= 1e-300
+
+    @pytest.mark.parametrize("a", [1.0, -2.5])
+    def test_one_by_one_certifies_by_cholesky(self, a):
+        # Diag(y) - B is singular at d = 1, but adding t > 0 makes it definite
+        A = np.array([[a]])
+        sol = gram_maximize(A, rng=RngSeed(0))
+        assert sol.certified_by == "cholesky"
+        assert sol.value == pytest.approx(abs(a), rel=1e-15)
+        assert sol.relative_gap <= 1e-9
+        assert sol.upper_bound >= dual_upper_bound(A, sol.u_factors, sol.v_factors)
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(InvalidArgument):
+            gram_maximize(np.zeros((0, 0)))
+        with pytest.raises(InvalidArgument):
+            dual_upper_bound(np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((0, 3)))
+
+    def test_skipped_rungs_change_no_bound(self, d64_solves, monkeypatch):
+        # a rung below the value one more half sweep reaches cannot pass; AV = 0
+        # gives no such value, so every rung that delta0 allows is run
+        solves = d64_solves[0]
+        proves = gram_module._schur_cholesky_proves_psd
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return proves(*args)
+
+        monkeypatch.setattr(gram_module, "_schur_cholesky_proves_psd", counting)
+        skipped = 0
+        for A, rng in solves:
+            sol = gram_maximize(A, rng=rng)
+            U, V = sol.u_factors, sol.v_factors
+            AV = A @ V
+            y = gram_module._dual_vector(U, V, A @ U, AV)
+            del calls[:]
+            bound = gram_module._cholesky_bound(A, y, sol.value, AV)
+            run = len(calls)
+            assert bound == gram_module._cholesky_bound(A, y, sol.value, np.zeros_like(AV))
+            skipped += len(calls) - 2 * run
+        assert skipped > 30
+
+    def test_same_results_without_cholesky(self, d64_solves, monkeypatch):
+        solves, runs, cfg, ch = d64_solves
+        with_test = [gram_maximize(A, rng=rng) for A, rng in solves]
+        deleted = [[rec.deleted for rec in robust_estimate(coll, cfg, ch, rng).trace]
+                   for coll, rng in runs]
+        assert sum(sol.certified_by == "cholesky" for sol in with_test) >= 30
+        monkeypatch.setattr(gram_module, "_cholesky_bound", lambda *args: None)
+        for (A, rng), sol in zip(solves, with_test):
+            ref = gram_maximize(A, rng=rng)
+            assert ref.certified_by == "eigvalsh"
+            assert np.array_equal(ref.u_factors, sol.u_factors)
+            assert np.array_equal(ref.v_factors, sol.v_factors)
+            assert ref.value == sol.value
+            assert ref.restarts_used == sol.restarts_used
+            if sol.certified_by == "cholesky":
+                assert sol.upper_bound >= ref.upper_bound
+        assert deleted == [[rec.deleted for rec in robust_estimate(coll, cfg, ch, rng).trace]
+                           for coll, rng in runs]
 
 
 class TestIndicatorEmbedding:
