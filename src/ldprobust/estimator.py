@@ -453,8 +453,9 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
     threshold; otherwise take the floor(eps * n) rows with top scores (ties to
     the lower canonical rank, the rank in lexicographic order of count rows)
     and run the randomized deletion on that pool, its clocks assigned in
-    canonical order.  With eps = 0 the result equals naive_estimate exactly.
-    Every iteration that does not stop deletes at least one row, so the loop
+    canonical order.  When floor(eps * n) = 0, as at eps = 0, no row can be
+    adversarial, and the result equals naive_estimate exactly.  Every
+    iteration that does not stop deletes at least one row, so the loop
     ends, at the latest with Exhausted or AllZeroScores.
 
     The exact sums S1 and S2 of all rows are computed once, before the first
@@ -467,7 +468,8 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
     n = coll.n
     if n < 2:
         raise Exhausted("need at least two batch rows")
-    if cfg.eps == 0.0:
+    pool_size = int(math.floor(cfg.eps * n))
+    if pool_size == 0:
         return naive_estimate(coll, ch)
 
     counts, k = coll.counts, coll.k
@@ -477,7 +479,6 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
     work = np.empty(counts.shape, dtype=counts.dtype)
     surviving = np.ones(n, dtype=bool)
     sums = ExactSums.of(counts, k)
-    pool_size = int(math.floor(cfg.eps * n))
     trace: list[IterationRecord] = []
 
     for iteration in itertools.count():

@@ -32,6 +32,13 @@ when delta0 fails is t taken from one symmetric eigenvalue problem of size
 eigensolver's backward error.  Either bound is rounded upward.  Random
 restarts run only until the upper bound is within GAP_TOL of the value, so a
 solution carries both ends of an interval that holds the true maximum.
+
+The subset side is exact: subset_bilinear_max enumerates all 2^d masks S for
+d <= MAX_ENUM_D, with the sums A 1_S built by a doubling table of elementwise
+additions, about 2^d d of them, in place of products with a 0/1 indicator
+matrix.  It uses no BLAS, so its value and masks have the same bits under
+every BLAS kernel.  sandwich_check, and through it the sdp-check command,
+holds the Gram solver against it.
 """
 
 from __future__ import annotations
@@ -48,13 +55,17 @@ from .errors import (
     LengthMismatch,
     NotSymmetric,
 )
-from .prob import RngSeed, subset_indicators
+from .prob import RngSeed
 
 #: Enumeration guard for the exact subset oracle.
 MAX_ENUM_D = 22
-_ENUM_CHUNK = 1 << 14
+# Coordinates in the oracle's doubling table, which holds d 2^14 floats.
+_ENUM_LOW_BITS = 14
 
 SYMMETRY_TOL = 1e-12
+# Bound on sum |A_ij| for every function here: it keeps every subset sum, the
+# Gram value and its bound finite, far from overflow.
+_MAX_ABS_SUM = 2.0 ** 1000
 #: Certified relative gap (upper_bound - value) / |upper_bound| at which the
 #: solver stops restarting.
 GAP_TOL = 1e-4
@@ -77,6 +88,9 @@ _UNIT = np.finfo(np.float64).eps / 2
 _TINY = np.finfo(np.float64).tiny
 # The tight rung of the Cholesky test, as a fraction of delta0.
 _TIGHT_RUNG = 2.0 ** -20
+# Largest entries of A that gram_maximize solves unscaled: the squared row
+# norms of A V, at most d^2 max|A|^2, stay finite and normal for any d < 2^250.
+_SAFE_SCALE = (2.0 ** -256, 2.0 ** 256)
 
 
 def _relative_gap(value: float, upper: float) -> float:
@@ -89,6 +103,9 @@ def check_symmetric(A: np.ndarray) -> np.ndarray:
         raise NotSymmetric("matrix must be square")
     if A.shape[0] == 0:
         raise InvalidArgument("matrix must be at least 1 x 1")
+    if not float(np.abs(A).sum()) <= _MAX_ABS_SUM:
+        raise InvalidArgument("matrix entries must be finite, their absolute values "
+                              "summing below 2^1000")
     if float(np.abs(A - A.T).max(initial=0.0)) > SYMMETRY_TOL:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     return A
@@ -97,31 +114,56 @@ def check_symmetric(A: np.ndarray) -> np.ndarray:
 def subset_bilinear_max(A) -> tuple[float, np.ndarray, np.ndarray]:
     """Exact max_{S,S'} |<1_S 1_{S'}^T, A>| with attaining masks, by enumeration.
 
-    S is enumerated over all 2^d subsets; for each S the inner problem is
-    separable, so S' is the positive-part or negative-part support of A^T 1_S.
+    S is enumerated over all 2^d subsets (bit j of a mask is coordinate j).
+    For each S the inner problem is separable: with W_S = A 1_S, the best S'
+    is the positive support of W_S, worth pos = sum of its positive entries,
+    or the negative support, worth neg; the value of S is max(pos, neg) =
+    (||W_S||_1 + |sum W_S|) / 2.  Ties go to the lowest mask S, and S' is the
+    positive support when pos >= neg.
+
+    The sums W_S come from a doubling table over the low l = min(d, 14)
+    coordinates, a (d, 2^l) array whose column m is W_m, filled by
+    W[:, 2^j:2^(j+1)] = W[:, :2^j] + A[j]; each block of 2^l masks sharing
+    the high coordinates adds one vector, the sum of A's selected high rows.
+    The cost is about 2^d d additions for the sums and as many for the
+    reductions, with one or two (d, 2^l) arrays of memory: 0.2 ms at d = 12
+    and 56 ms at d = 20 on one core of a 2-vCPU VM.  The returned value and
+    S' come from W_S of the winning S summed again from its rows.
+    Everything is elementwise adds, absolute values and reductions over the
+    first axis, in a fixed order, with no BLAS product, so the result has
+    the same bits on every IEEE machine and BLAS kernel, and it is exact
+    when the partial sums of A's entries are (small integers, for instance).
     """
     A = check_symmetric(A)
     d = A.shape[0]
     if d > MAX_ENUM_D:
         raise DimensionTooLarge(f"subset enumeration capped at d={MAX_ENUM_D}")
-    best_val = 0.0
+    low = min(d, _ENUM_LOW_BITS)
+    table = np.zeros((d, 1 << low))
+    for j in range(low):
+        np.add(table[:, :1 << j], A[j][:, None], out=table[:, 1 << j:2 << j])
+    # |W| overwrites W: with a second table-sized array per call the heap is
+    # trimmed after each call and its pages fault in again, which at d = 12
+    # tripled the time
+    W = table if low == d else np.empty_like(table)
+    # compared as 2 max(pos, neg), which halving would only round in underflow
+    best_val2 = 0.0
     best_mask = 0
-    best_sp = np.zeros(d, dtype=bool)
-    for start in range(0, 1 << d, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, 1 << d)
-        bits = subset_indicators(d, start, stop)
-        W = bits @ A
-        pos = np.where(W > 0.0, W, 0.0).sum(axis=1)
-        neg = np.where(W < 0.0, -W, 0.0).sum(axis=1)
-        vals = np.maximum(pos, neg)
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_mask = start + i
-            w = W[i]
-            best_sp = w > 0.0 if pos[i] >= neg[i] else w < 0.0
+    for high in range(1 << (d - low)):
+        if low < d:
+            rows = A[low + np.flatnonzero((high >> np.arange(d - low)) & 1)]
+            np.add(table, rows.sum(axis=0)[:, None], out=W)
+        vals2 = np.abs(W.sum(axis=0))
+        vals2 += np.abs(W, out=W).sum(axis=0)
+        i = int(np.argmax(vals2))
+        if vals2[i] > best_val2:
+            best_val2 = float(vals2[i])
+            best_mask = (high << low) + i
     s_mask = ((best_mask >> np.arange(d)) & 1).astype(bool)
-    return best_val, s_mask, best_sp
+    w = A[s_mask].sum(axis=0)
+    pos = float(w[w > 0.0].sum())
+    neg = float(-w[w < 0.0].sum())
+    return max(pos, neg), s_mask, w > 0.0 if pos >= neg else w < 0.0
 
 
 @dataclass
@@ -330,9 +372,20 @@ def gram_maximize(A, rng: RngSeed | None = None) -> GramSolution:
     stops once the relative gap is at most GAP_TOL, or after MAX_RESTARTS
     starts.  Ties break toward the lowest restart index.  The smallest bound
     is returned, and certified_by names the path that computed it.
+
+    An A whose largest entry lies outside [2^-256, 2^256] is solved as
+    A 2^-e, with 2^e the power of two just above that entry, and the value,
+    history and bound are multiplied back by 2^e, the bound rounded upward;
+    without that the squared row norms overflow or lose their digits to
+    gradual underflow.  Inside the band A is solved as given.
     """
     A = check_symmetric(A)
     d = A.shape[0]
+    amax = float(np.abs(A).max())
+    scale = 0
+    if amax > 0.0 and not _SAFE_SCALE[0] <= amax <= _SAFE_SCALE[1]:
+        scale = math.frexp(amax)[1]
+        A = np.ldexp(A, -scale)
     rank = math.ceil(2.0 * math.sqrt(d)) + 1
     if rng is None:
         rng = RngSeed(0)
@@ -374,7 +427,14 @@ def gram_maximize(A, rng: RngSeed | None = None) -> GramSolution:
     value, U, V, history = best
     # the maximum is at least the attained value; on a tight instance the
     # rounded value can land an ulp above the bound
-    return GramSolution(u_factors=U, v_factors=V, value=value, upper_bound=max(upper, value),
+    upper = max(upper, value)
+    if scale:
+        value = math.ldexp(value, scale)
+        history = [math.ldexp(h, scale) for h in history]
+        scaled = math.ldexp(upper, scale)
+        # the product rounds only in gradual underflow, where it must not fall
+        upper = scaled if math.ldexp(scaled, -scale) >= upper else math.nextafter(scaled, math.inf)
+    return GramSolution(u_factors=U, v_factors=V, value=value, upper_bound=upper,
                         restarts_used=r + 1, certified_by=certified_by, history=history)
 
 
@@ -431,7 +491,10 @@ def sandwich_check(A, sol: GramSolution | None = None,
     if sol is None:
         sol = gram_maximize(A, rng=rng)
     bf, _, _ = subset_bilinear_max(A)
-    tol = SANDWICH_TOL * float(np.linalg.norm(A))
+    # the norm squares the entries, so it is taken at a power-of-two scale
+    # that keeps them from overflow and gradual underflow
+    e = math.frexp(float(np.abs(A).max()))[1]
+    tol = SANDWICH_TOL * math.ldexp(float(np.linalg.norm(np.ldexp(A, -e))), e)
     lower_margin = sol.value + tol - bf
     upper_margin = 8.0 * bf + tol - sol.upper_bound
     return SandwichReport(

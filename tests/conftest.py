@@ -6,6 +6,8 @@ import numpy as np
 from scipy import stats
 
 from ldprobust import ProbVector, privatize_batch
+from ldprobust.gram import check_symmetric
+from ldprobust.prob import subset_indicators
 
 
 def brute_force_sup_gap(p, v):
@@ -33,6 +35,36 @@ def brute_force_bilinear(A):
             tm = np.asarray(t, dtype=bool)
             best = max(best, abs(row[tm].sum()))
     return best
+
+
+def bit_matrix_subset_bilinear_max(A):
+    """Reference subset oracle: the products of 0/1 indicator blocks with A.
+
+    Returns (value, s_mask, sp_mask) with the tie rules of
+    gram.subset_bilinear_max: the lowest mask S wins, and S' is the positive
+    support when its sum is at least the negative one.  W is a BLAS product,
+    so its bits may depend on the BLAS kernel.
+    """
+    A = check_symmetric(A)
+    d = A.shape[0]
+    best_val = 0.0
+    best_mask = 0
+    best_sp = np.zeros(d, dtype=bool)
+    chunk = 1 << 14
+    for start in range(0, 1 << d, chunk):
+        stop = min(start + chunk, 1 << d)
+        W = subset_indicators(d, start, stop) @ A
+        pos = np.where(W > 0.0, W, 0.0).sum(axis=1)
+        neg = np.where(W < 0.0, -W, 0.0).sum(axis=1)
+        vals = np.maximum(pos, neg)
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val = float(vals[i])
+            best_mask = start + i
+            w = W[i]
+            best_sp = w > 0.0 if pos[i] >= neg[i] else w < 0.0
+    s_mask = ((best_mask >> np.arange(d)) & 1).astype(bool)
+    return best_val, s_mask, best_sp
 
 
 def brute_force_special_gap(qhat, lam):

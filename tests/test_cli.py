@@ -200,6 +200,14 @@ class TestExitCodes:
         assert exit_code(["sweep", "--config", cfg_path, "--out", out]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [["--n", 5], ["--eps", "1e-200"]],
+                             ids=["n-five", "eps-tiny"])
+    def test_no_adversarial_row_exits_0(self, args, tmp_path):
+        # floor(eps * n) = 0: the estimate is the naive one
+        out = tmp_path / "t.json"
+        assert exit_code(["simulate", *args, "--out", out]) == 0
+        assert out.exists()
+
     def test_failed_certificate_exits_2(self, tmp_path, monkeypatch):
         solve = cli.gram_maximize
 

@@ -594,6 +594,14 @@ class TestRobustEstimate:
         assert np.array_equal(rob.phat, nai.phat)
         assert rob.trace == []
 
+    @pytest.mark.parametrize("eps", [0.019, 1e-200])
+    def test_empty_pool_equals_naive(self, ch, p, eps):
+        # floor(eps * 50) = 0: no row can be adversarial
+        coll = make_clean_collection(ch, p, 50, 10, RngSeed(6))
+        rob = robust_estimate(coll, EstimatorConfig(eps=eps), ch, RngSeed(7))
+        assert np.array_equal(rob.phat, naive_estimate(coll, ch).phat)
+        assert rob.trace == []
+
     def test_clean_data_survives_intact(self, ch, p):
         # at the termination threshold of the analysis nothing is deleted
         hits = 0

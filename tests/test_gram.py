@@ -1,10 +1,15 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ldprobust
 from ldprobust import (
     RapporChannel,
     RngSeed,
@@ -27,7 +32,7 @@ from ldprobust import gram as gram_module
 from ldprobust.gram import GAP_TOL, GramSolution
 from ldprobust.harness import TrialCell, build_collection, resolve_attack, sample_p
 
-from conftest import brute_force_bilinear
+from conftest import bit_matrix_subset_bilinear_max, brute_force_bilinear
 
 
 def random_symmetric(d, seed):
@@ -63,6 +68,32 @@ class TestSubsetBilinearMax:
             attained = abs(A[np.ix_(s, sp)].sum())
             assert attained == pytest.approx(val, abs=1e-12)
 
+    # d = 15 and 16 span more than one block of the 2^14-column table
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_integer_matrices_match_bit_matrix_reference_bitwise(self, d):
+        # every partial sum is an exact integer, so value, masks and ties agree
+        gen = np.random.default_rng(700 + d)
+        for high in (1, 4):
+            raw = gen.integers(-high, high + 1, (d, d))
+            A = (raw + raw.T).astype(np.float64)
+            val, s, sp = subset_bilinear_max(A)
+            ref_val, ref_s, ref_sp = bit_matrix_subset_bilinear_max(A)
+            assert val == ref_val
+            assert np.array_equal(s, ref_s) and np.array_equal(sp, ref_sp)
+            assert abs(A[np.ix_(s, sp)].sum()) == val
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_gaussian_matrices_match_bit_matrix_reference(self, d):
+        # both sum at most d terms per entry of W and reduce d entries
+        gen = np.random.default_rng(800 + d)
+        for _ in range(2):
+            raw = gen.standard_normal((d, d))
+            A = 0.5 * (raw + raw.T)
+            tol = (d + 2) * np.finfo(np.float64).eps / 2 * np.abs(A).sum()
+            val, s, sp = subset_bilinear_max(A)
+            assert abs(val - bit_matrix_subset_bilinear_max(A)[0]) <= tol
+            assert abs(abs(A[np.ix_(s, sp)].sum()) - val) <= tol
+
     def test_rejects_large_d(self):
         with pytest.raises(DimensionTooLarge):
             subset_bilinear_max(np.eye(23))
@@ -70,6 +101,25 @@ class TestSubsetBilinearMax:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             subset_bilinear_max(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("solve", [
+    subset_bilinear_max,
+    gram_maximize,
+    lambda A: dual_upper_bound(A, np.eye(len(A), 3), np.eye(len(A), 3)),
+    sandwich_check,
+], ids=["subset_bilinear_max", "gram_maximize", "dual_upper_bound", "sandwich_check"])
+@pytest.mark.parametrize("A", [
+    [[math.nan]],
+    [[math.inf]],
+    [[1.0, -math.inf], [-math.inf, 1.0]],
+    [[0.0, math.nan, 1.0], [math.nan, 0.0, 1.0], [1.0, 1.0, 0.0]],
+    [[1e301, 0.0], [0.0, 1e301]],
+], ids=["nan", "inf", "symmetric-minus-inf", "symmetric-nan", "sum-above-2^1000"])
+def test_non_finite_or_huge_matrix_raises_invalid_argument(solve, A):
+    # the last case is finite, but its Gram value and subset sums come near overflow
+    with pytest.raises(InvalidArgument):
+        solve(np.array(A))
 
 
 class TestGramMaximize:
@@ -129,6 +179,31 @@ class TestGramMaximize:
         for bad in broken:
             with pytest.raises(InvalidGramSolution):
                 bad.validate(A)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e154, 1e-154, 1e-300])
+    def test_extreme_scales_certify(self, scale):
+        # with v_j optimal the value is ||u_1 + 2 u_2|| + ||2 u_1 - u_2||, at
+        # most sqrt(5 + 4c) + sqrt(5 - 4c) for c = <u_1, u_2>: sqrt(20) at c = 0
+        A = scale * np.array([[1.0, 2.0], [2.0, -1.0]])
+        sol = gram_maximize(A, rng=RngSeed(0))
+        assert abs(sol.value / scale - math.sqrt(20.0)) <= GAP_TOL * math.sqrt(20.0)
+        assert sol.upper_bound / scale >= math.sqrt(20.0) * (1.0 - 1e-14)
+        assert sol.relative_gap <= GAP_TOL
+        sol.validate(A)
+
+    def test_power_of_two_rescaling_is_exact(self):
+        # outside the band, A 2^k is solved as the matrix with its largest
+        # entry in [1/2, 1), which is A itself here
+        A = random_symmetric(6, 31)
+        A = np.ldexp(A, -math.frexp(float(np.abs(A).max()))[1])
+        base = gram_maximize(A, rng=RngSeed(9))
+        for k in (-1000, -300, 300, 900):
+            sol = gram_maximize(np.ldexp(A, k), rng=RngSeed(9))
+            assert sol.value == math.ldexp(base.value, k)
+            assert sol.upper_bound == math.ldexp(base.upper_bound, k)
+            assert sol.history == [math.ldexp(h, k) for h in base.history]
+            assert np.array_equal(sol.u_factors, base.u_factors)
+            assert sol.certified_by == base.certified_by
 
     def test_deterministic(self):
         A = random_symmetric(7, 11)
@@ -396,6 +471,17 @@ class TestSandwich:
                              9.0 * rep.subset_value, sol.restarts_used)
         assert not sandwich_check(A, sol=loose).upper_ok
 
+    @pytest.mark.parametrize("scale", [1e300, 1e154, 1e-154, 1e-300])
+    def test_extreme_scales(self, scale):
+        # the tolerance scales with A instead of overflowing to inf (a check
+        # that always passes) or underflowing to 0
+        B = np.array([[1.0, 2.0], [2.0, -1.0]])
+        base = sandwich_check(B, rng=RngSeed(0))
+        rep = sandwich_check(scale * B, rng=RngSeed(0))
+        assert rep.ok
+        assert rep.lower_margin / scale == pytest.approx(base.lower_margin, rel=1e-6)
+        assert rep.upper_margin / scale == pytest.approx(base.upper_margin, rel=1e-9)
+
     @pytest.mark.parametrize("d", [4, 8, 12])
     def test_random_instances(self, d):
         rng = RngSeed(97)
@@ -403,3 +489,58 @@ class TestSandwich:
             A = random_symmetric(d, 1000 * d + i)
             rep = sandwich_check(A, rng=rng.child(d, i))
             assert rep.ok, (d, i, rep)
+
+
+# OPENBLAS_CORETYPE values and the CPU flags each kernel needs.
+_KERNELS = {"Nehalem": {"sse4_2"}, "Sandybridge": {"avx"}, "Haswell": {"avx2", "fma"}}
+_ORACLE_PANEL = """
+import numpy as np
+from ldprobust import subset_bilinear_max
+gen = np.random.default_rng(2024)
+for d in (3, 8, 12, 15, 16):
+    for _ in range(3):
+        raw = gen.standard_normal((d, d))
+        val, s, sp = subset_bilinear_max(0.5 * (raw + raw.T))
+        print(val.hex(), np.packbits(s).tobytes().hex(), np.packbits(sp).tobytes().hex())
+"""
+
+
+def _openblas_kernels():
+    """The OPENBLAS_CORETYPE values this machine runs, or why the variable does nothing."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return None, f"OpenBLAS kernel names are x86-64 ones, not {platform.machine()}"
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None, "numpy does not report its BLAS build"
+    if "DYNAMIC_ARCH" not in str(blas.get("openblas configuration", "")):
+        return None, f"numpy's BLAS ({blas.get('name')}) is not a DYNAMIC_ARCH OpenBLAS"
+    try:
+        with open("/proc/cpuinfo") as f:
+            flags = next((set(line.split(":", 1)[1].split()) for line in f
+                          if line.startswith("flags")), set())
+    except OSError:
+        return None, "the CPU flags are unreadable, so no kernel is known to run"
+    kernels = [name for name, needs in _KERNELS.items() if needs <= flags]
+    if len(kernels) < 2:
+        return None, "fewer than two OpenBLAS kernels run on this CPU"
+    return kernels, None
+
+
+def test_oracle_bits_do_not_depend_on_blas_kernel():
+    kernels, reason = _openblas_kernels()
+    if kernels is None:
+        pytest.skip(reason)
+    src = os.path.dirname(os.path.dirname(ldprobust.__file__))
+    outputs = {}
+    for kernel in [None, *kernels]:
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_VERBOSE": "2"}
+        env.pop("OPENBLAS_CORETYPE", None)
+        if kernel is not None:
+            env["OPENBLAS_CORETYPE"] = kernel
+        run = subprocess.run([sys.executable, "-c", _ORACLE_PANEL], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        if kernel is not None:
+            assert f"Core: {kernel}" in run.stderr, run.stderr
+        outputs[kernel] = run.stdout
+    assert len(set(outputs.values())) == 1, outputs
