@@ -7,6 +7,14 @@ are independent of scheduling and the CSV is byte-identical across reruns and
 thread counts.  Wall-clock timings are therefore excluded from primary
 outputs: the wall_ms column is written as 0 (timings are kept on the in-memory
 records for runtime checks).
+
+Parallel sweeps run on one warm process pool kept by this module.  Its workers
+are forked at the first sweep with threads > 1 and reused by every later
+sweep with the same worker count; a sweep with another count joins the old
+pool before forking the new one.  The pool is joined at interpreter exit, and
+each worker exits by itself within about a second of its parent's death.
+Workers see the module state of the moment they were forked: a monkeypatch
+made after that fork is not seen by them.
 """
 
 from __future__ import annotations
@@ -15,8 +23,11 @@ import csv
 import io
 import json
 import math
+import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -317,19 +328,77 @@ def _run_job(args) -> TrialResult:
     return run_trial(cell, trial, seed)
 
 
+#: Seconds between a worker's checks that its parent is alive.
+_PARENT_POLL_S = 0.2
+
+# The warm pool of parallel sweeps and its worker count; the lock serializes
+# sweeps that share it.
+_pool: Optional[ProcessPoolExecutor] = None
+_pool_workers = 0
+_pool_lock = threading.Lock()
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker soon after its parent process dies.
+
+    An orphaned worker is reparented, so its parent pid changes; a daemon
+    thread polls for that and exits the process.
+    """
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+def _worker_pool(threads: int) -> ProcessPoolExecutor:
+    """The warm pool with `threads` workers, replacing one of another count."""
+    global _pool, _pool_workers
+    if _pool is not None and _pool_workers != threads:
+        _discard_pool()
+    if _pool is None:
+        _pool = ProcessPoolExecutor(max_workers=threads, initializer=_exit_with_parent)
+        _pool_workers = threads
+    return _pool
+
+
+def _discard_pool() -> None:
+    """Join the warm pool's workers and threads and forget it."""
+    global _pool
+    pool, _pool = _pool, None
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[TrialResult]:
-    """Execute all trials; output order is (cell, trial) regardless of scheduling."""
+    """Execute all trials; output order is (cell, trial) regardless of scheduling.
+
+    With threads > 1 and more than one job, the trials run on the module's
+    warm pool (see the module docstring): forked at the first parallel sweep,
+    reused afterwards and joined at interpreter exit.  A pool found broken
+    when the jobs are submitted (a worker died between sweeps) is replaced;
+    one that breaks during the sweep is discarded and BrokenProcessPool is
+    raised.  threads=0 uses one worker per CPU.
+    """
     jobs = [(cell, trial, cfg.seed)
             for cell in cfg.cells() for trial in range(cfg.trials)]
     if threads == 0:
-        import os
         threads = os.cpu_count() or 1
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_job, jobs, chunksize=1))
-    else:
-        results = [_run_job(job) for job in jobs]
-    return results
+    if threads < 2 or len(jobs) < 2:
+        return [_run_job(job) for job in jobs]
+    with _pool_lock:
+        try:
+            pending = _worker_pool(threads).map(_run_job, jobs)
+        except BrokenProcessPool:
+            _discard_pool()
+            pending = _worker_pool(threads).map(_run_job, jobs)
+        try:
+            return list(pending)
+        except BrokenProcessPool:
+            _discard_pool()
+            raise
 
 
 def write_csv(results: list[TrialResult], path) -> None:

@@ -47,6 +47,13 @@ MAX_EXACT_D = 16
 #: Constant in the quadratic-form radius C * eps^2 / k; e^-2 suffices for the
 #: total-variation chain.
 QUAD_FORM_CONSTANT = math.exp(-2.0)
+#: Smallest quadratic-form budget C * eps^2 / k a hard pair is built for.  The
+#: pair's separation Delta scales as the budget's square root, while q = p -
+#: Delta is rounded at the unit mass of p.  Near a root of 1e-16 the stored
+#: pair is no longer the constructed one and fails its own TV certificate (and
+#: at eps^2 / k below the smallest double, Delta is 0); the floor's root,
+#: 2^-44 (about 6e-14), keeps a wide margin from there.
+MIN_QUAD_BUDGET = 2.0 ** -88
 #: Eigenvalue cutoff multiplier defining the low eigenspace.
 EIGENVALUE_CAP = 3.0 * math.e ** 2
 #: Standard normal draws in the low eigenspace from which the direction with
@@ -210,12 +217,16 @@ def hard_pair(ch: RapporChannel, eps: float, k: int, rng: RngSeed) -> HardPair:
 
     p places mass |Delta_j| / ||Delta||_1 on symbol j and q = p - Delta; both
     are valid probability vectors because ||Delta||_1 <= 1 by the l2 scaling.
-    The guarantees assume alpha <= 1.
+    The guarantees assume alpha <= 1, and an eps whose budget C * eps^2 / k is
+    below MIN_QUAD_BUDGET raises EpsOutOfRange.
     """
     if not 0.0 < eps < 0.5:
         raise EpsOutOfRange("eps must lie in (0, 1/2)")
     if k < 1:
         raise InvalidArgument(f"k must be >= 1, got {k}")
+    if QUAD_FORM_CONSTANT * eps ** 2 / k < MIN_QUAD_BUDGET:
+        raise EpsOutOfRange(f"eps={eps} is too small for k={k}: the budget C * eps^2 / k "
+                            "is below 2^-88, where rounding swamps Delta")
     if ch.alpha > 1.0:
         raise AlphaOutOfRange("hard pair construction requires alpha <= 1")
     omega = omega_matrix(ch)
@@ -255,27 +266,42 @@ def common_mixture(pair: HardPair, ch: RapporChannel, k: int) -> CommonMixture:
 
     A is the normalized pointwise maximum of the two k-fold product laws;
     nonnegativity of N_p and N_q is exactly the indistinguishability property
-    of the pair.  The residuals check both identities against the k-fold
-    products built here.  Requires (2^d)^k <= 2^20 for exact product
-    enumeration.
+    of the pair.  With D = Qq^k - Qp^k and TV = sum(D+),
+
+        N_p = (D+ + (eps - (1-eps) TV) Qp^k) / (eps (1 + TV)),
+
+    and N_q alike with D- and Qq^k.  This is (A - (1-eps) Qp^k) / eps in closed
+    form; computed as written, that quotient loses the masses to cancellation
+    when eps is small.  D is built from the one-sample difference of the laws,
+    D_(j+1) = D_j x Qq + Qp^j x D_1, so it keeps its relative precision where
+    the difference of the two rounded products would be rounding noise.  The residuals check both
+    identities against the k-fold products built here.  Requires
+    (2^d)^k <= 2^20 for exact product enumeration.
     """
     d = ch.d
     if (1 << d) ** k > 1 << 20:
         raise ProductSpaceTooLarge("product space exceeds 2^20 outcomes")
-    sp = channel_output_dist(ch, pair.p)
-    sq = channel_output_dist(ch, pair.q)
-    prod_p = sp.copy()
-    prod_q = sq.copy()
+    cond = _conditional_outputs(ch)
+    sp = cond @ pair.p.weights
+    sq = cond @ pair.q.weights
+    # the two weight vectors sum to one only up to rounding: centre the
+    # difference so that its mass error does not reach the components
+    diff_1 = cond @ (pair.q.weights - pair.p.weights)
+    diff_1 -= diff_1.sum() * sp
+    prod_p, prod_q, diff = sp, sq, diff_1
     for _ in range(k - 1):
+        diff = np.kron(diff, sq) + np.kron(prod_p, diff_1)
         prod_p = np.kron(prod_p, sp)
         prod_q = np.kron(prod_q, sq)
-    tv_exact = 0.5 * float(np.abs(prod_p - prod_q).sum())
-    a = np.maximum(prod_p, prod_q) / (1.0 + tv_exact)
+    up, down = np.maximum(diff, 0.0), np.maximum(-diff, 0.0)
+    tv = float(up.sum())
     eps = pair.eps
-    outcomes = tuple(range(a.size))
-    mixture = FiniteDist(outcomes, a)
-    n_p = FiniteDist(outcomes, (a - (1.0 - eps) * prod_p) / eps)
-    n_q = FiniteDist(outcomes, (a - (1.0 - eps) * prod_q) / eps)
+    shrink = eps - (1.0 - eps) * tv
+    scale = eps * (1.0 + tv)
+    outcomes = tuple(range(prod_p.size))
+    mixture = FiniteDist(outcomes, (prod_p + up) / (1.0 + tv))
+    n_p = FiniteDist(outcomes, (up + shrink * prod_p) / scale)
+    n_q = FiniteDist(outcomes, (down + shrink * prod_q) / scale)
     return CommonMixture(
         mixture=mixture, n_p=n_p, n_q=n_q,
         residual_p=float(np.abs((1.0 - eps) * prod_p + eps * n_p.masses - mixture.masses).max()),

@@ -1,10 +1,18 @@
+import contextlib
 import csv
 import json
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import ldprobust
 from ldprobust import RngSeed, eps_prime_solve, rate_fit, sweep
 from ldprobust.errors import (
     InputError,
@@ -122,6 +130,102 @@ class TestSweep:
             "eps_grid": [0.1], "attack": "all_zeros", "trials": 2, "seed": 9,
         })
         assert SweepConfig.from_json(text) == cfg
+
+
+def _worker_pids() -> set:
+    return {proc.pid for proc in multiprocessing.active_children()}
+
+
+def _alive(pid: int) -> bool:
+    """Whether pid runs; on Linux a zombie (exited, not yet reaped) counts as gone."""
+    if sys.platform.startswith("linux"):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _wait_until(condition, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+# A child interpreter that runs a parallel sweep, prints its worker pids and
+# then sleeps for argv[1] seconds.
+_POOL_CHILD = """
+import multiprocessing, sys, time
+from ldprobust import harness
+cfg = harness.SweepConfig(n_grid=(60,), k_grid=(5,), d_grid=(4,), alpha_grid=(1.0,),
+                          eps_grid=(0.05,), trials=2, seed=2)
+harness.run_sweep(cfg, threads=2)
+print(" ".join(str(p.pid) for p in multiprocessing.active_children()), flush=True)
+time.sleep(float(sys.argv[1]))
+"""
+
+
+class TestWarmPool:
+    """Parallel sweeps share one warm pool whose workers never outlive their parent."""
+
+    cfg = SweepConfig(n_grid=(60, 80), k_grid=(5,), d_grid=(4,), alpha_grid=(1.0,),
+                      eps_grid=(0.0, 0.05), trials=3, seed=2)
+
+    def _csv(self, path, threads) -> bytes:
+        sweep(self.cfg, path, threads=threads)
+        return path.read_bytes()
+
+    def test_reused_across_sweeps(self, tmp_path):
+        serial = self._csv(tmp_path / "s.csv", 1)
+        assert self._csv(tmp_path / "a.csv", 2) == serial
+        first = _worker_pids()
+        assert self._csv(tmp_path / "b.csv", 2) == serial
+        assert len(first) == 2 and _worker_pids() == first
+
+    def test_worker_count_change_leaves_one_pool(self, tmp_path):
+        serial = self._csv(tmp_path / "s.csv", 1)
+        for i, threads in enumerate((2, 3, 2)):
+            assert self._csv(tmp_path / f"t{i}.csv", threads) == serial
+            assert len(_worker_pids()) == threads
+
+    def test_killed_idle_worker_is_replaced(self, tmp_path):
+        serial = self._csv(tmp_path / "s.csv", 1)
+        assert self._csv(tmp_path / "a.csv", 2) == serial
+        old = _worker_pids()
+        os.kill(min(old), signal.SIGKILL)
+        # the pool sees the death and joins the other worker
+        assert _wait_until(lambda: not _worker_pids(), 10.0)
+        assert self._csv(tmp_path / "b.csv", 2) == serial
+        assert len(_worker_pids()) == 2 and not _worker_pids() & old
+
+    @pytest.mark.parametrize("kill_parent", [False, True], ids=["exit", "sigkill"])
+    def test_no_worker_outlives_its_parent(self, kill_parent):
+        src = os.path.dirname(os.path.dirname(ldprobust.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        sleep = "60" if kill_parent else "0"
+        pids = []
+        with subprocess.Popen([sys.executable, "-c", _POOL_CHILD, sleep], env=env,
+                              stdout=subprocess.PIPE, text=True) as parent:
+            try:
+                pids = [int(pid) for pid in parent.stdout.readline().split()]
+                assert len(pids) == 2
+                if kill_parent:
+                    parent.kill()
+                assert parent.wait(timeout=60) == (-signal.SIGKILL if kill_parent else 0)
+                assert _wait_until(lambda: not any(map(_alive, pids)), 3.0), pids
+            finally:
+                parent.kill()
+                for pid in filter(_alive, pids):
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(pid, signal.SIGKILL)
 
 
 class TestRateFit:

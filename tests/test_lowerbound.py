@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from ldprobust.estimator import DESK_TAU_THRESHOLD
 from ldprobust.lowerbound import (
     EIGENVALUE_CAP,
     HardPair,
+    MIN_QUAD_BUDGET,
     QUAD_FORM_CONSTANT,
     assouad_chi2_check,
     assouad_family,
@@ -141,6 +143,19 @@ class TestHardPair:
         with pytest.raises(EpsOutOfRange):
             hard_pair(ch, 0.6, 10, RngSeed(0))
 
+    @pytest.mark.parametrize("eps, k", [(1e-232, 100), (1e-162, 1), (1e-20, 1), (1e-12, 10 ** 6)],
+                             ids=["underflow", "square-underflows", "below-rounding", "large-k"])
+    def test_rejects_eps_whose_budget_is_below_rounding(self, eps, k):
+        # Delta would be 0 (p = NaN) or below the rounding of p: an input error
+        with pytest.raises(EpsOutOfRange, match="too small"):
+            hard_pair(RapporChannel.create(6, 1.0), eps, k, RngSeed(0))
+
+    @pytest.mark.parametrize("d, k", [(3, 1), (5, 2), (6, 8)])
+    def test_certifies_just_above_the_budget_floor(self, d, k):
+        eps = 1.01 * math.sqrt(MIN_QUAD_BUDGET * k / QUAD_FORM_CONSTANT)
+        pair = hard_pair(RapporChannel.create(d, 0.5), eps, k, RngSeed(d))
+        assert 0.0 < pair.tv_bound_k <= eps
+
     def test_indistinguishability_manifests(self):
         # estimating from contaminated swaps, some truth must suffer error
         # at least a quarter of the pair separation
@@ -193,6 +208,32 @@ class TestCommonMixture:
         assert np.abs(a.masses - prod).max() <= 1e-15
         assert np.abs(n_p.masses - a.masses).max() <= 1e-12
         assert np.abs(n_q.masses - a.masses).max() <= 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12])
+    @pytest.mark.parametrize("d, k", [(3, 2), (4, 2), (3, 3)])
+    def test_small_eps_matches_exact_arithmetic(self, d, k, eps):
+        # (A - (1-eps) Qp^k) / eps cancels away the masses at small eps; the
+        # components must still sum to one and match rational arithmetic
+        ch = RapporChannel.create(d, 1.0)
+        pair = hard_pair(ch, eps, k, RngSeed(d + k))
+        mix = common_mixture(pair, ch, k)
+        assert mix.residual_p <= 1e-12 and mix.residual_q <= 1e-12
+        cond = np.vectorize(Fraction, otypes=[object])(lowerbound_module._conditional_outputs(ch))
+        laws = []
+        for w in (pair.p.weights, pair.q.weights):
+            single = cond @ np.array([Fraction(x) for x in w], dtype=object)
+            law = single = single / sum(single)
+            for _ in range(k - 1):
+                law = np.kron(law, single)
+            laws.append(law)
+        law_p, law_q = laws
+        up = np.array([max(x, Fraction(0)) for x in law_q - law_p], dtype=object)
+        e = Fraction(eps)
+        a = (law_p + up) / (1 + sum(up))
+        for got, law in ((mix.n_p.masses, law_p), (mix.n_q.masses, law_q)):
+            exact = (a - (1 - e) * law) / e
+            assert sum(exact) == 1
+            assert np.abs(got - exact.astype(float)).max() <= 1e-9 * float(max(exact))
 
     def test_product_space_guard(self):
         ch = RapporChannel.create(8, 1.0)
