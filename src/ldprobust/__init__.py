@@ -5,9 +5,7 @@ from .adversary import (
     BatchCollection,
     attack_counts,
     contaminate,
-    load_collection,
     make_clean_collection,
-    save_collection,
 )
 from .channel import (
     RapporChannel,
@@ -15,20 +13,18 @@ from .channel import (
     lambda_of_alpha,
     ldp_ratio_check,
     mean_response,
-    privatize,
     privatize_batch,
     sample_counts,
     sample_privatized,
     subset_sum_law_sample,
 )
+from .checks import check_nice_properties, covariance_lipschitz_check
 from .estimator import (
     DESK_TAU_THRESHOLD,
     EstimateResult,
     EstimatorConfig,
     batch_deletion,
-    check_nice_properties,
     collection_mean,
-    covariance_lipschitz_check,
     empirical_cov,
     model_cov,
     naive_estimate,
@@ -40,7 +36,6 @@ from .gram import (
     GramSolution,
     dual_upper_bound,
     gram_maximize,
-    indicator_embedding,
     sandwich_check,
     subset_bilinear_max,
 )
@@ -49,7 +44,6 @@ from .harness import (
     SweepConfig,
     TrialCell,
     TrialResult,
-    eps_prime_solve,
     rate_fit,
     run_trial,
     sweep,
@@ -70,14 +64,11 @@ from .prob import (
     FiniteDist,
     ProbVector,
     RngSeed,
-    chi_square,
     l1_dist,
     make_prob_vector,
-    sample_categorical,
     subset_mask,
     subset_mass,
     sup_subset_gap,
-    tv,
     tv_product_bound,
 )
 

@@ -1,4 +1,4 @@
-"""Corrupted batch collections: clean generation, attacks, shuffling, serialization.
+"""Corrupted batch collections: clean generation, attacks and shuffling.
 
 A collection holds n batch records of k privatized samples each, stored as the
 (n, d) counts of ones per coordinate (a sufficient statistic) together with k.
@@ -11,7 +11,6 @@ only; estimators must never read them.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,23 +18,16 @@ import numpy as np
 
 from .channel import RapporChannel, sample_counts
 from .errors import (
-    BadCollectionFile,
     CountMismatch,
     DimensionMismatch,
     EmptyBatch,
     EpsOutOfRange,
-    InvalidArgument,
     InvalidAttackParams,
 )
 from .prob import ProbVector, RngSeed
 
 LABEL_GOOD = 0
 LABEL_ADVERSARIAL = 1
-
-_MAGIC = b"LDPB"
-_VERSION = 2
-# magic, version, n, k, d, eps numerator, eps denominator, seed, label presence
-_HEADER = struct.Struct("<4sHIIIQQQB")
 
 
 def as_counts(counts) -> np.ndarray:
@@ -56,8 +48,6 @@ class BatchCollection:
     counts: np.ndarray
     k: int
     truth: Optional[np.ndarray] = None
-    eps: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         c = as_counts(self.counts)
@@ -130,8 +120,7 @@ def make_clean_collection(ch: RapporChannel, p: ProbVector, n_prime: int, k: int
     if p.d != ch.d:
         raise DimensionMismatch("p and channel disagree on d")
     return BatchCollection(counts=sample_counts(ch, p, n_prime, k, rng.generator()), k=k,
-                           truth=np.zeros(n_prime, dtype=np.uint8),
-                           eps=0.0, seed=rng.seed)
+                           truth=np.zeros(n_prime, dtype=np.uint8))
 
 
 def attack_counts(attack: AttackSpec, ch: RapporChannel, m: int, k: int,
@@ -189,71 +178,5 @@ def contaminate(clean: BatchCollection, attack: AttackSpec, eps: float, n: int,
         np.full(n_adv, LABEL_ADVERSARIAL, dtype=np.uint8),
     ])
     perm = rng.generator(2).permutation(n)
-    return BatchCollection(counts=counts[perm], k=clean.k, truth=truth[perm],
-                           eps=eps, seed=rng.seed)
+    return BatchCollection(counts=counts[perm], k=clean.k, truth=truth[perm])
 
-
-def _count_dtype(k: int) -> np.dtype:
-    """Narrowest little-endian unsigned integer type that holds every count in [0, k]."""
-    return np.dtype("<u1" if k < 2 ** 8 else "<u2" if k < 2 ** 16 else "<u4")
-
-
-def save_collection(coll: BatchCollection, path) -> None:
-    """Write the version-2 collection format: header, counts, optional labels."""
-    eps_num, eps_den = float(coll.eps).as_integer_ratio()
-    if eps_num < 0 or eps_num >= 2 ** 64 or eps_den >= 2 ** 64:
-        raise InvalidArgument("eps outside serializable range")
-    header = _HEADER.pack(_MAGIC, _VERSION, coll.n, coll.k, coll.d, eps_num, eps_den,
-                          coll.seed, 1 if coll.truth is not None else 0)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(coll.counts.astype(_count_dtype(coll.k)).tobytes())
-        if coll.truth is not None:
-            fh.write(coll.truth.tobytes())
-
-
-def load_collection(path) -> BatchCollection:
-    """Read a collection file of version 2, or of the bit-packed version 1.
-
-    The file size the header implies is checked before any array is built.  A
-    malformed file (bad magic, version or header field, truncated body,
-    trailing bytes, labels outside {0, 1}, counts above k) raises
-    BadCollectionFile.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size or raw[:4] != _MAGIC:
-        raise BadCollectionFile("bad magic or truncated header")
-    _, version, n, k, d, eps_num, eps_den, seed, has_labels = _HEADER.unpack_from(raw)
-    if version == 2:
-        dtype = _count_dtype(k)
-        body = n * d * dtype.itemsize
-    elif version == 1:
-        row_bytes = (d + 7) // 8
-        body = n * k * row_bytes
-    else:
-        raise BadCollectionFile(f"unsupported version {version}")
-    if k < 1 or d < 1:
-        raise BadCollectionFile(f"header needs k >= 1 and d >= 1, got k={k}, d={d}")
-    if has_labels not in (0, 1) or eps_den == 0:
-        raise BadCollectionFile("bad label-presence byte or eps denominator")
-    size = _HEADER.size + body + (n if has_labels else 0)
-    if len(raw) != size:
-        raise BadCollectionFile(f"file holds {len(raw)} bytes, its header implies {size}")
-
-    off = _HEADER.size
-    if version == 2:
-        counts = np.frombuffer(raw, dtype=dtype, count=n * d, offset=off).reshape(n, d)
-        if counts.max(initial=0) > k:
-            raise BadCollectionFile(f"count above k = {k}")
-    else:
-        packed = np.frombuffer(raw, dtype=np.uint8, count=body, offset=off)
-        bits = np.unpackbits(packed.reshape(n * k, row_bytes), axis=1)[:, :d]
-        counts = bits.reshape(n, k, d).sum(axis=1, dtype=np.int64)
-    truth = None
-    if has_labels:
-        truth = np.frombuffer(raw, dtype=np.uint8, count=n, offset=off + body).copy()
-        if np.any(truth > LABEL_ADVERSARIAL):
-            raise BadCollectionFile("labels must be 0 or 1")
-    return BatchCollection(counts=counts, k=k, truth=truth,
-                           eps=eps_num / eps_den, seed=seed)

@@ -123,11 +123,6 @@ def privatize_batch(ch: RapporChannel, xs, gen: np.random.Generator) -> np.ndarr
     return onehot ^ flips
 
 
-def privatize(ch: RapporChannel, x: int, gen: np.random.Generator) -> np.ndarray:
-    """Privatize a single symbol; returns a length-d bit vector."""
-    return privatize_batch(ch, [x], gen)[0]
-
-
 def sample_privatized(ch: RapporChannel, p: ProbVector, count: int,
                       rng: RngSeed) -> np.ndarray:
     """Draw `count` privatized samples of iid symbols from p, as a (count, d) array.
@@ -146,11 +141,7 @@ def sample_privatized(ch: RapporChannel, p: ProbVector, count: int,
     while pos < count:
         m = min(chunk, count - pos)
         gen = rng.generator(idx)
-        xs = gen.choice(ch.d, size=m, p=p.weights) + 1
-        onehot = np.zeros((m, ch.d), dtype=np.uint8)
-        onehot[np.arange(m), xs - 1] = 1
-        flips = (gen.random((m, ch.d)) < ch.lam).astype(np.uint8)
-        out[pos:pos + m] = onehot ^ flips
+        out[pos:pos + m] = privatize_batch(ch, gen.choice(ch.d, size=m, p=p.weights) + 1, gen)
         pos += m
         idx += 1
     return out

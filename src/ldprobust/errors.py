@@ -26,9 +26,8 @@ class InvalidConfig(InputError, ValueError):
 class InvalidArgument(InputError, ValueError):
     """A function argument outside its documented contract: a seed or trial
     index, a batch size or sample count, a missing k, mismatched or negative
-    scores, a malformed vector or outcome set, an unserializable eps, an
-    unknown fit axis, or a lower-bound family parameter (alpha, n, c_gamma,
-    gamma).
+    scores, a malformed vector or outcome set, an unknown fit axis, or a
+    lower-bound family parameter (alpha, n, c_gamma, gamma).
 
     Also a ValueError, which these checks raised before they were typed.
     """
@@ -49,10 +48,6 @@ class TooSmallAlphabet(InputError):
 
 
 class LengthMismatch(ArtifactError):
-    pass
-
-
-class OutcomeMismatch(ArtifactError):
     pass
 
 
@@ -89,10 +84,6 @@ class EpsOutOfRange(InputError):
 
 
 class InvalidAttackParams(InputError):
-    pass
-
-
-class BadCollectionFile(InputError):
     pass
 
 
@@ -166,8 +157,4 @@ class BadSigns(ArtifactError):
 # --- harness ---
 
 class InsufficientData(ArtifactError):
-    pass
-
-
-class NoRoot(ArtifactError):
     pass

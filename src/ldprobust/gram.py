@@ -52,7 +52,6 @@ from .errors import (
     DimensionTooLarge,
     InvalidArgument,
     InvalidGramSolution,
-    LengthMismatch,
     NotSymmetric,
 )
 from .prob import RngSeed
@@ -442,23 +441,6 @@ def _e(r: int, i: int) -> np.ndarray:
     v = np.zeros(r)
     v[i] = 1.0
     return v
-
-
-def indicator_embedding(s_mask, sp_mask) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-3 unit-vector factors whose Gram matrix equals 1_S 1_{S'}^T exactly.
-
-    Rows of u are e0 on S and e1 off it; rows of v are e0 on S' and e2 off it.
-    """
-    s = np.asarray(s_mask, dtype=bool).ravel()
-    sp = np.asarray(sp_mask, dtype=bool).ravel()
-    if s.size != sp.size:
-        raise LengthMismatch(f"masks differ in length: {s.size} and {sp.size}")
-    d = s.size
-    U = np.tile(_e(3, 1), (d, 1))
-    U[s] = _e(3, 0)
-    V = np.tile(_e(3, 2), (d, 1))
-    V[sp] = _e(3, 0)
-    return U, V
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,6 @@ from .errors import (
     InvalidArgument,
     InvalidAttackParams,
     InvalidConfig,
-    NoRoot,
 )
 from .estimator import (
     DESK_TAU_THRESHOLD,
@@ -463,31 +462,3 @@ def rate_fit(csv_path, axis: str) -> RateFitReport:
                          axis_values=tuple(float(x) for x in xs),
                          medians=tuple(float(m) for m in med))
 
-
-#: Operating-level search upper endpoint and the implied minimal n.
-EPS_PRIME_MAX = 0.01
-
-
-def eps_prime_solve(n: int, d: int) -> float:
-    """Root of n = 4 d / (eps'^2 ln(1/eps')) on (0, 1/100], by bisection.
-
-    The right side is decreasing in eps', so a root exists exactly when
-    n >= 4 d / (0.01^2 ln 100); otherwise NoRoot is raised.
-    """
-    def required(e: float) -> float:
-        return 4.0 * d / (e * e * math.log(1.0 / e))
-
-    if n < required(EPS_PRIME_MAX) * (1.0 - 1e-12):
-        raise NoRoot(f"n={n} below the minimum {required(EPS_PRIME_MAX):.3f}")
-    lo, hi = 1e-12, EPS_PRIME_MAX
-    if required(hi) >= n:
-        return hi
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if required(mid) > n:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo - 1.0 < 1e-10:
-            break
-    return hi

@@ -1,4 +1,4 @@
-"""Probability vectors, finite distributions, divergences and subset-mass utilities.
+"""Probability vectors, finite distributions, distances and subset-mass utilities.
 
 Subsets of the alphabet are represented as boolean numpy masks of length d.
 All randomness flows through :class:`RngSeed`, which yields byte-identical
@@ -17,7 +17,6 @@ from .errors import (
     LengthMismatch,
     NegativeMass,
     NotNormalized,
-    OutcomeMismatch,
     TooSmallAlphabet,
 )
 
@@ -138,12 +137,6 @@ class FiniteDist:
         object.__setattr__(self, "masses", m)
 
 
-def _aligned_masses(p: FiniteDist, q: FiniteDist) -> tuple[np.ndarray, np.ndarray]:
-    if p.outcomes != q.outcomes:
-        raise OutcomeMismatch("distributions live on different outcome sets")
-    return p.masses, q.masses
-
-
 def l1_dist(p, q) -> float:
     """Sum of absolute coordinate differences between two equal-length vectors."""
     pa = np.asarray(p, dtype=np.float64).ravel() if not isinstance(p, ProbVector) else p.weights
@@ -151,33 +144,6 @@ def l1_dist(p, q) -> float:
     if pa.size != qa.size:
         raise LengthMismatch(f"lengths {pa.size} and {qa.size} differ")
     return float(np.abs(pa - qa).sum())
-
-
-def tv(p, q) -> float:
-    """Total variation distance, computed as half the l1 distance of the mass vectors."""
-    if isinstance(p, FiniteDist) or isinstance(q, FiniteDist):
-        if not (isinstance(p, FiniteDist) and isinstance(q, FiniteDist)):
-            raise OutcomeMismatch("cannot mix FiniteDist with raw vectors")
-        pm, qm = _aligned_masses(p, q)
-        return 0.5 * l1_dist(pm, qm)
-    return 0.5 * l1_dist(p, q)
-
-
-def chi_square(p, q) -> float:
-    """Chi-square divergence sum((p-q)^2/q); +inf when p charges a q-null outcome."""
-    if isinstance(p, FiniteDist) and isinstance(q, FiniteDist):
-        pm, qm = _aligned_masses(p, q)
-    else:
-        pm = np.asarray(p, dtype=np.float64).ravel()
-        qm = np.asarray(q, dtype=np.float64).ravel()
-        if pm.size != qm.size:
-            raise LengthMismatch("vectors differ in length")
-    null = qm == 0.0
-    if np.any(pm[null] > 0.0):
-        return math.inf
-    keep = ~null
-    diff = pm[keep] - qm[keep]
-    return float(np.sum(diff * diff / qm[keep]))
 
 
 def subset_mask(d: int, members) -> np.ndarray:
@@ -226,15 +192,6 @@ def sup_subset_gap(p, v) -> tuple[float, np.ndarray]:
     if val_pos >= val_neg:
         return val_pos, pos
     return val_neg, neg
-
-
-def sample_categorical(p: ProbVector, count: int, gen: np.random.Generator) -> np.ndarray:
-    """Draw `count` iid symbols (1-based) from p."""
-    if count < 0:
-        raise InvalidArgument("count must be nonnegative")
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    return gen.choice(p.d, size=count, p=p.weights).astype(np.int64) + 1
 
 
 def tv_product_bound(chi2_single: float, k: int) -> float:

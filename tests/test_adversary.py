@@ -1,11 +1,8 @@
 import itertools
 import math
-import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from ldprobust import (
     AttackSpec,
@@ -14,17 +11,14 @@ from ldprobust import (
     RngSeed,
     attack_counts,
     contaminate,
-    load_collection,
     make_clean_collection,
     make_prob_vector,
     mean_response,
     sample_counts,
-    save_collection,
 )
 from ldprobust.adversary import LABEL_ADVERSARIAL
 from ldprobust.lowerbound import hard_pair
 from ldprobust.errors import (
-    BadCollectionFile,
     CountMismatch,
     DimensionMismatch,
     EmptyBatch,
@@ -39,15 +33,6 @@ from conftest import (
     count_law_stats,
     two_sample_chi2,
 )
-
-
-HEADER_SIZE = 4 + struct.calcsize("<HIIIQQQB")
-
-
-def _valid_file_bytes():
-    """A small labeled version-2 file: n=3, k=2, d=3, eps=1/4."""
-    header = b"LDPB" + struct.pack("<HIIIQQQB", 2, 3, 2, 3, 1, 4, 9, 1)
-    return header + bytes([0, 1, 2, 2, 2, 2, 1, 0, 0]) + bytes([0, 1, 0])
 
 
 @pytest.fixture
@@ -269,130 +254,6 @@ class TestContaminate:
                           itertools.permutations(range(5))]) / 10_000
         sigma = math.sqrt((1 / 120) * (1 - 1 / 120) / 10_000)
         assert np.abs(freqs - 1 / 120).max() <= 4 * sigma
-
-
-class TestSerialization:
-    def test_round_trip(self, ch, p, tmp_path):
-        clean = make_clean_collection(ch, p, 12, 7, RngSeed(22))
-        coll = contaminate(clean, AttackSpec(kind="all_ones"), 0.2, 15, ch, RngSeed(23))
-        path = tmp_path / "coll.ldpb"
-        save_collection(coll, path)
-        back = load_collection(path)
-        assert np.array_equal(back.counts, coll.counts)
-        assert back.k == coll.k
-        assert np.array_equal(back.truth, coll.truth)
-        assert back.eps == coll.eps
-        assert back.seed == coll.seed
-
-    def test_byte_stability(self, ch, p, tmp_path):
-        coll = make_clean_collection(ch, p, 4, 3, RngSeed(24))
-        p1, p2 = tmp_path / "a.ldpb", tmp_path / "b.ldpb"
-        save_collection(coll, p1)
-        save_collection(load_collection(p1), p2)
-        data = p1.read_bytes()
-        assert data == p2.read_bytes()
-        # version 2: header, then one u1 per count (k = 3), then the labels
-        assert struct.unpack_from("<H", data, 4) == (2,)
-        assert data[HEADER_SIZE:] == coll.counts.astype("<u1").tobytes() + bytes(4)
-
-    @pytest.mark.parametrize("k, width", [(255, 1), (256, 2), (65535, 2), (65536, 4)])
-    def test_count_width(self, ch, tmp_path, k, width):
-        counts = np.array([[0, 1, k, 2, 3], [k, k, 0, 0, 1]])
-        coll = BatchCollection(counts=counts, k=k)
-        path = tmp_path / "w.ldpb"
-        save_collection(coll, path)
-        assert path.stat().st_size == HEADER_SIZE + counts.size * width
-        back = load_collection(path)
-        assert np.array_equal(back.counts, counts) and back.k == k
-
-    def test_reads_version_1(self, tmp_path):
-        # hand-packed version-1 file: n=2, k=3, d=10, eps=1/8, seed=5, labels;
-        # each sample row is 10 bits packed MSB first into two bytes
-        rows = np.array([
-            [1, 0, 0, 0, 0, 0, 0, 0, 0, 1],
-            [1, 1, 0, 0, 0, 0, 0, 0, 0, 1],
-            [1, 0, 1, 0, 0, 0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-            [0, 1, 0, 0, 0, 0, 0, 0, 1, 0],
-            [0, 1, 0, 0, 0, 0, 0, 1, 1, 1],
-        ])
-        packed = bytes([0x80, 0x40, 0xC0, 0x40, 0xA0, 0x00,
-                        0x00, 0x00, 0x40, 0x80, 0x41, 0xC0])
-        assert np.packbits(rows.astype(np.uint8), axis=1).tobytes() == packed
-        header = b"LDPB" + struct.pack("<HIIIQQQB", 1, 2, 3, 10, 1, 8, 5, 1)
-        path = tmp_path / "v1.ldpb"
-        path.write_bytes(header + packed + bytes([1, 0]))
-        coll = load_collection(path)
-        expected = [[3, 1, 1, 0, 0, 0, 0, 0, 0, 2],
-                    [0, 2, 0, 0, 0, 0, 0, 1, 2, 1]]
-        assert coll.counts.tolist() == expected
-        assert coll.k == 3 and coll.truth.tolist() == [1, 0]
-        assert coll.eps == 0.125 and coll.seed == 5
-
-    @pytest.mark.parametrize("defect", ["truncated", "trailing", "label", "count",
-                                        "version", "magic", "header"])
-    def test_rejects_malformed(self, ch, p, tmp_path, defect):
-        coll = contaminate(make_clean_collection(ch, p, 9, 4, RngSeed(26)),
-                           AttackSpec(kind="all_ones"), 0.1, 10, ch, RngSeed(27))
-        path = tmp_path / "m.ldpb"
-        save_collection(coll, path)
-        data = bytearray(path.read_bytes())
-        if defect == "truncated":
-            data = data[:-3]
-        elif defect == "trailing":
-            data += b"\x00"
-        elif defect == "label":
-            data[-1] = 7
-        elif defect == "count":
-            data[HEADER_SIZE] = 5  # k = 4
-        elif defect == "version":
-            data[4:6] = struct.pack("<H", 3)
-        elif defect == "magic":
-            data[:4] = b"LDPX"
-        else:
-            data = data[:HEADER_SIZE - 1]
-        path.write_bytes(bytes(data))
-        with pytest.raises(BadCollectionFile):
-            load_collection(path)
-
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_fuzzed_files_load_or_raise_typed(self, tmp_path, data):
-        valid = _valid_file_bytes()
-        mode = data.draw(st.sampled_from(["arbitrary", "truncate", "flip"]))
-        if mode == "arbitrary":
-            raw = data.draw(st.binary(max_size=200))
-            if data.draw(st.booleans()):
-                raw = valid[:4] + raw
-        elif mode == "truncate":
-            raw = valid[:data.draw(st.integers(0, len(valid) - 1))]
-        else:
-            raw = bytearray(valid)
-            for _ in range(data.draw(st.integers(1, 4))):
-                pos = data.draw(st.integers(0, len(raw) - 1))
-                raw[pos] ^= data.draw(st.integers(1, 255))
-            raw = bytes(raw)
-        path = tmp_path / "fuzz.ldpb"
-        path.write_bytes(raw)
-        try:
-            coll = load_collection(path)
-        except BadCollectionFile:
-            return
-        assert isinstance(coll, BatchCollection)
-        assert coll.counts.shape == (coll.n, coll.d)
-        assert coll.k >= 1 and coll.counts.min(initial=0) >= 0
-        assert coll.counts.max(initial=0) <= coll.k
-        if coll.truth is not None:
-            assert coll.truth.size == coll.n
-            assert set(coll.truth.tolist()) <= {0, 1}
-
-    def test_no_labels(self, ch, p, tmp_path):
-        coll = make_clean_collection(ch, p, 4, 3, RngSeed(25))
-        coll.truth = None
-        path = tmp_path / "c.ldpb"
-        save_collection(coll, path)
-        assert load_collection(path).truth is None
 
 
 class TestBatchCollection:

@@ -14,7 +14,6 @@ from ldprobust import (
     ldp_ratio_check,
     make_prob_vector,
     mean_response,
-    privatize,
     privatize_batch,
     sample_counts,
     sample_privatized,
@@ -50,8 +49,8 @@ class TestLambda:
 class TestPrivatize:
     def test_noiseless(self):
         ch = RapporChannel.from_lambda(3, 0.0)
-        z = privatize(ch, 2, RngSeed(0).generator())
-        assert z.tolist() == [0, 1, 0]
+        z = privatize_batch(ch, [2], RngSeed(0).generator())
+        assert z.tolist() == [[0, 1, 0]]
 
     def test_fully_randomized(self):
         ch = RapporChannel.from_lambda(4, 0.5)
@@ -69,7 +68,7 @@ class TestPrivatize:
     def test_symbol_out_of_range(self):
         ch = RapporChannel.create(3, 1.0)
         with pytest.raises(SymbolOutOfRange):
-            privatize(ch, 4, RngSeed(0).generator())
+            privatize_batch(ch, [4], RngSeed(0).generator())
 
     def test_empty_batch(self):
         ch = RapporChannel.create(3, 1.0)
@@ -80,11 +79,6 @@ class TestPrivatize:
         p = make_prob_vector([1.0, 0.0, 0.0])
         bits = sample_privatized(ch, p, 50_000, RngSeed(3))
         assert abs(bits[:, 0].mean() - (1 - ch.lam)) < 0.01
-
-    def test_single_symbol_delegates_to_batch(self):
-        ch = RapporChannel.create(4, 1.0)
-        assert np.array_equal(privatize(ch, 3, RngSeed(8).generator()),
-                              privatize_batch(ch, [3], RngSeed(8).generator())[0])
 
 
 class TestMeanResponse:

@@ -637,7 +637,7 @@ class TestRobustEstimate:
         coll, rng = attacked_collection(ch, p, n=300, seed=9)
         perm = np.random.default_rng(10).permutation(coll.n)
         shuffled = BatchCollection(counts=coll.counts[perm].copy(), k=coll.k,
-                                   truth=coll.truth[perm].copy(), eps=coll.eps)
+                                   truth=coll.truth[perm].copy())
         cfg = EstimatorConfig(eps=0.05, tau_threshold=DESK_TAU_THRESHOLD)
         res_a = robust_estimate(coll, cfg, ch, rng.child(3))
         res_b = robust_estimate(shuffled, cfg, ch, rng.child(3))
@@ -778,6 +778,12 @@ class TestNiceProperties:
         rep = check_nice_properties(bad, p, 0.1, ch, RngSeed(20))
         assert not rep.mean_ok
 
+    def test_channel_of_another_dimension(self, ch, p):
+        coll = make_clean_collection(ch, p, 50, 10, RngSeed(23))
+        with pytest.raises(DimensionMismatch):
+            check_nice_properties(coll, make_prob_vector([0.25] * 4), 0.1,
+                                  RapporChannel.create(4, 1.0))
+
     def test_variance_gap_controls_subset_error(self, ch, p):
         # subset error <= 30 eps sqrt(d ln(e/eps)/k) + 2 sqrt(eps * max var gap),
         # with 10% measurement slack, whenever the nice properties hold
@@ -827,3 +833,9 @@ class TestCovarianceLipschitz:
             shift = gen.normal(0, 0.02, size=6)
             rep = covariance_lipschitz_check(q, q + shift, 40, ch.lam)
             assert rep.ok
+
+    @pytest.mark.parametrize("d, d_shift", [(4, 1), (3, 5)], ids=["broadcast", "3-5"])
+    def test_length_mismatch(self, d, d_shift):
+        lam = RapporChannel.create(4, 1.0).lam
+        with pytest.raises(LengthMismatch):
+            covariance_lipschitz_check(np.full(d, 0.4), np.full(d_shift, 0.41), 20, lam)

@@ -15,7 +15,6 @@ from ldprobust import (
     RngSeed,
     dual_upper_bound,
     gram_maximize,
-    indicator_embedding,
     robust_estimate,
     sandwich_check,
     subset_bilinear_max,
@@ -24,7 +23,6 @@ from ldprobust.errors import (
     DimensionTooLarge,
     InvalidArgument,
     InvalidGramSolution,
-    LengthMismatch,
     NotSymmetric,
 )
 from ldprobust import estimator as estimator_module
@@ -418,32 +416,6 @@ class TestCholeskyCertificate:
                 assert sol.upper_bound >= ref.upper_bound
         assert deleted == [[rec.deleted for rec in robust_estimate(coll, cfg, ch, rng).trace]
                            for coll, rng in runs]
-
-
-class TestIndicatorEmbedding:
-    def test_exact_equality_random_pairs(self):
-        gen = np.random.default_rng(13)
-        for _ in range(50):
-            d = int(gen.integers(3, 10))
-            s = gen.random(d) < 0.5
-            sp = gen.random(d) < 0.5
-            U, V = indicator_embedding(s, sp)
-            A = random_symmetric(d, int(gen.integers(10 ** 6)))
-            M = U @ V.T
-            target = np.outer(s.astype(float), sp.astype(float))
-            assert np.array_equal(M, target)
-            assert np.sum(M * A) == np.sum(target * A)
-
-    def test_rejects_mismatched_masks(self):
-        with pytest.raises(LengthMismatch):
-            indicator_embedding([True, False, True], [True, False])
-
-    def test_factors_are_feasible(self):
-        U, V = indicator_embedding([True, False, True], [False, False, True])
-        sol = GramSolution(u_factors=U, v_factors=V, value=0.0, upper_bound=0.0,
-                           restarts_used=0)
-        assert np.abs(np.linalg.norm(U, axis=1) - 1).max() == 0.0
-        assert np.abs(sol.matrix()).max() <= 1.0
 
 
 class TestSandwich:

@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 import ldprobust
-from ldprobust import RngSeed, eps_prime_solve, rate_fit, sweep
+from ldprobust import rate_fit, sweep
 from ldprobust.errors import (
     InputError,
     InsufficientData,
     InvalidArgument,
     InvalidConfig,
-    NoRoot,
 )
 from ldprobust.harness import (
     CSV_COLUMNS,
@@ -275,29 +274,6 @@ class TestRateFit:
         self._write(path, rows)
         rep = rate_fit(path, "n")
         assert rep.slope == pytest.approx(-1.0, abs=1e-9)
-
-
-class TestEpsPrimeSolve:
-    def test_boundary(self):
-        d = 10
-        n = math.ceil(4 * d / (0.01 ** 2 * math.log(100)))
-        assert eps_prime_solve(n, d) == pytest.approx(0.01, rel=1e-6)
-
-    def test_monotone(self):
-        d = 10
-        lo = eps_prime_solve(10 ** 7, d)
-        hi = eps_prime_solve(10 ** 8, d)
-        assert hi < lo
-
-    def test_defining_equation(self):
-        d, n = 10, 10 ** 7
-        e = eps_prime_solve(n, d)
-        assert 0 < e <= 0.01
-        assert abs(4 * d / (e ** 2 * math.log(1 / e)) - n) / n < 1e-8
-
-    def test_no_root(self):
-        with pytest.raises(NoRoot):
-            eps_prime_solve(100, 10)
 
 
 class TestFormatting:

@@ -12,16 +12,12 @@ from ldprobust import (
     RngSeed,
     check_nice_properties,
     rate_fit,
-    chi_square,
     l1_dist,
     make_prob_vector,
-    sample_categorical,
     sample_privatized,
-    save_collection,
     subset_mask,
     subset_mass,
     sup_subset_gap,
-    tv,
     tv_product_bound,
 )
 from ldprobust.errors import (
@@ -30,7 +26,6 @@ from ldprobust.errors import (
     LengthMismatch,
     NegativeMass,
     NotNormalized,
-    OutcomeMismatch,
     TooSmallAlphabet,
 )
 
@@ -78,51 +73,6 @@ class TestDistances:
     def test_l1_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             l1_dist([1, 0], [1, 0, 0])
-
-    def test_tv_equals_half_l1(self):
-        p = [0.2, 0.3, 0.5]
-        q = [0.5, 0.25, 0.25]
-        assert tv(p, q) == 0.5 * l1_dist(p, q)
-
-    def test_tv_bernoulli(self):
-        p = FiniteDist((0, 1), np.array([0.5, 0.5]))
-        q = FiniteDist((0, 1), np.array([0.3, 0.7]))
-        assert abs(tv(p, q) - 0.2) < 1e-15
-
-    def test_tv_disjoint(self):
-        p = FiniteDist(("a", "b"), np.array([1.0, 0.0]))
-        q = FiniteDist(("a", "b"), np.array([0.0, 1.0]))
-        assert tv(p, q) == 1.0
-
-    def test_tv_outcome_mismatch(self):
-        p = FiniteDist(("a", "b"), np.array([1.0, 0.0]))
-        q = FiniteDist(("a", "c"), np.array([0.0, 1.0]))
-        with pytest.raises(OutcomeMismatch):
-            tv(p, q)
-
-
-class TestChiSquare:
-    def test_zero_at_equal(self):
-        p = FiniteDist((0, 1, 2), np.array([0.2, 0.3, 0.5]))
-        assert chi_square(p, p) == 0.0
-
-    def test_infinite_when_not_absolutely_continuous(self):
-        p = FiniteDist((0, 1), np.array([0.5, 0.5]))
-        q = FiniteDist((0, 1), np.array([1.0, 0.0]))
-        assert chi_square(p, q) == math.inf
-
-    def test_bernoulli_value(self):
-        # ((0.1)^2 / 0.5) * 2 = 0.04
-        p = FiniteDist((0, 1), np.array([0.4, 0.6]))
-        q = FiniteDist((0, 1), np.array([0.5, 0.5]))
-        assert abs(chi_square(p, q) - 0.04) < 1e-15
-
-    def test_nonnegative(self):
-        gen = np.random.default_rng(3)
-        for _ in range(50):
-            a = gen.dirichlet(np.ones(4))
-            b = gen.dirichlet(np.ones(4))
-            assert chi_square(a, b) >= 0.0
 
 
 class TestSubsetMass:
@@ -174,29 +124,6 @@ class TestSupSubsetGap:
         assert abs(abs(subset_mass(p, mask) - subset_mass(v, mask)) - val) < 1e-12
 
 
-class TestSampling:
-    def test_point_mass(self):
-        p = make_prob_vector([0.0, 1.0, 0.0])
-        xs = sample_categorical(p, 5, RngSeed(0).generator())
-        assert xs.tolist() == [2, 2, 2, 2, 2]
-
-    def test_empty(self):
-        p = make_prob_vector([0.5, 0.25, 0.25])
-        assert sample_categorical(p, 0, RngSeed(0).generator()).size == 0
-
-    def test_uniform_frequencies(self):
-        p = make_prob_vector([0.25] * 4)
-        xs = sample_categorical(p, 10 ** 6, RngSeed(123).generator())
-        freqs = np.bincount(xs, minlength=5)[1:] / 10 ** 6
-        assert np.abs(freqs - 0.25).max() < 0.002
-
-    def test_deterministic(self):
-        p = make_prob_vector([0.5, 0.3, 0.2])
-        a = sample_categorical(p, 100, RngSeed(9, 4).generator())
-        b = sample_categorical(p, 100, RngSeed(9, 4).generator())
-        assert np.array_equal(a, b)
-
-
 class TestTvProductBound:
     def test_zero(self):
         assert tv_product_bound(0.0, 5) == 0.0
@@ -243,17 +170,14 @@ class TestInvalidArgument:
     @pytest.mark.parametrize("call", [
         lambda tmp: make_prob_vector([[0.5, 0.3, 0.2]]),
         lambda tmp: FiniteDist(("a", "a"), [0.5, 0.5]),
-        lambda tmp: sample_categorical(_P3, -1, RngSeed(0).generator()),
         lambda tmp: tv_product_bound(-0.1, 2),
         lambda tmp: tv_product_bound(0.1, 0),
         lambda tmp: sample_privatized(_CH3, _P3, -1, RngSeed(0)),
-        lambda tmp: save_collection(BatchCollection(_ZEROS, k=1, eps=-0.1), tmp / "c.bin"),
         lambda tmp: rate_fit(tmp / "sweep.csv", "d"),
         lambda tmp: check_nice_properties(BatchCollection(_ZEROS, k=2, truth=[0, 1, 0, 0]),
                                           _P3, 0.1, _CH3),
-    ], ids=["vector-2d", "repeated-outcomes", "categorical-count", "tv-negative-chi2",
-            "tv-k-zero", "privatized-count", "unserializable-eps", "fit-axis",
-            "nice-properties-not-clean"])
+    ], ids=["vector-2d", "repeated-outcomes", "tv-negative-chi2", "tv-k-zero",
+            "privatized-count", "fit-axis", "nice-properties-not-clean"])
     def test_contract_violation_is_typed_value_error(self, call, tmp_path):
         with pytest.raises(InvalidArgument) as exc:
             call(tmp_path)
