@@ -116,7 +116,7 @@ def _cmd_sdp_check(args) -> int:
 def _cmd_lowerbound(args) -> int:
     ch = RapporChannel.create(args.d, args.alpha)
     # hard_pair validates the pair before returning it
-    pair = hard_pair(ch, eps=args.eps, k=args.k, rng=RngSeed(args.seed))
+    pair = hard_pair(ch, eps=args.eps, k=args.k)
     _emit({
         "d": args.d, "alpha": args.alpha, "k": args.k, "eps": args.eps,
         "p": list(pair.p.weights), "q": list(pair.q.weights),
@@ -131,7 +131,7 @@ def _cmd_lowerbound(args) -> int:
 
 def _cmd_mixture_check(args) -> int:
     ch = RapporChannel.create(args.d, args.alpha)
-    pair = hard_pair(ch, eps=args.eps, k=args.k, rng=RngSeed(args.seed))
+    pair = hard_pair(ch, eps=args.eps, k=args.k)
     mix = common_mixture(pair, ch, args.k)
     ok = mix.residual_p <= 1e-12 and mix.residual_q <= 1e-12
     _emit({
@@ -173,8 +173,8 @@ def build_parser() -> _Parser:
                      description="Robust estimation from privatized batch data")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_default=0):
-        p.add_argument("--seed", type=int, default=seed_default)
+    def common(p, seed_default=0, seed_help=None):
+        p.add_argument("--seed", type=_non_negative_int, default=seed_default, help=seed_help)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--threads", type=_non_negative_int, default=1,
                        help="0 = auto; affects scheduling only, never results")
@@ -205,7 +205,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_sdp_check)
 
     p = sub.add_parser("lowerbound", help="emit a hard-pair certificate")
-    common(p)
+    common(p, seed_help="ignored: the hard pair is deterministic")
     p.add_argument("--d", type=int, default=8)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--k", type=int, default=100)
@@ -213,7 +213,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_lowerbound)
 
     p = sub.add_parser("mixture-check", help="common-mixture residual report")
-    common(p)
+    common(p, seed_help="ignored: the hard pair is deterministic")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--k", type=int, default=2)

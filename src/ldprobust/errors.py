@@ -133,10 +133,6 @@ class InexactStatistics(ArtifactError):
 
 # --- lower-bound constructions ---
 
-class EmptySubspace(ArtifactError):
-    pass
-
-
 class InfeasibleScale(ArtifactError):
     pass
 

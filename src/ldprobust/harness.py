@@ -219,7 +219,7 @@ def run_trial(cell: TrialCell, trial: int, master_seed: int) -> TrialResult:
     base = RngSeed(master_seed).child(hash_cell(cell), trial)
     ch = RapporChannel.create(cell.d, cell.alpha)
     if cell.attack == "hard_pair_swap" and cell.eps > 0.0:
-        pair = hard_pair(ch, eps=cell.eps, k=cell.k, rng=base.child(1))
+        pair = hard_pair(ch, eps=cell.eps, k=cell.k)
         p = pair.p
         attack = AttackSpec(kind="swap_distribution", q=pair.q, name="hard_pair_swap")
     else:

@@ -2,9 +2,8 @@
 
 Builds, for the bit-flip channel:
   * the channel information matrix Omega with entries
-    integral of (Q(z|j)/Q(z|1) - 1)(Q(z|j')/Q(z|1) - 1) dQ(z|1),
-  * a sum-zero direction Delta inside the low-eigenvalue span of Omega whose
-    l1 mass is large relative to its l2 norm,
+    integral of (Q(z|j)/Q(z|1) - 1)(Q(z|j')/Q(z|1) - 1) dQ(z|1), in closed form,
+  * the balanced sum-zero direction Delta with the largest l1-to-l2 ratio,
   * the hard pair p = |Delta|/||Delta||_1, q = p - Delta whose k-fold privatized
     products are within total variation eps of each other,
   * the common mixture certifying that eps-contamination can exactly equalize
@@ -26,7 +25,6 @@ from .errors import (
     CertificateViolation,
     DimensionMismatch,
     DimensionTooLarge,
-    EmptySubspace,
     EpsOutOfRange,
     InfeasibleScale,
     InvalidArgument,
@@ -36,7 +34,6 @@ from .errors import (
 from .prob import (
     FiniteDist,
     ProbVector,
-    RngSeed,
     make_prob_vector,
     subset_indicators,
     tv_product_bound,
@@ -56,22 +53,13 @@ QUAD_FORM_CONSTANT = math.exp(-2.0)
 MIN_QUAD_BUDGET = 2.0 ** -88
 #: Eigenvalue cutoff multiplier defining the low eigenspace.
 EIGENVALUE_CAP = 3.0 * math.e ** 2
-#: Standard normal draws in the low eigenspace from which the direction with
-#: the largest l1-to-l2 ratio is kept.
-GAUSSIAN_SAMPLES = 10_000
-
-_RANK_TOL = 1e-10
-
-
-def _output_bits(d: int) -> np.ndarray:
-    if d > MAX_EXACT_D:
-        raise DimensionTooLarge(f"exact enumeration capped at d={MAX_EXACT_D}")
-    return subset_indicators(d)
 
 
 def _conditional_outputs(ch: RapporChannel) -> np.ndarray:
     """(2^d, d) matrix of Q(z | x) over all outputs z and inputs x."""
-    bits = _output_bits(ch.d)
+    if ch.d > MAX_EXACT_D:
+        raise DimensionTooLarge(f"exact enumeration capped at d={MAX_EXACT_D}")
+    bits = subset_indicators(ch.d)
     ones = bits.sum(axis=1)
     # Hamming distance between z and e_x is |z| + 1 - 2 * z_x.
     ham = ones[:, None] + 1.0 - 2.0 * bits
@@ -86,102 +74,84 @@ def channel_output_dist(ch: RapporChannel, p: ProbVector) -> np.ndarray:
 
 def channel_chi2_exact(ch: RapporChannel, p: ProbVector, q: ProbVector) -> float:
     """Exact chi-square divergence between the privatized laws of p and q."""
-    qp = channel_output_dist(ch, p)
-    qq = channel_output_dist(ch, q)
-    diff = qp - qq
+    cond = _conditional_outputs(ch)
+    qq = cond @ q.weights
+    diff = cond @ p.weights - qq
     return float(np.sum(diff * diff / qq))
+
+
+def _omega_coefficients(ch: RapporChannel) -> tuple[float, float]:
+    """(a, b) with Omega = a I + b 11^T on coordinates 2..d: b = E_{z_1}[(E f_j)^2]
+    and a = E[f_j^2] - b, for f_j = (mu/lam)^(2 (z_j - z_1)) - 1 under Q(.|1)."""
+    lam = ch.lam
+    mu = 1.0 - lam
+    gap = (1.0 - 2.0 * lam) ** 2
+    return gap * (lam ** 3 + mu ** 3) / (lam * mu) ** 2, gap / (lam * mu)
 
 
 @dataclass(frozen=True)
 class OmegaMatrix:
     matrix: np.ndarray
+    a: float
+    b: float
     alpha: float
     d: int
 
     def low_eigencount(self) -> int:
-        """Number of eigenvalues at or below the cap 3 * e^2 * alpha^2."""
-        vals = np.linalg.eigvalsh(self.matrix)
-        return int((vals <= EIGENVALUE_CAP * self.alpha ** 2 + 1e-12).sum())
+        """Number of eigenvalues at or below the cap 3 * e^2 * alpha^2, among
+        0 (on e_1), a (d - 2 times) and a + (d - 1) b (on the ones of 2..d)."""
+        cutoff = EIGENVALUE_CAP * self.alpha ** 2 + 1e-12
+        top = self.a + (self.d - 1) * self.b
+        return 1 + (self.d - 2) * int(self.a <= cutoff) + int(top <= cutoff)
 
 
 def omega_matrix(ch: RapporChannel) -> OmegaMatrix:
-    """Exact channel information matrix by summation over all 2^d outputs.
+    """Channel information matrix a I + b 11^T on coordinates 2..d, in closed form.
 
     Row and column 1 vanish identically since the reference ratio at x = 1 is
-    constant.  The matrix is symmetric positive semidefinite with trace at most
-    d * e^2 * alpha^2 whenever alpha <= 1.
+    constant.  The eigenvalues 0, a and a + (d - 1) b must be nonnegative, and
+    the trace (d - 1)(a + b) at most d * e^2 * alpha^2 whenever alpha <= 1.
     """
-    bits = _output_bits(ch.d)
-    lam = ch.lam
-    ratio = (1.0 - lam) / lam
-    # Q(z|j)/Q(z|1) = ratio^(2 (z_j - z_1)); exponent in {-2, 0, 2}.
-    expo = 2.0 * (bits - bits[:, [0]])
-    qfun = ratio ** expo - 1.0
-    weights = _conditional_outputs(ch)[:, 0]
-    omega = (qfun * weights[:, None]).T @ qfun
-    omega = 0.5 * (omega + omega.T)
-    eig_min = float(np.linalg.eigvalsh(omega).min())
+    a, b = _omega_coefficients(ch)
+    d = ch.d
+    eig_min = min(0.0, a, a + (d - 1) * b)
     if eig_min < -1e-9:
         raise CertificateViolation(f"information matrix not PSD (min eig {eig_min})")
-    if ch.alpha <= 1.0:
-        trace_cap = ch.d * (math.e * ch.alpha) ** 2
-        if float(np.trace(omega)) > trace_cap * (1.0 + 1e-9):
-            raise CertificateViolation("trace bound violated")
-    return OmegaMatrix(matrix=omega, alpha=ch.alpha, d=ch.d)
+    if ch.alpha <= 1.0 and (d - 1) * (a + b) > d * (math.e * ch.alpha) ** 2 * (1.0 + 1e-9):
+        raise CertificateViolation("trace bound violated")
+    omega = np.zeros((d, d))
+    omega[1:, 1:] = a * np.eye(d - 1) + b
+    return OmegaMatrix(matrix=omega, a=a, b=b, alpha=ch.alpha, d=d)
 
 
-def low_eigenspace_delta(omega: OmegaMatrix, eps: float, k: int,
-                         gen: np.random.Generator) -> np.ndarray:
-    """Sum-zero direction in the low eigenspace with a large l1-to-l2 ratio.
+def low_eigenspace_delta(omega: OmegaMatrix, eps: float, k: int) -> np.ndarray:
+    """Sum-zero direction in the low eigenspace with the largest l1-to-l2 ratio.
 
-    Draws GAUSSIAN_SAMPLES standard normal vectors in an orthonormal basis of
-    span(low eigenvectors) intersected with the sum-zero hyperplane and keeps
-    the draw maximizing ||x||_1 / ||x||_2.  The result is scaled so that its
-    quadratic form x^T Omega x equals C * eps^2 / k exactly (or its l2 norm
-    hits 1/sqrt(d), whichever binds first).  Calibrating against the realized
-    quadratic form instead of the worst-case eigenvalue cap 2 e^2 alpha^2
-    keeps the direction inside the certified indistinguishable set while
-    extracting the full l1 mass the channel permits; the conservative cap
-    would forfeit a factor sqrt(cap / realized) of l1 mass.
+    Every eigenvalue of Omega must lie below the cap 3 e^2 alpha^2 (true for
+    d <= 16 and alpha <= 1; CertificateViolation otherwise), so the low
+    eigenspace is R^d and the best direction is balanced: floor(d/2) entries
+    -1/floor(d/2), coordinate 1 among them (Omega's row 1 is zero and a >= b),
+    and ceil(d/2) entries +1/ceil(d/2).  It is scaled so that its realized
+    quadratic form x^T Omega x equals C * eps^2 / k (not to the worst-case
+    cap, which would forfeit l1 mass) or its l2 norm hits 1/sqrt(d), whichever
+    binds first; an l1 norm that rounds above 1 (exactly 1 at the l2 cap for
+    even d) is divided out.
     """
-    if omega.d < 3:
+    d = omega.d
+    if d < 3:
         raise TooSmallAlphabet("d must be >= 3")
-    vals, vecs = np.linalg.eigh(omega.matrix)
-    cutoff = EIGENVALUE_CAP * omega.alpha ** 2
-    j0 = int((vals <= cutoff + 1e-12).sum())
-    if j0 == 0:
-        raise EmptySubspace("no eigenvalues below the cap")
-    basis = vecs[:, :j0]                      # (d, j0), orthonormal columns
-    g = basis.T @ np.ones(omega.d)
-    gnorm = float(np.linalg.norm(g))
-    if gnorm <= _RANK_TOL:
-        inner = np.eye(j0)
-    else:
-        # orthonormal basis of the orthocomplement of g inside R^j0
-        seed_mat = np.eye(j0) - np.outer(g, g) / (gnorm ** 2)
-        u, s, _ = np.linalg.svd(seed_mat)
-        inner = u[:, s > _RANK_TOL]
-    W = basis @ inner                          # (d, m), orthonormal, sum-zero
-    m = W.shape[1]
-    if m == 0:
-        raise EmptySubspace("sum-zero intersection is empty")
-
-    draws = gen.standard_normal((GAUSSIAN_SAMPLES, m))
-    X = draws @ W.T
-    l1 = np.abs(X).sum(axis=1)
-    l2 = np.linalg.norm(X, axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = np.where(l2 > 0, l1 / l2, 0.0)
-    best = int(np.argmax(ratios))
-    direction = X[best] / float(np.linalg.norm(X[best]))
+    if omega.low_eigencount() != d:
+        raise CertificateViolation("an eigenvalue of Omega exceeds the cap 3 e^2 alpha^2")
+    low = d // 2
+    direction = np.full(d, 1.0 / (d - low))
+    direction[:low] = -1.0 / low
+    direction /= float(np.linalg.norm(direction))
 
     quad_per_unit = float(direction @ omega.matrix @ direction)
     budget = QUAD_FORM_CONSTANT * eps ** 2 / k
-    if quad_per_unit > 0.0:
-        target_sq = min(budget / quad_per_unit, 1.0 / omega.d)
-    else:
-        target_sq = 1.0 / omega.d
-    return direction * math.sqrt(target_sq)
+    target_sq = min(budget / quad_per_unit, 1.0 / d) if quad_per_unit > 0.0 else 1.0 / d
+    delta = direction * math.sqrt(target_sq)
+    return delta / max(1.0, float(np.abs(delta).sum()))
 
 
 @dataclass(frozen=True)
@@ -212,13 +182,15 @@ class HardPair:
             raise CertificateViolation("k-fold TV bound exceeds eps")
 
 
-def hard_pair(ch: RapporChannel, eps: float, k: int, rng: RngSeed) -> HardPair:
+def hard_pair(ch: RapporChannel, eps: float, k: int) -> HardPair:
     """Construct and certify a hard pair for the given channel, eps and k.
 
-    p places mass |Delta_j| / ||Delta||_1 on symbol j and q = p - Delta; both
-    are valid probability vectors because ||Delta||_1 <= 1 by the l2 scaling.
-    The guarantees assume alpha <= 1, and an eps whose budget C * eps^2 / k is
-    below MIN_QUAD_BUDGET raises EpsOutOfRange.
+    Deterministic: Omega and Delta are closed forms (omega_matrix,
+    low_eigenspace_delta).  p places mass |Delta_j| / ||Delta||_1 on symbol j
+    and q = p - Delta; both are valid probability vectors because
+    ||Delta||_1 <= 1.  The chi-square enumerates the 2^d outputs, so d is at
+    most MAX_EXACT_D.  The guarantees assume alpha <= 1, and an eps whose
+    budget C * eps^2 / k is below MIN_QUAD_BUDGET raises EpsOutOfRange.
     """
     if not 0.0 < eps < 0.5:
         raise EpsOutOfRange("eps must lie in (0, 1/2)")
@@ -230,7 +202,7 @@ def hard_pair(ch: RapporChannel, eps: float, k: int, rng: RngSeed) -> HardPair:
     if ch.alpha > 1.0:
         raise AlphaOutOfRange("hard pair construction requires alpha <= 1")
     omega = omega_matrix(ch)
-    delta = low_eigenspace_delta(omega, eps, k, rng.generator())
+    delta = low_eigenspace_delta(omega, eps, k)
     l1 = float(np.abs(delta).sum())
     if l1 > 1.0:
         raise InfeasibleScale("||Delta||_1 > 1 after scaling")

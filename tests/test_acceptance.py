@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from ldprobust import (
     AttackSpec,
@@ -254,7 +253,7 @@ def test_criterion_9_lowerbound_certificates():
     t0 = time.monotonic()
     d, alpha, k, eps = 8, 1.0, 100, 0.1
     ch = RapporChannel.create(d, alpha)
-    pair = hard_pair(ch, eps, k, RngSeed(909))
+    pair = hard_pair(ch, eps, k)
     quad_ok = pair.quad_form <= math.exp(-2) * eps ** 2 / k * (1 + 1e-12)
     chi_ok = pair.chi2_one_sample <= math.exp(alpha) * pair.quad_form + 1e-9
     tv_ok = pair.tv_bound_k <= eps
@@ -263,7 +262,7 @@ def test_criterion_9_lowerbound_certificates():
     l1_ok = sep >= floor
 
     ch3 = RapporChannel.create(3, alpha)
-    pair3 = hard_pair(ch3, eps, 2, RngSeed(919))
+    pair3 = hard_pair(ch3, eps, 2)
     mix = common_mixture(pair3, ch3, 2)
     a, n_p, n_q = mix.mixture, mix.n_p, mix.n_q
     sp = channel_output_dist(ch3, pair3.p)

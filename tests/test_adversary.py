@@ -162,7 +162,7 @@ def _attack_specs(d, ch):
                                     magnitude=0.7),
     }
     if d <= 16:
-        pair = hard_pair(ch, eps=0.1, k=50, rng=RngSeed(50 + d))
+        pair = hard_pair(ch, eps=0.1, k=50)
         specs["hard_pair_swap"] = AttackSpec(kind="swap_distribution", q=pair.q)
     return specs
 

@@ -84,6 +84,13 @@ class TestCertificates:
         assert payload["invariants_ok"]
         assert payload["tv_bound_k"] <= 0.1
 
+    @pytest.mark.parametrize("command", ["lowerbound", "mixture-check"])
+    def test_hard_pair_ignores_seed(self, command, tmp_path):
+        outs = [tmp_path / f"seed{seed}.json" for seed in (0, 9)]
+        for seed, out in zip((0, 9), outs):
+            assert run_cli([command, "--seed", seed, "--out", out]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_mixture_check(self, tmp_path):
         out = tmp_path / "mix.json"
         code = run_cli(["mixture-check", "--d", 3, "--k", 2, "--eps", 0.1,

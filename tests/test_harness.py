@@ -25,7 +25,6 @@ from ldprobust.harness import (
     SweepConfig,
     TrialCell,
     format_float,
-    run_sweep,
     run_trial,
 )
 

@@ -46,7 +46,22 @@ from ldprobust.lowerbound import (
 )
 
 
+def _enumerated_omega(ch):
+    """Omega summed over all 2^d outputs: the reference for the closed form."""
+    cond = lowerbound_module._conditional_outputs(ch)
+    ratios = cond / cond[:, [0]] - 1.0
+    return (ratios * cond[:, [0]]).T @ ratios
+
+
 class TestOmegaMatrix:
+    def test_matches_enumeration(self):
+        for d in range(3, 17):
+            for alpha in (0.05, 0.5, 1.0, 2.0):
+                ch = RapporChannel.create(d, alpha)
+                ref = _enumerated_omega(ch)
+                err = np.abs(omega_matrix(ch).matrix - ref).max() / np.abs(ref).max()
+                assert err <= 1e-13, (d, alpha, err)
+
     def test_first_row_and_column_vanish(self):
         ch = RapporChannel.create(5, 1.0)
         om = omega_matrix(ch)
@@ -62,41 +77,58 @@ class TestOmegaMatrix:
                 assert np.linalg.eigvalsh(om.matrix).min() >= -1e-9
                 assert np.trace(om.matrix) <= d * (math.e * alpha) ** 2 + 1e-9
 
-    def test_low_eigencount_at_least_two_thirds(self):
-        for d in range(4, 15):
-            for alpha in (0.5, 1.0):
-                om = omega_matrix(RapporChannel.create(d, alpha))
-                assert om.low_eigencount() >= math.ceil(2 * d / 3)
+    def test_low_eigencount_is_d(self):
+        for d in range(3, 17):
+            for alpha in (0.05, 0.3, 0.5, 1.0):
+                assert omega_matrix(RapporChannel.create(d, alpha)).low_eigencount() == d
 
-    def test_rejects_large_d(self):
-        with pytest.raises(DimensionTooLarge):
-            omega_matrix(RapporChannel.create(17, 1.0))
+    @pytest.mark.parametrize("d, alpha", [(5, 1.0), (16, 2.0), (87, 1.0), (200, 0.5), (100, 2.0)])
+    def test_low_eigencount_matches_eigvalsh(self, d, alpha):
+        om = omega_matrix(RapporChannel.create(d, alpha))
+        vals = np.linalg.eigvalsh(om.matrix)
+        assert om.low_eigencount() == int((vals <= EIGENVALUE_CAP * alpha ** 2 + 1e-12).sum())
 
 
 class TestLowEigenspaceDelta:
     def test_sum_zero_and_quad_cap(self):
         ch = RapporChannel.create(6, 1.0)
         om = omega_matrix(ch)
-        delta = low_eigenspace_delta(om, 0.1, 50, RngSeed(1).generator())
+        delta = low_eigenspace_delta(om, 0.1, 50)
         assert abs(delta.sum()) <= 1e-12
         quad = delta @ om.matrix @ delta
         assert quad <= QUAD_FORM_CONSTANT * 0.1 ** 2 / 50 * (1 + 1e-9)
         l2 = np.linalg.norm(delta)
         assert quad <= 2 * (math.e * om.alpha) ** 2 * l2 ** 2 + 1e-12
 
-    @pytest.mark.parametrize("d", [6, 10, 16])
+    @pytest.mark.parametrize("d", [3, 6, 7, 10, 15, 16])
     def test_l1_ratio_threshold(self, d):
+        # the balanced vector's ratio is the largest any sum-zero vector has
         ch = RapporChannel.create(d, 1.0)
-        delta = low_eigenspace_delta(omega_matrix(ch), 0.1, 100, RngSeed(d).generator())
+        delta = low_eigenspace_delta(omega_matrix(ch), 0.1, 100)
         ratio = np.abs(delta).sum() / np.linalg.norm(delta)
-        assert ratio >= 0.2 * math.sqrt(d)
-        assert np.abs(delta).sum() <= math.sqrt(d) * np.linalg.norm(delta) + 1e-12
+        best = math.sqrt(d) if d % 2 == 0 else math.sqrt((d * d - 1) / d)
+        assert abs(ratio - best) <= 1e-12
+        assert delta[0] < 0 and int((delta < 0).sum()) == d // 2
+
+    def test_odd_d_puts_coordinate_1_in_the_smaller_group(self):
+        om = omega_matrix(RapporChannel.create(7, 1.0))
+        delta = low_eigenspace_delta(om, 0.1, 100)
+        # the same vector with coordinate 1 in the larger group
+        other = -delta[::-1]
+        assert other[0] < 0 and int((other < 0).sum()) == 4
+        assert delta @ om.matrix @ delta < other @ om.matrix @ other
+
+    def test_eigenvalue_above_the_cap_raises(self):
+        om = omega_matrix(RapporChannel.create(100, 1.0))
+        assert om.low_eigencount() == 99
+        with pytest.raises(CertificateViolation, match="exceeds the cap"):
+            low_eigenspace_delta(om, 0.1, 100)
 
 
 class TestHardPair:
     def test_invariants_at_reference_parameters(self):
         ch = RapporChannel.create(8, 1.0)
-        pair = hard_pair(ch, 0.1, 100, RngSeed(5))
+        pair = hard_pair(ch, 0.1, 100)
         pair.validate()
         assert pair.q.weights.min() >= 0.0
         assert pair.tv_bound_k <= 0.1
@@ -106,8 +138,26 @@ class TestHardPair:
     def test_chi2_dominated_by_quadratic_form(self):
         for d, k in ((4, 10), (6, 50), (8, 200)):
             ch = RapporChannel.create(d, 1.0)
-            pair = hard_pair(ch, 0.1, k, RngSeed(d + k))
+            pair = hard_pair(ch, 0.1, k)
             assert pair.chi2_one_sample <= math.exp(1.0) * pair.quad_form + 1e-9
+
+    def test_certifies_grid(self):
+        # d = 6 at eps in {0.3, 0.49} and k in {1, 2} reaches the l2 cap, where
+        # ||Delta||_1 is exactly 1 in real arithmetic and can round above it
+        for d in (3, 4, 5, 6, 7, 8, 10, 13):
+            for alpha in (0.05, 0.5, 1.0):
+                ch = RapporChannel.create(d, alpha)
+                for eps in (1e-6, 0.3, 0.49):
+                    for k in (1, 2, 100):
+                        pair = hard_pair(ch, eps, k)
+                        assert np.abs(pair.delta).sum() <= 1.0
+                        assert 0.0 < pair.tv_bound_k <= eps
+                        assert pair.chi2_one_sample == channel_chi2_exact(ch, pair.p, pair.q)
+
+    def test_rejects_large_d(self):
+        # Omega is a closed form at any d; the exact chi-square caps d
+        with pytest.raises(DimensionTooLarge):
+            hard_pair(RapporChannel.create(17, 1.0), 0.1, 10)
 
     @pytest.mark.parametrize("field, value, message", [
         ("delta", lambda pair: pair.delta + 1e-6, "sum-zero"),
@@ -117,7 +167,7 @@ class TestHardPair:
         ("tv_bound_k", lambda pair: 1.0, "TV bound"),
     ], ids=["delta", "q", "quad-form", "chi2", "tv-bound"])
     def test_broken_pair_raises_certificate_violation(self, field, value, message):
-        pair = hard_pair(RapporChannel.create(6, 1.0), 0.1, 50, RngSeed(3))
+        pair = hard_pair(RapporChannel.create(6, 1.0), 0.1, 50)
         broken = dataclasses.replace(pair, **{field: value(pair)})
         with pytest.raises(CertificateViolation, match=message) as exc:
             broken.validate()
@@ -127,40 +177,40 @@ class TestHardPair:
                              ids=["not-psd", "trace"])
     def test_broken_information_matrix_raises_certificate_violation(self, monkeypatch,
                                                                     scale, message):
-        outputs = lowerbound_module._conditional_outputs
-        monkeypatch.setattr(lowerbound_module, "_conditional_outputs",
-                            lambda ch: scale * outputs(ch))
+        coefficients = lowerbound_module._omega_coefficients
+        monkeypatch.setattr(lowerbound_module, "_omega_coefficients",
+                            lambda ch: tuple(scale * c for c in coefficients(ch)))
         with pytest.raises(CertificateViolation, match=message):
             omega_matrix(RapporChannel.create(5, 1.0))
 
     def test_rejects_large_alpha(self):
         ch = RapporChannel.create(5, 1.5)
         with pytest.raises(AlphaOutOfRange):
-            hard_pair(ch, 0.1, 10, RngSeed(0))
+            hard_pair(ch, 0.1, 10)
 
     def test_rejects_bad_eps(self):
         ch = RapporChannel.create(5, 1.0)
         with pytest.raises(EpsOutOfRange):
-            hard_pair(ch, 0.6, 10, RngSeed(0))
+            hard_pair(ch, 0.6, 10)
 
     @pytest.mark.parametrize("eps, k", [(1e-232, 100), (1e-162, 1), (1e-20, 1), (1e-12, 10 ** 6)],
                              ids=["underflow", "square-underflows", "below-rounding", "large-k"])
     def test_rejects_eps_whose_budget_is_below_rounding(self, eps, k):
         # Delta would be 0 (p = NaN) or below the rounding of p: an input error
         with pytest.raises(EpsOutOfRange, match="too small"):
-            hard_pair(RapporChannel.create(6, 1.0), eps, k, RngSeed(0))
+            hard_pair(RapporChannel.create(6, 1.0), eps, k)
 
     @pytest.mark.parametrize("d, k", [(3, 1), (5, 2), (6, 8)])
     def test_certifies_just_above_the_budget_floor(self, d, k):
         eps = 1.01 * math.sqrt(MIN_QUAD_BUDGET * k / QUAD_FORM_CONSTANT)
-        pair = hard_pair(RapporChannel.create(d, 0.5), eps, k, RngSeed(d))
+        pair = hard_pair(RapporChannel.create(d, 0.5), eps, k)
         assert 0.0 < pair.tv_bound_k <= eps
 
     def test_indistinguishability_manifests(self):
         # estimating from contaminated swaps, some truth must suffer error
         # at least a quarter of the pair separation
         ch = RapporChannel.create(4, 1.0)
-        pair = hard_pair(ch, 0.2, 2, RngSeed(9))
+        pair = hard_pair(ch, 0.2, 2)
         sep = l1_dist(pair.p, pair.q)
         cfg = EstimatorConfig(eps=0.2, tau_threshold=DESK_TAU_THRESHOLD)
         worst = []
@@ -180,7 +230,7 @@ class TestHardPair:
 class TestCommonMixture:
     def test_identities_and_nonnegativity(self):
         ch = RapporChannel.create(3, 1.0)
-        pair = hard_pair(ch, 0.1, 2, RngSeed(0))
+        pair = hard_pair(ch, 0.1, 2)
         mix = common_mixture(pair, ch, 2)
         a, n_p, n_q = mix.mixture, mix.n_p, mix.n_q
         assert len(a.outcomes) == 64
@@ -215,7 +265,7 @@ class TestCommonMixture:
         # (A - (1-eps) Qp^k) / eps cancels away the masses at small eps; the
         # components must still sum to one and match rational arithmetic
         ch = RapporChannel.create(d, 1.0)
-        pair = hard_pair(ch, eps, k, RngSeed(d + k))
+        pair = hard_pair(ch, eps, k)
         mix = common_mixture(pair, ch, k)
         assert mix.residual_p <= 1e-12 and mix.residual_q <= 1e-12
         cond = np.vectorize(Fraction, otypes=[object])(lowerbound_module._conditional_outputs(ch))
@@ -237,7 +287,7 @@ class TestCommonMixture:
 
     def test_product_space_guard(self):
         ch = RapporChannel.create(8, 1.0)
-        pair = hard_pair(ch, 0.1, 100, RngSeed(1))
+        pair = hard_pair(ch, 0.1, 100)
         with pytest.raises(ProductSpaceTooLarge):
             common_mixture(pair, ch, 100)
 

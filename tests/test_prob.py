@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from ldprobust import (
     BatchCollection,
     FiniteDist,
-    ProbVector,
     RapporChannel,
     RngSeed,
     check_nice_properties,
