@@ -17,6 +17,7 @@ for itself and by two binomials elsewhere.  The bit-level samplers
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -162,11 +163,14 @@ def sample_counts(ch: RapporChannel, p: ProbVector, m: int, k: int,
       by a search of one uniform in the CDF of p and the rows are counted by
       one `bincount` (cost ~ m*k); otherwise by `multinomial` (cost ~ m*d).
     - Ones: when k <= 1024 and (k+1) * (2^10 + (k+1)^2 // 16) <= 8*m*d, by
-      inversion: the CDFs of L_0, ..., L_k are tabulated once per call
-      ((k+1)^3/3 elementwise updates, the same bits on every IEEE machine),
-      and each entry takes one uniform u.  A guide table of 2^10 cells per
-      symbol count answers most entries outright; the rest search the key
-      (c << 53) + u in the flattened thresholds (c << 53) + ceil(CDF * 2^53).
+      inversion: the CDFs of L_0, ..., L_k are tabulated ((k+1)^3/3
+      elementwise updates, the same bits on every IEEE machine) once per
+      process for each (k, lam), and the last few tables are kept, read-only;
+      each entry takes one uniform u.  The rule still charges a build to
+      every call: it decides which draws are consumed, so changing it would
+      re-draw every seed.  A guide table of 2^10 cells per symbol count
+      answers most entries outright; the rest search the key (c << 53) + u
+      in the flattened thresholds (c << 53) + ceil(CDF * 2^53).
       Otherwise (large k, or too few entries to pay for building the table)
       by two binomials per entry.
 
@@ -257,6 +261,22 @@ def _guide_table(thresholds: np.ndarray) -> np.ndarray:
     return ones.ravel()
 
 
+@functools.lru_cache(maxsize=4)
+def _inversion_tables(k: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The guide table and the flattened search keys (c << 53) + t[c, i] of L_0, ..., L_k.
+
+    Built once per process for each (k, lam), up to the last few pairs, and
+    read-only, since every caller shares them.
+    """
+    thresholds = _ones_thresholds(k, lam)
+    guide = _guide_table(thresholds)
+    flat = ((np.arange(k + 1, dtype=np.uint64)[:, None] << _UNIT_BITS)
+            + thresholds.astype(np.uint64)).ravel()
+    guide.flags.writeable = False
+    flat.flags.writeable = False
+    return guide, flat
+
+
 def _invert_ones(symbols: np.ndarray, k: int, lam: float,
                  gen: np.random.Generator) -> np.ndarray:
     """Draw each entry's ones from L_{symbols} by guided inversion.
@@ -264,8 +284,7 @@ def _invert_ones(symbols: np.ndarray, k: int, lam: float,
     Takes one uniform per entry and overwrites `symbols` with guide-table
     indices.
     """
-    thresholds = _ones_thresholds(k, lam)
-    table = _guide_table(thresholds)
+    table, flat = _inversion_tables(k, lam)
     u = gen.random(symbols.shape)
     u *= 1 << _GUIDE_BITS  # exact: the integer part is the cell
     cell = symbols
@@ -277,8 +296,6 @@ def _invert_ones(symbols: np.ndarray, k: int, lam: float,
         c = cell.ravel()[todo] >> _GUIDE_BITS
         key = ((c.astype(np.uint64) << _UNIT_BITS)
                + (u.ravel()[todo] * (1 << (_UNIT_BITS - _GUIDE_BITS))).astype(np.uint64))
-        flat = ((np.arange(k + 1, dtype=np.uint64)[:, None] << _UNIT_BITS)
-                + thresholds.astype(np.uint64)).ravel()
         ones.ravel()[todo] = np.searchsorted(flat, key, side="right") - c * k
     return ones
 

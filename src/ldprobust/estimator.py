@@ -33,6 +33,7 @@ from .adversary import BatchCollection, as_counts
 from .channel import RapporChannel, invert_mean
 from .errors import (
     AllZeroScores,
+    CountMismatch,
     EmptySelection,
     EpsOutOfRange,
     Exhausted,
@@ -133,10 +134,8 @@ class EstimateResult:
         return self.trace[-1].tau if self.trace else math.nan
 
     def deleted_indices(self) -> np.ndarray:
-        out = []
-        for rec in self.trace:
-            out.extend(rec.deleted)
-        return np.asarray(sorted(out), dtype=np.int64)
+        parts = [np.asarray(rec.deleted, dtype=np.int64) for rec in self.trace]
+        return np.sort(np.concatenate([np.empty(0, dtype=np.int64)] + parts))
 
     def to_text(self) -> str:
         """Key-value record including the full tau trace."""
@@ -287,15 +286,33 @@ def build_cov_bundle(sums: ExactSums, lam: float) -> CovBundle:
 def canonical_order(counts, k: int) -> np.ndarray:
     """Stable permutation sorting count rows lexicographically, first column first.
 
-    Equals np.lexsort(counts.T[::-1]).  Each row is viewed as one byte string
-    of fixed-width big-endian entries, the narrowest width holding k; memcmp
-    order of those strings is lexicographic order of the rows, so a single
-    stable argsort replaces a d-key lexsort.
+    Equals np.lexsort(counts.T[::-1]); entries outside [0, k] raise
+    CountMismatch.  When (k+1)^d * n < 2^63 each row's key is the exact
+    mixed-radix integer sum_j c_j (k+1)^(d-1-j), built by integer
+    multiply-adds; key * n + row makes the keys unique, so one unstable sort
+    gives the stable order and the row is read back as the remainder mod n.
+    Otherwise each row is viewed as one byte string of fixed-width big-endian
+    entries, the narrowest width holding k, whose memcmp order is the
+    lexicographic order of the rows, and one stable argsort sorts them.
     """
     c = as_counts(counts)
-    width = next(w for w in (1, 2, 4, 8) if int(k) < 2 ** (8 * w))
+    k = int(k)
+    if c.min(initial=0) < 0 or c.max(initial=0) > k:
+        raise CountMismatch(f"counts must lie in [0, k] with k = {k}")
+    n, d = c.shape
+    if (k + 1) ** d * n < 2 ** 63:
+        key = np.zeros(n, dtype=np.int64)
+        for j in range(d):
+            key *= k + 1
+            key += c[:, j].astype(np.int64, copy=False)
+        key *= n
+        key += np.arange(n)
+        key.sort()
+        key %= n
+        return key
+    width = next(w for w in (1, 2, 4, 8) if k < 2 ** (8 * w))
     rows = np.ascontiguousarray(c, dtype=f">u{width}")
-    keys = rows.view(np.dtype((np.void, width * rows.shape[1]))).ravel()
+    keys = rows.view(np.dtype((np.void, width * d))).ravel()
     return np.argsort(keys, kind="stable")
 
 
@@ -374,6 +391,20 @@ def score_collection(coll_or_counts, cfg: EstimatorConfig, ch: RapporChannel,
     scores /= k * k
     return ScoreReport(mode="sdp", tau=sol.value / unit, scores=scores,
                        gram=sol, tau_upper=sol.upper_bound / unit)
+
+
+def _top_pool(scores: np.ndarray, size: int) -> np.ndarray:
+    """Ascending positions of the `size` largest scores, ties to the lower position.
+
+    The set np.argsort(-scores, kind="stable")[:size], from one partition: t
+    is the size-th largest score, and the pool is every position scoring
+    above t plus the lowest positions scoring exactly t, O(m + size log size)
+    in place of a full O(m log m) sort.
+    """
+    t = np.partition(scores, scores.size - size)[scores.size - size]
+    above = np.flatnonzero(scores > t)
+    at = np.flatnonzero(scores == t)[:size - above.size]
+    return np.sort(np.concatenate((above, at)))
 
 
 def _race_order(scores: np.ndarray, exponentials: np.ndarray) -> np.ndarray:
@@ -496,11 +527,10 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
             trace.append(IterationRecord(pool_size=0, deleted=(), **record))
             return _finalize(sums.mean(), np.sort(sel), trace, ch)
 
-        top = np.argsort(-report.scores, kind="stable")[:min(pool_size, sel.size)]
-        pool = np.sort(top)
+        pool = _top_pool(report.scores, min(pool_size, sel.size))
         deleted = sel[batch_deletion(pool, report.scores[pool], rng.generator(3, iteration))]
         surviving[deleted] = False
         sums = sums.without(counts[deleted])
         trace.append(IterationRecord(pool_size=int(pool.size),
-                                     deleted=tuple(int(j) for j in deleted), **record))
+                                     deleted=tuple(deleted.tolist()), **record))
 

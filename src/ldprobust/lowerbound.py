@@ -74,7 +74,11 @@ def channel_output_dist(ch: RapporChannel, p: ProbVector) -> np.ndarray:
 
 def channel_chi2_exact(ch: RapporChannel, p: ProbVector, q: ProbVector) -> float:
     """Exact chi-square divergence between the privatized laws of p and q."""
-    cond = _conditional_outputs(ch)
+    return _chi2_of_table(_conditional_outputs(ch), p, q)
+
+
+def _chi2_of_table(cond: np.ndarray, p: ProbVector, q: ProbVector) -> float:
+    """Chi-square between the output laws cond @ p and cond @ q."""
     qq = cond @ q.weights
     diff = cond @ p.weights - qq
     return float(np.sum(diff * diff / qq))
@@ -358,6 +362,7 @@ def assouad_chi2_check(family: AssouadFamily, ch: RapporChannel) -> AssouadChi2R
     """
     if ch.d != family.d:
         raise DimensionMismatch(f"channel has d={ch.d}, family has d={family.d}")
+    cond = _conditional_outputs(ch)
     base = family.member(np.ones(family.half, dtype=np.int64))
     fwd = np.zeros(family.half)
     bwd = np.zeros(family.half)
@@ -365,8 +370,8 @@ def assouad_chi2_check(family: AssouadFamily, ch: RapporChannel) -> AssouadChi2R
         signs = np.ones(family.half, dtype=np.int64)
         signs[j] = -1
         other = family.member(signs)
-        fwd[j] = channel_chi2_exact(ch, base, other)
-        bwd[j] = channel_chi2_exact(ch, other, base)
+        fwd[j] = _chi2_of_table(cond, base, other)
+        bwd[j] = _chi2_of_table(cond, other, base)
     denom = (ch.alpha * family.gamma) ** 2
     envelope = float(max(fwd.max(), bwd.max()) / denom) if denom > 0 else math.inf
     return AssouadChi2Report(

@@ -231,6 +231,25 @@ class TestSamplerParts:
         ref = (thresholds[symbols[:, 0]] <= u).sum(axis=1)
         assert np.array_equal(ones[:, 0], ref)
 
+    def test_warm_table_cache_gives_cold_output(self):
+        # (k, m, d) = (50, 2000, 5) is drawn by table inversion
+        ch = RapporChannel.create(5, 1.0)
+        p = make_prob_vector([0.3, 0.25, 0.2, 0.15, 0.1])
+        tables = channel_module._inversion_tables
+        sample_counts(ch, p, 2000, 50, RngSeed(5).generator())
+        hits = tables.cache_info().hits
+        warm = sample_counts(ch, p, 2000, 50, RngSeed(5).generator())
+        assert tables.cache_info().hits == hits + 1
+        tables.cache_clear()
+        cold = sample_counts(ch, p, 2000, 50, RngSeed(5).generator())
+        assert tables.cache_info().misses == 1
+        assert np.array_equal(warm, cold)
+
+    def test_cached_tables_are_read_only(self):
+        for table in channel_module._inversion_tables(20, 0.3775):
+            with pytest.raises(ValueError):
+                table[0] = 1
+
     def test_largest_uniform_draws_no_symbol_of_zero_mass(self):
         # these weights, normalized, have a float sum just below 1
         w = np.array([0.1, 0.1, 0.6, 0.0])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldprobust import (
     AttackSpec,
@@ -28,6 +30,7 @@ from ldprobust import estimator as estimator_module
 from ldprobust.adversary import BatchCollection
 from ldprobust.errors import (
     AllZeroScores,
+    CountMismatch,
     DimensionMismatch,
     EmptyBatch,
     EmptySelection,
@@ -44,6 +47,7 @@ from ldprobust.estimator import (
     ExactSums,
     _delete_until_halved,
     _race_order,
+    _top_pool,
     build_cov_bundle,
     canonical_order,
 )
@@ -581,9 +585,56 @@ class TestCanonicalOrder:
         order = canonical_order(counts, k)
         assert np.array_equal(order, np.lexsort(counts.T[::-1]))
 
+    # (k+1)^3 * n < 2^63 holds only for the first pair, whose largest key
+    # times n lies within 2^46 of 2^63; the last pair would overflow int64
+    @pytest.mark.parametrize("k, n", [(2 ** 19 - 2, 64), (2 ** 19 - 1, 64), (2 ** 19 - 2, 65)],
+                             ids=["integer-keys", "byte-keys", "byte-keys-by-n"])
+    def test_equals_lexsort_at_the_integer_key_bound(self, k, n):
+        gen = np.random.default_rng(n)
+        counts = gen.integers(0, k + 1, size=(n, 3))
+        counts[::3] = k
+        counts[1::4] = 0
+        counts[2::5, 0] = k
+        assert np.array_equal(canonical_order(counts, k), np.lexsort(counts.T[::-1]))
+
+    @pytest.mark.parametrize("d", [3, 64], ids=["integer-keys", "byte-keys"])
+    @pytest.mark.parametrize("bad", [6, -1])
+    def test_count_outside_zero_to_k_rejected(self, d, bad):
+        counts = np.full((4, d), 2)
+        counts[2, 1] = bad
+        with pytest.raises(CountMismatch):
+            canonical_order(counts, 5)
+
     def test_sorted_rows_and_stable_ties(self):
         counts = np.array([[2, 0, 1], [0, 5, 5], [2, 0, 1], [0, 5, 4], [1, 0, 0]])
         assert canonical_order(counts, 5).tolist() == [3, 1, 4, 0, 2]
+
+
+def _top_pool_reference(scores, size):
+    return np.sort(np.argsort(-scores, kind="stable")[:size])
+
+
+class TestTopPool:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_stable_argsort_on_tie_heavy_scores(self, data):
+        # two or three distinct values, one of them 0.0, so most scores tie
+        values = [0.0] + data.draw(st.lists(
+            st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True),
+            min_size=1, max_size=2))
+        picks = data.draw(st.lists(st.integers(0, len(values) - 1), min_size=1, max_size=300))
+        scores = np.asarray(values)[picks]
+        m = scores.size
+        size = data.draw(st.one_of(st.just(1), st.just(m), st.integers(1, m)))
+        pool = _top_pool(scores, size)
+        assert pool.dtype == np.int64
+        assert np.array_equal(pool, _top_pool_reference(scores, size))
+
+    @pytest.mark.parametrize("value", [0.0, 2.5])
+    @pytest.mark.parametrize("size", [1, 17, 40])
+    def test_all_equal_scores_take_the_lowest_positions(self, value, size):
+        scores = np.full(40, value)
+        assert _top_pool(scores, size).tolist() == list(range(size))
 
 
 class TestRobustEstimate:

@@ -349,6 +349,20 @@ class TestAssouadChi2:
         cap = 0.1 * np.maximum(rep.chi2_forward, rep.chi2_backward)
         assert (gap <= cap).all()
 
+    @pytest.mark.parametrize("d", [3, 6, 9])
+    def test_each_pair_equals_channel_chi2_exact(self, d):
+        # one output table for all pairs gives the bits of one table per pair
+        ch = RapporChannel.create(d, 0.7)
+        fam = assouad_family(d, 400, 0.7, 0.1)
+        rep = assouad_chi2_check(fam, ch)
+        base = fam.member(np.ones(fam.half, dtype=np.int64))
+        for j in range(fam.half):
+            signs = np.ones(fam.half, dtype=np.int64)
+            signs[j] = -1
+            other = fam.member(signs)
+            assert rep.chi2_forward[j] == channel_chi2_exact(ch, base, other)
+            assert rep.chi2_backward[j] == channel_chi2_exact(ch, other, base)
+
     def test_channel_of_other_d_is_a_mismatch(self):
         with pytest.raises(DimensionMismatch):
             assouad_chi2_check(assouad_family(6, 400, 1.0, 0.1), RapporChannel.create(4, 1.0))
