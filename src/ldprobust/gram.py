@@ -133,7 +133,11 @@ def subset_bilinear_max(A) -> tuple[float, np.ndarray, np.ndarray]:
     the same bits on every IEEE machine and BLAS kernel, and it is exact
     when the partial sums of A's entries are (small integers, for instance).
     """
-    A = check_symmetric(A)
+    return _subset_bilinear_max(check_symmetric(A))
+
+
+def _subset_bilinear_max(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """subset_bilinear_max of an A that check_symmetric has already returned."""
     d = A.shape[0]
     if d > MAX_ENUM_D:
         raise DimensionTooLarge(f"subset enumeration capped at d={MAX_ENUM_D}")
@@ -225,6 +229,73 @@ def _normalize_rows(G: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     out = fallback.copy()
     out[nz] = G[nz] / norms[nz, None]
     return out
+
+
+def _half_sweep(G: np.ndarray, prev: np.ndarray, out: np.ndarray,
+                norms: np.ndarray, norms_col: np.ndarray):
+    """The factor _normalize_rows(G, prev), its objective <factor, G> and the
+    buffer left free, as (factor, value, free).
+
+    The rows are divided into out with no test for a zero norm: a zero row
+    of G gives 0/0 = NaN and a nonzero row whose squares underflow gives
+    +-inf, and either makes the objective NaN or +inf.  Only then is the
+    half sweep redone by _normalize_rows, which keeps the rows of prev, so
+    every result has the bits _normalize_rows gives.  norms_col is the
+    (d, 1) view of norms; the caller ignores divide and invalid errors.
+    """
+    np.einsum("ij,ij->i", G, G, out=norms)
+    np.sqrt(norms, out=norms)
+    np.divide(G, norms_col, out=out)
+    value = float(np.vdot(out, G))
+    if math.isfinite(value):
+        return out, value, prev
+    factor = _normalize_rows(G, prev)
+    return factor, float(np.vdot(factor, G)), out
+
+
+def _ascend(A: np.ndarray, U: np.ndarray, V: np.ndarray):
+    """Alternate half sweeps from unit-row factors U and V until a full sweep
+    gains at most SWEEP_TOL, or for MAX_SWEEPS sweeps.
+
+    Returns (value, U, V, history, AU), AU = A @ U for the returned U.  The
+    products, row norms and quotients go into buffers made once per call,
+    and the given U and V rotate with one spare factor buffer, so a half
+    sweep allocates nothing; the arrays passed in are overwritten.
+    """
+    AV = np.matmul(A, V)
+    AU = np.empty_like(AV)
+    norms = np.empty(A.shape[0])
+    norms_col = norms[:, None]
+    free = np.empty_like(U)
+    value = float(np.vdot(U, AV))
+    history = [value]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for _ in range(MAX_SWEEPS):
+            U, u_value, free = _half_sweep(AV, U, free, norms, norms_col)
+            history.append(u_value)
+            np.matmul(A, U, out=AU)
+            V, new_value, free = _half_sweep(AU, V, free, norms, norms_col)
+            history.append(new_value)
+            converged = new_value - value <= SWEEP_TOL * max(1.0, abs(new_value))
+            value = new_value
+            if converged:
+                break
+            np.matmul(A, V, out=AV)
+    return value, U, V, history, AU
+
+
+def _band_exponent(A: np.ndarray) -> int:
+    """The e at which gram_maximize solves A 2^-e: 0 when A = 0 or its largest
+    entry lies in [2^-256, 2^256], else that of 2^e, the power of two just
+    above that entry."""
+    amax = float(np.abs(A).max())
+    if amax > 0.0 and not _SAFE_SCALE[0] <= amax <= _SAFE_SCALE[1]:
+        return math.frexp(amax)[1]
+    return 0
+
+
+def _rank(d: int) -> int:
+    return math.ceil(2.0 * math.sqrt(d)) + 1
 
 
 def _sum_rounded_up(y: np.ndarray, extra: float) -> float:
@@ -378,14 +449,16 @@ def gram_maximize(A, rng: RngSeed | None = None) -> GramSolution:
     without that the squared row norms overflow or lose their digits to
     gradual underflow.  Inside the band A is solved as given.
     """
-    A = check_symmetric(A)
+    return _gram_maximize(check_symmetric(A), rng)
+
+
+def _gram_maximize(A: np.ndarray, rng: RngSeed | None) -> GramSolution:
+    """gram_maximize of an A that check_symmetric has already returned."""
     d = A.shape[0]
-    amax = float(np.abs(A).max())
-    scale = 0
-    if amax > 0.0 and not _SAFE_SCALE[0] <= amax <= _SAFE_SCALE[1]:
-        scale = math.frexp(amax)[1]
+    scale = _band_exponent(A)
+    if scale:
         A = np.ldexp(A, -scale)
-    rank = math.ceil(2.0 * math.sqrt(d)) + 1
+    rank = _rank(d)
     if rng is None:
         rng = RngSeed(0)
 
@@ -397,21 +470,7 @@ def gram_maximize(A, rng: RngSeed | None = None) -> GramSolution:
         gen = rng.generator(r)
         U = _normalize_rows(gen.standard_normal((d, rank)), fallback)
         V = _normalize_rows(gen.standard_normal((d, rank)), fallback)
-        AV = A @ V
-        value = float(np.vdot(U, AV))
-        history = [value]
-        for _ in range(MAX_SWEEPS):
-            U = _normalize_rows(AV, U)
-            history.append(float(np.vdot(U, AV)))
-            AU = A @ U
-            V = _normalize_rows(AU, V)
-            new_value = float(np.vdot(V, AU))
-            history.append(new_value)
-            converged = new_value - value <= SWEEP_TOL * max(1.0, abs(new_value))
-            value = new_value
-            if converged:
-                break
-            AV = A @ V
+        value, U, V, history, AU = _ascend(A, U, V)
         if best is None or value > best[0]:
             best = (value, U, V, history)
             AV = A @ V
@@ -466,25 +525,59 @@ def sandwich_check(A, sol: GramSolution | None = None,
     Gram maximum and not only for the value the solver reached.  The tolerance
     is SANDWICH_TOL times the Frobenius norm of A on both sides.  Without sol,
     A is solved by gram_maximize with rng.
+
+    The solver stops at a certified relative gap of GAP_TOL, which does not
+    promise the lower side's SANDWICH_TOL.  So when the lower side would fail,
+    one more ascent starts from the oracle's masks, whose value is the subset
+    maximum (see _mask_ascent), and gram_value is the better of the two
+    feasible values.  A is validated once here.
     """
     A = check_symmetric(A)
     if A.shape[0] > MAX_ENUM_D:
         raise DimensionTooLarge("sandwich certification requires enumerable d")
     if sol is None:
-        sol = gram_maximize(A, rng=rng)
-    bf, _, _ = subset_bilinear_max(A)
+        sol = _gram_maximize(A, rng)
+    bf, s_mask, sp_mask = _subset_bilinear_max(A)
     # the norm squares the entries, so it is taken at a power-of-two scale
     # that keeps them from overflow and gradual underflow
     e = math.frexp(float(np.abs(A).max()))[1]
     tol = SANDWICH_TOL * math.ldexp(float(np.linalg.norm(np.ldexp(A, -e))), e)
-    lower_margin = sol.value + tol - bf
+    value = sol.value
+    if value + tol - bf < 0.0:
+        value = max(value, _mask_ascent(A, s_mask, sp_mask))
+    lower_margin = value + tol - bf
     upper_margin = 8.0 * bf + tol - sol.upper_bound
     return SandwichReport(
         subset_value=bf,
-        gram_value=sol.value,
+        gram_value=value,
         gram_upper=sol.upper_bound,
         lower_margin=lower_margin,
         upper_margin=upper_margin,
         lower_ok=lower_margin >= 0.0,
         upper_ok=upper_margin >= 0.0,
     )
+
+
+def _mask_ascent(A: np.ndarray, s_mask: np.ndarray, sp_mask: np.ndarray) -> float:
+    """The value _ascend reaches from the Gram point of the masks S and S'.
+
+    U has rows e0 on S and e1 off S, V rows sign e0 on S' and e2 off S', with
+    sign that of the sum of A over S x S', so U V^T = sign 1_S 1_{S'}^T and
+    the start is worth |<1_S 1_{S'}^T, A>|.  The solver's rank, at least 3,
+    holds the three directions.  Each half sweep is an exact block update, so
+    the value reached is at least the start's, up to rounding.  A is scaled
+    into the solver's band as in gram_maximize.
+    """
+    d = A.shape[0]
+    scale = _band_exponent(A)
+    if scale:
+        A = np.ldexp(A, -scale)
+    rank = _rank(d)
+    sign = math.copysign(1.0, float(A[np.ix_(s_mask, sp_mask)].sum()))
+    U = np.zeros((d, rank))
+    V = np.zeros((d, rank))
+    U[s_mask, 0] = 1.0
+    U[~s_mask, 1] = 1.0
+    V[sp_mask, 0] = sign
+    V[~sp_mask, 2] = 1.0
+    return math.ldexp(_ascend(A, U, V)[0], scale)

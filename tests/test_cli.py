@@ -310,14 +310,10 @@ class TestCliProperty:
     @example(case=(["lowerbound", "--eps", "2.220446049250313e-16"], False))
     def test_exit_code_class(self, case):
         # nothing escapes main; a value outside the contract exits 1, and an
-        # in-range draw exits 0 or 1 (a subcommand-specific limit).  Only
-        # sdp-check may still exit 2: the sandwich's lower side can fail on
-        # valid input (a known gap between GAP_TOL and SANDWICH_TOL).
+        # in-range draw exits 0 or 1 (a subcommand-specific limit)
         argv, invalid = case
         code = exit_code(argv)
         if invalid:
             assert code == 1, argv
-        elif argv[0] == "sdp-check":
-            assert code in (0, 1, 2), argv
         else:
             assert code in (0, 1), argv

@@ -509,8 +509,9 @@ class TestBatchDeletion:
         # scores [3, 1]: delete {0} with p = 3/4, else {1, 0} with p = 1/4
         solo = both = 0
         runs = 10 ** 5
-        for i in range(runs):
-            deleted = batch_deletion([0, 1], [3.0, 1.0], RngSeed(2, i).generator())
+        gen = RngSeed(2).generator()
+        for _ in range(runs):
+            deleted = batch_deletion([0, 1], [3.0, 1.0], gen)
             if deleted.tolist() == [0]:
                 solo += 1
             elif deleted.tolist() == [1, 0]:

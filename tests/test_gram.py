@@ -211,6 +211,147 @@ class TestGramMaximize:
         assert np.array_equal(a.u_factors, b.u_factors)
 
 
+def _reference_normalize_rows(G, fallback):
+    norms = np.sqrt(np.einsum("ij,ij->i", G, G))
+    nz = norms > 0.0
+    if nz.all():
+        return G / norms[:, None]
+    out = fallback.copy()
+    out[nz] = G[nz] / norms[nz, None]
+    return out
+
+
+def _reference_gram_maximize(A, rng=None):
+    """gram_maximize with a fresh A @ V, a zero-norm test and a fresh quotient
+    at every half sweep: the oracle the buffered sweeps match bit for bit."""
+    A = gram_module.check_symmetric(A)
+    d = A.shape[0]
+    amax = float(np.abs(A).max())
+    scale = 0
+    if amax > 0.0 and not gram_module._SAFE_SCALE[0] <= amax <= gram_module._SAFE_SCALE[1]:
+        scale = math.frexp(amax)[1]
+        A = np.ldexp(A, -scale)
+    rank = math.ceil(2.0 * math.sqrt(d)) + 1
+    if rng is None:
+        rng = RngSeed(0)
+    normalize_rows = _reference_normalize_rows
+
+    best = None
+    upper = math.inf
+    certified_by = "eigvalsh"
+    fallback = np.tile(gram_module._e(rank, 0), (d, 1))
+    for r in range(gram_module.MAX_RESTARTS):
+        gen = rng.generator(r)
+        U = normalize_rows(gen.standard_normal((d, rank)), fallback)
+        V = normalize_rows(gen.standard_normal((d, rank)), fallback)
+        AV = A @ V
+        value = float(np.vdot(U, AV))
+        history = [value]
+        for _ in range(gram_module.MAX_SWEEPS):
+            U = normalize_rows(AV, U)
+            history.append(float(np.vdot(U, AV)))
+            AU = A @ U
+            V = normalize_rows(AU, V)
+            new_value = float(np.vdot(V, AU))
+            history.append(new_value)
+            converged = new_value - value <= gram_module.SWEEP_TOL * max(1.0, abs(new_value))
+            value = new_value
+            if converged:
+                break
+            AV = A @ V
+        if best is None or value > best[0]:
+            best = (value, U, V, history)
+            AV = A @ V
+            y = gram_module._dual_vector(U, V, AU, AV)
+            bound, path = gram_module._cholesky_bound(A, y, value, AV), "cholesky"
+            if bound is None:
+                bound, path = gram_module._eigvalsh_bound(A, y), "eigvalsh"
+            if bound < upper:
+                upper, certified_by = bound, path
+        if gram_module._relative_gap(best[0], upper) <= GAP_TOL:
+            break
+    value, U, V, history = best
+    upper = max(upper, value)
+    if scale:
+        value = math.ldexp(value, scale)
+        history = [math.ldexp(h, scale) for h in history]
+        scaled = math.ldexp(upper, scale)
+        upper = scaled if math.ldexp(scaled, -scale) >= upper else math.nextafter(scaled, math.inf)
+    return GramSolution(u_factors=U, v_factors=V, value=value, upper_bound=upper,
+                        restarts_used=r + 1, certified_by=certified_by, history=history)
+
+
+def _solution_bits(sol):
+    """Every GramSolution field as bytes, so that -0.0 and NaN payloads count."""
+    return {
+        "u_factors": (sol.u_factors.shape, sol.u_factors.dtype, sol.u_factors.tobytes()),
+        "v_factors": (sol.v_factors.shape, sol.v_factors.dtype, sol.v_factors.tobytes()),
+        "value": np.float64(sol.value).tobytes(),
+        "upper_bound": np.float64(sol.upper_bound).tobytes(),
+        "restarts_used": sol.restarts_used,
+        "certified_by": sol.certified_by,
+        "history": np.asarray(sol.history, dtype=np.float64).tobytes(),
+    }
+
+
+def _with_degenerate_row(d, seed, factor):
+    A = random_symmetric(d, seed)
+    A[1] *= factor
+    A[:, 1] *= factor
+    return A
+
+
+_ORACLE_CASES = {
+    **{f"random-d{d}-{seed}": (random_symmetric(d, 900 + 10 * d + seed), False)
+       for d in (1, 2, 3, 5, 12, 40, 128) for seed in range(2 if d == 128 else 4)},
+    # (A V)_1 = 0, so the divide gives 0/0 = NaN
+    "zero-row": (_with_degenerate_row(6, 1, 0.0), True),
+    # (A V)_1 is about 1e-170, nonzero, but its squares underflow to 0, so
+    # the divide gives +-inf
+    "underflowing-row": (_with_degenerate_row(6, 2, 1e-170), True),
+    "zero-d1": (np.zeros((1, 1)), True),
+    "zero-d5": (np.zeros((5, 5)), True),
+    **{f"scaled-{scale:g}": (scale * random_symmetric(5, 3), False)
+       for scale in (1e298, 1e-300, 2.0 ** -257, 2.0 ** 257)},
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestHalfSweepOracle:
+    @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+    def test_bitwise_equal_to_reference(self, case, monkeypatch):
+        A, degenerate = _ORACLE_CASES[case]
+        normalize_rows = gram_module._normalize_rows
+        calls = []
+
+        def counting(G, fallback):
+            calls.append(G.shape)
+            return normalize_rows(G, fallback)
+
+        for seed in (0, 7):
+            ref = _reference_gram_maximize(A, rng=RngSeed(seed))
+            del calls[:]
+            with monkeypatch.context() as m:
+                m.setattr(gram_module, "_normalize_rows", counting)
+                sol = gram_maximize(A, rng=RngSeed(seed))
+            assert _solution_bits(sol) == _solution_bits(ref)
+            # two draws per start; any further call is a redone half sweep
+            redone = len(calls) - 2 * sol.restarts_used
+            assert redone > 0 if degenerate else redone == 0
+
+    def test_bitwise_equal_across_restarts(self, monkeypatch):
+        # one sweep per start never certifies, so every start runs and the
+        # buffers of a start must not reach the best factors of another
+        monkeypatch.setattr(gram_module, "MAX_SWEEPS", 1)
+        monkeypatch.setattr(gram_module, "MAX_RESTARTS", 4)
+        for seed in range(4):
+            A = random_symmetric(12, 60 + seed)
+            sol = gram_maximize(A, rng=RngSeed(seed))
+            assert sol.restarts_used == 4
+            assert _solution_bits(sol) == _solution_bits(
+                _reference_gram_maximize(A, rng=RngSeed(seed)))
+
+
 def random_factors(d, rank, gen):
     U = gen.standard_normal((d, rank))
     V = gen.standard_normal((d, rank))
@@ -461,6 +602,47 @@ class TestSandwich:
             A = random_symmetric(d, 1000 * d + i)
             rep = sandwich_check(A, rng=rng.child(d, i))
             assert rep.ok, (d, i, rep)
+
+    # sdp-check instances (d, seed, index) whose solver value alone misses the
+    # lower side: by -6.7e-07, -3.5e-06 and -2.4e-05
+    @pytest.mark.parametrize("k", [0, 600, -600])
+    @pytest.mark.parametrize("d, seed, i", [(2, 0, 159), (4, 11, 756), (4, 11, 1987)])
+    def test_ascent_from_oracle_masks_closes_lower_side(self, d, seed, i, k):
+        rng = RngSeed(seed)
+        raw = rng.generator(5, i).standard_normal((d, d))
+        A = np.ldexp(0.5 * (raw + raw.T), k)
+        sol = gram_maximize(A, rng=rng.child(6, i))
+        rep = sandwich_check(A, sol=sol)
+        tol = rep.lower_margin - rep.gram_value + rep.subset_value
+        assert sol.value + tol < rep.subset_value
+        assert rep.gram_value > sol.value
+        assert rep.lower_margin > 0.0 and rep.ok
+        assert rep.gram_upper == sol.upper_bound
+        assert rep == sandwich_check(A, rng=rng.child(6, i))
+
+    def test_ascent_only_when_lower_side_fails(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("ascent from the oracle's masks ran")
+
+        monkeypatch.setattr(gram_module, "_mask_ascent", fail)
+        rng = RngSeed(97)
+        for i in range(20):
+            A = random_symmetric(8, 8000 + i)
+            sol = gram_maximize(A, rng=rng.child(8, i))
+            rep = sandwich_check(A, sol=sol)
+            assert rep.lower_ok and rep.gram_value == sol.value
+
+    def test_validates_once(self, monkeypatch):
+        check = gram_module.check_symmetric
+        calls = []
+
+        def counting(A):
+            calls.append(1)
+            return check(A)
+
+        monkeypatch.setattr(gram_module, "check_symmetric", counting)
+        assert sandwich_check(random_symmetric(6, 5), rng=RngSeed(0)).ok
+        assert len(calls) == 1
 
 
 # OPENBLAS_CORETYPE values and the CPU flags each kernel needs.
