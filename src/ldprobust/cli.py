@@ -121,7 +121,7 @@ def _cmd_lowerbound(args) -> int:
         "d": args.d, "alpha": args.alpha, "k": args.k, "eps": args.eps,
         "p": list(pair.p.weights), "q": list(pair.q.weights),
         "delta": list(pair.delta),
-        "chi2_one_sample": pair.chi2_one_sample,
+        "chi2_upper": pair.chi2_upper,
         "quad_form": pair.quad_form,
         "tv_bound_k": pair.tv_bound_k,
         "invariants_ok": True,
@@ -160,7 +160,7 @@ def _cmd_assouad(args) -> int:
     _emit({
         "d": args.d, "n": args.n, "alpha": args.alpha, "c_gamma": args.c_gamma,
         "gamma": family.gamma, "members": family.size,
-        "max_neighbor_chi2": report.max_chi2(),
+        "chi2_upper": report.chi2_upper,
         "envelope_constant": report.envelope_constant,
         "tv_bound_n": report.tv_bound_n,
         "l1_hamming_identity_ok": identity_ok,

@@ -432,8 +432,8 @@ def rate_fit(csv_path, axis: str) -> RateFitReport:
     Requires at least three distinct axis values with every other cell
     parameter held fixed.
     """
-    if axis not in ("n", "k", "eps"):
-        raise InvalidArgument("axis must be one of n, k, eps")
+    if axis not in ("n", "k", "d", "eps"):
+        raise InvalidArgument("axis must be one of n, k, d, eps")
     with open(csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:

@@ -53,6 +53,8 @@ QUAD_FORM_CONSTANT = math.exp(-2.0)
 MIN_QUAD_BUDGET = 2.0 ** -88
 #: Eigenvalue cutoff multiplier defining the low eigenspace.
 EIGENVALUE_CAP = 3.0 * math.e ** 2
+#: Unit roundoff: n < 10^8 roundings to nearest err by less than (n + 1) * U relative.
+U = 2.0 ** -53
 
 
 def _conditional_outputs(ch: RapporChannel) -> np.ndarray:
@@ -73,15 +75,19 @@ def channel_output_dist(ch: RapporChannel, p: ProbVector) -> np.ndarray:
 
 
 def channel_chi2_exact(ch: RapporChannel, p: ProbVector, q: ProbVector) -> float:
-    """Exact chi-square divergence between the privatized laws of p and q."""
-    return _chi2_of_table(_conditional_outputs(ch), p, q)
-
-
-def _chi2_of_table(cond: np.ndarray, p: ProbVector, q: ProbVector) -> float:
-    """Chi-square between the output laws cond @ p and cond @ q."""
+    """Chi-square between the privatized laws of p and q over all 2^d outputs."""
+    cond = _conditional_outputs(ch)
     qq = cond @ q.weights
     diff = cond @ p.weights - qq
     return float(np.sum(diff * diff / qq))
+
+
+def _chi2_upper(ch: RapporChannel, delta: np.ndarray) -> float:
+    """Upper end c ||Delta||^2 of e^-alpha c ||Delta||^2 <= chi^2(Q_p || Q_p-Delta)
+    <= c ||Delta||^2, c = ((1 - 2 lam) / lam)^2, for a sum-zero Delta (README,
+    "Lower bounds"), rounded upward: 1 + 16 U covers its eight roundings."""
+    ratio = (1.0 - 2.0 * ch.lam) / ch.lam
+    return ratio * ratio * math.fsum(delta * delta) * (1.0 + 16 * U)
 
 
 def _omega_coefficients(ch: RapporChannel) -> tuple[float, float]:
@@ -95,15 +101,18 @@ def _omega_coefficients(ch: RapporChannel) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class OmegaMatrix:
-    matrix: np.ndarray
     a: float
     b: float
     alpha: float
     d: int
 
+    def quad(self, x: np.ndarray) -> float:
+        """x^T Omega x = a ||x_2..d||^2 + b (sum x_2..d)^2 in O(d), within (d + 2) U;
+        fsum keeps the sum's relative precision where it cancels."""
+        return self.a * float(x[1:] @ x[1:]) + self.b * math.fsum(x[1:]) ** 2
+
     def low_eigencount(self) -> int:
-        """Number of eigenvalues at or below the cap 3 * e^2 * alpha^2, among
-        0 (on e_1), a (d - 2 times) and a + (d - 1) b (on the ones of 2..d)."""
+        """Number of eigenvalues 0, a (d - 2 times), a + (d - 1) b within 3 e^2 alpha^2."""
         cutoff = EIGENVALUE_CAP * self.alpha ** 2 + 1e-12
         top = self.a + (self.d - 1) * self.b
         return 1 + (self.d - 2) * int(self.a <= cutoff) + int(top <= cutoff)
@@ -123,39 +132,41 @@ def omega_matrix(ch: RapporChannel) -> OmegaMatrix:
         raise CertificateViolation(f"information matrix not PSD (min eig {eig_min})")
     if ch.alpha <= 1.0 and (d - 1) * (a + b) > d * (math.e * ch.alpha) ** 2 * (1.0 + 1e-9):
         raise CertificateViolation("trace bound violated")
-    omega = np.zeros((d, d))
-    omega[1:, 1:] = a * np.eye(d - 1) + b
-    return OmegaMatrix(matrix=omega, a=a, b=b, alpha=ch.alpha, d=d)
+    return OmegaMatrix(a=a, b=b, alpha=ch.alpha, d=d)
 
 
 def low_eigenspace_delta(omega: OmegaMatrix, eps: float, k: int) -> np.ndarray:
     """Sum-zero direction in the low eigenspace with the largest l1-to-l2 ratio.
 
-    Every eigenvalue of Omega must lie below the cap 3 e^2 alpha^2 (true for
-    d <= 16 and alpha <= 1; CertificateViolation otherwise), so the low
-    eigenspace is R^d and the best direction is balanced: floor(d/2) entries
-    -1/floor(d/2), coordinate 1 among them (Omega's row 1 is zero and a >= b),
-    and ceil(d/2) entries +1/ceil(d/2).  It is scaled so that its realized
-    quadratic form x^T Omega x equals C * eps^2 / k (not to the worst-case
-    cap, which would forfeit l1 mass) or its l2 norm hits 1/sqrt(d), whichever
-    binds first; an l1 norm that rounds above 1 (exactly 1 at the l2 cap for
-    even d) is divided out.
+    Omega's eigenvalues are 0 (on e_1), a (on the sum-zero vectors of
+    coordinates 2..d) and a + (d - 1) b (on the ones of 2..d).  While all are
+    within the cap 3 e^2 alpha^2 (d <= 86 at alpha = 1), the best direction is
+    balanced: floor(d/2) entries -1/floor(d/2), coordinate 1 among them
+    (Omega's row 1 is zero and a >= b), and ceil(d/2) entries +1/ceil(d/2).
+    Above the cap it is the balanced one on coordinates 2..d, with coordinate 1
+    at zero; an a above it (no channel's: alpha <= 2) raises CertificateViolation.
+    It is scaled so that its realized quadratic form x^T Omega x equals
+    C * eps^2 / k (not to the worst-case cap, which would forfeit l1 mass) or
+    its l2 norm hits 1/sqrt(d), less a few units of rounding, whichever binds first.
     """
     d = omega.d
     if d < 3:
         raise TooSmallAlphabet("d must be >= 3")
-    if omega.low_eigencount() != d:
-        raise CertificateViolation("an eigenvalue of Omega exceeds the cap 3 e^2 alpha^2")
-    low = d // 2
-    direction = np.full(d, 1.0 / (d - low))
-    direction[:low] = -1.0 / low
+    first = d - omega.low_eigencount()  # 1 above the cap
+    if first > 1:
+        raise CertificateViolation("the eigenvalue a of Omega exceeds the cap 3 e^2 alpha^2")
+    low = (d - first) // 2
+    direction = np.zeros(d)
+    direction[first:] = 1.0 / (d - first - low)
+    direction[first:first + low] = -1.0 / low
     direction /= float(np.linalg.norm(direction))
 
-    quad_per_unit = float(direction @ omega.matrix @ direction)
+    quad_per_unit = omega.quad(direction)
     budget = QUAD_FORM_CONSTANT * eps ** 2 / k
-    target_sq = min(budget / quad_per_unit, 1.0 / d) if quad_per_unit > 0.0 else 1.0 / d
-    delta = direction * math.sqrt(target_sq)
-    return delta / max(1.0, float(np.abs(delta).sum()))
+    # shrunk so that ||Delta||_1, 1 here in reals for even d, cannot round above 1
+    l2_cap = (1.0 - (2 * d + 16) * U) / d
+    target_sq = min(budget / quad_per_unit, l2_cap) if quad_per_unit > 0.0 else l2_cap
+    return direction * math.sqrt(target_sq)
 
 
 @dataclass(frozen=True)
@@ -165,7 +176,7 @@ class HardPair:
     p: ProbVector
     q: ProbVector
     delta: np.ndarray
-    chi2_one_sample: float
+    chi2_upper: float
     quad_form: float
     tv_bound_k: float
     eps: float
@@ -173,28 +184,34 @@ class HardPair:
     alpha: float
 
     def validate(self) -> None:
-        if abs(float(self.delta.sum())) > 1e-12:
+        """Check the certificate up to the rounding the construction can incur, on
+        the pair's own scale: Delta's groups of equal entries are four roundings
+        from values summing to zero, q = p - Delta divided by a sum within
+        (2d + 6) U of 1, and quad_form and chi2_upper <= e^alpha quad_form (true
+        in reals, slack near alpha / 2) carry below 2d + 16 and d + 64 roundings."""
+        d = self.delta.size
+        if abs(math.fsum(self.delta)) > 7 * U * math.fsum(np.abs(self.delta)):
             raise CertificateViolation("delta is not sum-zero")
-        if float(np.abs((self.p.weights - self.delta) - self.q.weights).max()) > 1e-9:
+        expected = self.p.weights - self.delta
+        if np.any(np.abs(expected - self.q.weights) > (2 * d + 9) * U * np.abs(expected)):
             raise CertificateViolation("q != p - delta")
         cap = QUAD_FORM_CONSTANT * self.eps ** 2 / self.k
-        if self.quad_form > cap * (1.0 + 1e-9):
+        if self.quad_form > cap * (1.0 + (2 * d + 16) * U):
             raise CertificateViolation("quadratic form exceeds C * eps^2 / k")
-        if self.chi2_one_sample > math.exp(self.alpha) * self.quad_form + 1e-9:
+        if self.chi2_upper > math.exp(self.alpha) * self.quad_form * (1.0 + (d + 64) * U):
             raise CertificateViolation("chi-square exceeds e^alpha * quadratic form")
         if self.tv_bound_k > self.eps:
             raise CertificateViolation("k-fold TV bound exceeds eps")
 
 
 def hard_pair(ch: RapporChannel, eps: float, k: int) -> HardPair:
-    """Construct and certify a hard pair for the given channel, eps and k.
+    """Construct and certify a hard pair for the given channel, eps and k, at any d.
 
-    Deterministic: Omega and Delta are closed forms (omega_matrix,
-    low_eigenspace_delta).  p places mass |Delta_j| / ||Delta||_1 on symbol j
-    and q = p - Delta; both are valid probability vectors because
-    ||Delta||_1 <= 1.  The chi-square enumerates the 2^d outputs, so d is at
-    most MAX_EXACT_D.  The guarantees assume alpha <= 1, and an eps whose
-    budget C * eps^2 / k is below MIN_QUAD_BUDGET raises EpsOutOfRange.
+    Deterministic, with no enumeration: Omega, Delta and the chi-square are
+    closed forms (omega_matrix, low_eigenspace_delta, _chi2_upper).  p places
+    mass |Delta_j| / ||Delta||_1 on symbol j and q = p - Delta, valid since
+    ||Delta||_1 <= 1.  The guarantees assume alpha <= 1; a budget
+    C * eps^2 / k below MIN_QUAD_BUDGET raises EpsOutOfRange.
     """
     if not 0.0 < eps < 0.5:
         raise EpsOutOfRange("eps must lie in (0, 1/2)")
@@ -207,19 +224,14 @@ def hard_pair(ch: RapporChannel, eps: float, k: int) -> HardPair:
         raise AlphaOutOfRange("hard pair construction requires alpha <= 1")
     omega = omega_matrix(ch)
     delta = low_eigenspace_delta(omega, eps, k)
-    l1 = float(np.abs(delta).sum())
-    if l1 > 1.0:
-        raise InfeasibleScale("||Delta||_1 > 1 after scaling")
-    p = make_prob_vector(np.abs(delta) / l1)
+    p = make_prob_vector(np.abs(delta) / float(np.abs(delta).sum()))
     q_raw = p.weights - delta
     if float(q_raw.min()) < -1e-12:
         raise InfeasibleScale("q has a negative coordinate")
     q = make_prob_vector(q_raw)
-    quad = float(delta @ omega.matrix @ delta)
-    chi2 = channel_chi2_exact(ch, p, q)
-    bound = tv_product_bound(chi2, k)
-    pair = HardPair(p=p, q=q, delta=delta, chi2_one_sample=chi2, quad_form=quad,
-                    tv_bound_k=bound, eps=eps, k=k, alpha=ch.alpha)
+    chi2 = _chi2_upper(ch, delta)
+    pair = HardPair(p=p, q=q, delta=delta, chi2_upper=chi2, quad_form=omega.quad(delta),
+                    tv_bound_k=tv_product_bound(chi2, k), eps=eps, k=k, alpha=ch.alpha)
     pair.validate()
     return pair
 
@@ -345,40 +357,27 @@ def assouad_family(d: int, n: int, alpha: float, c_gamma: float) -> AssouadFamil
 
 @dataclass(frozen=True)
 class AssouadChi2Report:
-    chi2_forward: np.ndarray
-    chi2_backward: np.ndarray
+    chi2_upper: float
     envelope_constant: float
     tv_bound_n: float
 
-    def max_chi2(self) -> float:
-        return float(max(self.chi2_forward.max(), self.chi2_backward.max()))
-
 
 def assouad_chi2_check(family: AssouadFamily, ch: RapporChannel) -> AssouadChi2Report:
-    """Exact chi-square between privatized laws of all Hamming-1 neighbor pairs.
+    """Chi-square bound of every Hamming-1 neighbour pair, at any d.
 
-    Reports the empirical envelope constant max chi^2 / (alpha^2 gamma^2) and
-    the product total-variation bound at sample size n.
+    Neighbours differ by exactly +-2 gamma on one coordinate and its mirror
+    (_snap_gamma), so one _chi2_upper, of ||Delta||^2 = 8 gamma^2, covers every
+    pair both ways.  Reports it, the envelope constant chi2_upper /
+    (alpha^2 gamma^2) and the product total-variation bound at sample size n.
     """
     if ch.d != family.d:
         raise DimensionMismatch(f"channel has d={ch.d}, family has d={family.d}")
-    cond = _conditional_outputs(ch)
-    base = family.member(np.ones(family.half, dtype=np.int64))
-    fwd = np.zeros(family.half)
-    bwd = np.zeros(family.half)
-    for j in range(family.half):
-        signs = np.ones(family.half, dtype=np.int64)
-        signs[j] = -1
-        other = family.member(signs)
-        fwd[j] = _chi2_of_table(cond, base, other)
-        bwd[j] = _chi2_of_table(cond, other, base)
+    chi2 = _chi2_upper(ch, np.array([2.0, -2.0]) * family.gamma)
     denom = (ch.alpha * family.gamma) ** 2
-    envelope = float(max(fwd.max(), bwd.max()) / denom) if denom > 0 else math.inf
     return AssouadChi2Report(
-        chi2_forward=fwd,
-        chi2_backward=bwd,
-        envelope_constant=envelope,
-        tv_bound_n=tv_product_bound(float(fwd.max()), family.n),
+        chi2_upper=chi2,
+        envelope_constant=chi2 / denom if denom > 0 else math.inf,
+        tv_bound_n=tv_product_bound(chi2, family.n),
     )
 
 

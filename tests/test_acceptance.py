@@ -40,6 +40,7 @@ from ldprobust.harness import SweepConfig, TrialCell, run_trial
 from ldprobust.lowerbound import (
     assouad_family,
     assouad_l1,
+    channel_chi2_exact,
     channel_output_dist,
     common_mixture,
     hard_pair,
@@ -255,7 +256,10 @@ def test_criterion_9_lowerbound_certificates():
     ch = RapporChannel.create(d, alpha)
     pair = hard_pair(ch, eps, k)
     quad_ok = pair.quad_form <= math.exp(-2) * eps ** 2 / k * (1 + 1e-12)
-    chi_ok = pair.chi2_one_sample <= math.exp(alpha) * pair.quad_form + 1e-9
+    # the closed-form bound, and the exact chi-square inside its bracket
+    exact = channel_chi2_exact(ch, pair.p, pair.q)
+    chi_ok = (pair.chi2_upper <= math.exp(alpha) * pair.quad_form
+              and math.exp(-alpha) * pair.chi2_upper <= exact <= pair.chi2_upper)
     tv_ok = pair.tv_bound_k <= eps
     sep = l1_dist(pair.p, pair.q)
     floor = 0.2 * eps * math.sqrt(d) / (alpha * math.sqrt(k))
@@ -317,3 +321,30 @@ def test_criterion_10_cli_determinism(tmp_path):
         ok &= code_a == 0 and code_b == 0 and same
         detail.append(f"{cmd[0]}:{'=' if same else '!='}")
     report(10, "cli determinism", ok, " ".join(detail), t0, 600)
+
+
+def test_criterion_11_dimension_scaling(tmp_path):
+    # The rate eps sqrt(d / (alpha^2 k)) + sqrt(d^2 / (alpha^2 k n)) along d:
+    # (a) at eps = 0 the median l1 error grows as d (pilot on seeds 1-10:
+    # slopes 0.959 to 1.028, mean 1.002, sd 0.022); (b) the certified hard
+    # pair's separation, a floor on the error under contamination, grows as
+    # sqrt(d) (no randomness: 0.494 before the window was fixed).
+    t0 = time.monotonic()
+    cfg = SweepConfig(n_grid=(2000,), k_grid=(50,), d_grid=(8, 16, 32, 64),
+                      alpha_grid=(1.0,), eps_grid=(0.0,), trials=20, seed=11,
+                      p_family="uniform")
+    path = tmp_path / "rate_d.csv"
+    sweep(cfg, path, threads=1)
+    clean = rate_fit(path, "d")
+    clean_ok = abs(clean.slope - 1.0) <= 0.1
+
+    dims, eps, k = (8, 32, 64), 0.05, 50
+    pairs = [hard_pair(RapporChannel.create(d, 1.0), eps, k) for d in dims]
+    seps = [l1_dist(pair.p, pair.q) for pair in pairs]
+    lx = np.log(dims) - np.mean(np.log(dims))
+    sep_slope = float(np.sum(lx * np.log(seps)) / np.sum(lx * lx))
+    sep_ok = abs(sep_slope - 0.5) <= 0.05 and all(pair.tv_bound_k <= eps for pair in pairs)
+    report(11, "dimension scaling", clean_ok and sep_ok,
+           f"clean l1 slope {clean.slope:+.3f} (target +1.0+-0.1); hard-pair separation "
+           f"{' '.join(f'{s:.4f}' for s in seps)} slope {sep_slope:+.3f} (target +0.5+-0.05)",
+           t0, 60)

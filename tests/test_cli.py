@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -83,6 +84,19 @@ class TestCertificates:
         payload = json.loads(out.read_text())
         assert payload["invariants_ok"]
         assert payload["tv_bound_k"] <= 0.1
+        assert 0.0 < payload["chi2_upper"] <= math.e * payload["quad_form"]
+
+    @pytest.mark.parametrize("args", [
+        ["lowerbound", "--d", 20], ["lowerbound", "--d", 100],
+        ["simulate", "--attack", "hard_pair_swap", "--d", 20],
+        ["simulate", "--attack", "hard_pair_swap", "--d", 100, "--n", 2000],
+        ["assouad", "--d", 64],
+    ], ids=["lowerbound-d20", "lowerbound-d100", "hard-pair-swap-d20", "hard-pair-swap-d100",
+            "assouad-d64"])
+    def test_lower_bounds_above_the_enumeration_cap(self, args, tmp_path):
+        out = tmp_path / "out.json"
+        assert run_cli(args + ["--out", out]) == 0
+        assert out.exists()
 
     @pytest.mark.parametrize("command", ["lowerbound", "mixture-check"])
     def test_hard_pair_ignores_seed(self, command, tmp_path):
@@ -115,6 +129,7 @@ class TestCertificates:
         payload = json.loads(out.read_text())
         assert payload["l1_hamming_identity_ok"]
         assert payload["members"] == 8
+        assert payload["tv_bound_n"] <= 1.0 and payload["chi2_upper"] > 0.0
 
     def test_all_commands_rerun_identical(self, tmp_path):
         commands = [
@@ -151,8 +166,8 @@ class TestExitCodes:
         ["sdp-check", "--d", 30, "--instances", 1],
         ["sdp-check", "--instances", 0],
         ["simulate", "--attack", "hard_pair_swap", "--alpha", 1.5],
-        ["simulate", "--attack", "hard_pair_swap", "--d", 20],
-        ["lowerbound", "--d", 20],
+        ["simulate", "--attack", "hard_pair_swap", "--d", 4097],
+        ["lowerbound", "--d", 4097],
         ["lowerbound", "--eps", "1e-232"],
         ["mixture-check", "--eps", "1e-300"],
         ["simulate", "--tau-threshold", 0],

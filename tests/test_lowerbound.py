@@ -33,7 +33,9 @@ from ldprobust.lowerbound import (
     EIGENVALUE_CAP,
     HardPair,
     MIN_QUAD_BUDGET,
+    OmegaMatrix,
     QUAD_FORM_CONSTANT,
+    U,
     assouad_chi2_check,
     assouad_family,
     assouad_l1,
@@ -53,29 +55,59 @@ def _enumerated_omega(ch):
     return (ratios * cond[:, [0]]).T @ ratios
 
 
+def _dense(om):
+    """The d x d matrix a I + b 11^T off row and column 1 that om stands for."""
+    matrix = np.zeros((om.d, om.d))
+    matrix[1:, 1:] = om.a * np.eye(om.d - 1) + om.b
+    return matrix
+
+
+#: (eps, k) pairs of the certification grid, from a tiny budget to the l2 cap.
+GRID_EPS_K = [(1e-6, 1), (0.05, 50), (0.3, 2), (0.49, 1), (0.1, 10 ** 4)]
+GRID_ALPHAS = (1e-3, 0.01, 0.1, 0.5, 1.0)
+
+
 class TestOmegaMatrix:
     def test_matches_enumeration(self):
         for d in range(3, 17):
             for alpha in (0.05, 0.5, 1.0, 2.0):
                 ch = RapporChannel.create(d, alpha)
                 ref = _enumerated_omega(ch)
-                err = np.abs(omega_matrix(ch).matrix - ref).max() / np.abs(ref).max()
+                err = np.abs(_dense(omega_matrix(ch)) - ref).max() / np.abs(ref).max()
                 assert err <= 1e-13, (d, alpha, err)
 
     def test_first_row_and_column_vanish(self):
         ch = RapporChannel.create(5, 1.0)
+        ref = _enumerated_omega(ch)
+        assert np.abs(ref[0, :]).max() == 0.0
+        assert np.abs(ref[:, 0]).max() == 0.0
+        # so the quadratic form ignores coordinate 1
+        x = np.random.default_rng(0).standard_normal(5)
         om = omega_matrix(ch)
-        assert np.abs(om.matrix[0, :]).max() == 0.0
-        assert np.abs(om.matrix[:, 0]).max() == 0.0
+        assert om.quad(x) == om.quad(np.concatenate(([7.0], x[1:])))
 
     def test_symmetric_psd_trace(self):
         for d in (4, 8, 14):
             for alpha in (0.5, 1.0):
                 ch = RapporChannel.create(d, alpha)
-                om = omega_matrix(ch)
-                assert np.abs(om.matrix - om.matrix.T).max() == 0.0
-                assert np.linalg.eigvalsh(om.matrix).min() >= -1e-9
-                assert np.trace(om.matrix) <= d * (math.e * alpha) ** 2 + 1e-9
+                matrix = _dense(omega_matrix(ch))
+                assert np.abs(matrix - matrix.T).max() == 0.0
+                assert np.linalg.eigvalsh(matrix).min() >= -1e-9
+                assert np.trace(matrix) <= d * (math.e * alpha) ** 2 + 1e-9
+
+    @pytest.mark.parametrize("d", [3, 16, 100, 4096])
+    def test_quad_matches_dense_product(self, d):
+        om = omega_matrix(RapporChannel.create(d, 0.7))
+        gen = np.random.default_rng(d)
+        matrix = _dense(om)
+        for x in (gen.standard_normal(d), gen.random(d), np.ones(d)):
+            ref = float(x @ matrix @ x)
+            assert abs(om.quad(x) - ref) <= 1e-12 * ref
+
+    def test_holds_no_dense_array(self):
+        om = omega_matrix(RapporChannel.create(4096, 1.0))
+        assert not any(isinstance(getattr(om, f.name), np.ndarray)
+                       for f in dataclasses.fields(om))
 
     def test_low_eigencount_is_d(self):
         for d in range(3, 17):
@@ -85,7 +117,7 @@ class TestOmegaMatrix:
     @pytest.mark.parametrize("d, alpha", [(5, 1.0), (16, 2.0), (87, 1.0), (200, 0.5), (100, 2.0)])
     def test_low_eigencount_matches_eigvalsh(self, d, alpha):
         om = omega_matrix(RapporChannel.create(d, alpha))
-        vals = np.linalg.eigvalsh(om.matrix)
+        vals = np.linalg.eigvalsh(_dense(om))
         assert om.low_eigencount() == int((vals <= EIGENVALUE_CAP * alpha ** 2 + 1e-12).sum())
 
 
@@ -95,7 +127,7 @@ class TestLowEigenspaceDelta:
         om = omega_matrix(ch)
         delta = low_eigenspace_delta(om, 0.1, 50)
         assert abs(delta.sum()) <= 1e-12
-        quad = delta @ om.matrix @ delta
+        quad = om.quad(delta)
         assert quad <= QUAD_FORM_CONSTANT * 0.1 ** 2 / 50 * (1 + 1e-9)
         l2 = np.linalg.norm(delta)
         assert quad <= 2 * (math.e * om.alpha) ** 2 * l2 ** 2 + 1e-12
@@ -116,13 +148,40 @@ class TestLowEigenspaceDelta:
         # the same vector with coordinate 1 in the larger group
         other = -delta[::-1]
         assert other[0] < 0 and int((other < 0).sum()) == 4
-        assert delta @ om.matrix @ delta < other @ om.matrix @ other
+        assert om.quad(delta) < om.quad(other)
 
-    def test_eigenvalue_above_the_cap_raises(self):
+    def test_above_the_cap_coordinate_1_is_zero(self):
+        # a + (d - 1) b exceeds the cap: the direction lives on coordinates 2..d
         om = omega_matrix(RapporChannel.create(100, 1.0))
         assert om.low_eigencount() == 99
+        delta = low_eigenspace_delta(om, 0.1, 100)
+        assert delta[0] == 0.0
+        assert abs(math.fsum(delta)) <= 8 * U * np.abs(delta).sum()
+        assert int((delta < 0).sum()) == 49 and int((delta > 0).sum()) == 50
+        sq = math.fsum(delta * delta)
+        assert abs(om.quad(delta) - om.a * sq) <= 1e-13 * om.a * sq
+        assert om.quad(delta) <= QUAD_FORM_CONSTANT * 0.1 ** 2 / 100 * (1 + 1e-13)
+
+    def test_eigenvalue_a_above_the_cap_raises(self):
+        # no sum-zero direction is left once a itself exceeds the cap; no
+        # channel's Omega does that, as alpha is at most 2
+        om = OmegaMatrix(a=100.0, b=1.0, alpha=1.0, d=5)
+        assert om.low_eigencount() == 1
         with pytest.raises(CertificateViolation, match="exceeds the cap"):
             low_eigenspace_delta(om, 0.1, 100)
+
+
+class TestChi2Upper:
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-3, 0.5, 1.0, 2.0])
+    def test_rounds_upward_by_a_few_units(self, alpha):
+        gen = np.random.default_rng(3)
+        for d in (3, 17, 500):
+            ch = RapporChannel.create(d, alpha)
+            delta = gen.standard_normal(d) * 10.0 ** gen.uniform(-12, 0)
+            got = Fraction(lowerbound_module._chi2_upper(ch, delta))
+            lam = Fraction(ch.lam)
+            exact = ((1 - 2 * lam) / lam) ** 2 * sum(Fraction(x) ** 2 for x in delta)
+            assert exact <= got <= exact * (1 + Fraction(32 * U))
 
 
 class TestHardPair:
@@ -139,35 +198,68 @@ class TestHardPair:
         for d, k in ((4, 10), (6, 50), (8, 200)):
             ch = RapporChannel.create(d, 1.0)
             pair = hard_pair(ch, 0.1, k)
-            assert pair.chi2_one_sample <= math.exp(1.0) * pair.quad_form + 1e-9
+            assert pair.chi2_upper <= math.exp(1.0) * pair.quad_form
 
     def test_certifies_grid(self):
-        # d = 6 at eps in {0.3, 0.49} and k in {1, 2} reaches the l2 cap, where
-        # ||Delta||_1 is exactly 1 in real arithmetic and can round above it
-        for d in (3, 4, 5, 6, 7, 8, 10, 13):
-            for alpha in (0.05, 0.5, 1.0):
+        # the exact chi-square lies in [e^-alpha chi2_upper, chi2_upper]; the
+        # l2 cap binds at large eps / k and small alpha, where ||Delta||_1 is 1
+        # in real arithmetic for even d.  (The exact sum takes 60 ms at d = 16.)
+        for d in range(3, 15):
+            for alpha in GRID_ALPHAS:
                 ch = RapporChannel.create(d, alpha)
-                for eps in (1e-6, 0.3, 0.49):
-                    for k in (1, 2, 100):
-                        pair = hard_pair(ch, eps, k)
-                        assert np.abs(pair.delta).sum() <= 1.0
-                        assert 0.0 < pair.tv_bound_k <= eps
-                        assert pair.chi2_one_sample == channel_chi2_exact(ch, pair.p, pair.q)
+                for eps, k in GRID_EPS_K:
+                    pair = hard_pair(ch, eps, k)
+                    assert np.abs(pair.delta).sum() <= 1.0
+                    assert 0.0 < pair.tv_bound_k <= eps
+                    exact = channel_chi2_exact(ch, pair.p, pair.q)
+                    assert math.exp(-alpha) * pair.chi2_upper <= exact <= pair.chi2_upper, \
+                        (d, alpha, eps, k)
 
-    def test_rejects_large_d(self):
-        # Omega is a closed form at any d; the exact chi-square caps d
-        with pytest.raises(DimensionTooLarge):
-            hard_pair(RapporChannel.create(17, 1.0), 0.1, 10)
+    @pytest.mark.parametrize("d", [17, 64, 87, 128])
+    def test_certifies_above_the_enumeration_cap(self, d):
+        for alpha in GRID_ALPHAS:
+            for eps, k in GRID_EPS_K:
+                pair = hard_pair(RapporChannel.create(d, alpha), eps, k)
+                assert 0.0 < pair.tv_bound_k <= eps
+                assert np.abs(pair.delta).sum() <= 1.0
+        # a + (d - 1) b passes the cap at d = 87 for alpha = 1
+        pair = hard_pair(RapporChannel.create(d, 1.0), 0.1, 100)
+        assert (pair.p.weights[0] == 0.0) == (d >= 87)
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("delta", lambda pair: pair.delta + 1e-6, "sum-zero"),
-        ("q", lambda pair: pair.p, "p - delta"),
-        ("quad_form", lambda pair: 10.0 * pair.quad_form, "quadratic form"),
-        ("chi2_one_sample", lambda pair: 1.0, "chi-square"),
-        ("tv_bound_k", lambda pair: 1.0, "TV bound"),
-    ], ids=["delta", "q", "quad-form", "chi2", "tv-bound"])
-    def test_broken_pair_raises_certificate_violation(self, field, value, message):
-        pair = hard_pair(RapporChannel.create(6, 1.0), 0.1, 50)
+    def test_does_not_enumerate(self, monkeypatch):
+        def enumerate_outputs(ch):
+            raise AssertionError("enumerated the 2^d outputs")
+
+        monkeypatch.setattr(lowerbound_module, "_conditional_outputs", enumerate_outputs)
+        hard_pair(RapporChannel.create(5, 1.0), 0.05, 50)
+        assouad_chi2_check(assouad_family(6, 400, 1.0, 0.1), RapporChannel.create(6, 1.0))
+
+    @pytest.mark.parametrize("d", [3, 8, 100])
+    @pytest.mark.parametrize("eps, k", [(0.1, 100), ("floor", 1), ("floor", 8)],
+                             ids=["reference", "floor-k1", "floor-k8"])
+    def test_certifies_at_alpha_1e_12(self, d, eps, k):
+        # the lemma chi^2 <= e^alpha quad has a slack of about alpha / 2 = 5e-13
+        if eps == "floor":
+            eps = 1.01 * math.sqrt(MIN_QUAD_BUDGET * k / QUAD_FORM_CONSTANT)
+        pair = hard_pair(RapporChannel.create(d, 1e-12), eps, k)
+        assert 0.0 < pair.chi2_upper <= math.exp(1e-12) * pair.quad_form
+        assert pair.tv_bound_k <= eps
+
+    @pytest.mark.parametrize("eps, k, field, value, message", [
+        (0.1, 50, "delta", lambda pair: pair.delta + 1e-6, "sum-zero"),
+        (0.1, 50, "q", lambda pair: pair.p, "p - delta"),
+        (0.1, 50, "quad_form", lambda pair: 10.0 * pair.quad_form, "quadratic form"),
+        (0.1, 50, "chi2_upper", lambda pair: 1.0, "chi-square"),
+        (0.1, 50, "tv_bound_k", lambda pair: 1.0, "TV bound"),
+        # quad 1.35e-19 and max |Delta| 2.7e-10: absolute slacks let these through
+        (1e-9, 1, "delta", lambda pair: pair.delta + 1e-3 * pair.delta.max(), "sum-zero"),
+        (1e-9, 1, "q", lambda pair: pair.p, "p - delta"),
+        (1e-9, 1, "quad_form", lambda pair: 1.001 * pair.quad_form, "quadratic form"),
+        (1e-9, 1, "chi2_upper", lambda pair: 1000.0 * pair.chi2_upper, "chi-square"),
+    ], ids=["delta", "q", "quad-form", "chi2", "tv-bound", "small-budget-delta",
+            "small-budget-q", "small-budget-quad-form", "small-budget-chi2"])
+    def test_broken_pair_raises_certificate_violation(self, eps, k, field, value, message):
+        pair = hard_pair(RapporChannel.create(6, 1.0), eps, k)
         broken = dataclasses.replace(pair, **{field: value(pair)})
         with pytest.raises(CertificateViolation, match=message) as exc:
             broken.validate()
@@ -250,7 +342,7 @@ class TestCommonMixture:
     def test_degenerate_equal_pair(self):
         ch = RapporChannel.create(3, 1.0)
         p = make_prob_vector([0.5, 0.3, 0.2])
-        pair = HardPair(p=p, q=p, delta=np.zeros(3), chi2_one_sample=0.0,
+        pair = HardPair(p=p, q=p, delta=np.zeros(3), chi2_upper=0.0,
                         quad_form=0.0, tv_bound_k=0.0, eps=0.1, k=2, alpha=1.0)
         mix = common_mixture(pair, ch, 2)
         a, n_p, n_q = mix.mixture, mix.n_p, mix.n_q
@@ -284,6 +376,16 @@ class TestCommonMixture:
             exact = (a - (1 - e) * law) / e
             assert sum(exact) == 1
             assert np.abs(got - exact.astype(float)).max() <= 1e-9 * float(max(exact))
+
+    def test_enumeration_capped_at_max_exact_d(self):
+        # what still sums over the 2^d outputs keeps its cap
+        ch = RapporChannel.create(17, 1.0)
+        pair = hard_pair(ch, 0.1, 1)
+        for call in (lambda: channel_output_dist(ch, pair.p),
+                     lambda: channel_chi2_exact(ch, pair.p, pair.q),
+                     lambda: common_mixture(pair, ch, 1)):
+            with pytest.raises(DimensionTooLarge):
+                call()
 
     def test_product_space_guard(self):
         ch = RapporChannel.create(8, 1.0)
@@ -333,35 +435,56 @@ class TestAssouadChi2:
         ch = RapporChannel.create(6, 1.0)
         big = assouad_chi2_check(assouad_family(6, 400, 1.0, 0.1), ch)
         small = assouad_chi2_check(assouad_family(6, 400 * 10 ** 4, 1.0, 0.1), ch)
-        assert small.max_chi2() < big.max_chi2() / 10 ** 3
+        assert small.chi2_upper < big.chi2_upper / 10 ** 3
 
     def test_reference_envelope(self):
         ch = RapporChannel.create(6, 1.0)
         fam = assouad_family(6, 400, 1.0, 0.1)
         rep = assouad_chi2_check(fam, ch)
-        assert rep.max_chi2() <= 50.0 * (1.0 * fam.gamma) ** 2
-        assert rep.tv_bound_n == tv_product_bound(float(rep.chi2_forward.max()), 400)
+        assert rep.chi2_upper <= 50.0 * (1.0 * fam.gamma) ** 2
+        assert rep.tv_bound_n == tv_product_bound(rep.chi2_upper, 400)
 
     def test_directional_symmetry(self):
+        # one scalar serves both directions: the exact chi-square of each
+        # neighbour pair is nearly symmetric and within the bound both ways
         ch = RapporChannel.create(6, 1.0)
-        rep = assouad_chi2_check(assouad_family(6, 400, 1.0, 0.1), ch)
-        gap = np.abs(rep.chi2_forward - rep.chi2_backward)
-        cap = 0.1 * np.maximum(rep.chi2_forward, rep.chi2_backward)
-        assert (gap <= cap).all()
-
-    @pytest.mark.parametrize("d", [3, 6, 9])
-    def test_each_pair_equals_channel_chi2_exact(self, d):
-        # one output table for all pairs gives the bits of one table per pair
-        ch = RapporChannel.create(d, 0.7)
-        fam = assouad_family(d, 400, 0.7, 0.1)
+        fam = assouad_family(6, 400, 1.0, 0.1)
         rep = assouad_chi2_check(fam, ch)
-        base = fam.member(np.ones(fam.half, dtype=np.int64))
+        base = fam.member([1, 1, 1])
         for j in range(fam.half):
             signs = np.ones(fam.half, dtype=np.int64)
             signs[j] = -1
             other = fam.member(signs)
-            assert rep.chi2_forward[j] == channel_chi2_exact(ch, base, other)
-            assert rep.chi2_backward[j] == channel_chi2_exact(ch, other, base)
+            forward = channel_chi2_exact(ch, base, other)
+            backward = channel_chi2_exact(ch, other, base)
+            assert abs(forward - backward) <= 0.1 * max(forward, backward)
+            assert max(forward, backward) <= rep.chi2_upper
+
+    @pytest.mark.parametrize("d", [3, 6, 9])
+    def test_each_pair_within_the_bracket_of_channel_chi2_exact(self, d):
+        for alpha in GRID_ALPHAS:
+            ch = RapporChannel.create(d, alpha)
+            for n in (400, 10 ** 6):
+                fam = assouad_family(d, n, alpha, 0.1)
+                rep = assouad_chi2_check(fam, ch)
+                base = fam.member(np.ones(fam.half, dtype=np.int64))
+                for j in range(fam.half):
+                    signs = np.ones(fam.half, dtype=np.int64)
+                    signs[j] = -1
+                    other = fam.member(signs)
+                    for exact in (channel_chi2_exact(ch, base, other),
+                                  channel_chi2_exact(ch, other, base)):
+                        assert math.exp(-alpha) * rep.chi2_upper <= exact <= rep.chi2_upper
+
+    @pytest.mark.parametrize("d", [6, 64, 4096])
+    def test_closed_form_at_any_d(self, d):
+        ch = RapporChannel.create(d, 1.0)
+        fam = assouad_family(d, 400, 1.0, 0.1)
+        rep = assouad_chi2_check(fam, ch)
+        gap = Fraction(1) - 2 * Fraction(ch.lam)
+        exact = (gap / Fraction(ch.lam)) ** 2 * 8 * Fraction(fam.gamma) ** 2
+        assert exact <= Fraction(rep.chi2_upper) <= exact * (1 + Fraction(32 * U))
+        assert rep.envelope_constant == rep.chi2_upper / fam.gamma ** 2
 
     def test_channel_of_other_d_is_a_mismatch(self):
         with pytest.raises(DimensionMismatch):

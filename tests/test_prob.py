@@ -172,7 +172,7 @@ class TestInvalidArgument:
         lambda tmp: tv_product_bound(-0.1, 2),
         lambda tmp: tv_product_bound(0.1, 0),
         lambda tmp: sample_privatized(_CH3, _P3, -1, RngSeed(0)),
-        lambda tmp: rate_fit(tmp / "sweep.csv", "d"),
+        lambda tmp: rate_fit(tmp / "sweep.csv", "alpha"),
         lambda tmp: check_nice_properties(BatchCollection(_ZEROS, k=2, truth=[0, 1, 0, 0]),
                                           _P3, 0.1, _CH3),
     ], ids=["vector-2d", "repeated-outcomes", "tv-negative-chi2", "tv-k-zero",
