@@ -119,8 +119,10 @@ class AllZeroScores(ArtifactError):
     pass
 
 
-class Exhausted(ArtifactError):
-    pass
+class Exhausted(InputError):
+    """The filtering loop ran out of batch rows before sqrt(tau) fell below its
+    threshold: fewer than two rows survive, or every candidate scores zero.
+    The collection is too small (n too low for its d and eps)."""
 
 
 class ShiftTooLarge(ArtifactError):

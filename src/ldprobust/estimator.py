@@ -5,7 +5,9 @@ ones.  Scoring compares the empirical covariance of batch means against the
 model covariance implied by the current mean; the comparison is maximized over
 the Gram relaxation, which sandwiches the exponential subset search.  The loop
 stops once the contamination rate sqrt(tau) falls below the configured
-threshold, then returns the inverted mean of the survivors.
+threshold, proved by a cheap upper bound where one reaches below it and
+otherwise read from the Gram solver's value, then returns the inverted mean of
+the survivors.
 
 Determinism: given (collection, config, master seed) the result is bit
 reproducible and invariant under permutations of the input rows.  Mean and
@@ -16,6 +18,11 @@ Cost per iteration: the sums S1 and S2 are computed once, before the first
 iteration, and each deletion subtracts the deleted rows' contributions
 exactly, so an iteration costs O(|deleted| d^2) for the statistics rather
 than O(m d^2), with results bitwise those of a recompute.
+The stop is decided before any row is read.  In sdp mode two proofs that the
+Gram maximum lies below the threshold come first, an O(d^2) l1 bound and one
+d x d Cholesky (gram.upper_bound_below); only when neither passes is the Gram
+program solved.  So a stopping iteration reads no row and scores nothing, and
+only an iteration that deletes gathers the survivors and scores them.
 The Gram solution M* = U V^T has rank r = ceil(2 sqrt(d)) + 1, and each row's
 score (c^T U) . (c^T V) comes from one product with the d x 2r factors, O(m d r).
 """
@@ -43,7 +50,7 @@ from .errors import (
     LengthMismatch,
     TooFewBatches,
 )
-from .gram import GramSolution, gram_maximize
+from .gram import GramSolution, gram_maximize, upper_bound_below
 from .prob import RngSeed
 
 #: Loop threshold on sqrt(tau) matching the termination constant of the
@@ -99,12 +106,16 @@ class ScoreReport:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One filtering iteration: the rows it scored, its tau and what it deleted.
+    """One filtering iteration: its survivors, its tau and what it deleted.
 
     gram_value and gram_upper are the Gram solver's value and certified upper
-    bound, and certified_by the path that computed the bound, "cholesky" or
-    "eigvalsh" (all three None in special mode); pool_size is the number of
-    top-score candidates the deletion drew from (0 on the stopping iteration).
+    bound, tau is gram_value / rate_unit, and certified_by the path that
+    computed the bound, "cholesky" or "eigvalsh" (all three None and tau +inf
+    in special mode).  A stop proved before any solve has gram_value None,
+    gram_upper the proved bound, certified_by the proof, "l1" or
+    "uniform-dual", and tau the bound / rate_unit, at least the tau a solve
+    would give.  pool_size is the number of top-score candidates the deletion
+    drew from (0 on the stopping iteration, which scores no row).
     """
 
     tau: float
@@ -332,6 +343,43 @@ def special_subset(qhat_col, lam: float) -> tuple[np.ndarray, float]:
     return ~a_mask, gap_c
 
 
+def _special_mask(sums: ExactSums, lam: float) -> Optional[np.ndarray]:
+    """The mode check: S* when the mean gap |qhat(S*) - lam*|S*|| of the summed
+    rows reaches SPECIAL_GAP (special mode), else None (sdp mode)."""
+    s_star, gap = special_subset(sums.mean(), lam)
+    return s_star if gap >= SPECIAL_GAP else None
+
+
+def _special_scores(counts: np.ndarray, s_star: np.ndarray, k: int, lam: float) -> np.ndarray:
+    """Each row's mean gap |c_b(S*) / k - lam*|S*|| on S*."""
+    scores = np.empty(counts.shape[0], dtype=np.float64)
+    offset = lam * float(s_star.sum())
+    for start, block in _row_blocks(counts):
+        shift = block[:, s_star].sum(axis=1) / k - offset
+        scores[start:start + shift.size] = np.abs(shift)
+    return scores
+
+
+def _sdp_scores(counts: np.ndarray, sums: ExactSums, sol: GramSolution, k: int) -> np.ndarray:
+    """Each row's |c_b^T M* c_b| for its centred mean c_b, from the rank-r factors."""
+    # c^T U V^T c = (c^T U) . (c^T V): one (rows, 2r) product per block.  Rows
+    # are centred in count units (counts - S1/n, which is k c), so each block
+    # is converted to float once and a row at the mean count centres to
+    # exactly zero; the k^2 is divided out at the end.
+    scores = np.empty(counts.shape[0], dtype=np.float64)
+    factors = np.hstack([sol.u_factors, sol.v_factors])
+    mean_count = sums.s1 / float(sums.n)
+    r = sol.rank
+    for start, block in _row_blocks(counts):
+        centered = block.astype(np.float64)
+        centered -= mean_count
+        proj = centered @ factors
+        quad = np.einsum("ij,ij->i", proj[:, :r], proj[:, r:])
+        scores[start:start + quad.size] = np.abs(quad)
+    scores /= k * k
+    return scores
+
+
 def score_collection(coll_or_counts, cfg: EstimatorConfig, ch: RapporChannel,
                      rng: RngSeed, k: Optional[int] = None,
                      sums: Optional[ExactSums] = None) -> ScoreReport:
@@ -345,6 +393,8 @@ def score_collection(coll_or_counts, cfg: EstimatorConfig, ch: RapporChannel,
     are the per-row gaps on S*.  Otherwise tau normalizes the Gram maximum of
     Chat - C(qhat) and the score of row b is |c_b^T M* c_b| for its centered
     mean c_b, computed from the rank-r factors as (c_b^T U) . (c_b^T V).
+    The mode check, the solve and the scoring passes are those of
+    robust_estimate, which runs them on the iterations that delete.
     """
     if isinstance(coll_or_counts, BatchCollection):
         counts, k = coll_or_counts.counts, coll_or_counts.k
@@ -360,36 +410,13 @@ def score_collection(coll_or_counts, cfg: EstimatorConfig, ch: RapporChannel,
 
     if sums is None:
         sums = ExactSums.of(counts, k)
-    qhat_col = sums.mean()
-    s_star, gap = special_subset(qhat_col, ch.lam)
-    scores = np.empty(counts.shape[0], dtype=np.float64)
-    if gap >= SPECIAL_GAP:
-        offset = ch.lam * float(s_star.sum())
-        for start, block in _row_blocks(counts):
-            shift = block[:, s_star].sum(axis=1) / k - offset
-            scores[start:start + shift.size] = np.abs(shift)
-        return ScoreReport(mode="special", tau=math.inf, scores=scores, s_star=s_star)
-
-    if cfg.eps <= 0.0:
-        raise EpsOutOfRange("sdp scoring requires eps > 0")
-    bundle = build_cov_bundle(sums, ch.lam)
-    sol = gram_maximize(bundle.dmat, rng=rng)
+    s_star = _special_mask(sums, ch.lam)
+    if s_star is not None:
+        return ScoreReport(mode="special", tau=math.inf, s_star=s_star,
+                           scores=_special_scores(counts, s_star, k, ch.lam))
     unit = rate_unit(cfg.eps, ch.d, k)
-    # c^T U V^T c = (c^T U) . (c^T V): one (rows, 2r) product per block.  Rows
-    # are centred in count units (counts - S1/n, which is k c), so each block
-    # is converted to float once and a row at the mean count centres to
-    # exactly zero; the k^2 is divided out at the end.
-    factors = np.hstack([sol.u_factors, sol.v_factors])
-    mean_count = sums.s1 / float(sums.n)
-    r = sol.rank
-    for start, block in _row_blocks(counts):
-        centered = block.astype(np.float64)
-        centered -= mean_count
-        proj = centered @ factors
-        quad = np.einsum("ij,ij->i", proj[:, :r], proj[:, r:])
-        scores[start:start + quad.size] = np.abs(quad)
-    scores /= k * k
-    return ScoreReport(mode="sdp", tau=sol.value / unit, scores=scores,
+    sol = gram_maximize(build_cov_bundle(sums, ch.lam).dmat, rng=rng)
+    return ScoreReport(mode="sdp", tau=sol.value / unit, scores=_sdp_scores(counts, sums, sol, k),
                        gram=sol, tau_upper=sol.upper_bound / unit)
 
 
@@ -474,25 +501,44 @@ def _finalize(qhat: np.ndarray, surviving: np.ndarray, trace: list,
                           surviving=surviving, trace=trace)
 
 
+def _stops(tau: float, cfg: EstimatorConfig) -> bool:
+    """The stopping rule: sqrt(tau) below the threshold."""
+    return math.isfinite(tau) and math.sqrt(max(tau, 0.0)) < cfg.tau_threshold
+
+
 def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChannel,
                     rng: RngSeed) -> EstimateResult:
     """Score-and-delete loop followed by mean inversion and l1 normalization.
 
-    Per iteration: score the survivors; stop when sqrt(tau) is below the
-    threshold; otherwise take the floor(eps * n) rows with top scores (ties to
-    the lower canonical rank, the rank in lexicographic order of count rows)
-    and run the randomized deletion on that pool, its clocks assigned in
+    Per iteration: check the mode (special mode has tau = +inf and never
+    stops); in sdp mode decide the stop before any row is scored, first by a
+    cheap proof that the Gram maximum lies below tau_threshold^2 * rate_unit
+    (gram.upper_bound_below), which needs no solve, and otherwise by sqrt(tau)
+    of the solver's value; an iteration that does not stop scores the
+    survivors, takes the floor(eps * n) rows with top scores (ties to the
+    lower canonical rank, the rank in lexicographic order of count rows) and
+    runs the randomized deletion on that pool, its clocks assigned in
     canonical order.  When floor(eps * n) = 0, as at eps = 0, no row can be
     adversarial, and the result equals naive_estimate exactly.  Every
-    iteration that does not stop deletes at least one row, so the loop
-    ends, at the latest with Exhausted or AllZeroScores.
+    iteration that does not stop deletes at least one row, so the loop ends;
+    when fewer than two rows survive, or every score in the pool is zero, it
+    ends with Exhausted, an InputError naming n, d and eps.
+
+    A proved stop is a stop the solver's value makes too: value <= maximum
+    <= bound, the value up to its own rounding, and float division and sqrt
+    are monotone.  So every deletion
+    and result is that of the rule on the value alone; only the stopping
+    record differs, with tau = bound / rate_unit, gram_value None,
+    gram_upper the bound and certified_by the proof ("l1" or
+    "uniform-dual").
 
     The exact sums S1 and S2 of all rows are computed once, before the first
     iteration, so InexactStatistics is raised there, from the full n.  They
     are downdated exactly after each deletion (ExactSums.without), so qhat,
     Chat and the Gram input of every iteration, and the returned qhat, are
-    bitwise those of a recompute from the survivors.  Scores come from the
-    rank-r Gram factors (score_collection); deletions from batch_deletion.
+    bitwise those of a recompute from the survivors.  The mode check, the
+    solve and the scoring passes are those of score_collection; deletions
+    come from batch_deletion.
     """
     n = coll.n
     if n < 2:
@@ -508,29 +554,50 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
     work = np.empty(counts.shape, dtype=counts.dtype)
     surviving = np.ones(n, dtype=bool)
     sums = ExactSums.of(counts, k)
+    unit = rate_unit(cfg.eps, ch.d, k)
+    # a product, not ** 2, which raises OverflowError for a threshold above 1e154
+    limit = cfg.tau_threshold * cfg.tau_threshold * unit
     trace: list[IterationRecord] = []
+
+    def exhausted(why: str) -> Exhausted:
+        return Exhausted(f"{why}: n={n} batch rows at d={ch.d}, eps={cfg.eps} are too few "
+                         f"for sqrt(tau) to fall below {cfg.tau_threshold}")
 
     for iteration in itertools.count():
         # survivors in canonical order, so position in sel is canonical rank
         sel = canonical[surviving[canonical]]
         if sel.size < 2:
-            raise Exhausted("fewer than two batch rows survive")
-        # mode="clip" (sel is in range) writes straight into out; "raise" buffers
-        chosen = np.take(counts, sel, axis=0, out=work[:sel.size], mode="clip")
-        report = score_collection(chosen, cfg, ch, rng.child(4, iteration), k=k, sums=sums)
-        gram = report.gram
-        record = dict(tau=report.tau, mode=report.mode, survivors=int(sel.size),
-                      gram_value=None if gram is None else gram.value,
-                      gram_upper=None if gram is None else gram.upper_bound,
-                      certified_by=None if gram is None else gram.certified_by)
-        if math.isfinite(report.tau) and math.sqrt(max(report.tau, 0.0)) < cfg.tau_threshold:
+            raise exhausted("fewer than two batch rows survive")
+        record = dict(mode="special", tau=math.inf, survivors=int(sel.size),
+                      gram_value=None, gram_upper=None, certified_by=None)
+        s_star = _special_mask(sums, ch.lam)
+        if s_star is None:
+            dmat = build_cov_bundle(sums, ch.lam).dmat
+            proved = upper_bound_below(dmat, limit)
+            if proved is not None and _stops(proved[0] / unit, cfg):
+                record.update(mode="sdp", tau=proved[0] / unit, gram_upper=proved[0],
+                              certified_by=proved[1])
+            else:
+                sol = gram_maximize(dmat, rng=rng.child(4, iteration))
+                record.update(mode="sdp", tau=sol.value / unit, gram_value=sol.value,
+                              gram_upper=sol.upper_bound, certified_by=sol.certified_by)
+        if _stops(record["tau"], cfg):
             trace.append(IterationRecord(pool_size=0, deleted=(), **record))
             return _finalize(sums.mean(), np.sort(sel), trace, ch)
 
-        pool = _top_pool(report.scores, min(pool_size, sel.size))
-        deleted = sel[batch_deletion(pool, report.scores[pool], rng.generator(3, iteration))]
+        # mode="clip" (sel is in range) writes straight into out; "raise" buffers
+        chosen = np.take(counts, sel, axis=0, out=work[:sel.size], mode="clip")
+        if s_star is None:
+            scores = _sdp_scores(chosen, sums, sol, k)
+        else:
+            scores = _special_scores(chosen, s_star, k, ch.lam)
+        pool = _top_pool(scores, min(pool_size, sel.size))
+        try:
+            local = batch_deletion(pool, scores[pool], rng.generator(3, iteration))
+        except AllZeroScores as exc:
+            raise exhausted("every score in the deletion pool is zero") from exc
+        deleted = sel[local]
         surviving[deleted] = False
         sums = sums.without(counts[deleted])
         trace.append(IterationRecord(pool_size=int(pool.size),
                                      deleted=tuple(deleted.tolist()), **record))
-

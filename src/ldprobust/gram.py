@@ -33,6 +33,11 @@ eigensolver's backward error.  Either bound is rounded upward.  Random
 restarts run only until the upper bound is within GAP_TOL of the value, so a
 solution carries both ends of an interval that holds the true maximum.
 
+Where only an upper bound below a limit is wanted, as for the filter's stop,
+upper_bound_below tries two proofs before any solve: sum |A_ij|, and the
+uniform dual y = c 1, feasible when d ||A||_2 <= sum(y), decided by the same
+shifted Cholesky at t = 0.
+
 The subset side is exact: subset_bilinear_max enumerates all 2^d masks S for
 d <= MAX_ENUM_D, with the sums A 1_S built by a doubling table of elementwise
 additions, about 2^d d of them, in place of products with a 0/1 indicator
@@ -401,6 +406,46 @@ def _cholesky_bound(A: np.ndarray, y: np.ndarray, value: float,
     if reach <= tight_bound and _schur_cholesky_proves_psd(A, y, tight, abs_a, abs_row_sums):
         return tight_bound
     return bound
+
+
+def upper_bound_below(A, limit: float) -> tuple[float, str] | None:
+    """A certified upper bound on max <M, A> over the Gram set that lies below
+    limit, and the proof that gave it; None if neither cheap proof gets there.
+
+    The two proofs run in this order and solve nothing:
+    "l1" is sum |A_ij|, rounded upward, a bound because every Gram entry has
+    |M_ij| <= 1; "uniform-dual" is the dual vector y = c 1 with sum(y) = 2d c
+    just below limit, feasible when c I - B is positive semidefinite, that is
+    when c >= ||A||_2 / 2, which one shifted Cholesky decides
+    (_schur_cholesky_proves_psd at t = 0).  The first costs O(d^2), the
+    second one d x d product and one d x d Cholesky; the Cholesky is skipped
+    when A's heaviest row x already shows ||A x|| >= (limit / d) ||x||, so
+    that ||A||_2 >= limit / d and the uniform dual cannot be feasible.
+    """
+    A = check_symmetric(A)
+    d = A.shape[0]
+    abs_a = np.abs(A)
+    l1 = _sum_rounded_up(abs_a.ravel(), 0.0)
+    if l1 < limit:
+        return l1, "l1"
+    abs_row_sums = abs_a.sum(axis=1)
+    # x = A's heaviest row: ||A x|| >= (limit / d) ||x|| shows ||A||_2 >= limit / d,
+    # where no uniform dual below limit is feasible, so the Cholesky is not run.
+    # The slack covers the rounding in A x, at most gamma_d ||A||_inf ||x||, and
+    # in both norms
+    heaviest = int(np.argmax(abs_row_sums))
+    x = A[heaviest]
+    slack = (2 * d + 8) * _UNIT
+    if (float(np.linalg.norm(A @ x)) * (1.0 - slack) >= float(np.linalg.norm(x)) * (1.0 + slack)
+            * (limit / d + slack * float(abs_row_sums[heaviest]))):
+        return None
+    # summing the 2d equal entries and rounding the sum upward add at most
+    # about (4d + 5) u, so this c keeps the rounded-up sum(y) below limit
+    y = np.full(2 * d, limit / (2 * d) * (1.0 - (8 * d + 16) * _UNIT))
+    bound = _sum_rounded_up(y, 0.0)
+    if bound < limit and _schur_cholesky_proves_psd(A, y, 0.0, abs_a, abs_row_sums):
+        return bound, "uniform-dual"
+    return None
 
 
 def dual_upper_bound(A, u_factors, v_factors) -> float:

@@ -42,6 +42,14 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_enough_rows_at_large_d(self, tmp_path):
+        # the default n = 200 runs out of rows at d = 100 (exit 1); n = 500 does not
+        out = tmp_path / "trial.json"
+        assert run_cli(["simulate", "--attack", "all_ones", "--d", 100, "--n", 500,
+                        "--out", out]) == 0
+        assert json.loads(out.read_text())["iterations"] >= 2
+
+
 class TestSweepCommand:
     def test_sweep_threads_byte_identical(self, tmp_path):
         cfg = {
@@ -187,6 +195,9 @@ class TestExitCodes:
         ["mixture-check", "--d", 9, "--k", 3],
         ["sdp-check", "--d", 0],
         ["sdp-check", "--d", -3],
+        ["simulate", "--attack", "all_ones", "--d", 100],
+        ["simulate", "--attack", "targeted_subset", "--d", 128],
+        ["simulate", "--attack", "hard_pair_swap", "--d", 128],
         *([command, "--threads", -1] for command in
           ("simulate", "sdp-check", "lowerbound", "mixture-check", "assouad")),
     ], ids=["unknown-attack", "eps-too-large", "d-too-small", "sdp-d-too-large",
@@ -195,6 +206,8 @@ class TestExitCodes:
             "eps-nan", "eps-inf", "assouad-c-gamma", "assouad-n-zero", "assouad-alpha-zero",
             "assouad-alpha-inf", "assouad-alpha-nan", "lowerbound-k-zero", "mixture-k-zero",
             "mixture-product-space", "sdp-d-zero", "sdp-d-negative",
+            "filter-out-of-rows-d100", "filter-out-of-rows-d128",
+            "filter-out-of-rows-hard-pair",
             *(f"{command}-threads-negative" for command in
               ("simulate", "sdp-check", "lowerbound", "mixture-check", "assouad"))])
     def test_input_contract_errors_exit_1(self, args, tmp_path, capsys):

@@ -16,6 +16,8 @@ from ldprobust import (
     contaminate,
     covariance_lipschitz_check,
     empirical_cov,
+    gram_maximize,
+    hard_pair,
     l1_dist,
     make_clean_collection,
     make_prob_vector,
@@ -27,6 +29,7 @@ from ldprobust import (
     special_subset,
 )
 from ldprobust import estimator as estimator_module
+from ldprobust import gram as gram_module
 from ldprobust.adversary import BatchCollection
 from ldprobust.errors import (
     AllZeroScores,
@@ -50,10 +53,15 @@ from ldprobust.estimator import (
     _top_pool,
     build_cov_bundle,
     canonical_order,
+    rate_unit,
 )
+from ldprobust.gram import CERTIFICATE_PATHS
 from ldprobust.harness import TrialCell, build_collection, resolve_attack, sample_p
 
 from conftest import brute_force_special_gap
+
+#: The proofs that can stop the filter before a Gram solve.
+PROOFS = ("l1", "uniform-dual")
 
 
 @pytest.fixture
@@ -258,7 +266,6 @@ class TestScoreCollection:
         assert rep.scores.min() >= 0.0
 
     def test_tau_upper_is_certified_bound_over_rate_unit(self, ch, p):
-        from ldprobust.estimator import rate_unit
         coll, rng = attacked_collection(ch, p, n=200, seed=4)
         rep = score_collection(coll, EstimatorConfig(eps=0.05), ch, rng.child(5))
         assert rep.mode == "sdp"
@@ -346,44 +353,87 @@ def trial_collection(n, k, d, attack, eps, seed):
     cell = TrialCell(n=n, k=k, d=d, alpha=1.0, eps=eps, attack=attack)
     ch = RapporChannel.create(d, 1.0)
     rng = RngSeed(seed)
-    target = sample_p(cell.p_family, d, rng.child(1))
-    attack_spec = resolve_attack(cell, target, ch)
+    if attack == "hard_pair_swap":
+        pair = hard_pair(ch, eps=eps, k=k)
+        target = pair.p
+        attack_spec = AttackSpec(kind="swap_distribution", q=pair.q, name="hard_pair_swap")
+    else:
+        target = sample_p(cell.p_family, d, rng.child(1))
+        attack_spec = resolve_attack(cell, target, ch)
     return build_collection(cell, target, attack_spec, ch, rng.child(2)), ch
 
 
-def recompute_loop(coll, cfg, ch, rng):
-    """The filtering loop with mean and covariance recomputed from the survivors.
+def reference_estimate(coll, cfg, ch, rng):
+    """The filtering loop before stops were proved, kept as the reference.
 
-    Mirrors robust_estimate, but every iteration reads the survivors' rows
-    through collection_mean and empirical_cov.  Returns one (mode, qhat, chat,
-    Gram input) tuple per iteration, chat and the Gram input None in special
-    mode, and the deleted rows of each iteration.
+    Every iteration recomputes mean and covariance from the survivors' rows
+    (collection_mean, empirical_cov), solves the Gram program, scores every
+    survivor, and stops when sqrt(value / rate_unit) falls below the
+    threshold.  Returns the trace as (mode, tau, survivors, pool size, gram
+    value, gram upper bound, certified_by, deleted) tuples, one (mode, qhat,
+    chat, Gram input) tuple per iteration, chat and the Gram input None in
+    special mode, and the result.
     """
     counts, k = coll.counts, coll.k
     canonical = canonical_order(counts, k)
     surviving = np.ones(coll.n, dtype=bool)
     pool_size = math.floor(cfg.eps * coll.n)
-    stats, deletions = [], []
-    for iteration in range(coll.n + 1):
+    unit = rate_unit(cfg.eps, ch.d, k)
+    trace, stats = [], []
+    for iteration in range(coll.n):
         sel = canonical[surviving[canonical]]
         chosen = counts[sel]
-        report = score_collection(chosen, cfg, ch, rng.child(4, iteration), k=k)
         qhat = collection_mean(chosen, k)
-        if report.mode == "sdp":
+        s_star, gap = special_subset(qhat, ch.lam)
+        if gap >= estimator_module.SPECIAL_GAP:
+            stats.append(("special", qhat, None, None))
+            tau, gram = math.inf, (None, None, None)
+            scores = np.abs(chosen[:, s_star].sum(axis=1) / k - ch.lam * float(s_star.sum()))
+        else:
             chat = empirical_cov(chosen, k)
             stats.append(("sdp", qhat, chat, chat - model_cov(qhat, k, ch.lam)))
-        else:
-            stats.append(("special", qhat, None, None))
-        if math.isfinite(report.tau) and math.sqrt(max(report.tau, 0.0)) < cfg.tau_threshold:
-            deletions.append(())
-            return stats, deletions
-        pool = np.sort(np.argsort(-report.scores, kind="stable")[:pool_size])
-        scores = report.scores[pool]
+            sol = gram_maximize(stats[-1][3], rng=rng.child(4, iteration))
+            tau, gram = sol.value / unit, (sol.value, sol.upper_bound, sol.certified_by)
+            centered = chosen - chosen.sum(axis=0, dtype=np.int64) / float(sel.size)
+            proj = centered @ np.hstack([sol.u_factors, sol.v_factors])
+            r = sol.rank
+            scores = np.abs(np.einsum("ij,ij->i", proj[:, :r], proj[:, r:])) / (k * k)
+        mode = stats[-1][0]
+        if math.isfinite(tau) and math.sqrt(max(tau, 0.0)) < cfg.tau_threshold:
+            trace.append((mode, tau, sel.size, 0, *gram, ()))
+            return trace, stats, estimator_module._finalize(qhat, np.sort(sel), [], ch)
+        pool = np.sort(np.argsort(-scores, kind="stable")[:pool_size])
         clocks = rng.generator(3, iteration).exponential(size=pool.size)
-        deleted = sel[pool[_delete_until_halved(scores, _race_order(scores, clocks))]]
+        deleted = sel[pool[_delete_until_halved(scores[pool], _race_order(scores[pool], clocks))]]
         surviving[deleted] = False
-        deletions.append(tuple(int(j) for j in deleted))
+        trace.append((mode, tau, sel.size, pool.size, *gram, tuple(deleted.tolist())))
     raise AssertionError("reference loop did not stop")
+
+
+def record_scoring_passes(monkeypatch):
+    """Wrap the loop's two scoring passes; returns the list of (mode, scores)
+    they append to, one entry per pass."""
+    passes = []
+    for name, mode in (("_special_scores", "special"), ("_sdp_scores", "sdp")):
+        def recording(*args, _score=getattr(estimator_module, name), _mode=mode):
+            passes.append((_mode, _score(*args)))
+            return passes[-1][1]
+
+        monkeypatch.setattr(estimator_module, name, recording)
+    return passes
+
+
+def count_solves(monkeypatch):
+    """Wrap the loop's Gram solve; returns the list of its inputs."""
+    inputs = []
+    solve = estimator_module.gram_maximize
+
+    def recording(A, **kwargs):
+        inputs.append(A.copy())
+        return solve(A, **kwargs)
+
+    monkeypatch.setattr(estimator_module, "gram_maximize", recording)
+    return inputs
 
 
 class TestDowndatedStatistics:
@@ -424,7 +474,8 @@ class TestDowndatedStatistics:
         coll, ch = trial_collection(n, k, d, attack, eps, seed=0)
         cfg = EstimatorConfig(eps=eps, tau_threshold=tau_threshold)
         rng = RngSeed(3)
-        ref_stats, ref_deletions = recompute_loop(coll, cfg, ch, rng)
+        ref_trace, ref_stats, _ = reference_estimate(coll, cfg, ch, rng)
+        ref_deletions = [deleted for *_, deleted in ref_trace]
         assert len(ref_stats) >= 2 and any(mode == "sdp" for mode, *_ in ref_stats[:-1])
 
         bundles, gram_inputs = [], []
@@ -445,11 +496,17 @@ class TestDowndatedStatistics:
         assert [rec.deleted for rec in res.trace] == ref_deletions
         assert [rec.mode for rec in res.trace] == [mode for mode, *_ in ref_stats]
         sdp = [st for st in ref_stats if st[0] == "sdp"]
-        assert len(bundles) == len(gram_inputs) == len(sdp)
-        for (_, qhat, chat, gram_input), bundle, A in zip(sdp, bundles, gram_inputs):
+        # every sdp iteration builds its statistics; all but a proved stop solve
+        solved = [rec.gram_value is not None for rec in res.trace if rec.mode == "sdp"]
+        assert len(bundles) == len(sdp) == len(solved)
+        assert len(gram_inputs) == sum(solved) >= len(solved) - 1
+        inputs = iter(gram_inputs)
+        for (_, qhat, chat, gram_input), bundle, was_solved in zip(sdp, bundles, solved):
             assert np.array_equal(bundle.qhat_col, qhat)
             assert np.array_equal(bundle.chat, chat)
-            assert np.array_equal(A, gram_input)
+            assert np.array_equal(bundle.dmat, gram_input)
+            if was_solved:
+                assert np.array_equal(next(inputs), gram_input)
         assert np.array_equal(res.qhat, ref_stats[-1][1])
 
     def test_loop_deletes_through_batch_deletion(self, monkeypatch):
@@ -457,30 +514,29 @@ class TestDowndatedStatistics:
         monkeypatch.setattr(estimator_module, "SPECIAL_GAP", 0.35)
         coll, ch = trial_collection(2000, 50, 5, "all_ones", 0.1, seed=0)
         cfg = EstimatorConfig(eps=0.1, tau_threshold=DESK_TAU_THRESHOLD)
-        reports, calls = [], []
-        score, delete = estimator_module.score_collection, estimator_module.batch_deletion
-
-        def recording_score(*args, **kwargs):
-            reports.append(score(*args, **kwargs))
-            return reports[-1]
+        passes = record_scoring_passes(monkeypatch)
+        calls = []
+        delete = estimator_module.batch_deletion
 
         def recording_delete(indices, pool_scores, gen):
             out = delete(indices, pool_scores, gen)
             calls.append((np.array(indices), np.array(pool_scores), out))
             return out
 
-        monkeypatch.setattr(estimator_module, "score_collection", recording_score)
         monkeypatch.setattr(estimator_module, "batch_deletion", recording_delete)
         res = robust_estimate(coll, cfg, ch, RngSeed(3))
 
-        deleting = [(rec, rep) for rec, rep in zip(res.trace, reports) if rec.deleted]
-        assert {rep.mode for _, rep in deleting} == {"special", "sdp"}
+        # one scoring pass per deleting iteration, and none on the stop
+        deleting = [rec for rec in res.trace if rec.deleted]
+        assert deleting == res.trace[:-1]
+        assert [mode for mode, _ in passes] == [rec.mode for rec in deleting]
+        assert {rec.mode for rec in deleting} == {"special", "sdp"}
         assert len(calls) == len(deleting)
-        for (pool, pool_scores, out), (rec, rep) in zip(calls, deleting):
+        for (pool, pool_scores, out), (_, scores), rec in zip(calls, passes, deleting):
             # the pool holds the top scores of this iteration, with their scores
             assert pool.size == rec.pool_size
-            assert np.array_equal(pool_scores, rep.scores[pool])
-            assert pool_scores.min() >= np.delete(rep.scores, pool).max()
+            assert np.array_equal(pool_scores, scores[pool])
+            assert pool_scores.min() >= np.delete(scores, pool).max()
             assert len(out) == len(rec.deleted)
 
 
@@ -724,17 +780,12 @@ class TestRobustEstimate:
         # the loop; each iteration deletes at least one row
         coll, rng = attacked_collection(ch, p, n=200, eps=0.1, seed=25)
         cfg = EstimatorConfig(eps=0.1, tau_threshold=1e-12)
-        score = estimator_module.score_collection
-        reports = []
-
-        def recording_score(*args, **kwargs):
-            reports.append(score(*args, **kwargs))
-            return reports[-1]
-
-        monkeypatch.setattr(estimator_module, "score_collection", recording_score)
-        with pytest.raises((Exhausted, AllZeroScores)):
+        passes = record_scoring_passes(monkeypatch)
+        with pytest.raises(Exhausted) as exc:
             robust_estimate(coll, cfg, ch, rng.child(3))
-        assert 2 <= len(reports) < coll.n
+        assert isinstance(exc.value, InputError)
+        # every iteration scores once and deletes at least one row
+        assert 2 <= len(passes) < coll.n
 
     def test_trace_records_iterations(self, ch, p):
         coll, rng = attacked_collection(ch, p, n=400, seed=13)
@@ -744,14 +795,21 @@ class TestRobustEstimate:
         assert res.trace[-1].deleted == ()
         assert math.sqrt(res.final_tau) < DESK_TAU_THRESHOLD
         survivors = coll.n
+        unit = rate_unit(0.05, ch.d, coll.k)
         for rec in res.trace:
             assert rec.survivors == survivors
             survivors -= len(rec.deleted)
-            if rec.mode == "sdp":
+            if rec.mode == "special":
+                assert rec.gram_value is None and rec.gram_upper is None
+            elif rec.gram_value is None:
+                # a stop proved before any solve: tau is the proved bound over the unit
+                assert rec is res.trace[-1] and rec.certified_by in PROOFS
+                assert rec.tau == rec.gram_upper / unit
+            else:
+                assert rec.certified_by in CERTIFICATE_PATHS
+                assert rec.tau == rec.gram_value / unit
                 assert rec.gram_upper >= rec.gram_value
                 assert rec.gram_upper - rec.gram_value <= 1e-4 * abs(rec.gram_upper)
-            else:
-                assert rec.gram_value is None and rec.gram_upper is None
         assert [rec.pool_size for rec in res.trace] == \
             [math.floor(0.05 * coll.n)] * (res.iterations - 1) + [0]
         assert survivors == res.surviving.size
@@ -785,6 +843,112 @@ class TestRobustEstimate:
             assert deleted.size > 0
             fracs.append((coll.truth[deleted] == 1).mean())
         assert np.mean(fracs) >= 0.6
+
+
+def record_tuple(rec):
+    return (rec.mode, rec.tau, rec.survivors, rec.pool_size, rec.gram_value, rec.gram_upper,
+            rec.certified_by, rec.deleted)
+
+
+class TestCertifiedStop:
+    """The stop is decided by a proof before any solve where one gets below the
+    threshold, and rows are scored only on iterations that delete."""
+
+    @pytest.mark.parametrize("attack", ["all_ones", "swap_mix", "targeted_subset",
+                                        "hard_pair_swap"])
+    @pytest.mark.parametrize("n, k, d", [(2000, 50, 5), (2000, 20, 64), (1000, 20, 128)],
+                             ids=["d5", "d64", "d128"])
+    def test_matches_reference_loop(self, n, k, d, attack):
+        coll, ch = trial_collection(n, k, d, attack, 0.05, seed=0)
+        cfg = TrialCell(n=n, k=k, d=d, alpha=1.0, eps=0.05, attack=attack).estimator_config()
+        ref_trace, ref_stats, ref = reference_estimate(coll, cfg, ch, RngSeed(3))
+        ref_dmat = ref_stats[-1][3]
+        res = robust_estimate(coll, cfg, ch, RngSeed(3))
+
+        assert np.array_equal(res.surviving, ref.surviving)
+        assert np.array_equal(res.qhat, ref.qhat)
+        assert np.array_equal(res.phat, ref.phat)
+        # every iteration but the stop is recorded bitwise as the reference records it
+        assert [record_tuple(rec) for rec in res.trace[:-1]] == ref_trace[:-1]
+        last = res.trace[-1]
+        if last.gram_value is not None:
+            assert record_tuple(last) == ref_trace[-1]
+            return
+        mode, _, survivors, _, ref_value, _, _, _ = ref_trace[-1]
+        assert (last.mode, last.survivors, last.pool_size, last.deleted) == \
+            (mode, survivors, 0, ())
+        unit = rate_unit(cfg.eps, d, k)
+        limit = cfg.tau_threshold ** 2 * unit
+        assert ref_value <= last.gram_upper < limit
+        assert last.tau == last.gram_upper / unit
+        abs_sum = gram_module._sum_rounded_up(np.abs(ref_dmat).ravel(), 0.0)
+        if last.certified_by == "l1":
+            assert last.gram_upper == abs_sum
+        else:
+            # the l1 bound failed, and the bound is at least d ||A||_2
+            assert last.certified_by == "uniform-dual" and abs_sum >= limit
+            spectral = d * float(np.abs(np.linalg.eigvalsh(ref_dmat)).max())
+            assert spectral <= last.gram_upper * (1 + 1e-12)
+
+    def test_panel_stops_by_both_proofs(self):
+        proofs = set()
+        for n, k, d, attack in [(2000, 50, 5, "swap_mix"), (1000, 20, 128, "targeted_subset")]:
+            coll, ch = trial_collection(n, k, d, attack, 0.05, seed=0)
+            cfg = TrialCell(n=n, k=k, d=d, alpha=1.0, eps=0.05, attack=attack).estimator_config()
+            proofs.add(robust_estimate(coll, cfg, ch, RngSeed(3)).trace[-1].certified_by)
+        assert proofs == set(PROOFS)
+
+    @pytest.mark.parametrize("n, k, d, attack", [(2000, 50, 5, "swap_mix"),
+                                                 (2000, 50, 5, "all_ones"),
+                                                 (1000, 20, 128, "targeted_subset")])
+    def test_proved_stop_solves_nothing(self, monkeypatch, n, k, d, attack):
+        coll, ch = trial_collection(n, k, d, attack, 0.05, seed=0)
+        cfg = TrialCell(n=n, k=k, d=d, alpha=1.0, eps=0.05, attack=attack).estimator_config()
+        solves = count_solves(monkeypatch)
+        passes = record_scoring_passes(monkeypatch)
+        res = robust_estimate(coll, cfg, ch, RngSeed(3))
+        assert res.trace[-1].certified_by in PROOFS
+        # one solve and one scoring pass per deleting iteration, none on the stop
+        assert len(solves) == len(passes) == res.iterations - 1
+
+    def test_solver_stop_scores_nothing(self, monkeypatch):
+        # with no proof passing, the stop rests on the solver's value, as before
+        coll, ch = trial_collection(2000, 50, 5, "all_ones", 0.05, seed=0)
+        cfg = EstimatorConfig(eps=0.05, tau_threshold=DESK_TAU_THRESHOLD)
+        proved = robust_estimate(coll, cfg, ch, RngSeed(3))
+        monkeypatch.setattr(estimator_module, "upper_bound_below", lambda A, limit: None)
+        solves = count_solves(monkeypatch)
+        passes = record_scoring_passes(monkeypatch)
+        res = robust_estimate(coll, cfg, ch, RngSeed(3))
+        assert res.iterations == proved.iterations >= 2
+        assert len(solves) == res.iterations and len(passes) == res.iterations - 1
+        assert res.trace[-1].certified_by in CERTIFICATE_PATHS
+        assert res.trace[-1].gram_value <= proved.trace[-1].gram_upper
+        assert [rec.deleted for rec in res.trace] == [rec.deleted for rec in proved.trace]
+        assert np.array_equal(res.phat, proved.phat)
+
+    @pytest.mark.parametrize("threshold", [1e200, math.inf])
+    def test_huge_threshold_stops_at_once(self, ch, p, threshold):
+        coll, rng = attacked_collection(ch, p, n=400, seed=13)
+        cfg = EstimatorConfig(eps=0.05, tau_threshold=threshold)
+        res = robust_estimate(coll, cfg, ch, rng.child(3))
+        assert res.iterations == 1 and res.trace[0].certified_by == "l1"
+
+    def test_out_of_rows_is_an_input_error_naming_n_d_eps(self):
+        coll, ch = trial_collection(200, 50, 100, "all_ones", 0.05, seed=0)
+        cfg = EstimatorConfig(eps=0.05, tau_threshold=DESK_TAU_THRESHOLD)
+        with pytest.raises(Exhausted, match=r"n=200 .*d=100, eps=0\.05") as exc:
+            robust_estimate(coll, cfg, ch, RngSeed(3))
+        assert isinstance(exc.value, InputError)
+
+    def test_all_zero_pool_is_an_input_error(self, ch):
+        # identical rows score zero while tau stays above a tiny threshold
+        coll = BatchCollection(counts=np.full((40, ch.d), 7), k=20)
+        with pytest.raises(Exhausted, match="every score in the deletion pool is zero") as exc:
+            robust_estimate(coll, EstimatorConfig(eps=0.1, tau_threshold=1e-12), ch, RngSeed(0))
+        assert isinstance(exc.value, InputError)
+        assert isinstance(exc.value.__cause__, AllZeroScores)
+
 
 
 class TestNaive:

@@ -27,7 +27,7 @@ from ldprobust.errors import (
 )
 from ldprobust import estimator as estimator_module
 from ldprobust import gram as gram_module
-from ldprobust.gram import GAP_TOL, GramSolution
+from ldprobust.gram import GAP_TOL, GramSolution, upper_bound_below
 from ldprobust.harness import TrialCell, build_collection, resolve_attack, sample_p
 
 from conftest import bit_matrix_subset_bilinear_max, brute_force_bilinear
@@ -557,6 +557,74 @@ class TestCholeskyCertificate:
                 assert sol.upper_bound >= ref.upper_bound
         assert deleted == [[rec.deleted for rec in robust_estimate(coll, cfg, ch, rng).trace]
                            for coll, rng in runs]
+
+
+class TestUpperBoundBelow:
+    """The two proofs that the Gram maximum lies below a limit, with no solve."""
+
+    @pytest.mark.parametrize("d", [1, 5, 64])
+    def test_l1_bound_where_it_reaches_below(self, d):
+        A = random_symmetric(d, 40 + d)
+        exact = math.fsum(np.abs(A).ravel())
+        bound, proof = upper_bound_below(A, 2 * exact)
+        assert proof == "l1"
+        assert exact <= bound <= exact * (1 + 1e-12)
+
+    @pytest.mark.parametrize("d", [5, 12, 64, 128])
+    def test_uniform_dual_is_sharp_at_d_times_the_spectral_norm(self, d):
+        A = random_symmetric(d, 70 + d)
+        spectral = d * float(np.abs(np.linalg.eigvalsh(A)).max())
+        assert math.fsum(np.abs(A).ravel()) > spectral * (1 + 1e-6)
+        bound, proof = upper_bound_below(A, spectral * (1 + 1e-6))
+        assert proof == "uniform-dual"
+        assert spectral * (1 - 1e-12) <= bound < spectral * (1 + 1e-6)
+        assert upper_bound_below(A, spectral * (1 - 1e-9)) is None
+
+    def test_cholesky_skipped_where_the_heaviest_row_rules_it_out(self, monkeypatch):
+        A = random_symmetric(64, 9)
+        spectral = 64 * float(np.abs(np.linalg.eigvalsh(A)).max())
+        proves = gram_module._schur_cholesky_proves_psd
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return proves(*args)
+
+        monkeypatch.setattr(gram_module, "_schur_cholesky_proves_psd", counting)
+        assert upper_bound_below(A, spectral / 2) is None
+        assert calls == []
+        # just below the norm only the Cholesky can tell
+        assert upper_bound_below(A, spectral * (1 - 1e-9)) is None
+        assert len(calls) == 1
+
+    def test_never_below_the_solver_value(self):
+        gen = np.random.default_rng(5)
+        proved = set()
+        for i in range(150):
+            d = int(gen.integers(1, 13))
+            A = random_symmetric(d, 900 + i) * 10.0 ** int(gen.integers(-3, 4))
+            value = gram_maximize(A, rng=RngSeed(i)).value
+            for ratio in (0.5, 1.0, 1.2, 2.0, 10.0):
+                got = upper_bound_below(A, ratio * value)
+                if got is not None:
+                    proved.add(got[1])
+                    assert value <= got[0] < ratio * value
+        assert proved == {"l1", "uniform-dual"}
+
+    def test_zero_matrix_and_extreme_limits(self):
+        bound, proof = upper_bound_below(np.zeros((3, 3)), 1e-300)
+        assert proof == "l1" and 0.0 <= bound < 1e-300
+        assert upper_bound_below(np.zeros((3, 3)), 0.0) is None
+        A = random_symmetric(4, 1)
+        assert upper_bound_below(A, math.inf)[1] == "l1"
+        assert upper_bound_below(A, math.nan) is None
+        assert upper_bound_below(A, -1.0) is None
+
+    def test_rejects_invalid_matrix(self):
+        with pytest.raises(InvalidArgument):
+            upper_bound_below(np.full((2, 2), np.nan), 1.0)
+        with pytest.raises(NotSymmetric):
+            upper_bound_below(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
 class TestSandwich:
