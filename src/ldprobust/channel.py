@@ -9,10 +9,16 @@ output likelihood ratio over input pairs equals ((1-lambda)/lambda)^2 = e^alpha.
 A batch of k privatized samples is summarized by its count of ones per
 coordinate.  `sample_counts` draws those counts directly from their law as
 (m, d) int64 arrays: symbol counts first, then the ones of each coordinate
-given its symbol count, by inversion of a tabulated CDF where the table pays
-for itself and by two binomials elsewhere.  The bit-level samplers
-(`privatize_batch`, `sample_privatized`) return uint8 arrays of shape
-(count, d) and serve as the reference the count sampler is tested against.
+given its symbol count.  Two rules, pure functions of (m, k, d) that never
+read cache state, choose the method.  Symbols: a categorical search when
+2k <= d; otherwise conditional binomials c_j ~ Bin(k - c_<j, r_j), with r_j
+from suffix sums of p, inverted through guide tables built for the call,
+where those tables pay; `multinomial` below that.  Ones: inversion of a
+per-process table of CDFs up to k = 200 and wherever a larger table pays;
+two binomials per entry elsewhere.  Inversion takes one uniform per entry
+and resolves each CDF to 2^-53.  The bit-level samplers (`privatize_batch`,
+`sample_privatized`) return uint8 arrays of shape (count, d) and serve as
+the reference the count sampler is tested against.
 """
 
 from __future__ import annotations
@@ -47,11 +53,20 @@ _CHUNK_SCALARS = 1 << 21
 
 # `Generator.random` returns multiples of 2^-53; CDF thresholds live on that grid.
 _UNIT_BITS = 53
-# The guide table splits [0, 1) into 2^_GUIDE_BITS equal cells per symbol count.
+# The ones table's guide splits [0, 1) into 2^_GUIDE_BITS equal cells per symbol count.
 _GUIDE_BITS = 10
+# The per-call symbol tables' guide is coarser: it is rebuilt on every call.
+_SYMBOL_GUIDE_BITS = 8
 # Largest k drawn by table inversion: search keys (c << 53) + u must fit in
 # 64 bits, and the table rows stay at most a few MB.
 _TABLE_MAX_K = 1024
+# Both inversions work through rows in blocks of about this many uniforms,
+# so that their temporaries stay in cache.  A block's uniforms continue the
+# call's row-major draw, so the block size never changes the output.
+_BLOCK_ENTRIES = 1 << 16
+# Up to this k the ones table takes at most about 17 ms to build, once per
+# process, so every call reads it; above it a call must pay for the build.
+_TABLE_FREE_K = 200
 
 
 def lambda_of_alpha(alpha: float) -> float:
@@ -156,27 +171,37 @@ def sample_counts(ch: RapporChannel, p: ProbVector, m: int, k: int,
     c ~ Multinomial(k, p); given c the coordinates are independent, and
     coordinate j has the law L_{c_j} = Bin(c_j, 1 - lam) * Bin(k - c_j, lam)
     (kept ones plus flipped zeros).  This is the law of the per-batch sums of
-    k `sample_privatized` rows.  Two rules, each a cost estimate from the
-    shape, pick how the draw is made; neither changes the law:
+    k `sample_privatized` rows.  Two rules, each a pure function of (m, k, d)
+    that never reads cache state, pick how the draw is made; neither changes
+    the law:
 
     - Symbols: when 2k <= d, each of the k samples of a row draws its symbol
-      by a search of one uniform in the CDF of p and the rows are counted by
-      one `bincount` (cost ~ m*k); otherwise by `multinomial` (cost ~ m*d).
-    - Ones: when k <= 1024 and (k+1) * (2^10 + (k+1)^2 // 16) <= 8*m*d, by
-      inversion: the CDFs of L_0, ..., L_k are tabulated ((k+1)^3/3
-      elementwise updates, the same bits on every IEEE machine) once per
-      process for each (k, lam), and the last few tables are kept, read-only;
-      each entry takes one uniform u.  The rule still charges a build to
-      every call: it decides which draws are consumed, so changing it would
-      re-draw every seed.  A guide table of 2^10 cells per symbol count
-      answers most entries outright; the rest search the key (c << 53) + u
-      in the flattened thresholds (c << 53) + ceil(CDF * 2^53).
-      Otherwise (large k, or too few entries to pay for building the table)
-      by two binomials per entry.
+      by a search of one uniform in the CDF of p, and the rows are counted by
+      one `bincount` (cost ~ m*k).  Otherwise, when the call's tables pay
+      for themselves, (k+1) * (2^8 + k) * (d + 32) <= 128*m with k <= 1024,
+      by conditional binomials: c_j ~ Bin(k - c_<j, r_j) with
+      r_j = w_j / (w_j + ... + w_{d-1}) from suffix sums (1 - W_<j would
+      cancel), clipped to [0, 1], each column inverted through guide tables
+      of the Bin(n, r_j) CDFs for n = 0..k that are built for the call and
+      dropped after it, since p changes from call to call.  Below that, by
+      `multinomial`.
+    - Ones: when k <= 200, or k <= 1024 and
+      (k+1) * (2^10 + (k+1)^2 // 16) <= 8*m*d, by inversion: the CDFs of
+      L_0, ..., L_k are tabulated ((k+1)^3/3 elementwise updates) once per
+      process for each (k, lam), and the last few tables are kept,
+      read-only.  Up to k = 200 a build takes at most about 17 ms, so the
+      rule charges it to no call; above that each call must pay for it.
+      A guide table of 2^10 cells per symbol count answers most
+      entries outright; the rest search the key (c << 53) + u in the flattened
+      thresholds (c << 53) + ceil(CDF * 2^53).  Otherwise (large k, or too
+      few entries to pay for the table) by two binomials per entry.
 
-    Inversion resolves the CDF to 2^-53, as `Generator.random` does: each
-    probability is off by less than 2^-53 (plus the table's rounding, about
-    1e-15), so an outcome of probability below 2^-53 may never be drawn.
+    Every table is built from elementwise products and sums only (no exp,
+    log or BLAS), so it has the same bits on every IEEE machine.  Inversion
+    takes one uniform per entry and resolves the CDF to 2^-53, as
+    `Generator.random` does: each probability is off by less than 2^-53
+    (plus the table's rounding, about 1e-15), so an outcome of probability
+    below 2^-53 may never be drawn, and no symbol of zero mass ever is.
     The output is a fixed function of the generator state; which draws it
     consumes depends on the rules, so a change to them re-draws every seed.
     """
@@ -190,12 +215,41 @@ def sample_counts(ch: RapporChannel, p: ProbVector, m: int, k: int,
     w /= w.sum()
     if 2 * k <= ch.d:
         symbols = _categorical_counts(w, m, k, gen)
+    elif _symbols_by_table(m, k, ch.d):
+        symbols = _conditional_counts(w, m, k, gen)
     else:
         symbols = gen.multinomial(k, w, size=m)
-    guide = 1 << _GUIDE_BITS
-    if k <= _TABLE_MAX_K and (k + 1) * (guide + (k + 1) ** 2 // 16) <= 8 * m * ch.d:
+    if _ones_by_table(m, k, ch.d):
         return _invert_ones(symbols, k, ch.lam, gen)
     return gen.binomial(symbols, 1.0 - ch.lam) + gen.binomial(k - symbols, ch.lam)
+
+
+def _symbols_by_table(m: int, k: int, d: int) -> bool:
+    """The symbol rule for 2k > d: conditional binomials when the tables pay.
+
+    The call builds (d-1) * (k+1) rows of 2^8 + k entries and then saves a
+    share of each entry's `multinomial` cost that shrinks as d grows (its
+    later binomials have few trials).  The bound fits crossovers measured
+    with one BLAS thread within a factor 0.8-1.8: m ~ 2300 at d = 5, k = 25;
+    4000 at d = 5, k = 50; 15 000 at d = 5, k = 200; 2600 at d = 3, k = 25;
+    9000 at d = 32, k = 50; 50 000 at d = 64, k = 200.  The 256 is the
+    guide's size when the bound was fitted, frozen here as a literal: the
+    rule decides which draws a call consumes, so retuning the guide must not
+    re-draw any seed.
+    """
+    return k <= _TABLE_MAX_K and (k + 1) * (256 + k) * (d + 32) <= 128 * m
+
+
+def _ones_by_table(m: int, k: int, d: int) -> bool:
+    """The ones rule: the per-process table, free up to k = _TABLE_FREE_K.
+
+    Above that the bound charges a build to the call.  Its 1024 is the ones
+    guide's size when the bound was set, frozen as a literal for the same
+    reason as the symbol rule's 256.
+    """
+    if k <= _TABLE_FREE_K:
+        return m > 0
+    return k <= _TABLE_MAX_K and (k + 1) * (1024 + (k + 1) ** 2 // 16) <= 8 * m * d
 
 
 def _categorical_counts(w: np.ndarray, m: int, k: int,
@@ -209,6 +263,86 @@ def _categorical_counts(w: np.ndarray, m: int, k: int,
     draws = np.searchsorted(cdf[:-1], gen.random((m, k)), side="right")
     draws += np.arange(0, m * d, d)[:, None]
     return np.bincount(draws.ravel(), minlength=m * d).reshape(m, d)
+
+
+def _symbol_thresholds(w: np.ndarray, k: int) -> np.ndarray:
+    """(d-1, k+1, k) int64 thresholds ceil(CDF * 2^53) of Bin(n, r_j) at 0, ..., k-1.
+
+    Row n of column j is the CDF of Bin(n, r_j), with r_j = w_j / (w_j + ...
+    + w_{d-1}) from suffix sums, clipped to [0, 1] (0 where the suffix is
+    empty of mass).  Entries at or past n are 2^53, so no uniform counts past
+    n.  A symbol of zero mass has r_j = 0 and draws 0; the last symbol of
+    positive mass has r_j = 1 exactly (its suffix sum adds only zeros) and
+    takes every sample left.  Level n + 1 mixes level n with one
+    Bernoulli(r_j), by elementwise products and sums only.  The CDFs are
+    taken, scaled and rounded in place, so the build holds one float and one
+    integer array of this size at its peak.
+    """
+    d = w.size
+    suffix = np.cumsum(w[::-1])[:0:-1]
+    r = np.divide(w[:-1], suffix, out=np.zeros(d - 1), where=suffix > 0.0)
+    np.clip(r, 0.0, 1.0, out=r)
+    hit = r[:, None]
+    miss = 1.0 - hit
+    pmf = np.zeros((d - 1, k + 1, k + 1))
+    pmf[:, 0, 0] = 1.0
+    for n in range(k):
+        prev = pmf[:, n, :n + 1]
+        nxt = pmf[:, n + 1]
+        np.multiply(miss, prev, out=nxt[:, :n + 1])
+        nxt[:, 1:n + 2] += hit * prev
+    cdf = pmf[:, :, :k]
+    np.cumsum(cdf, axis=2, out=cdf)
+    cdf *= 1 << _UNIT_BITS
+    np.ceil(cdf, out=cdf)
+    np.minimum(cdf, 1 << _UNIT_BITS, out=cdf)
+    thresholds = cdf.astype(np.int64)
+    thresholds[:, np.arange(k + 1)[:, None] <= np.arange(k)] = 1 << _UNIT_BITS
+    return thresholds
+
+
+def _conditional_counts(w: np.ndarray, m: int, k: int,
+                        gen: np.random.Generator) -> np.ndarray:
+    """(m, d) counts of m rows of k iid symbols from w, by conditional binomials.
+
+    Column j draws c_j ~ Bin(n, r_j) with n = k - c_<j by guided inversion
+    of one uniform per entry; the last column takes what is left.  Entry
+    (i, j) takes uniform i * (d-1) + j of the call: rows go in blocks of
+    about _BLOCK_ENTRIES uniforms, each drawn as one (rows, d-1) array, so
+    the output is the same for any block size.  The tables are local to the
+    call: at d = 64, k = 200, m = 10^5 this draw peaks at 98 MB (tracemalloc),
+    its 51 MB output included, where `multinomial` allocates only the output.
+    """
+    d = w.size
+    bits = _SYMBOL_GUIDE_BITS
+    thresholds = _symbol_thresholds(w, k)
+    guide = _guide_table(thresholds.reshape(-1, k), bits)
+    # the search keys (n << 53) + t, written over the thresholds
+    keys = thresholds.view(np.uint64)
+    keys += np.arange(k + 1, dtype=np.uint64)[:, None] << np.uint64(_UNIT_BITS)
+    keys = keys.reshape(d - 1, -1)
+    counts = np.empty((m, d), dtype=np.int64)
+    step = max(1, _BLOCK_ENTRIES // (d - 1))
+    for lo in range(0, m, step):
+        block = counts[lo:lo + step]
+        uniforms = gen.random((block.shape[0], d - 1))
+        left = np.full(block.shape[0], k, dtype=np.int64)
+        for j in range(d - 1):
+            u = uniforms[:, j]
+            cell = left + j * (k + 1)
+            cell <<= bits
+            cell += (u * (1 << bits)).astype(np.int64)  # exact: the integer part is the cell
+            c = guide[cell]
+            todo = np.flatnonzero(c < 0)
+            if todo.size:
+                n = left[todo]
+                key = ((n.astype(np.uint64) << _UNIT_BITS)
+                       + (u[todo] * (1 << _UNIT_BITS)).astype(np.uint64))
+                c[todo] = np.searchsorted(keys[j], key, side="right") - n * k
+            block[:, j] = c
+            left -= c
+        block[:, -1] = left
+    return counts
 
 
 def _ones_pmf(k: int, lam: float) -> np.ndarray:
@@ -241,16 +375,16 @@ def _ones_thresholds(k: int, lam: float) -> np.ndarray:
     return np.minimum(np.ceil(cdf * (1 << _UNIT_BITS)), 1 << _UNIT_BITS).astype(np.int64)
 
 
-def _guide_table(thresholds: np.ndarray) -> np.ndarray:
-    """Flattened ((k+1) * 2^_GUIDE_BITS,) guide table of the thresholds.
+def _guide_table(thresholds: np.ndarray, bits: int = _GUIDE_BITS) -> np.ndarray:
+    """Flattened (rows * 2^bits,) guide table of the (rows, k) thresholds.
 
-    Cell j of row c covers the integer uniforms [j, j + 1) * 2^(53 - _GUIDE_BITS).
-    It holds the common number of ones of every u in the cell when no
-    threshold of row c lies strictly inside it, and -1 otherwise.
+    Cell j of row c covers the integer uniforms [j, j + 1) * 2^(53 - bits).
+    It holds the common count of every u in the cell when no threshold of
+    row c lies strictly inside it, and -1 otherwise.
     """
     rows, k = thresholds.shape
-    cells = 1 << _GUIDE_BITS
-    shift = _UNIT_BITS - _GUIDE_BITS
+    cells = 1 << bits
+    shift = _UNIT_BITS - bits
     base = np.arange(rows)[:, None] * (cells + 1)
     # outside the cell of t, t <= u for every u of cell j exactly when
     # j >= t >> shift; the cell of t is marked -1 unless t is its first u
@@ -281,23 +415,28 @@ def _invert_ones(symbols: np.ndarray, k: int, lam: float,
                  gen: np.random.Generator) -> np.ndarray:
     """Draw each entry's ones from L_{symbols} by guided inversion.
 
-    Takes one uniform per entry and overwrites `symbols` with guide-table
-    indices.
+    Takes one uniform per entry, in row-major order, and overwrites
+    `symbols` with the ones.  Rows go in blocks of about _BLOCK_ENTRIES
+    entries; the uniforms are those of one draw of the whole shape, so the
+    block size never changes the output.
     """
     table, flat = _inversion_tables(k, lam)
-    u = gen.random(symbols.shape)
-    u *= 1 << _GUIDE_BITS  # exact: the integer part is the cell
-    cell = symbols
-    cell <<= _GUIDE_BITS
-    cell += u.astype(np.int64)
-    ones = table[cell]
-    todo = np.flatnonzero(ones < 0)
-    if todo.size:
-        c = cell.ravel()[todo] >> _GUIDE_BITS
-        key = ((c.astype(np.uint64) << _UNIT_BITS)
-               + (u.ravel()[todo] * (1 << (_UNIT_BITS - _GUIDE_BITS))).astype(np.uint64))
-        ones.ravel()[todo] = np.searchsorted(flat, key, side="right") - c * k
-    return ones
+    step = max(1, _BLOCK_ENTRIES // symbols.shape[1])
+    for lo in range(0, symbols.shape[0], step):
+        cell = symbols[lo:lo + step]
+        u = gen.random(cell.shape)
+        u *= 1 << _GUIDE_BITS  # exact: the integer part is the cell
+        cell <<= _GUIDE_BITS
+        cell += u.astype(np.int64)
+        ones = table[cell]
+        todo = np.flatnonzero(ones < 0)
+        if todo.size:
+            c = cell.ravel()[todo] >> _GUIDE_BITS
+            key = ((c.astype(np.uint64) << _UNIT_BITS)
+                   + (u.ravel()[todo] * (1 << (_UNIT_BITS - _GUIDE_BITS))).astype(np.uint64))
+            ones.ravel()[todo] = np.searchsorted(flat, key, side="right") - c * k
+        cell[...] = ones
+    return symbols
 
 
 def mean_response(ch: RapporChannel, p: ProbVector) -> np.ndarray:

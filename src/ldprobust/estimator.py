@@ -173,6 +173,8 @@ class EstimateResult:
 #: each iteration reuses the same memory, and peak RSS does not hinge on how
 #: the heap happened to fragment.
 _BLOCK_SCALARS = 1 << 16
+# The halving stop counts scores on a grid that puts their float total below 2^60.
+_HALVING_GRID_BITS = 60
 
 
 def _row_blocks(c: np.ndarray):
@@ -449,17 +451,26 @@ def _race_order(scores: np.ndarray, exponentials: np.ndarray) -> np.ndarray:
 def _delete_until_halved(scores: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Prefix of the deletion order that halves the total score mass.
 
-    Deletion continues while the remaining mass exceeds half the initial total,
-    i.e. it stops as soon as the deleted mass reaches half.  The remaining mass
-    is rounded exactly as by subtracting the scores one by one.
+    Deletion continues while the remaining mass exceeds half the initial
+    total, i.e. it stops as soon as the deleted mass reaches half.  The mass
+    is counted exactly on one power-of-two grid: each score becomes
+    floor(s * 2^e), with e chosen from the total so that the grid total stays
+    below 2^61, and an integer cumsum decides the stop.  So P equal scores
+    delete exactly P/2 rows for even P, in any order and whatever the last bit
+    of the common score.
     """
     total = float(scores.sum())
     if total <= 0.0:
         raise AllZeroScores("cannot delete from an all-zero score pool")
-    # remaining[j]: mass left after j deletions, subtracted one score at a time
-    # in deletion order (a sequential cumsum), so it is nonincreasing
-    remaining = np.cumsum(np.concatenate(([total], -scores[order])))
-    stop = int(np.searchsorted(-remaining, -(total / 2.0), side="left"))
+    # total < 2^t with t = frexp(total)[1]; on the grid 2^(60 - t) the exact
+    # sum is below 2^61 (the float sum is off by far less than a factor 2),
+    # so twice any remainder fits in int64, and the largest score, at least
+    # total / P, is at least 2^59 / P grid units
+    grid = np.floor(np.ldexp(scores, _HALVING_GRID_BITS - math.frexp(total)[1])).astype(np.int64)
+    grid_total = int(grid.sum())
+    left = grid_total - np.cumsum(grid[order])
+    # stop after the first deletion that leaves at most half
+    stop = int(np.searchsorted(-2 * left, -grid_total, side="left")) + 1
     return np.asarray(order[:stop], dtype=np.int64)
 
 

@@ -394,10 +394,15 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[TrialResult]:
             _discard_pool()
             pending = _worker_pool(threads).map(_run_job, jobs)
         try:
-            return list(pending)
+            results = list(pending)
         except BrokenProcessPool:
             _discard_pool()
             raise
+    # each result arrives with its own unpickled copy of its cell; share the
+    # caller's, as the serial path does, which halves a result's memory
+    for res, (cell, _, _) in zip(results, jobs):
+        res.cell = cell
+    return results
 
 
 def write_csv(results: list[TrialResult], path) -> None:

@@ -26,6 +26,7 @@ from ldprobust.errors import (
     SymbolOutOfRange,
 )
 from ldprobust import channel as channel_module
+from ldprobust.lowerbound import hard_pair
 from ldprobust.prob import subset_mask
 
 from conftest import batch_sums, chi2_quantile, count_law_stats, two_sample_chi2
@@ -196,8 +197,53 @@ def _binomial_pmf(n, q):
     return np.array([math.comb(n, j) * q ** j * (1.0 - q) ** (n - j) for j in range(n + 1)])
 
 
+# (d, k, m) of one call on each path of the two rules: symbols categorical,
+# by conditional binomials or by `multinomial`; ones from the table or by
+# two binomials per entry
+_PATHS = {
+    "categorical-table": (8, 4, 500),
+    "categorical-binomial": (402, 201, 2),
+    "conditional-table": (5, 50, 8000),
+    "conditional-binomial": (3, 250, 45_000),
+    "multinomial-table": (5, 50, 1000),
+    "multinomial-binomial": (5, 300, 50),
+}
+
+
+def _path_helpers(path):
+    """The spied helpers a path calls (multinomial and binomials are not spied)."""
+    symbols, ones = path.split("-")
+    return ({"categorical": {"_categorical_counts"}, "conditional": {"_conditional_counts"},
+             "multinomial": set()}[symbols] | ({"_invert_ones"} if ones == "table" else set()))
+
+
+def _record_paths(monkeypatch):
+    """Spy on the sampler's helpers; returns the set their names are added to."""
+    used = set()
+
+    def spy(name, inner):
+        def call(*args):
+            used.add(name)
+            return inner(*args)
+        return call
+
+    for name in ("_categorical_counts", "_conditional_counts", "_invert_ones"):
+        monkeypatch.setattr(channel_module, name, spy(name, getattr(channel_module, name)))
+    return used
+
+
+def _path_prob_vector(family, ch, k):
+    if family == "dirichlet":
+        return make_prob_vector(np.random.default_rng(ch.d).dirichlet(np.ones(ch.d)))
+    if family == "zero-tail":
+        w = np.zeros(ch.d)
+        w[:2] = 0.5
+        return make_prob_vector(w)
+    return hard_pair(ch, 0.05, k).q
+
+
 class TestSamplerParts:
-    """The inversion table and the categorical symbol draw behind sample_counts."""
+    """The inversion tables and the symbol draws behind sample_counts."""
 
     @pytest.mark.parametrize("k", [1, 7, 20, 50])
     @pytest.mark.parametrize("lam", [0.0, 0.1, 0.3775, 0.5])
@@ -231,19 +277,48 @@ class TestSamplerParts:
         ref = (thresholds[symbols[:, 0]] <= u).sum(axis=1)
         assert np.array_equal(ones[:, 0], ref)
 
-    def test_warm_table_cache_gives_cold_output(self):
-        # (k, m, d) = (50, 2000, 5) is drawn by table inversion
-        ch = RapporChannel.create(5, 1.0)
-        p = make_prob_vector([0.3, 0.25, 0.2, 0.15, 0.1])
+    def test_warm_table_cache_gives_cold_output(self, monkeypatch):
+        # the rules read (m, k, d) only: on every path, a cold cache, a warm
+        # one and one that has evicted this k give the same bits
         tables = channel_module._inversion_tables
-        sample_counts(ch, p, 2000, 50, RngSeed(5).generator())
-        hits = tables.cache_info().hits
-        warm = sample_counts(ch, p, 2000, 50, RngSeed(5).generator())
-        assert tables.cache_info().hits == hits + 1
-        tables.cache_clear()
-        cold = sample_counts(ch, p, 2000, 50, RngSeed(5).generator())
-        assert tables.cache_info().misses == 1
-        assert np.array_equal(warm, cold)
+        used = _record_paths(monkeypatch)
+        for path, (d, k, m) in _PATHS.items():
+            ch = RapporChannel.create(d, 1.0)
+            for family in ("dirichlet", "zero-tail", "hard-pair"):
+                p = _path_prob_vector(family, ch, k)
+                used.clear()
+                tables.cache_clear()
+                cold = sample_counts(ch, p, m, k, RngSeed(5).generator())
+                assert used == _path_helpers(path)
+                # warm every table the paths use, this one last, then evict
+                # it: the cache keeps the last four (k, lam) pairs
+                for name, (_, k2, _) in _PATHS.items():
+                    if name.endswith("-table"):
+                        tables(k2, ch.lam)
+                tables(k, ch.lam)
+                hits = tables.cache_info().hits
+                warm = sample_counts(ch, p, m, k, RngSeed(5).generator())
+                table = "_invert_ones" in used
+                assert tables.cache_info().hits == hits + table
+                for k2 in range(k + 1, k + 5):
+                    tables(k2, ch.lam)
+                misses = tables.cache_info().misses
+                evicted = sample_counts(ch, p, m, k, RngSeed(5).generator())
+                assert tables.cache_info().misses == misses + table
+                assert np.array_equal(cold, warm), (path, family)
+                assert np.array_equal(cold, evicted), (path, family)
+
+    @pytest.mark.parametrize("family", ["zero-tail", "hard-pair"])
+    @pytest.mark.parametrize("path", sorted(_PATHS))
+    def test_noiseless_counts_avoid_zero_mass(self, path, family):
+        # at lam = 0 the counts are the symbol counts: k per row, none on a
+        # coordinate of zero mass
+        d, k, m = _PATHS[path]
+        p = _path_prob_vector(family, RapporChannel.create(d, 1.0), k)
+        counts = sample_counts(RapporChannel.from_lambda(d, 0.0), p, m, k,
+                               RngSeed(6).generator())
+        assert np.all(counts.sum(axis=1) == k)
+        assert np.all(counts[:, p.weights == 0.0] == 0)
 
     def test_cached_tables_are_read_only(self):
         for table in channel_module._inversion_tables(20, 0.3775):
@@ -258,16 +333,79 @@ class TestSamplerParts:
         counts = channel_module._categorical_counts(
             w, 1, 2, _FixedUniforms(np.array([0.0, 1.0 - 2.0 ** -53])))
         assert counts.tolist() == [[1, 0, 1, 0]]
+        # conditional binomials: the third symbol takes every sample left
+        # (r = 1 exactly) and the fourth gets none, at either extreme uniform
+        for u, first in ((0.0, [0, 0, 2, 0]), (1.0 - 2.0 ** -53, [2, 0, 0, 0])):
+            counts = channel_module._conditional_counts(w, 1, 2, _FixedUniforms(np.full(3, u)))
+            assert counts.tolist() == [first]
+
+    @pytest.mark.parametrize("k", [1, 7, 50])
+    def test_symbol_thresholds_are_binomial_cdfs(self, k):
+        w = np.array([0.3, 0.0, 0.45, 1e-9, 0.25 - 1e-9, 0.0, 0.0])
+        thresholds = channel_module._symbol_thresholds(w, k)
+        assert thresholds.shape == (w.size - 1, k + 1, k)
+        assert np.all(np.diff(thresholds, axis=2) >= 0)
+        unit = 2 ** 53
+        for j in range(w.size - 1):
+            r = min(w[j] / w[j:].sum(), 1.0) if w[j:].sum() > 0 else 0.0
+            for n in range(k + 1):
+                cdf = np.cumsum(_binomial_pmf(n, r))[:n]
+                row = thresholds[j, n]
+                assert np.all(row[n:] == unit)
+                assert np.abs(row[:n] - cdf * unit).max(initial=0) <= 1e-14 * unit, (j, n)
+        # zero mass draws nothing; the last symbol of positive mass, whose
+        # suffix sum adds only zeros, draws every sample left
+        assert np.all(thresholds[[1, 5]] == unit)
+        below = np.arange(k + 1)[:, None] > np.arange(k)
+        assert np.all(thresholds[4][below] == 0)
+
+    @pytest.mark.parametrize("k", [3, 50])
+    def test_conditional_counts_are_multinomial(self, k):
+        # every coordinate and every prefix sum against `multinomial`
+        w = np.array([0.3, 0.0, 0.45, 1e-3, 0.2, 0.049, 0.0])
+        m = 20_000
+        direct = channel_module._conditional_counts(w, m, k, RngSeed(21, k).generator())
+        assert direct.dtype == np.int64 and np.all(direct.sum(axis=1) == k)
+        assert np.all(direct[:, w == 0.0] == 0)
+        ref = RngSeed(22, k).generator().multinomial(k, w, size=m)
+        stats = [two_sample_chi2(direct[:, j], ref[:, j]) for j in np.flatnonzero(w)]
+        stats += [two_sample_chi2(direct[:, :j].sum(axis=1), ref[:, :j].sum(axis=1))
+                  for j in range(2, w.size - 1)]
+        level = 1 - 1e-3 / len(stats)
+        for stat, dof in stats:
+            assert stat < chi2_quantile(level, dof), (stat, dof)
+
+    @pytest.mark.parametrize("block", [1, 7, 1000, 1 << 16])
+    def test_output_does_not_depend_on_block_size(self, block, monkeypatch):
+        # each block's uniforms continue the call's row-major draw, so any
+        # block size gives the bits of one block holding every row
+        lam = lambda_of_alpha(1.0)
+        for d, k, m in ((5, 50, 3001), (64, 40, 500), (8, 4, 777)):
+            w = np.random.default_rng(d).dirichlet(np.ones(d))
+            symbols = RngSeed(30, d).generator().multinomial(k, w, size=m)
+            monkeypatch.setattr(channel_module, "_BLOCK_ENTRIES", 1 << 40)
+            whole = (channel_module._conditional_counts(w, m, k, RngSeed(31, d).generator()),
+                     channel_module._invert_ones(symbols.copy(), k, lam, RngSeed(32, d).generator()))
+            monkeypatch.setattr(channel_module, "_BLOCK_ENTRIES", block)
+            blocked = (channel_module._conditional_counts(w, m, k, RngSeed(31, d).generator()),
+                       channel_module._invert_ones(symbols.copy(), k, lam, RngSeed(32, d).generator()))
+            assert np.array_equal(whole[0], blocked[0]), (d, k, m)
+            assert np.array_equal(whole[1], blocked[1]), (d, k, m)
 
 
 class _FixedUniforms:
-    """Stands in for a Generator whose `random` returns the given uniforms."""
+    """Stands in for a Generator whose `random` calls return the given uniforms
+    in order, as the calls of a Generator continue one stream."""
 
     def __init__(self, u):
-        self.u = u
+        self.u = np.asarray(u, dtype=np.float64).ravel()
+        self.used = 0
 
     def random(self, shape):
-        return self.u.reshape(shape)
+        size = math.prod(shape) if isinstance(shape, tuple) else shape
+        out = self.u[self.used:self.used + size].reshape(shape)
+        self.used += size
+        return out
 
 
 def _prob_vectors(data, d):
@@ -309,32 +447,33 @@ class TestSampleCounts:
         ref = batch_sums(sample_privatized(ch, p, m * k, RngSeed(700 + d, k)), k)
         _assert_same_count_law(direct, ref, d)
 
-    @pytest.mark.parametrize("d, k, m, paths", [
-        (128, 20, 20_000, {"_categorical_counts", "_invert_ones"}),
-        (40, 20, 50, {"_categorical_counts"}),
-        (3, 200, 20_000, set()),
-        (5, 50, 20_000, {"_invert_ones"}),
-    ], ids=["categorical-table", "categorical-binomial", "multinomial-binomial",
-            "multinomial-table"])
-    def test_each_path_matches_summed_privatized_batches(self, d, k, m, paths, monkeypatch):
-        # 20 000 rows from calls of m rows each; every case runs the symbol
-        # draw and the ones draw it names (the others are multinomial, binomials)
-        used = set()
-
-        def spy(name, inner):
-            def call(*args):
-                used.add(name)
-                return inner(*args)
-            return call
-
-        for name in ("_categorical_counts", "_invert_ones"):
-            monkeypatch.setattr(channel_module, name, spy(name, getattr(channel_module, name)))
+    @pytest.mark.parametrize("d, k, m, path", [
+        (128, 20, 20_000, "categorical-table"),
+        (40, 20, 50, "categorical-binomial"),
+        (40, 20, 50, "categorical-table"),
+        (3, 200, 20_000, "multinomial-table"),
+        (5, 50, 20_000, "conditional-table"),
+        (3, 250, 45_000, "conditional-binomial"),
+        (5, 50, 1000, "multinomial-table"),
+        (5, 300, 50, "multinomial-binomial"),
+    ], ids=["categorical-table", "categorical-binomial", "categorical-table-small-m",
+            "multinomial-table", "conditional-table", "conditional-binomial",
+            "multinomial-table-small-m", "multinomial-binomial"])
+    def test_each_path_matches_summed_privatized_batches(self, d, k, m, path, monkeypatch):
+        # at least 20 000 rows from calls of m rows each; every case runs the
+        # helpers its path names, and no other
+        used = _record_paths(monkeypatch)
+        if path == "categorical-binomial":
+            # the rules reach this path only for k > 200 and d >= 402, too large
+            # for the bit-level reference; with no table free of charge the
+            # cost bound sends (40, 20, 50) to the binomial ones draw instead
+            monkeypatch.setattr(channel_module, "_TABLE_FREE_K", 0)
         ch = RapporChannel.create(d, 1.0)
         p = make_prob_vector(np.random.default_rng(d).dirichlet(np.ones(d)))
         gen = RngSeed(800 + d, k).generator()
         direct = np.concatenate([sample_counts(ch, p, m, k, gen)
-                                 for _ in range(20_000 // m)])
-        assert used == paths
+                                 for _ in range(max(1, 20_000 // m))])
+        assert used == _path_helpers(path)
         ref = batch_sums(sample_privatized(ch, p, direct.shape[0] * k, RngSeed(900 + d, k)), k)
         _assert_same_count_law(direct, ref, d)
 

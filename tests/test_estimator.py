@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -315,8 +316,11 @@ class TestRowBlocks:
     def test_sdp_scores_in_any_blocking(self, ch, p, block_scalars):
         attacked, rng = attacked_collection(ch, p, n=400, seed=6)
         clean = make_clean_collection(ch, p, 400, 50, rng.child(1))
+        # a clean collection whose Gram input is indefinite: V is far from
+        # +-U, so a mix-up of the two factors shows in its scores
+        indefinite = make_clean_collection(ch, p, 400, 50, rng.child(2))
         cfg = EstimatorConfig(eps=0.05)
-        for coll in (attacked, clean):
+        for coll in (attacked, clean, indefinite):
             for counts in (coll.counts, coll.counts.astype(np.uint8)):
                 rep = score_collection(counts, cfg, ch, rng.child(5), k=coll.k)
                 assert rep.mode == "sdp"
@@ -326,9 +330,14 @@ class TestRowBlocks:
                 # tau and M*
                 centered = coll.counts / coll.k - collection_mean(coll.counts, coll.k)
                 ref = np.abs(((centered @ rep.gram.matrix()) * centered).sum(axis=1))
-                assert np.allclose(rep.scores, ref, rtol=1e-12, atol=0.0)
-        # the clean collection's Gram input is indefinite: V is far from +-U, so
-        # a mix-up of the two factors shows in its scores
+                # a row near the mean cancels its quadratic form far below its
+                # terms sum |c_i| |M_ij| |c_j| (a score of 1e-6 from terms of
+                # 0.06), and both sides round relative to those terms: allow
+                # 8d units of 2^-53 of them, or rtol 1e-12 where that is larger
+                terms = ((np.abs(centered) @ np.abs(rep.gram.matrix()))
+                         * np.abs(centered)).sum(axis=1)
+                bound = np.maximum(1e-12 * ref, 8 * ch.d * 2.0 ** -53 * terms)
+                assert np.all(np.abs(rep.scores - ref) <= bound)
         u, v = rep.gram.u_factors, rep.gram.v_factors
         assert min(np.abs(u - v).max(), np.abs(u + v).max()) > 0.5
 
@@ -579,15 +588,16 @@ class TestBatchDeletion:
 
 
 def _delete_until_halved_loop(scores, order):
-    """Sequential reference: delete in order while the remaining mass exceeds half."""
-    total = float(scores.sum())
+    """Sequential reference in exact rational arithmetic: delete in order while
+    the remaining mass exceeds half the total."""
+    total = sum(Fraction(float(s)) for s in scores)
     remaining = total
     deleted = []
     for idx in order:
-        if remaining <= total / 2.0:
+        if 2 * remaining <= total:
             break
         deleted.append(int(idx))
-        remaining -= float(scores[idx])
+        remaining -= Fraction(float(scores[idx]))
     return np.asarray(deleted, dtype=np.int64)
 
 
@@ -620,6 +630,30 @@ class TestDeleteUntilHalved:
     def test_all_zero_pool_rejected(self):
         with pytest.raises(AllZeroScores):
             _delete_until_halved(np.zeros(3), np.arange(3))
+
+    @pytest.mark.parametrize("size", [2, 4, 24, 30, 1000, 4096])
+    @pytest.mark.parametrize("value", [0.10480538, 1.0 / 3.0, 2.0 ** -40, 7.3e12, 5e-324])
+    def test_equal_scores_delete_exactly_half(self, size, value):
+        # a float cumsum of equal scores reaches half the float total one
+        # deletion early or late depending on how the common score rounds;
+        # the integer grid deletes size / 2 rows for the score and for the
+        # score 1 ulp above or below, whatever the order
+        gen = np.random.default_rng(size)
+        for score in (value, np.nextafter(value, np.inf), np.nextafter(value, 0.0)):
+            if score <= 0.0:
+                continue
+            scores = np.full(size, score)
+            for _ in range(5):
+                order = gen.permutation(size)
+                deleted = _delete_until_halved(scores, order)
+                assert np.array_equal(deleted, order[:size // 2]), (score, deleted.size)
+
+    def test_equal_scores_among_zeros(self):
+        # zero scores sort last and never count towards either half
+        scores = np.zeros(40)
+        scores[::3] = 0.1
+        order = _race_order(scores, np.random.default_rng(3).exponential(size=40))
+        assert _delete_until_halved(scores, order).size == 7
 
 
 class TestCanonicalOrder:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ldprobust
-from ldprobust import rate_fit, sweep
+from ldprobust import harness, rate_fit, sweep
 from ldprobust.errors import (
     InputError,
     InsufficientData,
@@ -187,6 +187,13 @@ class TestWarmPool:
         first = _worker_pids()
         assert self._csv(tmp_path / "b.csv", 2) == serial
         assert len(first) == 2 and _worker_pids() == first
+
+    def test_results_share_the_callers_cells(self):
+        # as on the serial path, no result keeps its own unpickled cell
+        cells = self.cfg.cells()
+        results = harness.run_sweep(self.cfg, threads=2)
+        assert [r.cell for r in results] == [c for c in cells for _ in range(self.cfg.trials)]
+        assert len({id(r.cell) for r in results}) == len(cells)
 
     def test_worker_count_change_leaves_one_pool(self, tmp_path):
         serial = self._csv(tmp_path / "s.csv", 1)
