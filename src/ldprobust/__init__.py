@@ -9,6 +9,7 @@ from .adversary import (
 )
 from .channel import (
     RapporChannel,
+    count_dtype,
     invert_mean,
     lambda_of_alpha,
     ldp_ratio_check,

@@ -2,8 +2,11 @@
 
 A collection holds n batch records of k privatized samples each, stored as the
 (n, d) counts of ones per coordinate (a sufficient statistic) together with k.
-Clean and adversarial records are drawn directly as counts, each kind in one
-vectorized call (`sample_counts`, `attack_counts`); no k x d bit array is built.
+Counts lie in [0, k] and are held at `count_dtype(k)`, the narrowest unsigned
+width that holds k (uint8 up to k = 255), from the draw that creates them to
+the estimator that reads them.  Clean and adversarial records are drawn
+directly as counts at that width, each kind in one vectorized call
+(`sample_counts`, `attack_counts`); no k x d bit array is built.
 Truth labels (good / adversarial) travel with the collection for evaluation
 only; estimators must never read them.
 """
@@ -16,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import RapporChannel, sample_counts
+from .channel import RapporChannel, count_dtype, sample_counts
 from .errors import (
     CountMismatch,
     DimensionMismatch,
@@ -42,7 +45,9 @@ def as_counts(counts) -> np.ndarray:
 class BatchCollection:
     """n batch records of k privatized samples, as (n, d) counts of ones per coordinate.
 
-    Truth labels are optional and for simulation only.
+    The counts are checked to lie in [0, k] and stored at count_dtype(k);
+    counts passed at that width are stored without a copy.  Truth labels
+    are optional and for simulation only.
     """
 
     counts: np.ndarray
@@ -56,7 +61,7 @@ class BatchCollection:
             raise EmptyBatch("each batch must hold k >= 1 samples")
         if c.min(initial=0) < 0 or c.max(initial=0) > self.k:
             raise CountMismatch(f"counts must lie in [0, k] with k = {self.k}")
-        self.counts = c.astype(np.int64, copy=False)
+        self.counts = c.astype(count_dtype(self.k), copy=False)
         if self.truth is not None:
             t = np.asarray(self.truth, dtype=np.uint8).ravel()
             if t.size != c.shape[0]:
@@ -125,7 +130,7 @@ def make_clean_collection(ch: RapporChannel, p: ProbVector, n_prime: int, k: int
 
 def attack_counts(attack: AttackSpec, ch: RapporChannel, m: int, k: int,
                   gen: np.random.Generator) -> np.ndarray:
-    """Count rows of m adversarial batches of k samples, as an (m, d) int64 array.
+    """Count rows of m adversarial batches of k samples, as an (m, d) array of count_dtype(k).
 
     Each row has the law of the per-coordinate sums of one batch the strategy
     would emit sample by sample.  For targeted_subset the masked coordinates of
@@ -138,9 +143,9 @@ def attack_counts(attack: AttackSpec, ch: RapporChannel, m: int, k: int,
     if m < 0:
         raise InvalidAttackParams("m must be >= 0")
     if attack.kind == "all_ones":
-        return np.full((m, ch.d), k, dtype=np.int64)
+        return np.full((m, ch.d), k, dtype=count_dtype(k))
     if attack.kind == "all_zeros":
-        return np.zeros((m, ch.d), dtype=np.int64)
+        return np.zeros((m, ch.d), dtype=count_dtype(k))
     if attack.kind == "swap_distribution":
         return sample_counts(ch, attack.q, m, k, gen)
     # targeted_subset
@@ -149,6 +154,8 @@ def attack_counts(attack: AttackSpec, ch: RapporChannel, m: int, k: int,
         raise InvalidAttackParams("mask length != d")
     uniform = ProbVector(np.full(ch.d, 1.0 / ch.d))
     counts = sample_counts(ch, uniform, m, k, gen)
+    # k - ones stays in [0, k] and the binomials are int64, so no narrow
+    # count wraps; the sums are in [0, k] again when written back
     ones = counts[:, mask]
     if attack.direction > 0:
         counts[:, mask] = ones + gen.binomial(k - ones, attack.magnitude)

@@ -7,18 +7,21 @@ mechanism is alpha-locally differentially private: the worst-case single
 output likelihood ratio over input pairs equals ((1-lambda)/lambda)^2 = e^alpha.
 
 A batch of k privatized samples is summarized by its count of ones per
-coordinate.  `sample_counts` draws those counts directly from their law as
-(m, d) int64 arrays: symbol counts first, then the ones of each coordinate
-given its symbol count.  Two rules, pure functions of (m, k, d) that never
-read cache state, choose the method.  Symbols: a categorical search when
-2k <= d; otherwise conditional binomials c_j ~ Bin(k - c_<j, r_j), with r_j
-from suffix sums of p, inverted through guide tables built for the call,
-where those tables pay; `multinomial` below that.  Ones: inversion of a
-per-process table of CDFs up to k = 200 and wherever a larger table pays;
-two binomials per entry elsewhere.  Inversion takes one uniform per entry
-and resolves each CDF to 2^-53.  The bit-level samplers (`privatize_batch`,
-`sample_privatized`) return uint8 arrays of shape (count, d) and serve as
-the reference the count sampler is tested against.
+coordinate, an integer in [0, k], held at `count_dtype(k)`: the narrowest
+unsigned width that holds k (uint8 up to k = 255, uint16 up to 65 535),
+int64 above.  `sample_counts` draws those counts directly from their law as
+(m, d) arrays of that width: symbol counts first, then the ones of each
+coordinate given its symbol count.  Two rules, pure functions of (m, k, d)
+that never read cache state, choose the method.  Symbols: a guided
+categorical inversion when 2k <= d; otherwise conditional binomials
+c_j ~ Bin(k - c_<j, r_j), with r_j from suffix sums of p, inverted through
+guide tables built for the call, where those tables pay; `multinomial`
+below that.  Ones: inversion of a per-process table of CDFs up to k = 200
+and wherever a larger table pays; two binomials per entry elsewhere.
+Inversion takes one uniform per entry and resolves each CDF to 2^-53.  The
+bit-level samplers (`privatize_batch`, `sample_privatized`) return uint8
+arrays of shape (count, d) and serve as the reference the count sampler is
+tested against.
 """
 
 from __future__ import annotations
@@ -53,20 +56,34 @@ _CHUNK_SCALARS = 1 << 21
 
 # `Generator.random` returns multiples of 2^-53; CDF thresholds live on that grid.
 _UNIT_BITS = 53
-# The ones table's guide splits [0, 1) into 2^_GUIDE_BITS equal cells per symbol count.
+# The ones table's guide splits [0, 1) into 2^_GUIDE_BITS equal cells per
+# symbol count, and the categorical symbol draw's guide into as many.
 _GUIDE_BITS = 10
 # The per-call symbol tables' guide is coarser: it is rebuilt on every call.
 _SYMBOL_GUIDE_BITS = 8
 # Largest k drawn by table inversion: search keys (c << 53) + u must fit in
 # 64 bits, and the table rows stay at most a few MB.
 _TABLE_MAX_K = 1024
-# Both inversions work through rows in blocks of about this many uniforms,
+# The inversions work through rows in blocks of about this many entries,
 # so that their temporaries stay in cache.  A block's uniforms continue the
 # call's row-major draw, so the block size never changes the output.
 _BLOCK_ENTRIES = 1 << 16
 # Up to this k the ones table takes at most about 17 ms to build, once per
 # process, so every call reads it; above it a call must pay for the build.
 _TABLE_FREE_K = 200
+
+
+def count_dtype(k: int) -> np.dtype:
+    """The dtype of counts of ones in batches of k samples, by k alone.
+
+    uint8 for k <= 255, uint16 for k <= 65 535 and int64 above: every count
+    lies in [0, k], so the narrowest unsigned width holding k holds them all.
+    """
+    if k <= np.iinfo(np.uint8).max:
+        return np.dtype(np.uint8)
+    if k <= np.iinfo(np.uint16).max:
+        return np.dtype(np.uint16)
+    return np.dtype(np.int64)
 
 
 def lambda_of_alpha(alpha: float) -> float:
@@ -167,7 +184,8 @@ def sample_counts(ch: RapporChannel, p: ProbVector, m: int, k: int,
                   gen: np.random.Generator) -> np.ndarray:
     """Counts of ones per coordinate of m batches of k privatized draws from p.
 
-    Returns an (m, d) int64 array.  Each row draws its symbol counts
+    Returns an (m, d) array of dtype count_dtype(k); every path creates its
+    counts at that width.  Each row draws its symbol counts
     c ~ Multinomial(k, p); given c the coordinates are independent, and
     coordinate j has the law L_{c_j} = Bin(c_j, 1 - lam) * Bin(k - c_j, lam)
     (kept ones plus flipped zeros).  This is the law of the per-batch sums of
@@ -176,10 +194,12 @@ def sample_counts(ch: RapporChannel, p: ProbVector, m: int, k: int,
     the law:
 
     - Symbols: when 2k <= d, each of the k samples of a row draws its symbol
-      by a search of one uniform in the CDF of p, and the rows are counted by
-      one `bincount` (cost ~ m*k).  Otherwise, when the call's tables pay
-      for themselves, (k+1) * (2^8 + k) * (d + 32) <= 128*m with k <= 1024,
-      by conditional binomials: c_j ~ Bin(k - c_<j, r_j) with
+      by inversion of one uniform in the CDF of p, through a guide of 2^10
+      cells that leaves a search only where a cell holds a CDF value, and
+      the rows are counted a block at a time by `bincount` (cost ~ m*k).
+      Otherwise, when the call's tables pay for themselves,
+      (k+1) * (2^8 + k) * (d + 32) <= 128*m with k <= 1024, by conditional
+      binomials: c_j ~ Bin(k - c_<j, r_j) with
       r_j = w_j / (w_j + ... + w_{d-1}) from suffix sums (1 - W_<j would
       cancel), clipped to [0, 1], each column inverted through guide tables
       of the Bin(n, r_j) CDFs for n = 0..k that are built for the call and
@@ -213,15 +233,17 @@ def sample_counts(ch: RapporChannel, p: ProbVector, m: int, k: int,
     # which multinomial rejects; clip and renormalize.
     w = np.clip(p.weights, 0.0, None)
     w /= w.sum()
+    dtype = count_dtype(k)
     if 2 * k <= ch.d:
         symbols = _categorical_counts(w, m, k, gen)
     elif _symbols_by_table(m, k, ch.d):
         symbols = _conditional_counts(w, m, k, gen)
     else:
-        symbols = gen.multinomial(k, w, size=m)
+        symbols = gen.multinomial(k, w, size=m).astype(dtype, copy=False)
     if _ones_by_table(m, k, ch.d):
         return _invert_ones(symbols, k, ch.lam, gen)
-    return gen.binomial(symbols, 1.0 - ch.lam) + gen.binomial(k - symbols, ch.lam)
+    ones = gen.binomial(symbols, 1.0 - ch.lam) + gen.binomial(k - symbols, ch.lam)
+    return ones.astype(dtype, copy=False)
 
 
 def _symbols_by_table(m: int, k: int, d: int) -> bool:
@@ -254,15 +276,43 @@ def _ones_by_table(m: int, k: int, d: int) -> bool:
 
 def _categorical_counts(w: np.ndarray, m: int, k: int,
                         gen: np.random.Generator) -> np.ndarray:
-    """(m, d) counts of m rows of k iid symbols from the normalized weights w."""
+    """(m, d) counts, of dtype count_dtype(k), of m rows of k iid symbols from w.
+
+    Sample i of row b takes uniform b*k + i of the call and draws the symbol
+    #{j < d-1 : cdf_j <= u} from the CDF of the normalized weights w, as a
+    `searchsorted` of u would.  A guide of 2^10 equal cells over [0, 1)
+    holds that symbol for every cell no CDF value lies strictly inside;
+    only the uniforms of the other cells search the CDF.  Rows go in blocks
+    of about _BLOCK_ENTRIES uniforms or counts, whichever a row has more of;
+    each block draws its uniforms as one (rows, k) array, so the output is
+    the same for any block size, and one `bincount` per block writes its
+    counts into the output.
+    """
     d = w.size
     # every entry from the last symbol of positive mass on is exactly 1, so
     # no uniform lands on a symbol of zero mass
     cdf = np.cumsum(w)
     cdf /= cdf[-1]
-    draws = np.searchsorted(cdf[:-1], gen.random((m, k)), side="right")
-    draws += np.arange(0, m * d, d)[:, None]
-    return np.bincount(draws.ravel(), minlength=m * d).reshape(m, d)
+    inner = cdf[:-1]
+    cells = 1 << _GUIDE_BITS
+    edges = np.arange(cells + 1) / cells
+    # a cell's symbol is that of its first uniform, unless a CDF value lies
+    # strictly inside the cell (before its right edge)
+    guide = np.searchsorted(inner, edges[:-1], side="right")
+    guide[np.searchsorted(inner, edges[1:], side="left") > guide] = -1
+    counts = np.empty((m, d), dtype=count_dtype(k))
+    step = max(1, _BLOCK_ENTRIES // max(k, d))
+    for lo in range(0, m, step):
+        block = counts[lo:lo + step]
+        rows = block.shape[0]
+        u = gen.random((rows, k))
+        symbol = guide[(u * cells).astype(np.intp)]  # exact: the integer part is the cell
+        todo = np.flatnonzero(symbol < 0)
+        if todo.size:
+            symbol.ravel()[todo] = np.searchsorted(inner, u.ravel()[todo], side="right")
+        symbol += np.arange(0, rows * d, d)[:, None]
+        block[...] = np.bincount(symbol.ravel(), minlength=rows * d).reshape(rows, d)
+    return counts
 
 
 def _symbol_thresholds(w: np.ndarray, k: int) -> np.ndarray:
@@ -303,7 +353,8 @@ def _symbol_thresholds(w: np.ndarray, k: int) -> np.ndarray:
 
 def _conditional_counts(w: np.ndarray, m: int, k: int,
                         gen: np.random.Generator) -> np.ndarray:
-    """(m, d) counts of m rows of k iid symbols from w, by conditional binomials.
+    """(m, d) counts, of dtype count_dtype(k), of m rows of k iid symbols from w,
+    by conditional binomials.
 
     Column j draws c_j ~ Bin(n, r_j) with n = k - c_<j by guided inversion
     of one uniform per entry; the last column takes what is left.  Entry
@@ -321,7 +372,7 @@ def _conditional_counts(w: np.ndarray, m: int, k: int,
     keys = thresholds.view(np.uint64)
     keys += np.arange(k + 1, dtype=np.uint64)[:, None] << np.uint64(_UNIT_BITS)
     keys = keys.reshape(d - 1, -1)
-    counts = np.empty((m, d), dtype=np.int64)
+    counts = np.empty((m, d), dtype=count_dtype(k))
     step = max(1, _BLOCK_ENTRIES // (d - 1))
     for lo in range(0, m, step):
         block = counts[lo:lo + step]
@@ -416,17 +467,18 @@ def _invert_ones(symbols: np.ndarray, k: int, lam: float,
     """Draw each entry's ones from L_{symbols} by guided inversion.
 
     Takes one uniform per entry, in row-major order, and overwrites
-    `symbols` with the ones.  Rows go in blocks of about _BLOCK_ENTRIES
-    entries; the uniforms are those of one draw of the whole shape, so the
-    block size never changes the output.
+    `symbols`, of any integer dtype, with the ones.  Rows go in blocks of
+    about _BLOCK_ENTRIES entries, each indexed through an int64 scratch of
+    the block's guide cells; the uniforms are those of one draw of the
+    whole shape, so the block size never changes the output.
     """
     table, flat = _inversion_tables(k, lam)
     step = max(1, _BLOCK_ENTRIES // symbols.shape[1])
     for lo in range(0, symbols.shape[0], step):
-        cell = symbols[lo:lo + step]
-        u = gen.random(cell.shape)
+        block = symbols[lo:lo + step]
+        u = gen.random(block.shape)
         u *= 1 << _GUIDE_BITS  # exact: the integer part is the cell
-        cell <<= _GUIDE_BITS
+        cell = np.left_shift(block, _GUIDE_BITS, dtype=np.int64)
         cell += u.astype(np.int64)
         ones = table[cell]
         todo = np.flatnonzero(ones < 0)
@@ -435,7 +487,7 @@ def _invert_ones(symbols: np.ndarray, k: int, lam: float,
             key = ((c.astype(np.uint64) << _UNIT_BITS)
                    + (u.ravel()[todo] * (1 << (_UNIT_BITS - _GUIDE_BITS))).astype(np.uint64))
             ones.ravel()[todo] = np.searchsorted(flat, key, side="right") - c * k
-        cell[...] = ones
+        block[...] = ones
     return symbols
 
 

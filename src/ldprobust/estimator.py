@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .adversary import BatchCollection, as_counts
-from .channel import RapporChannel, invert_mean
+from .channel import RapporChannel, count_dtype, invert_mean
 from .errors import (
     AllZeroScores,
     CountMismatch,
@@ -304,9 +304,10 @@ def canonical_order(counts, k: int) -> np.ndarray:
     mixed-radix integer sum_j c_j (k+1)^(d-1-j), built by integer
     multiply-adds; key * n + row makes the keys unique, so one unstable sort
     gives the stable order and the row is read back as the remainder mod n.
-    Otherwise each row is viewed as one byte string of fixed-width big-endian
-    entries, the narrowest width holding k, whose memcmp order is the
-    lexicographic order of the rows, and one stable argsort sorts them.
+    Otherwise each row is viewed as one byte string of big-endian entries of
+    count_dtype(k), whose memcmp order is the lexicographic order of the
+    rows, and one stable argsort sorts them; uint8 rows are viewed without a
+    copy.
     """
     c = as_counts(counts)
     k = int(k)
@@ -323,9 +324,8 @@ def canonical_order(counts, k: int) -> np.ndarray:
         key.sort()
         key %= n
         return key
-    width = next(w for w in (1, 2, 4, 8) if k < 2 ** (8 * w))
-    rows = np.ascontiguousarray(c, dtype=f">u{width}")
-    keys = rows.view(np.dtype((np.void, width * d))).ravel()
+    rows = np.ascontiguousarray(c, dtype=count_dtype(k).newbyteorder(">"))
+    keys = rows.view(np.dtype((np.void, rows.itemsize * d))).ravel()
     return np.argsort(keys, kind="stable")
 
 
@@ -365,16 +365,15 @@ def _special_scores(counts: np.ndarray, s_star: np.ndarray, k: int, lam: float) 
 def _sdp_scores(counts: np.ndarray, sums: ExactSums, sol: GramSolution, k: int) -> np.ndarray:
     """Each row's |c_b^T M* c_b| for its centred mean c_b, from the rank-r factors."""
     # c^T U V^T c = (c^T U) . (c^T V): one (rows, 2r) product per block.  Rows
-    # are centred in count units (counts - S1/n, which is k c), so each block
-    # is converted to float once and a row at the mean count centres to
-    # exactly zero; the k^2 is divided out at the end.
+    # are centred in count units (counts - S1/n, which is k c) by one float
+    # subtraction from the counts at their own width, so a row at the mean
+    # count centres to exactly zero; the k^2 is divided out at the end.
     scores = np.empty(counts.shape[0], dtype=np.float64)
     factors = np.hstack([sol.u_factors, sol.v_factors])
     mean_count = sums.s1 / float(sums.n)
     r = sol.rank
     for start, block in _row_blocks(counts):
-        centered = block.astype(np.float64)
-        centered -= mean_count
+        centered = np.subtract(block, mean_count, dtype=np.float64)
         proj = centered @ factors
         quad = np.einsum("ij,ij->i", proj[:, :r], proj[:, r:])
         scores[start:start + quad.size] = np.abs(quad)
@@ -560,8 +559,9 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
 
     counts, k = coll.counts, coll.k
     canonical = canonical_order(counts, k)
-    # survivors are gathered into one buffer reused by every iteration, so no
-    # (m, d) array of a new size is allocated per iteration
+    # survivors are gathered into one buffer of the counts' width, reused by
+    # every iteration, so no (m, d) array of a new size is allocated per
+    # iteration
     work = np.empty(counts.shape, dtype=counts.dtype)
     surviving = np.ones(n, dtype=bool)
     sums = ExactSums.of(counts, k)

@@ -11,6 +11,7 @@ from ldprobust import (
     RngSeed,
     attack_counts,
     contaminate,
+    count_dtype,
     make_clean_collection,
     make_prob_vector,
     mean_response,
@@ -77,14 +78,38 @@ class TestCleanCollection:
 
 class TestAttackBatch:
     def test_all_zeros(self, ch):
-        counts = attack_counts(AttackSpec(kind="all_zeros"), ch, 3, 4, RngSeed(0).generator())
-        assert counts.shape == (3, 5) and counts.dtype == np.int64
-        assert not counts.any()
+        for k, dtype in ((4, np.uint8), (256, np.uint16)):
+            counts = attack_counts(AttackSpec(kind="all_zeros"), ch, 3, k, RngSeed(0).generator())
+            assert counts.shape == (3, 5) and counts.dtype == dtype
+            assert not counts.any()
 
     def test_all_ones(self, ch):
-        counts = attack_counts(AttackSpec(kind="all_ones"), ch, 3, 2, RngSeed(0).generator())
-        assert counts.shape == (3, 5) and counts.dtype == np.int64
-        assert np.all(counts == 2)
+        for k, dtype in ((2, np.uint8), (255, np.uint8), (256, np.uint16)):
+            counts = attack_counts(AttackSpec(kind="all_ones"), ch, 3, k, RngSeed(0).generator())
+            assert counts.shape == (3, 5) and counts.dtype == dtype
+            assert np.all(counts == k)
+
+    @pytest.mark.parametrize("k", [255, 256])
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("magnitude", [0.5, 1.0])
+    def test_targeted_counts_stay_in_range_at_the_width_edges(self, ch, k, direction,
+                                                              magnitude):
+        # k = 255 is the largest uint8 batch: k - ones and the pushes must
+        # not wrap around in the narrow width
+        mask = np.array([True, False, True, False, False])
+        spec = AttackSpec(kind="targeted_subset", mask=mask, direction=direction,
+                          magnitude=magnitude)
+        counts = attack_counts(spec, ch, 400, k, RngSeed(6, k).generator())
+        assert counts.dtype == count_dtype(k)
+        assert counts.min() >= 0 and counts.max() <= k
+        if magnitude == 1.0:
+            assert np.all(counts[:, mask] == (k if direction > 0 else 0))
+        else:
+            # half of each masked coordinate's room moves: the mean lands
+            # near (k + ones) / 2 upward and ones / 2 downward
+            ones = k * mean_response(ch, make_prob_vector(np.full(5, 0.2)))[0]
+            target = (k + ones) / 2 if direction > 0 else ones / 2
+            assert abs(counts[:, mask].mean() - target) < 0.05 * k
 
     def test_targeted_full_magnitude(self, ch):
         mask = np.array([True, True, False, False, False])
@@ -271,7 +296,16 @@ class TestBatchCollection:
         with pytest.raises(EmptyBatch):
             BatchCollection(counts=np.zeros((2, 3), dtype=np.int64), k=0)
 
-    def test_counts_stored_as_int64(self):
-        coll = BatchCollection(counts=np.array([[1, 2, 3]], dtype=np.uint8), k=3)
-        assert coll.counts.dtype == np.int64
-        assert (coll.n, coll.d, coll.k) == (1, 3, 3)
+    def test_counts_stored_at_narrowest_width(self):
+        for k, dtype in ((1, np.uint8), (255, np.uint8), (256, np.uint16),
+                         (65535, np.uint16), (65536, np.int64)):
+            assert count_dtype(k) == dtype
+            rows = np.array([[0, 1, k], [k, k - 1, 0]])
+            for given in (rows, rows.astype(np.int32), rows.astype(dtype)):
+                coll = BatchCollection(counts=given, k=k)
+                assert coll.counts.dtype == dtype, k
+                assert np.array_equal(coll.counts, rows)
+                assert (coll.n, coll.d, coll.k) == (2, 3, k)
+            # counts already at the width are stored without a copy
+            narrow = rows.astype(dtype)
+            assert BatchCollection(counts=narrow, k=k).counts is narrow

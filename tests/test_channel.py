@@ -9,6 +9,7 @@ from ldprobust import (
     ProbVector,
     RapporChannel,
     RngSeed,
+    count_dtype,
     invert_mean,
     lambda_of_alpha,
     ldp_ratio_check,
@@ -365,7 +366,7 @@ class TestSamplerParts:
         w = np.array([0.3, 0.0, 0.45, 1e-3, 0.2, 0.049, 0.0])
         m = 20_000
         direct = channel_module._conditional_counts(w, m, k, RngSeed(21, k).generator())
-        assert direct.dtype == np.int64 and np.all(direct.sum(axis=1) == k)
+        assert direct.dtype == count_dtype(k) and np.all(direct.sum(axis=1) == k)
         assert np.all(direct[:, w == 0.0] == 0)
         ref = RngSeed(22, k).generator().multinomial(k, w, size=m)
         stats = [two_sample_chi2(direct[:, j], ref[:, j]) for j in np.flatnonzero(w)]
@@ -378,19 +379,67 @@ class TestSamplerParts:
     @pytest.mark.parametrize("block", [1, 7, 1000, 1 << 16])
     def test_output_does_not_depend_on_block_size(self, block, monkeypatch):
         # each block's uniforms continue the call's row-major draw, so any
-        # block size gives the bits of one block holding every row
+        # block size gives the bits of one block holding every row, and the
+        # categorical draw gives those of one search per uniform
         lam = lambda_of_alpha(1.0)
-        for d, k, m in ((5, 50, 3001), (64, 40, 500), (8, 4, 777)):
+        for d, k, m in ((5, 50, 3001), (64, 40, 500), (8, 4, 777), (128, 20, 700)):
             w = np.random.default_rng(d).dirichlet(np.ones(d))
             symbols = RngSeed(30, d).generator().multinomial(k, w, size=m)
             monkeypatch.setattr(channel_module, "_BLOCK_ENTRIES", 1 << 40)
             whole = (channel_module._conditional_counts(w, m, k, RngSeed(31, d).generator()),
-                     channel_module._invert_ones(symbols.copy(), k, lam, RngSeed(32, d).generator()))
+                     channel_module._invert_ones(symbols.copy(), k, lam, RngSeed(32, d).generator()),
+                     _searched_counts(w, m, k, RngSeed(33, d).generator()))
             monkeypatch.setattr(channel_module, "_BLOCK_ENTRIES", block)
             blocked = (channel_module._conditional_counts(w, m, k, RngSeed(31, d).generator()),
-                       channel_module._invert_ones(symbols.copy(), k, lam, RngSeed(32, d).generator()))
-            assert np.array_equal(whole[0], blocked[0]), (d, k, m)
-            assert np.array_equal(whole[1], blocked[1]), (d, k, m)
+                       channel_module._invert_ones(symbols.copy(), k, lam, RngSeed(32, d).generator()),
+                       channel_module._categorical_counts(w, m, k, RngSeed(33, d).generator()))
+            for a, b in zip(whole, blocked):
+                assert np.array_equal(a, b), (d, k, m)
+            # the narrow symbols are overwritten by the same ones
+            narrow = channel_module._invert_ones(symbols.astype(count_dtype(k)), k, lam,
+                                                 RngSeed(32, d).generator())
+            assert narrow.dtype == count_dtype(k) and np.array_equal(narrow, whole[1])
+
+    @pytest.mark.parametrize("w", [
+        [0.3, 0.0, 0.45, 0.0, 0.25, 0.0, 0.0],
+        [0.25, 0.25, 0.5],
+        [0.0, 0.25, 0.0, 0.25, 0.5, 0.0],
+        np.array([1, 3, 5, 1015]) / 1024,
+        np.array([1, 2, 1, 3, 2041]) / 2048,
+        np.full(1024, 1 / 1024),
+        np.full(2048, 1 / 2048),
+        np.random.default_rng(2048).dirichlet(np.ones(2048)),
+        np.random.default_rng(128).dirichlet(np.full(128, 0.1)),
+    ], ids=["zero-mass", "dyadic", "dyadic-zero-mass", "cell-edges", "half-cells",
+            "uniform-1024", "uniform-2048", "dirichlet-2048", "sparse-128"])
+    def test_guided_categorical_matches_search(self, w):
+        # weights whose CDF lands on cell edges or between them, more
+        # symbols than cells, and every uniform at a CDF value, a cell
+        # edge or the float next to either
+        w = np.asarray(w, dtype=np.float64)
+        for m, k in ((0, 5), (4, 0), (1, 1), (300, 20), (37, 200)):
+            got = channel_module._categorical_counts(w, m, k, RngSeed(40).generator(m, k))
+            assert got.dtype == count_dtype(k) and got.shape == (m, w.size)
+            assert np.array_equal(got, _searched_counts(w, m, k, RngSeed(40).generator(m, k)))
+        cdf = np.cumsum(w)
+        cdf /= cdf[-1]
+        edges = np.arange(1025) / 1024
+        u = np.concatenate([cdf, edges])
+        u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
+        u = np.unique(u[(u >= 0.0) & (u < 1.0)])
+        got = channel_module._categorical_counts(w, 1, u.size, _FixedUniforms(u))
+        assert np.array_equal(got, _searched_counts(w, 1, u.size, _FixedUniforms(u)))
+
+
+def _searched_counts(w, m, k, gen):
+    """The categorical symbol draw by one search of each uniform in the CDF,
+    kept as the reference the guided draw is tested against."""
+    d = w.size
+    cdf = np.cumsum(w)
+    cdf /= cdf[-1]
+    draws = np.searchsorted(cdf[:-1], gen.random((m, k)), side="right")
+    draws += np.arange(0, m * d, d)[:, None]
+    return np.bincount(draws.ravel(), minlength=m * d).reshape(m, d)
 
 
 class _FixedUniforms:
@@ -480,10 +529,13 @@ class TestSampleCounts:
     def test_shape_dtype_and_determinism(self):
         ch = RapporChannel.create(4, 1.0)
         p = make_prob_vector([0.4, 0.3, 0.2, 0.1])
-        a = sample_counts(ch, p, 6, 9, RngSeed(3).generator())
-        assert a.shape == (6, 4) and a.dtype == np.int64
-        assert np.array_equal(a, sample_counts(ch, p, 6, 9, RngSeed(3).generator()))
-        assert sample_counts(ch, p, 0, 9, RngSeed(3).generator()).shape == (0, 4)
+        for k, dtype in ((9, np.uint8), (255, np.uint8), (256, np.uint16)):
+            a = sample_counts(ch, p, 6, k, RngSeed(3).generator())
+            assert a.shape == (6, 4) and a.dtype == dtype
+            assert a.min() >= 0 and a.max() <= k
+            assert np.array_equal(a, sample_counts(ch, p, 6, k, RngSeed(3).generator()))
+            empty = sample_counts(ch, p, 0, k, RngSeed(3).generator())
+            assert empty.shape == (0, 4) and empty.dtype == dtype
 
     def test_noiseless_counts_are_symbol_counts(self):
         ch = RapporChannel.from_lambda(3, 0.0)
@@ -507,7 +559,7 @@ class TestSampleCounts:
         ch = RapporChannel.from_lambda(d, lam)
         gen = RngSeed(data.draw(st.integers(0, 2 ** 32))).generator()
         counts = sample_counts(ch, p, 5, k, gen)
-        assert counts.shape == (5, d) and counts.dtype == np.int64
+        assert counts.shape == (5, d) and counts.dtype == count_dtype(k)
         assert counts.min() >= 0 and counts.max() <= k
 
     @settings(max_examples=100, deadline=None)
@@ -522,6 +574,6 @@ class TestSampleCounts:
         ch = RapporChannel.from_lambda(d, 0.0)
         gen = RngSeed(data.draw(st.integers(0, 2 ** 32))).generator()
         counts = sample_counts(ch, p, m, k, gen)
-        assert counts.shape == (m, d) and counts.dtype == np.int64
+        assert counts.shape == (m, d) and counts.dtype == count_dtype(k)
         assert np.all(counts.sum(axis=1) == k)
         assert np.all(counts[:, p.weights <= 0.0] == 0)

@@ -12,6 +12,7 @@ from ldprobust import (
     RapporChannel,
     RngSeed,
     batch_deletion,
+    count_dtype,
     check_nice_properties,
     collection_mean,
     contaminate,
@@ -343,18 +344,69 @@ class TestRowBlocks:
 
     def test_estimate_in_any_blocking_and_dtype(self, ch, p, monkeypatch):
         coll, rng = attacked_collection(ch, p, n=600, seed=8)
-        narrow = BatchCollection(counts=coll.counts.astype(np.uint8), k=coll.k, truth=coll.truth)
+        assert coll.counts.dtype == np.uint8
         cfg = EstimatorConfig(eps=0.05, tau_threshold=DESK_TAU_THRESHOLD)
         ref = robust_estimate(coll, cfg, ch, rng.child(3))
         assert len(ref.trace) >= 2
         # the survivors' mean, not that of the reused gather buffer
         assert np.array_equal(ref.qhat, collection_mean(coll.counts[ref.surviving], coll.k))
-        for block_scalars in (7, 200):
+        for block_scalars in (7, 200, 1 << 16):
             monkeypatch.setattr(estimator_module, "_BLOCK_SCALARS", block_scalars)
-            for c in (coll, narrow):
-                res = robust_estimate(c, cfg, ch, rng.child(3))
-                assert [t.deleted for t in res.trace] == [t.deleted for t in ref.trace]
-                assert np.allclose(res.phat, ref.phat, rtol=1e-12, atol=0.0)
+            runs = _at_every_width(coll, cfg, ch, rng.child(3))
+            assert [t.deleted for t in runs.trace] == [t.deleted for t in ref.trace]
+            assert np.allclose(runs.phat, ref.phat, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("k", [255, 256])
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_targeted_estimate_at_the_width_edges(self, k, direction):
+        # k = 255 is the largest batch held in uint8 and k = 256 the smallest
+        # in uint16; no count wraps around on the way to the estimate
+        d = 5
+        ch = RapporChannel.create(d, 1.0)
+        p = make_prob_vector([0.3, 0.25, 0.2, 0.15, 0.1])
+        mask = np.array([True, False, True, False, False])
+        attack = AttackSpec(kind="targeted_subset", mask=mask, direction=direction,
+                            magnitude=0.8)
+        rng = RngSeed(9, k)
+        n, eps = 600, 0.1
+        clean = make_clean_collection(ch, p, n - int(n * eps), k, rng.child(1))
+        coll = contaminate(clean, attack, eps, n, ch, rng.child(2))
+        assert coll.counts.dtype == (np.uint8 if k == 255 else np.uint16)
+        assert coll.counts.min() >= 0 and coll.counts.max() <= k
+        bad = coll.truth == 1
+        pushed = coll.counts[bad][:, mask]
+        assert (pushed.mean() > 0.8 * k) if direction > 0 else (pushed.mean() < 0.2 * k)
+        cfg = EstimatorConfig(eps=eps, tau_threshold=DESK_TAU_THRESHOLD)
+        res = _at_every_width(coll, cfg, ch, rng.child(3))
+        assert res.iterations >= 2
+        assert l1_dist(res.phat, p.weights) < l1_dist(naive_estimate(coll, ch).phat, p.weights)
+
+
+def _at_every_width(coll, cfg, ch, rng):
+    """robust_estimate of uint8, uint16, int32 and int64 copies of the collection's rows.
+
+    Asserts that the canonical order, the exact sums, the scores and the
+    estimate's text are bitwise equal at every width, and returns the estimate.
+    BatchCollection stores counts at count_dtype(k), so each copy is put in
+    place after construction: the estimator must read any integer width.
+    """
+    widths = [np.uint8, np.uint16, np.int32, np.int64]
+    if coll.k > 255:
+        widths.remove(np.uint8)
+    first = None
+    for dtype in widths:
+        c = BatchCollection(counts=coll.counts, k=coll.k, truth=coll.truth)
+        c.counts = coll.counts.astype(dtype)
+        sums = ExactSums.of(c.counts, c.k)
+        rep = score_collection(c.counts, cfg, ch, rng.child(5), k=c.k)
+        res = robust_estimate(c, cfg, ch, rng)
+        seen = (canonical_order(c.counts, c.k), sums.s1, sums.s2, rep.scores, res.to_text())
+        if first is None:
+            first, out = seen, res
+            continue
+        for a, b in zip(first, seen):
+            assert np.array_equal(a, b), dtype
+    return out
 
 
 def trial_collection(n, k, d, attack, eps, seed):
@@ -662,7 +714,7 @@ class TestCanonicalOrder:
         (1, (3000, 5)),         # tie-heavy: at most 32 distinct rows
         (3, (2000, 3)),
         (300, (2500, 7)),       # k >= 256: two-byte entries
-        (70_000, (1500, 6)),    # k >= 2^16: four-byte entries
+        (70_000, (1500, 6)),    # k >= 2^16: eight-byte entries
         (255, (500, 4)),
         (256, (500, 4)),
     ])
@@ -675,6 +727,8 @@ class TestCanonicalOrder:
         counts[2::11, 0] = k
         order = canonical_order(counts, k)
         assert np.array_equal(order, np.lexsort(counts.T[::-1]))
+        # rows stored at their narrowest width, viewed as keys without a copy
+        assert np.array_equal(canonical_order(counts.astype(count_dtype(k)), k), order)
 
     # (k+1)^3 * n < 2^63 holds only for the first pair, whose largest key
     # times n lies within 2^46 of 2^63; the last pair would overflow int64

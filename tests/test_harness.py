@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,3 +296,21 @@ class TestRuntimeSanity:
                          attack="all_ones")
         res = run_trial(cell, 0, 17)
         assert res.wall_time_ms <= 60_000
+
+    def test_trial_memory_at_d128(self):
+        # counts are held at one byte from the sampler to the scores, so the
+        # top rung's trial allocates a few copies of its 0.5 MB of counts and
+        # no int64 (n, d) or (n, k) array; with int64 counts it peaks above 12 MB
+        cell = TrialCell(n=4000, k=20, d=128, alpha=1.0, eps=0.05,
+                         attack="targeted_subset")
+        # a smaller trial first, so that lazy imports and cached tables are
+        # not counted
+        run_trial(TrialCell(n=500, k=20, d=128, alpha=1.0, eps=0.05,
+                            attack="targeted_subset"), 0, 19)
+        tracemalloc.start()
+        try:
+            run_trial(cell, 0, 19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 10 ** 6, peak
