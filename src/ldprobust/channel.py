@@ -470,17 +470,27 @@ def _invert_ones(symbols: np.ndarray, k: int, lam: float,
     `symbols`, of any integer dtype, with the ones.  Rows go in blocks of
     about _BLOCK_ENTRIES entries, each indexed through an int64 scratch of
     the block's guide cells; the uniforms are those of one draw of the
-    whole shape, so the block size never changes the output.
+    whole shape, so the block size never changes the output.  The
+    uniforms, the cells and the looked-up ones go into three buffers made
+    once per call: fresh block-sized temporaries are freed and faulted in
+    again on every block when the heap is small.
     """
     table, flat = _inversion_tables(k, lam)
-    step = max(1, _BLOCK_ENTRIES // symbols.shape[1])
-    for lo in range(0, symbols.shape[0], step):
+    rows, d = symbols.shape
+    step = max(1, _BLOCK_ENTRIES // d)
+    size = (min(step, rows), d)
+    u_buf, cell_buf, ones_buf = np.empty(size), np.empty(size, np.int64), np.empty(size, np.int64)
+    for lo in range(0, rows, step):
         block = symbols[lo:lo + step]
-        u = gen.random(block.shape)
+        b = block.shape[0]
+        u = gen.random(out=u_buf[:b])
         u *= 1 << _GUIDE_BITS  # exact: the integer part is the cell
-        cell = np.left_shift(block, _GUIDE_BITS, dtype=np.int64)
-        cell += u.astype(np.int64)
-        ones = table[cell]
+        ones = ones_buf[:b]
+        np.copyto(ones, u, casting="unsafe")  # truncates to the integer part
+        cell = np.left_shift(block, _GUIDE_BITS, out=cell_buf[:b], dtype=np.int64)
+        cell += ones
+        # cells are in range, and mode="clip" writes into out with no buffer
+        np.take(table, cell, out=ones, mode="clip")
         todo = np.flatnonzero(ones < 0)
         if todo.size:
             c = cell.ravel()[todo] >> _GUIDE_BITS

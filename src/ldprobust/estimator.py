@@ -21,10 +21,15 @@ than O(m d^2), with results bitwise those of a recompute.
 The stop is decided before any row is read.  In sdp mode two proofs that the
 Gram maximum lies below the threshold come first, an O(d^2) l1 bound and one
 d x d Cholesky (gram.upper_bound_below); only when neither passes is the Gram
-program solved.  So a stopping iteration reads no row and scores nothing, and
-only an iteration that deletes gathers the survivors and scores them.
-The Gram solution M* = U V^T has rank r = ceil(2 sqrt(d)) + 1, and each row's
-score (c^T U) . (c^T V) comes from one product with the d x 2r factors, O(m d r).
+program solved, and only as far as the decision needs (gram._loop_solve): one
+start ascended to a loose tolerance whose value reaches the threshold shows
+that the loop goes on and supplies the factors to score with, and only below
+the threshold is the full, certified solve run.  So a stopping iteration
+reads no row and scores nothing, every stop rests on a proof or a certified
+solve, and only an iteration that deletes gathers the survivors and scores
+them.  The Gram solution M* = U V^T has rank r = ceil(2 sqrt(d)) + 1, and each
+row's score (c^T U) . (c^T V) comes from one product with the d x 2r factors,
+O(m d r).
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from .errors import (
     LengthMismatch,
     TooFewBatches,
 )
-from .gram import GramSolution, gram_maximize, upper_bound_below
+from .gram import GramSolution, _loop_solve, gram_maximize, upper_bound_below
 from .prob import RngSeed
 
 #: Loop threshold on sqrt(tau) matching the termination constant of the
@@ -108,11 +113,15 @@ class ScoreReport:
 class IterationRecord:
     """One filtering iteration: its survivors, its tau and what it deleted.
 
-    gram_value and gram_upper are the Gram solver's value and certified upper
-    bound, tau is gram_value / rate_unit, and certified_by the path that
-    computed the bound, "cholesky" or "eigvalsh" (all three None and tau +inf
-    in special mode).  A stop proved before any solve has gram_value None,
-    gram_upper the proved bound, certified_by the proof, "l1" or
+    gram_value and gram_upper are the Gram solver's value and an upper bound
+    on the maximum, tau is gram_value / rate_unit, and certified_by the path
+    that computed the bound (all three None and tau +inf in special mode).  A
+    full solve reports "cholesky" or "eigvalsh" and a bound within GAP_TOL of
+    the value.  An iteration that kept the in-loop ascent (gram._loop_solve)
+    has gram_value at or above tau_threshold^2 * rate_unit, gram_upper the
+    l1 sum sum |A_ij| rounded upward (at least gram_value) and certified_by
+    "l1"; it never stops.  A stop proved before any solve has gram_value
+    None, gram_upper the proved bound, certified_by the proof, "l1" or
     "uniform-dual", and tau the bound / rate_unit, at least the tau a solve
     would give.  pool_size is the number of top-score candidates the deletion
     drew from (0 on the stopping iteration, which scores no row).
@@ -394,8 +403,10 @@ def score_collection(coll_or_counts, cfg: EstimatorConfig, ch: RapporChannel,
     are the per-row gaps on S*.  Otherwise tau normalizes the Gram maximum of
     Chat - C(qhat) and the score of row b is |c_b^T M* c_b| for its centered
     mean c_b, computed from the rank-r factors as (c_b^T U) . (c_b^T V).
-    The mode check, the solve and the scoring passes are those of
-    robust_estimate, which runs them on the iterations that delete.
+    The mode check and the scoring passes are those of robust_estimate,
+    which runs them on the iterations that delete.  The solve is the full
+    gram_maximize, so tau_upper is certified to GAP_TOL; robust_estimate
+    scores from its in-loop solve, which may stop at a one-start ascent.
     """
     if isinstance(coll_or_counts, BatchCollection):
         counts, k = coll_or_counts.counts, coll_or_counts.k
@@ -522,33 +533,39 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
 
     Per iteration: check the mode (special mode has tau = +inf and never
     stops); in sdp mode decide the stop before any row is scored, first by a
-    cheap proof that the Gram maximum lies below tau_threshold^2 * rate_unit
-    (gram.upper_bound_below), which needs no solve, and otherwise by sqrt(tau)
-    of the solver's value; an iteration that does not stop scores the
-    survivors, takes the floor(eps * n) rows with top scores (ties to the
-    lower canonical rank, the rank in lexicographic order of count rows) and
-    runs the randomized deletion on that pool, its clocks assigned in
-    canonical order.  When floor(eps * n) = 0, as at eps = 0, no row can be
-    adversarial, and the result equals naive_estimate exactly.  Every
+    cheap proof that the Gram maximum lies below limit = tau_threshold^2 *
+    rate_unit (gram.upper_bound_below), which needs no solve, and otherwise
+    by the in-loop solve (gram._loop_solve) with the draws of
+    rng.child(4, iteration): one start ascended until a sweep gains at most
+    LOOP_TOL, kept when its value reaches limit, which proves the loop does
+    not stop, and otherwise the full gram_maximize, whose value stops the
+    loop when sqrt(tau) falls below the threshold.  An iteration that does
+    not stop scores the survivors, takes the floor(eps * n) rows with top
+    scores (ties to the lower canonical rank, the rank in lexicographic
+    order of count rows) and runs the randomized deletion on that pool, its
+    clocks assigned in canonical order.  When floor(eps * n) = 0, as at
+    eps = 0, no row can be adversarial, and the result equals
+    naive_estimate exactly.  Every
     iteration that does not stop deletes at least one row, so the loop ends;
     when fewer than two rows survive, or every score in the pool is zero, it
     ends with Exhausted, an InputError naming n, d and eps.
 
-    A proved stop is a stop the solver's value makes too: value <= maximum
-    <= bound, the value up to its own rounding, and float division and sqrt
-    are monotone.  So every deletion
-    and result is that of the rule on the value alone; only the stopping
-    record differs, with tau = bound / rate_unit, gram_value None,
-    gram_upper the bound and certified_by the proof ("l1" or
-    "uniform-dual").
+    A proved stop is a stop the full solve's value makes too: value <=
+    maximum <= bound, the value up to its own rounding, and float division
+    and sqrt are monotone.  So every deletion and result is that of the
+    rule on the solve's value alone; only the stopping record differs, with
+    tau = bound / rate_unit, gram_value None, gram_upper the bound and
+    certified_by the proof ("l1" or "uniform-dual").  Deletions after an
+    ascent are scored from its less polished factors, so they can differ
+    from those the full solve's factors would give.
 
     The exact sums S1 and S2 of all rows are computed once, before the first
     iteration, so InexactStatistics is raised there, from the full n.  They
     are downdated exactly after each deletion (ExactSums.without), so qhat,
     Chat and the Gram input of every iteration, and the returned qhat, are
-    bitwise those of a recompute from the survivors.  The mode check, the
-    solve and the scoring passes are those of score_collection; deletions
-    come from batch_deletion.
+    bitwise those of a recompute from the survivors.  The mode check and
+    the scoring passes are those of score_collection, whose solve is always
+    the full one; deletions come from batch_deletion.
     """
     n = coll.n
     if n < 2:
@@ -581,6 +598,7 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
             raise exhausted("fewer than two batch rows survive")
         record = dict(mode="special", tau=math.inf, survivors=int(sel.size),
                       gram_value=None, gram_upper=None, certified_by=None)
+        stop = False
         s_star = _special_mask(sums, ch.lam)
         if s_star is None:
             dmat = build_cov_bundle(sums, ch.lam).dmat
@@ -588,11 +606,15 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
             if proved is not None and _stops(proved[0] / unit, cfg):
                 record.update(mode="sdp", tau=proved[0] / unit, gram_upper=proved[0],
                               certified_by=proved[1])
+                stop = True
             else:
-                sol = gram_maximize(dmat, rng=rng.child(4, iteration))
+                sol = _loop_solve(dmat, limit, rng.child(4, iteration))
                 record.update(mode="sdp", tau=sol.value / unit, gram_value=sol.value,
                               gram_upper=sol.upper_bound, certified_by=sol.certified_by)
-        if _stops(record["tau"], cfg):
+                # an ascent kept at value >= limit shows the maximum reaches the
+                # limit, so only a full solve can stop the loop
+                stop = sol.certified_by != "l1" and _stops(record["tau"], cfg)
+        if stop:
             trace.append(IterationRecord(pool_size=0, deleted=(), **record))
             return _finalize(sums.mean(), np.sort(sel), trace, ch)
 

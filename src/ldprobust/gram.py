@@ -36,7 +36,12 @@ solution carries both ends of an interval that holds the true maximum.
 Where only an upper bound below a limit is wanted, as for the filter's stop,
 upper_bound_below tries two proofs before any solve: sum |A_ij|, and the
 uniform dual y = c 1, feasible when d ||A||_2 <= sum(y), decided by the same
-shifted Cholesky at t = 0.
+shifted Cholesky at t = 0.  Where neither proof passes, the filter solves
+for factors to score rows with, and the bound matters only if the loop might
+stop.  _loop_solve ascends one start to the looser LOOP_TOL; a value at or
+above the limit is itself the proof that the loop goes on, and its factors
+are kept with the l1 sum as their bound.  Below the limit it runs the full,
+certified gram_maximize.
 
 The subset side is exact: subset_bilinear_max enumerates all 2^d masks S for
 d <= MAX_ENUM_D, with the sums A 1_S built by a doubling table of elementwise
@@ -80,6 +85,8 @@ _GAP_FLOOR = np.finfo(np.float64).tiny
 #: or after MAX_SWEEPS sweeps.
 SWEEP_TOL = 1e-8
 MAX_SWEEPS = 500
+#: The sweep tolerance of the filter's in-loop ascent (see _loop_solve).
+LOOP_TOL = 1e-3
 #: Cap on the random starts of one solve.
 MAX_RESTARTS = 16
 #: Tolerance of both sides of the sandwich, relative to the Frobenius norm of A.
@@ -181,7 +188,9 @@ class GramSolution:
 
     certified_by names the path that computed upper_bound: "cholesky" for the
     shifted Cholesky test, "eigvalsh" for the eigenvalue bound of
-    dual_upper_bound, the reference, which hand-built solutions default to.
+    dual_upper_bound, the reference, which hand-built solutions default to,
+    and "l1" for the l1 sum sum |A_ij| that the filter's in-loop ascent
+    reports (see _loop_solve).
     """
 
     u_factors: np.ndarray
@@ -258,9 +267,9 @@ def _half_sweep(G: np.ndarray, prev: np.ndarray, out: np.ndarray,
     return factor, float(np.vdot(factor, G)), out
 
 
-def _ascend(A: np.ndarray, U: np.ndarray, V: np.ndarray):
+def _ascend(A: np.ndarray, U: np.ndarray, V: np.ndarray, tol: float = SWEEP_TOL):
     """Alternate half sweeps from unit-row factors U and V until a full sweep
-    gains at most SWEEP_TOL, or for MAX_SWEEPS sweeps.
+    gains at most tol (relative above 1), or for MAX_SWEEPS sweeps.
 
     Returns (value, U, V, history, AU), AU = A @ U for the returned U.  The
     products, row norms and quotients go into buffers made once per call,
@@ -281,7 +290,7 @@ def _ascend(A: np.ndarray, U: np.ndarray, V: np.ndarray):
             np.matmul(A, U, out=AU)
             V, new_value, free = _half_sweep(AU, V, free, norms, norms_col)
             history.append(new_value)
-            converged = new_value - value <= SWEEP_TOL * max(1.0, abs(new_value))
+            converged = new_value - value <= tol * max(1.0, abs(new_value))
             value = new_value
             if converged:
                 break
@@ -499,22 +508,17 @@ def gram_maximize(A, rng: RngSeed | None = None) -> GramSolution:
 
 def _gram_maximize(A: np.ndarray, rng: RngSeed | None) -> GramSolution:
     """gram_maximize of an A that check_symmetric has already returned."""
-    d = A.shape[0]
     scale = _band_exponent(A)
     if scale:
         A = np.ldexp(A, -scale)
-    rank = _rank(d)
     if rng is None:
         rng = RngSeed(0)
 
     best = None
     upper = math.inf
     certified_by = "eigvalsh"
-    fallback = np.tile(_e(rank, 0), (d, 1))
     for r in range(MAX_RESTARTS):
-        gen = rng.generator(r)
-        U = _normalize_rows(gen.standard_normal((d, rank)), fallback)
-        V = _normalize_rows(gen.standard_normal((d, rank)), fallback)
+        U, V = _random_start(rng.generator(r), A.shape[0])
         value, U, V, history, AU = _ascend(A, U, V)
         if best is None or value > best[0]:
             best = (value, U, V, history)
@@ -545,6 +549,44 @@ def _e(r: int, i: int) -> np.ndarray:
     v = np.zeros(r)
     v[i] = 1.0
     return v
+
+
+def _random_start(gen: np.random.Generator, d: int):
+    """Unit-row factors (U, V) at the solver's rank from two standard normal
+    draws of gen, U's first; a row drawn as zero becomes e_0."""
+    rank = _rank(d)
+    fallback = np.tile(_e(rank, 0), (d, 1))
+    U = _normalize_rows(gen.standard_normal((d, rank)), fallback)
+    V = _normalize_rows(gen.standard_normal((d, rank)), fallback)
+    return U, V
+
+
+def _loop_solve(A, limit: float, rng: RngSeed) -> GramSolution:
+    """The Gram solve of robust_estimate's loop, run only as far as the loop's
+    decision needs.
+
+    Restart 0 of gram_maximize(A, rng) ascends until a full sweep gains at
+    most LOOP_TOL, in place of SWEEP_TOL.  Its value is feasible, so a value
+    at or above limit shows that the maximum reaches limit: the loop must
+    not stop, and these factors, which the scores need only to within a
+    constant factor, are returned as they stand.  Their upper bound is the
+    l1 sum sum |A_ij| rounded upward (at least the value), certified_by
+    "l1", restarts_used 1, and the history the start of restart 0's in
+    gram_maximize.  Below limit the result is gram_maximize(A, rng), so a
+    stop rests on a certified solve.  A is scaled into the solver's band as
+    in gram_maximize.
+    """
+    A = check_symmetric(A)
+    scale = _band_exponent(A)
+    U, V = _random_start(rng.generator(0), A.shape[0])
+    value, U, V, history, _ = _ascend(np.ldexp(A, -scale) if scale else A, U, V, tol=LOOP_TOL)
+    value = math.ldexp(value, scale)
+    if not value >= limit:
+        return _gram_maximize(A, rng)
+    return GramSolution(u_factors=U, v_factors=V, value=value,
+                        upper_bound=max(_sum_rounded_up(np.abs(A).ravel(), 0.0), value),
+                        restarts_used=1, certified_by="l1",
+                        history=[math.ldexp(h, scale) for h in history])
 
 
 @dataclass(frozen=True)

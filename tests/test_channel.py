@@ -278,6 +278,23 @@ class TestSamplerParts:
         ref = (thresholds[symbols[:, 0]] <= u).sum(axis=1)
         assert np.array_equal(ones[:, 0], ref)
 
+    @pytest.mark.parametrize("d, k, blocks", [(128, 20, 3), (5, 50, 4), (64, 200, 3)])
+    def test_ones_draw_over_blocks_counts_thresholds(self, d, k, blocks):
+        # several full blocks and a short last one, each filling the call's
+        # buffers, give the ones of one row-major draw of integer uniforms
+        lam = lambda_of_alpha(1.0)
+        step = channel_module._BLOCK_ENTRIES // d
+        m = blocks * step + step // 3
+        symbols = RngSeed(34, d).generator().integers(0, k + 1, size=(m, d)).astype(count_dtype(k))
+        ones = channel_module._invert_ones(symbols.copy(), k, lam, RngSeed(35, d).generator())
+        u = (RngSeed(35, d).generator().random((m, d)) * 2.0 ** 53).astype(np.int64)
+        thresholds = channel_module._ones_thresholds(k, lam)
+        ref = np.empty((m, d), dtype=np.int64)
+        for c in range(k + 1):
+            at = symbols == c
+            ref[at] = np.searchsorted(thresholds[c], u[at], side="right")
+        assert ones.dtype == count_dtype(k) and np.array_equal(ones, ref)
+
     def test_warm_table_cache_gives_cold_output(self, monkeypatch):
         # the rules read (m, k, d) only: on every path, a cold cache, a warm
         # one and one that has evicted this k give the same bits
@@ -450,10 +467,14 @@ class _FixedUniforms:
         self.u = np.asarray(u, dtype=np.float64).ravel()
         self.used = 0
 
-    def random(self, shape):
+    def random(self, shape=None, out=None):
+        shape = out.shape if out is not None else shape
         size = math.prod(shape) if isinstance(shape, tuple) else shape
-        out = self.u[self.used:self.used + size].reshape(shape)
+        draw = self.u[self.used:self.used + size].reshape(shape)
         self.used += size
+        if out is None:
+            return draw
+        out[...] = draw
         return out
 
 

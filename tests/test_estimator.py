@@ -57,7 +57,7 @@ from ldprobust.estimator import (
     canonical_order,
     rate_unit,
 )
-from ldprobust.gram import CERTIFICATE_PATHS
+from ldprobust.gram import CERTIFICATE_PATHS, GAP_TOL
 from ldprobust.harness import TrialCell, build_collection, resolve_attack, sample_p
 
 from conftest import brute_force_special_gap
@@ -424,22 +424,65 @@ def trial_collection(n, k, d, attack, eps, seed):
     return build_collection(cell, target, attack_spec, ch, rng.child(2)), ch
 
 
+def reference_loop_solve(A, limit, rng):
+    """The filter's in-loop Gram solve as a plain loop: restart 0 of
+    gram_maximize ascends until a full sweep gains at most LOOP_TOL, and is
+    kept at value >= limit with the l1 sum as its bound; below limit the
+    solve is gram_maximize.  Returns (value, upper bound, certified_by, U, V).
+
+    The rows are normalized with a fresh norm and quotient every half sweep,
+    as in test_gram's _reference_gram_maximize; the loop's Gram inputs lie in
+    the solver's band and have no zero row of A V, which this reference
+    does not handle.
+    """
+    assert gram_module._band_exponent(A) == 0
+    d = A.shape[0]
+    rank = math.ceil(2.0 * math.sqrt(d)) + 1
+    gen = rng.generator(0)
+
+    def normalize(G):
+        return G / np.sqrt(np.einsum("ij,ij->i", G, G))[:, None]
+
+    U = normalize(gen.standard_normal((d, rank)))
+    V = normalize(gen.standard_normal((d, rank)))
+    AV = A @ V
+    value = float(np.vdot(U, AV))
+    for _ in range(gram_module.MAX_SWEEPS):
+        U = normalize(AV)
+        AU = A @ U
+        V = normalize(AU)
+        new_value = float(np.vdot(V, AU))
+        converged = new_value - value <= gram_module.LOOP_TOL * max(1.0, abs(new_value))
+        value = new_value
+        if converged:
+            break
+        AV = A @ V
+    if value >= limit:
+        upper = max(gram_module._sum_rounded_up(np.abs(A).ravel(), 0.0), value)
+        return value, upper, "l1", U, V
+    sol = gram_maximize(A, rng=rng)
+    return sol.value, sol.upper_bound, sol.certified_by, sol.u_factors, sol.v_factors
+
+
 def reference_estimate(coll, cfg, ch, rng):
-    """The filtering loop before stops were proved, kept as the reference.
+    """The filtering loop with no stop proofs and no downdated sums, kept as
+    the reference.
 
     Every iteration recomputes mean and covariance from the survivors' rows
-    (collection_mean, empirical_cov), solves the Gram program, scores every
-    survivor, and stops when sqrt(value / rate_unit) falls below the
-    threshold.  Returns the trace as (mode, tau, survivors, pool size, gram
-    value, gram upper bound, certified_by, deleted) tuples, one (mode, qhat,
-    chat, Gram input) tuple per iteration, chat and the Gram input None in
-    special mode, and the result.
+    (collection_mean, empirical_cov), solves the Gram program by
+    reference_loop_solve, scores every survivor, and stops when a full solve
+    gives sqrt(value / rate_unit) below the threshold; an ascent kept at
+    value >= limit never stops.  Returns the trace as (mode, tau, survivors,
+    pool size, gram value, gram upper bound, certified_by, deleted) tuples,
+    one (mode, qhat, chat, Gram input) tuple per iteration, chat and the Gram
+    input None in special mode, and the result.
     """
     counts, k = coll.counts, coll.k
     canonical = canonical_order(counts, k)
     surviving = np.ones(coll.n, dtype=bool)
     pool_size = math.floor(cfg.eps * coll.n)
     unit = rate_unit(cfg.eps, ch.d, k)
+    limit = cfg.tau_threshold * cfg.tau_threshold * unit
     trace, stats = [], []
     for iteration in range(coll.n):
         sel = canonical[surviving[canonical]]
@@ -453,14 +496,15 @@ def reference_estimate(coll, cfg, ch, rng):
         else:
             chat = empirical_cov(chosen, k)
             stats.append(("sdp", qhat, chat, chat - model_cov(qhat, k, ch.lam)))
-            sol = gram_maximize(stats[-1][3], rng=rng.child(4, iteration))
-            tau, gram = sol.value / unit, (sol.value, sol.upper_bound, sol.certified_by)
+            value, upper, path, U, V = reference_loop_solve(stats[-1][3], limit,
+                                                            rng.child(4, iteration))
+            tau, gram = value / unit, (value, upper, path)
             centered = chosen - chosen.sum(axis=0, dtype=np.int64) / float(sel.size)
-            proj = centered @ np.hstack([sol.u_factors, sol.v_factors])
-            r = sol.rank
+            proj = centered @ np.hstack([U, V])
+            r = U.shape[1]
             scores = np.abs(np.einsum("ij,ij->i", proj[:, :r], proj[:, r:])) / (k * k)
         mode = stats[-1][0]
-        if math.isfinite(tau) and math.sqrt(max(tau, 0.0)) < cfg.tau_threshold:
+        if gram[2] != "l1" and math.isfinite(tau) and math.sqrt(max(tau, 0.0)) < cfg.tau_threshold:
             trace.append((mode, tau, sel.size, 0, *gram, ()))
             return trace, stats, estimator_module._finalize(qhat, np.sort(sel), [], ch)
         pool = np.sort(np.argsort(-scores, kind="stable")[:pool_size])
@@ -487,13 +531,13 @@ def record_scoring_passes(monkeypatch):
 def count_solves(monkeypatch):
     """Wrap the loop's Gram solve; returns the list of its inputs."""
     inputs = []
-    solve = estimator_module.gram_maximize
+    solve = estimator_module._loop_solve
 
-    def recording(A, **kwargs):
+    def recording(A, *args):
         inputs.append(A.copy())
-        return solve(A, **kwargs)
+        return solve(A, *args)
 
-    monkeypatch.setattr(estimator_module, "gram_maximize", recording)
+    monkeypatch.setattr(estimator_module, "_loop_solve", recording)
     return inputs
 
 
@@ -540,18 +584,18 @@ class TestDowndatedStatistics:
         assert len(ref_stats) >= 2 and any(mode == "sdp" for mode, *_ in ref_stats[:-1])
 
         bundles, gram_inputs = [], []
-        build, solve = estimator_module.build_cov_bundle, estimator_module.gram_maximize
+        build, solve = estimator_module.build_cov_bundle, estimator_module._loop_solve
 
         def recording_build(*args, **kwargs):
             bundles.append(build(*args, **kwargs))
             return bundles[-1]
 
-        def recording_solve(A, **kwargs):
+        def recording_solve(A, *args):
             gram_inputs.append(A.copy())
-            return solve(A, **kwargs)
+            return solve(A, *args)
 
         monkeypatch.setattr(estimator_module, "build_cov_bundle", recording_build)
-        monkeypatch.setattr(estimator_module, "gram_maximize", recording_solve)
+        monkeypatch.setattr(estimator_module, "_loop_solve", recording_solve)
         res = robust_estimate(coll, cfg, ch, rng)
 
         assert [rec.deleted for rec in res.trace] == ref_deletions
@@ -875,15 +919,18 @@ class TestRobustEstimate:
         # every iteration scores once and deletes at least one row
         assert 2 <= len(passes) < coll.n
 
-    def test_trace_records_iterations(self, ch, p):
+    def test_trace_records_iterations(self, ch, p, monkeypatch):
         coll, rng = attacked_collection(ch, p, n=400, seed=13)
         cfg = EstimatorConfig(eps=0.05, tau_threshold=DESK_TAU_THRESHOLD)
+        gram_inputs = iter(count_solves(monkeypatch))
         res = robust_estimate(coll, cfg, ch, rng.child(3))
         assert res.iterations >= 2
         assert res.trace[-1].deleted == ()
         assert math.sqrt(res.final_tau) < DESK_TAU_THRESHOLD
         survivors = coll.n
         unit = rate_unit(0.05, ch.d, coll.k)
+        limit = DESK_TAU_THRESHOLD * DESK_TAU_THRESHOLD * unit
+        ascents = 0
         for rec in res.trace:
             assert rec.survivors == survivors
             survivors -= len(rec.deleted)
@@ -893,11 +940,23 @@ class TestRobustEstimate:
                 # a stop proved before any solve: tau is the proved bound over the unit
                 assert rec is res.trace[-1] and rec.certified_by in PROOFS
                 assert rec.tau == rec.gram_upper / unit
+            elif rec.certified_by == "l1":
+                # an ascent kept because its value reaches the limit: it does
+                # not stop, and its bound is the rounded-up l1 sum of its input
+                abs_sum = gram_module._sum_rounded_up(np.abs(next(gram_inputs)).ravel(), 0.0)
+                assert rec.deleted and rec.tau == rec.gram_value / unit
+                assert rec.gram_value >= limit
+                assert rec.gram_upper >= rec.gram_value
+                assert rec.gram_upper == max(abs_sum, rec.gram_value)
+                ascents += 1
             else:
+                # a full solve, certified to GAP_TOL
+                next(gram_inputs)
                 assert rec.certified_by in CERTIFICATE_PATHS
                 assert rec.tau == rec.gram_value / unit
                 assert rec.gram_upper >= rec.gram_value
-                assert rec.gram_upper - rec.gram_value <= 1e-4 * abs(rec.gram_upper)
+                assert rec.gram_upper - rec.gram_value <= GAP_TOL * abs(rec.gram_upper)
+        assert ascents >= 1
         assert [rec.pool_size for rec in res.trace] == \
             [math.floor(0.05 * coll.n)] * (res.iterations - 1) + [0]
         assert survivors == res.surviving.size
@@ -958,6 +1017,12 @@ class TestCertifiedStop:
         assert np.array_equal(res.phat, ref.phat)
         # every iteration but the stop is recorded bitwise as the reference records it
         assert [record_tuple(rec) for rec in res.trace[:-1]] == ref_trace[:-1]
+        unit = rate_unit(cfg.eps, d, k)
+        limit = cfg.tau_threshold ** 2 * unit
+        ascents, prefixes = self.check_ascents(res.trace, ref_stats, limit, RngSeed(3))
+        # the two attacks that delete keep an ascent on every deleting iteration
+        if attack in ("all_ones", "targeted_subset"):
+            assert ascents == res.iterations - 1 and prefixes >= 1
         last = res.trace[-1]
         if last.gram_value is not None:
             assert record_tuple(last) == ref_trace[-1]
@@ -965,8 +1030,6 @@ class TestCertifiedStop:
         mode, _, survivors, _, ref_value, _, _, _ = ref_trace[-1]
         assert (last.mode, last.survivors, last.pool_size, last.deleted) == \
             (mode, survivors, 0, ())
-        unit = rate_unit(cfg.eps, d, k)
-        limit = cfg.tau_threshold ** 2 * unit
         assert ref_value <= last.gram_upper < limit
         assert last.tau == last.gram_upper / unit
         abs_sum = gram_module._sum_rounded_up(np.abs(ref_dmat).ravel(), 0.0)
@@ -977,6 +1040,30 @@ class TestCertifiedStop:
             assert last.certified_by == "uniform-dual" and abs_sum >= limit
             spectral = d * float(np.abs(np.linalg.eigvalsh(ref_dmat)).max())
             assert spectral <= last.gram_upper * (1 + 1e-12)
+
+    @staticmethod
+    def check_ascents(trace, stats, limit, rng):
+        """Each ascent record's Gram input, solved again: the full solve agrees
+        that the loop goes on, a one-restart full solve continues the ascent,
+        and with no limit reachable the in-loop solve is the full solve."""
+        ascents = [(i, stats[i][3]) for i, rec in enumerate(trace) if rec.certified_by == "l1"
+                   and rec.gram_value is not None]
+        prefixes = 0
+        for i, A in ascents:
+            sol = gram_module._loop_solve(A, limit, rng.child(4, i))
+            full = gram_maximize(A, rng=rng.child(4, i))
+            assert sol.value == trace[i].gram_value and sol.certified_by == "l1"
+            assert full.value >= limit
+            if full.restarts_used == 1:
+                assert full.history[:len(sol.history)] == sol.history
+                prefixes += 1
+            never = gram_module._loop_solve(A, math.inf, rng.child(4, i))
+            assert np.array_equal(never.u_factors, full.u_factors)
+            assert np.array_equal(never.v_factors, full.v_factors)
+            assert (never.value, never.upper_bound, never.restarts_used, never.certified_by,
+                    never.history) == (full.value, full.upper_bound, full.restarts_used,
+                                       full.certified_by, full.history)
+        return len(ascents), prefixes
 
     def test_panel_stops_by_both_proofs(self):
         proofs = set()
@@ -1014,6 +1101,19 @@ class TestCertifiedStop:
         assert res.trace[-1].gram_value <= proved.trace[-1].gram_upper
         assert [rec.deleted for rec in res.trace] == [rec.deleted for rec in proved.trace]
         assert np.array_equal(res.phat, proved.phat)
+
+    def test_kept_ascent_never_stops(self, monkeypatch):
+        # an ascent kept at value >= limit shows the maximum reaches the
+        # limit, so even a rule that would stop on any finite tau leaves the
+        # stop to a full solve
+        coll, ch = trial_collection(2000, 50, 5, "all_ones", 0.05, seed=0)
+        cfg = EstimatorConfig(eps=0.05, tau_threshold=DESK_TAU_THRESHOLD)
+        monkeypatch.setattr(estimator_module, "upper_bound_below", lambda A, limit: None)
+        monkeypatch.setattr(estimator_module, "_stops", lambda tau, cfg: math.isfinite(tau))
+        res = robust_estimate(coll, cfg, ch, RngSeed(3))
+        assert res.iterations >= 2
+        assert all(rec.certified_by == "l1" and rec.deleted for rec in res.trace[:-1])
+        assert res.trace[-1].certified_by in CERTIFICATE_PATHS
 
     @pytest.mark.parametrize("threshold", [1e200, math.inf])
     def test_huge_threshold_stops_at_once(self, ch, p, threshold):

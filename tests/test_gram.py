@@ -427,11 +427,11 @@ def filtering_run_solves(count, d=64):
     """Gram inputs (matrix, rng) of the in-loop solves of d-dimensional filtering
     runs, and the (collection, rng) of each run, until count solves are taken."""
     solves, runs = [], []
-    solve = estimator_module.gram_maximize
+    solve = estimator_module._loop_solve
 
-    def recording(A, rng=None):
+    def recording(A, limit, rng):
         solves.append((A.copy(), rng))
-        return solve(A, rng=rng)
+        return solve(A, limit, rng)
 
     cell = TrialCell(n=2000, k=20, d=d, alpha=1.0, eps=0.05, attack="targeted_subset")
     ch = RapporChannel.create(d, 1.0)
@@ -440,11 +440,11 @@ def filtering_run_solves(count, d=64):
         base = RngSeed(64).child(trial)
         p = sample_p(cell.p_family, d, base.child(1))
         coll = build_collection(cell, p, resolve_attack(cell, p, ch), ch, base.child(2))
-        estimator_module.gram_maximize = recording
+        estimator_module._loop_solve = recording
         try:
             robust_estimate(coll, cell.estimator_config(), ch, base.child(3))
         finally:
-            estimator_module.gram_maximize = solve
+            estimator_module._loop_solve = solve
         runs.append((coll, base.child(3)))
         trial += 1
     return solves[:count], runs, cell.estimator_config(), ch
@@ -557,6 +557,28 @@ class TestCholeskyCertificate:
                 assert sol.upper_bound >= ref.upper_bound
         assert deleted == [[rec.deleted for rec in robust_estimate(coll, cfg, ch, rng).trace]
                            for coll, rng in runs]
+
+
+class TestLoopSolve:
+    """The filter's in-loop solve: restart 0 ascended to LOOP_TOL, kept at the limit."""
+
+    @pytest.mark.parametrize("e", [0, 300, -300])
+    def test_kept_ascent_is_the_start_of_restart_zero(self, e):
+        # outside the solver's band A is solved scaled, as gram_maximize solves it
+        A = np.ldexp(random_symmetric(12, 77), e)
+        full = gram_maximize(A, rng=RngSeed(4))
+        limit = 0.5 * full.value
+        sol = gram_module._loop_solve(A, limit, RngSeed(4))
+        assert (sol.certified_by, sol.restarts_used, full.restarts_used) == ("l1", 1, 1)
+        assert full.history[:len(sol.history)] == sol.history
+        assert len(sol.history) < len(full.history)
+        assert sol.value == sol.history[-1] >= limit
+        assert sol.upper_bound == max(gram_module._sum_rounded_up(np.abs(A).ravel(), 0.0),
+                                      sol.value)
+        sol.validate(A)
+        # with no reachable limit the in-loop solve is the full solve
+        never = gram_module._loop_solve(A, math.inf, RngSeed(4))
+        assert _solution_bits(never) == _solution_bits(full)
 
 
 class TestUpperBoundBelow:
