@@ -41,6 +41,14 @@ def as_counts(counts) -> np.ndarray:
     return c
 
 
+def checked_counts(counts, k: int) -> np.ndarray:
+    """as_counts, with every count checked to lie in [0, k] (CountMismatch otherwise)."""
+    c = as_counts(counts)
+    if c.min(initial=0) < 0 or c.max(initial=0) > k:
+        raise CountMismatch(f"counts must lie in [0, k] with k = {k}")
+    return c
+
+
 @dataclass
 class BatchCollection:
     """n batch records of k privatized samples, as (n, d) counts of ones per coordinate.
@@ -59,8 +67,7 @@ class BatchCollection:
         self.k = int(self.k)
         if self.k < 1:
             raise EmptyBatch("each batch must hold k >= 1 samples")
-        if c.min(initial=0) < 0 or c.max(initial=0) > self.k:
-            raise CountMismatch(f"counts must lie in [0, k] with k = {self.k}")
+        c = checked_counts(c, self.k)
         self.counts = c.astype(count_dtype(self.k), copy=False)
         if self.truth is not None:
             t = np.asarray(self.truth, dtype=np.uint8).ravel()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -50,14 +51,18 @@ from ldprobust.errors import (
 from ldprobust.estimator import (
     DESK_TAU_THRESHOLD,
     ExactSums,
+    _block_step,
     _delete_until_halved,
     _race_order,
+    _row_blocks,
+    _score_scratch,
+    _sdp_scores,
     _top_pool,
     build_cov_bundle,
     canonical_order,
     rate_unit,
 )
-from ldprobust.gram import CERTIFICATE_PATHS, GAP_TOL
+from ldprobust.gram import CERTIFICATE_PATHS, GAP_TOL, GramSolution
 from ldprobust.harness import TrialCell, build_collection, resolve_attack, sample_p
 
 from conftest import brute_force_special_gap
@@ -158,6 +163,20 @@ class TestEmpiricalCov:
         rows = np.broadcast_to(np.zeros((1, 3), dtype=np.int64), (3 * 10 ** 9, 3))
         with pytest.raises(InexactStatistics):
             empirical_cov(rows, 1)
+
+    def test_counts_outside_zero_to_k_rejected(self, ch):
+        # the exactness bounds assume counts in [0, k]: unchecked, S2 wraps to
+        # INT64_MIN here, and the float32 S2 of 255s at k = 20 could round
+        with pytest.raises(CountMismatch):
+            empirical_cov([[2 ** 40 + 1, 0], [0, 0], [3, 1]], 1)
+        with pytest.raises(CountMismatch):
+            collection_mean([[-5, 2], [1, 1]], 3)
+        wide = np.full((40, ch.d), 20, dtype=np.uint8)
+        wide[7, 2] = 255
+        with pytest.raises(CountMismatch):
+            ExactSums.of(wide, 20)
+        with pytest.raises(CountMismatch):
+            score_collection(wide, EstimatorConfig(eps=0.05), ch, RngSeed(0), k=20)
 
     def test_monte_carlo_matches_model(self, ch, p):
         coll = make_clean_collection(ch, p, 10 ** 5, 20, RngSeed(5))
@@ -356,6 +375,87 @@ class TestRowBlocks:
             assert [t.deleted for t in runs.trace] == [t.deleted for t in ref.trace]
             assert np.allclose(runs.phat, ref.phat, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("dtype,k", [(np.uint8, 20), (np.uint16, 300), (np.int64, 20)])
+    @pytest.mark.parametrize("rows", ["2", "step", "step+1", "step+2", "3step+1"])
+    def test_sdp_scores_in_scratch_are_the_subtraction_formula(self, dtype, k, rows):
+        # the pass centres and projects each block in scratch; its bits are
+        # those of one float64 subtraction and one product per block
+        d = 128
+        step = _block_step(d)
+        m = {"2": 2, "step": step, "step+1": step + 1, "step+2": step + 2,
+             "3step+1": 3 * step + 1}[rows]
+        gen = np.random.default_rng(m)
+        counts = gen.integers(0, k + 1, size=(m, d)).astype(dtype)
+        sums = ExactSums.of(counts, k)
+        sol = random_factors(d, gen)
+        r = sol.rank
+        factors = np.hstack([sol.u_factors, sol.v_factors])
+        mean = sums.s1 / float(sums.n)
+        ref = np.empty(m)
+        for start, block in _row_blocks(counts):
+            proj = np.subtract(block, mean, dtype=np.float64) @ factors
+            quad = np.einsum("ij,ij->i", proj[:, :r], proj[:, r:])
+            ref[start:start + quad.size] = np.abs(quad) / (k * k)
+        # scratch made for the call, and an estimate's scratch made for more rows
+        larger = np.zeros((3 * step + 1, d), dtype=dtype)
+        for scratch in (None, _score_scratch(larger, r)):
+            assert np.array_equal(_sdp_scores(counts, sums, sol, k, scratch=scratch), ref)
+
+    @pytest.mark.parametrize("m,k", [(4227, 63), (4228, 63), (16385, 63), (3000, 300)],
+                             ids=["float32-below-2^24", "float64-at-2^24",
+                                  "float64-above-2^25", "float64-uint16"])
+    def test_second_moment_of_all_k_counts_is_exact(self, m, k):
+        # d = 4 blocks 16384 rows, so each case is one block of m rows and
+        # every entry of S2 is m k^2: 4227 * 63^2 lies just below 2^24 and
+        # 4228 * 63^2 above it; 16385 * 63^2 has odd partial sums above 2^25,
+        # which float32 could not hold
+        counts = np.full((m, 4), k, dtype=count_dtype(k))
+        wide = counts.astype(np.int64)
+        assert np.array_equal(estimator_module._second_moment(counts, k), wide.T @ wide)
+        assert np.array_equal(ExactSums.of(counts, k).s2, wide.T @ wide)
+
+    def test_second_moment_in_float32_is_exact_on_mixed_counts(self):
+        # blocks of 513 rows at d = 128, k = 20 (the top rung) sum in float32
+        gen = np.random.default_rng(4)
+        counts = gen.integers(0, 21, size=(4000, 128)).astype(np.uint8)
+        counts[:600] = 20
+        wide = counts.astype(np.int64)
+        assert np.array_equal(estimator_module._second_moment(counts, 20), wide.T @ wide)
+
+    def test_sdp_scores_allocate_no_block(self):
+        # with the estimate's scratch a pass allocates its scores (30 KB), the
+        # (d, 2r) factors (48 KB) and einsum's buffers, and no block-sized
+        # temporary (512 KB centred, 196 KB projected at d = 128)
+        d, k = 128, 20
+        gen = np.random.default_rng(2)
+        counts = gen.integers(0, k + 1, size=(3800, d)).astype(np.uint8)
+        sums = ExactSums.of(counts, k)
+        sol = random_factors(d, gen)
+        scratch = _score_scratch(counts, sol.rank)
+        _sdp_scores(counts, sums, sol, k, scratch=scratch)
+        tracemalloc.start()
+        try:
+            _sdp_scores(counts, sums, sol, k, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, peak
+
+    def test_second_moment_allocates_one_block_of_float32(self):
+        # one (513, 128) float32 scratch (263 KB) for the call, S2 and one
+        # block's d x d product and its int64 copy (64 + 128 KB); a float64
+        # copy of each block would add 525 KB
+        d, k = 128, 20
+        counts = np.random.default_rng(3).integers(0, k + 1, size=(3800, d)).astype(np.uint8)
+        estimator_module._second_moment(counts, k)
+        tracemalloc.start()
+        try:
+            estimator_module._second_moment(counts, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 640 * 1024, peak
+
     @pytest.mark.parametrize("k", [255, 256])
     @pytest.mark.parametrize("direction", [1, -1])
     def test_targeted_estimate_at_the_width_edges(self, k, direction):
@@ -380,6 +480,15 @@ class TestRowBlocks:
         res = _at_every_width(coll, cfg, ch, rng.child(3))
         assert res.iterations >= 2
         assert l1_dist(res.phat, p.weights) < l1_dist(naive_estimate(coll, ch).phat, p.weights)
+
+
+def random_factors(d, gen):
+    """A hand-built Gram solution: unit-row rank-r factors drawn from gen."""
+    r = gram_module._rank(d)
+    u, v = gen.standard_normal((2, d, r))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return GramSolution(u_factors=u, v_factors=v, value=0.0, upper_bound=0.0, restarts_used=1)
 
 
 def _at_every_width(coll, cfg, ch, rng):
@@ -520,8 +629,8 @@ def record_scoring_passes(monkeypatch):
     they append to, one entry per pass."""
     passes = []
     for name, mode in (("_special_scores", "special"), ("_sdp_scores", "sdp")):
-        def recording(*args, _score=getattr(estimator_module, name), _mode=mode):
-            passes.append((_mode, _score(*args)))
+        def recording(*args, _score=getattr(estimator_module, name), _mode=mode, **kwargs):
+            passes.append((_mode, _score(*args, **kwargs)))
             return passes[-1][1]
 
         monkeypatch.setattr(estimator_module, name, recording)
