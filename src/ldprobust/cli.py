@@ -18,7 +18,6 @@ import sys
 from . import harness
 from .channel import RapporChannel
 from .errors import ArtifactError, InputError
-from .estimator import DESK_TAU_THRESHOLD
 from .gram import CERTIFICATE_PATHS, gram_maximize, sandwich_check
 from .lowerbound import (
     assouad_chi2_check,
@@ -186,11 +185,11 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int, default=5)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--attack", type=str, default="all_ones")
-    p.add_argument("--p-family", type=str, default="dirichlet",
+    p.add_argument("--attack", default=harness.TrialCell.attack, choices=harness.ATTACKS)
+    p.add_argument("--p-family", default=harness.TrialCell.p_family,
                    choices=harness.P_FAMILIES)
     p.add_argument("--trial", type=int, default=0)
-    p.add_argument("--tau-threshold", type=float, default=DESK_TAU_THRESHOLD)
+    p.add_argument("--tau-threshold", type=float, default=harness.TrialCell.tau_threshold)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="run a parameter sweep from a JSON config")

@@ -34,10 +34,9 @@ O(m d r).
 Memory per pass: the row passes read the counts in blocks and allocate no
 block-sized temporary.  The scores are centred and projected in float64
 scratch made once per estimate, and S2 converts its blocks into one scratch
-array per call, float32 where its integers fit in 24 bits.  A block
-temporary freed back to the kernel is faulted in again by the next block;
-at n = 4000, k = 20, d = 128 scoring this way cut a trial's minor page
-faults from about 2 880 to about 630, none of them in the scoring pass.
+array per call, float32 where its integers fit in 24 bits.  Scratch held
+across blocks stays mapped, where a freed block temporary would be handed
+back to the kernel and faulted in again by the next block.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from .errors import (
     InexactStatistics,
     InvalidArgument,
     InvalidConfig,
-    LengthMismatch,
     TooFewBatches,
 )
 from .gram import GramSolution, _loop_solve, _rank, gram_maximize, upper_bound_below
@@ -435,15 +433,13 @@ def _sdp_scores(counts: np.ndarray, sums: ExactSums, sol: GramSolution, k: int,
 
 
 def score_collection(coll_or_counts, cfg: EstimatorConfig, ch: RapporChannel,
-                     rng: RngSeed, k: Optional[int] = None,
-                     sums: Optional[ExactSums] = None) -> ScoreReport:
+                     rng: RngSeed, k: Optional[int] = None) -> ScoreReport:
     """Contamination rate and per-row corruption scores for a selection.
 
     Takes a BatchCollection, or an (m, d) integer array of counts together
-    with k, and optionally the exact sums of those rows (see ExactSums); they
-    are computed from the rows when not passed.  The mean, and in sdp mode the
-    covariance, are read from the sums.  Special mode fires when the mean gap
-    |qhat(S*) - lam*|S*|| reaches SPECIAL_GAP; tau is then +inf and scores
+    with k.  The mean, and in sdp mode the covariance, are read from the
+    exact sums of the rows (see ExactSums).  Special mode fires when the mean
+    gap |qhat(S*) - lam*|S*|| reaches SPECIAL_GAP; tau is then +inf and scores
     are the per-row gaps on S*.  Otherwise tau normalizes the Gram maximum of
     Chat - C(qhat) and the score of row b is |c_b^T M* c_b| for its centered
     mean c_b, computed from the rank-r factors as (c_b^T U) . (c_b^T V).
@@ -460,12 +456,8 @@ def score_collection(coll_or_counts, cfg: EstimatorConfig, ch: RapporChannel,
             raise InvalidArgument("k is required when passing counts")
     if counts.shape[0] < 2:
         raise TooFewBatches("need at least two batch rows to score")
-    if sums is not None and (sums.n, sums.k) != (counts.shape[0], int(k)):
-        raise LengthMismatch(f"sums of {sums.n} rows at k={sums.k} passed with "
-                             f"{counts.shape[0]} rows at k={k}")
 
-    if sums is None:
-        sums = ExactSums.of(counts, k)
+    sums = ExactSums.of(counts, k)
     s_star = _special_mask(sums, ch.lam)
     if s_star is not None:
         return ScoreReport(mode="special", tau=math.inf, s_star=s_star,

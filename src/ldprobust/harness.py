@@ -5,8 +5,11 @@ independent trials per cell and writes one CSV row per trial.  Per-trial
 randomness is derived from (master seed, cell index, trial index), so results
 are independent of scheduling and the CSV is byte-identical across reruns and
 thread counts.  Wall-clock timings are therefore excluded from primary
-outputs: the wall_ms column is written as 0 (timings are kept on the in-memory
-records for runtime checks).
+outputs: the wall_ms column is written as 0.
+
+TrialCell is the one place that knows a cell's fields, defaults and valid
+values; SweepConfig, its JSON reader, the CLI and the output rows derive
+theirs from it.
 
 Parallel sweeps run on one warm process pool kept by this module.  Its workers
 are forked at the first sweep with threads > 1 and reused by every later
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -29,7 +33,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -56,13 +60,17 @@ from .estimator import (
 from .lowerbound import hard_pair
 from .prob import ProbVector, RngSeed, l1_dist, make_prob_vector
 
-CSV_COLUMNS = [
-    "n", "k", "d", "alpha", "eps", "attack", "trial", "seed",
-    "l1_robust", "l1_robust_norm", "l1_naive",
-    "deleted_good", "deleted_bad", "iterations", "final_tau", "wall_ms",
-]
+#: The cell fields a sweep varies; SweepConfig lists the values of each in <axis>_grid.
+GRID_AXES = ("n", "k", "d", "alpha", "eps")
+#: The columns of a result row read from its cell, then those read from the result.
+CELL_COLUMNS = (*GRID_AXES, "attack")
+TRIAL_COLUMNS = ("trial", "seed", "l1_robust", "l1_robust_norm", "l1_naive",
+                 "deleted_good", "deleted_bad", "iterations", "final_tau")
+CSV_COLUMNS = [*CELL_COLUMNS, *TRIAL_COLUMNS, "wall_ms"]
 
 P_FAMILIES = ("uniform", "dirichlet", "point_heavy")
+ATTACKS = ("all_ones", "all_zeros", "swap_mix", "swap_uniform", "targeted_subset",
+           "hard_pair_swap")
 
 
 def format_float(x: float) -> str:
@@ -72,8 +80,28 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _convert(obj, kinds: dict) -> None:
+    """Replace each named field of a frozen dataclass by kinds[name](value).
+
+    A value the conversion rejects raises InvalidConfig.
+    """
+    for name, kind in kinds.items():
+        value = getattr(obj, name)
+        try:
+            object.__setattr__(obj, name, kind(value))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidConfig(f"{name}={value!r}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class TrialCell:
+    """One experiment cell: the fields, defaults and valid values of a trial.
+
+    Each field is converted to its annotated type.  A value that does not
+    convert, n below 2, k below 1, eps outside [0, 1/4), or an attack or p
+    family not in ATTACKS or P_FAMILIES raises InvalidConfig.
+    """
+
     n: int
     k: int
     d: int
@@ -85,6 +113,7 @@ class TrialCell:
     tau_threshold: float = DESK_TAU_THRESHOLD
 
     def __post_init__(self):
+        _convert(self, _CELL_TYPES)
         if self.n < 2 or self.k < 1:
             raise InvalidConfig(f"need n >= 2 and k >= 1, got n={self.n}, k={self.k}")
         # also rejects NaN and +-inf, before floor(n * eps) sizes the attack
@@ -92,9 +121,14 @@ class TrialCell:
             raise InvalidConfig(f"eps must lie in [0, 1/4), got {self.eps}")
         if self.p_family not in P_FAMILIES:
             raise InvalidConfig(f"unknown p family {self.p_family!r}")
+        if self.attack not in ATTACKS:
+            raise InvalidConfig(f"unknown attack {self.attack!r}")
 
     def estimator_config(self) -> EstimatorConfig:
         return EstimatorConfig(eps=self.eps, tau_threshold=self.tau_threshold)
+
+
+_CELL_TYPES = get_type_hints(TrialCell)
 
 
 @dataclass
@@ -109,32 +143,24 @@ class TrialResult:
     deleted_bad: int
     iterations: int
     final_tau: float
-    wall_time_ms: float
     alpha_exceeds_theory: bool = False
 
+    def _record(self) -> dict:
+        """The result's values in CSV_COLUMNS order, wall_ms 0."""
+        record = {name: getattr(self.cell, name) for name in CELL_COLUMNS}
+        record.update({name: getattr(self, name) for name in TRIAL_COLUMNS}, wall_ms=0)
+        return record
+
     def csv_row(self) -> list[str]:
-        c = self.cell
-        return [
-            str(c.n), str(c.k), str(c.d), format_float(c.alpha), format_float(c.eps),
-            c.attack, str(self.trial), str(self.seed),
-            format_float(self.l1_robust), format_float(self.l1_robust_norm),
-            format_float(self.l1_naive),
-            str(self.deleted_good), str(self.deleted_bad), str(self.iterations),
-            format_float(self.final_tau), "0",
-        ]
+        return [format_float(v) if isinstance(v, float) else str(v)
+                for v in self._record().values()]
 
     def to_json_dict(self) -> dict:
-        c = self.cell
-        return {
-            "n": c.n, "k": c.k, "d": c.d, "alpha": c.alpha, "eps": c.eps,
-            "attack": c.attack, "trial": self.trial, "seed": self.seed,
-            "l1_robust": self.l1_robust, "l1_robust_norm": self.l1_robust_norm,
-            "l1_naive": self.l1_naive, "deleted_good": self.deleted_good,
-            "deleted_bad": self.deleted_bad, "iterations": self.iterations,
-            "final_tau": None if math.isnan(self.final_tau) else self.final_tau,
-            "wall_ms": 0,
-            "alpha_exceeds_theory": self.alpha_exceeds_theory,
-        }
+        record = self._record()
+        if math.isnan(record["final_tau"]):
+            record["final_tau"] = None
+        record["alpha_exceeds_theory"] = self.alpha_exceeds_theory
+        return record
 
 
 def sample_p(family: str, d: int, rng: RngSeed) -> ProbVector:
@@ -227,10 +253,8 @@ def run_trial(cell: TrialCell, trial: int, master_seed: int) -> TrialResult:
         attack = resolve_attack(cell, p, ch) if cell.eps > 0.0 else None
     coll = build_collection(cell, p, attack, ch, base.child(2))
 
-    t0 = time.monotonic()
     robust = robust_estimate(coll, cell.estimator_config(), ch, base.child(3))
     naive = naive_estimate(coll, ch)
-    wall_ms = (time.monotonic() - t0) * 1e3
 
     deleted = robust.deleted_indices()
     if coll.truth is not None and deleted.size:
@@ -244,7 +268,6 @@ def run_trial(cell: TrialCell, trial: int, master_seed: int) -> TrialResult:
         l1_naive=l1_dist(naive.phat, p.weights),
         deleted_good=int(deleted.size - bad), deleted_bad=bad,
         iterations=robust.iterations, final_tau=robust.final_tau,
-        wall_time_ms=wall_ms,
         alpha_exceeds_theory=ch.exceeds_theory_range,
     )
 
@@ -261,65 +284,68 @@ def hash_cell(cell: TrialCell) -> int:
     return int.from_bytes(hashlib.sha256(payload.encode()).digest()[:6], "big")
 
 
+def _grid_of(kind):
+    """Conversion of a grid: a tuple of its values, each converted by kind."""
+    return lambda values: tuple(map(kind, values))
+
+
 @dataclass(frozen=True)
 class SweepConfig:
+    """The cells of the cross product of the grids, each run `trials` times.
+
+    The fields besides the grids, trials and seed are shared by every cell,
+    with TrialCell's defaults.  Construction converts every value and builds
+    the cells, so a value that does not convert or that a cell rejects raises
+    InvalidConfig before any trial runs.
+    """
+
     n_grid: tuple
     k_grid: tuple
     d_grid: tuple
     alpha_grid: tuple
     eps_grid: tuple
-    attack: str = "all_ones"
+    attack: str = TrialCell.attack
     attack_params: dict = field(default_factory=dict)
     trials: int = 1
     seed: int = 0
-    p_family: str = "dirichlet"
-    tau_threshold: float = DESK_TAU_THRESHOLD
+    p_family: str = TrialCell.p_family
+    tau_threshold: float = TrialCell.tau_threshold
+    _cells: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("n_grid", "k_grid", "d_grid", "alpha_grid", "eps_grid"):
-            grid = getattr(self, name)
-            if len(tuple(grid)) == 0:
-                raise InvalidConfig(f"{name} must be nonempty")
-            object.__setattr__(self, name, tuple(grid))
+        kinds = {"trials": int, "seed": int}
+        for name, kind in _CELL_TYPES.items():
+            if name in GRID_AXES:
+                kinds[f"{name}_grid"] = _grid_of(kind)
+            else:
+                kinds[name] = kind
+        _convert(self, kinds)
+        grids = [getattr(self, f"{axis}_grid") for axis in GRID_AXES]
+        for axis, grid in zip(GRID_AXES, grids):
+            if not grid:
+                raise InvalidConfig(f"{axis}_grid must be nonempty")
         if self.trials < 1:
             raise InvalidConfig("trials must be >= 1")
+        shared = {name: getattr(self, name) for name in _CELL_TYPES if name not in GRID_AXES}
+        object.__setattr__(self, "_cells", tuple(
+            TrialCell(**dict(zip(GRID_AXES, values)), **shared)
+            for values in itertools.product(*grids)))
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
-        """Parse a JSON sweep config; malformed text or fields raise InvalidConfig."""
+        """Parse a JSON sweep config; malformed text, a key that is not a field,
+        a missing grid or a bad value raises InvalidConfig."""
         try:
             raw = json.loads(text)
-            if not isinstance(raw, dict):
-                raise TypeError("top level must be a JSON object")
-            kwargs = dict(
-                n_grid=tuple(raw["n_grid"]), k_grid=tuple(raw["k_grid"]),
-                d_grid=tuple(raw["d_grid"]), alpha_grid=tuple(raw["alpha_grid"]),
-                eps_grid=tuple(raw["eps_grid"]),
-                attack=raw.get("attack", "all_ones"),
-                attack_params=dict(raw.get("attack_params", {})),
-                trials=int(raw.get("trials", 1)), seed=int(raw.get("seed", 0)),
-                p_family=raw.get("p_family", "dirichlet"),
-                tau_threshold=float(raw.get("tau_threshold", DESK_TAU_THRESHOLD)),
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise InvalidConfig(f"malformed sweep config: {exc!r}") from exc
-        return cls(**kwargs)
+        except ValueError as exc:
+            raise InvalidConfig(f"sweep config is not valid JSON: {exc}") from exc
+        try:
+            return cls(**raw)
+        except TypeError as exc:  # not an object, a key that is no field, or a missing grid
+            raise InvalidConfig(f"malformed sweep config: {exc}") from exc
 
     def cells(self) -> list[TrialCell]:
-        out = []
-        for n in self.n_grid:
-            for k in self.k_grid:
-                for d in self.d_grid:
-                    for alpha in self.alpha_grid:
-                        for eps in self.eps_grid:
-                            out.append(TrialCell(
-                                n=int(n), k=int(k), d=int(d), alpha=float(alpha),
-                                eps=float(eps), attack=self.attack,
-                                attack_params=dict(self.attack_params),
-                                p_family=self.p_family,
-                                tau_threshold=self.tau_threshold,
-                            ))
-        return out
+        return list(self._cells)
 
 
 def _run_job(args) -> TrialResult:
@@ -443,7 +469,7 @@ def rate_fit(csv_path, axis: str) -> RateFitReport:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise InsufficientData("empty csv")
-    others = [c for c in ("n", "k", "d", "alpha", "eps", "attack") if c != axis]
+    others = [c for c in CELL_COLUMNS if c != axis]
     fixed = {c: rows[0][c] for c in others}
     for row in rows:
         for c in others:

@@ -78,7 +78,7 @@ class ProbVector:
         if np.any(w < -INVARIANT_TOL):
             raise NegativeMass("negative probability mass")
         s = float(w.sum())
-        if abs(s - 1.0) > INVARIANT_TOL:
+        if not abs(s - 1.0) <= INVARIANT_TOL:  # also a NaN sum
             raise NotNormalized(f"weights sum to {s}, not 1")
         w = w.copy()
         w.flags.writeable = False
@@ -88,15 +88,12 @@ class ProbVector:
     def d(self) -> int:
         return int(self.weights.size)
 
-    def mass(self, mask: np.ndarray) -> float:
-        return subset_mass(self.weights, mask)
-
 
 def make_prob_vector(weights) -> ProbVector:
     """Validate, clamp tiny negatives at 0 and renormalize a raw weight vector.
 
     Raises NegativeMass for entries below -1e-12, NotNormalized when the sum is
-    more than 1e-9 away from 1, TooSmallAlphabet for fewer than 3 entries.
+    more than 1e-9 away from 1 or NaN, TooSmallAlphabet for fewer than 3 entries.
     """
     w = _as_float_array(weights, "weights")
     if w.size < 3:
@@ -104,7 +101,7 @@ def make_prob_vector(weights) -> ProbVector:
     if np.any(w < -INVARIANT_TOL):
         raise NegativeMass(f"entry below -{INVARIANT_TOL}")
     s = float(w.sum())
-    if abs(s - 1.0) > CONSTRUCTION_TOL:
+    if not abs(s - 1.0) <= CONSTRUCTION_TOL:
         raise NotNormalized(f"weights sum to {s}")
     w = np.clip(w, 0.0, None)
     w = w / w.sum()
@@ -128,7 +125,7 @@ class FiniteDist:
         if np.any(m < -INVARIANT_TOL):
             raise NegativeMass("negative outcome mass")
         s = float(m.sum())
-        if abs(s - 1.0) > CONSTRUCTION_TOL:
+        if not abs(s - 1.0) <= CONSTRUCTION_TOL:  # also a NaN sum
             raise NotNormalized(f"masses sum to {s}")
         m = np.clip(m, 0.0, None)
         m = m / m.sum()

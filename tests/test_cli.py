@@ -169,6 +169,7 @@ class TestUsageErrors:
 class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ["simulate", "--attack", "nope"],
+        ["simulate", "--attack", "foo", "--eps", 0],
         ["simulate", "--eps", 0.3],
         ["simulate", "--d", 2],
         ["sdp-check", "--d", 30, "--instances", 1],
@@ -200,8 +201,8 @@ class TestExitCodes:
         ["simulate", "--attack", "hard_pair_swap", "--d", 128],
         *([command, "--threads", -1] for command in
           ("simulate", "sdp-check", "lowerbound", "mixture-check", "assouad")),
-    ], ids=["unknown-attack", "eps-too-large", "d-too-small", "sdp-d-too-large",
-            "no-instances", "hard-pair-alpha", "hard-pair-d", "lowerbound-d",
+    ], ids=["unknown-attack", "unknown-attack-eps-zero", "eps-too-large", "d-too-small",
+            "sdp-d-too-large", "no-instances", "hard-pair-alpha", "hard-pair-d", "lowerbound-d",
             "lowerbound-eps-underflow", "mixture-eps-underflow", "tau-threshold-zero", "n-one", "k-zero", "negative-seed", "negative-trial",
             "eps-nan", "eps-inf", "assouad-c-gamma", "assouad-n-zero", "assouad-alpha-zero",
             "assouad-alpha-inf", "assouad-alpha-nan", "lowerbound-k-zero", "mixture-k-zero",
@@ -233,10 +234,20 @@ class TestExitCodes:
               ("targeted_subset", "magnitude", "abc"), ("swap_mix", "mix", "abc"),
               ("targeted_subset", "subset_size", "abc"), ("targeted_subset", "direction", "abc"),
               ("swap_mix", "mix", -0.5), ("targeted_subset", "subset_size", 0)]),
+        *(json.dumps({"n_grid": [40], "k_grid": [5], "d_grid": [4], "alpha_grid": [1.0],
+                      "eps_grid": [0.0], **fields})
+          for fields in [{"n_grid": ["a"]}, {"alpha_grid": ["x"]}, {"trails": 20},
+                         {"attack": "foo"}]),
+        '{"n_grid": [1e400], "k_grid": [5], "d_grid": [4], "alpha_grid": [1.0], '
+        '"eps_grid": [0.0]}',
+        '{"n_grid": [40], "k_grid": [5], "d_grid": [4], "alpha_grid": [1.0], '
+        '"eps_grid": [0.0], "trials": 1e400}',
     ], ids=["empty-grid", "zero-trials", "malformed-json", "missing-grid",
             "not-an-object", "n-one", "unknown-family", "magnitude-not-a-number",
             "mix-not-a-number", "subset-size-not-a-number", "direction-not-a-number",
-            "mix-negative", "subset-size-zero"])
+            "mix-negative", "subset-size-zero", "grid-not-a-number",
+            "alpha-grid-not-a-number", "unknown-key", "unknown-attack-eps-zero",
+            "grid-overflow", "trials-overflow"])
     def test_bad_sweep_config_exits_1(self, text, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)

@@ -670,12 +670,6 @@ class TestDowndatedStatistics:
             assert np.array_equal(sums.mean(), collection_mean(counts[keep], k))
             assert np.array_equal(sums.cov(), empirical_cov(counts[keep], k))
 
-    def test_sums_must_match_rows(self, ch):
-        counts = np.random.default_rng(2).integers(0, 21, size=(50, ch.d))
-        sums = ExactSums.of(counts[:49], 20)
-        with pytest.raises(LengthMismatch):
-            score_collection(counts, EstimatorConfig(eps=0.05), ch, RngSeed(0), k=20, sums=sums)
-
     @pytest.mark.parametrize("n, k, d, attack, eps, tau_threshold, special_gap", [
         (1000, 20, 128, "targeted_subset", 0.05, DESK_TAU_THRESHOLD, None),
         (2000, 50, 5, "all_ones", 0.1, DESK_TAU_THRESHOLD, 0.35),

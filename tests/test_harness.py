@@ -61,6 +61,10 @@ class TestRunTrial:
         res = run_trial(cell, 0, 13)
         assert res.deleted_good + res.deleted_bad <= 200
 
+    def test_identical_trials_compare_equal(self):
+        cell = TrialCell(n=120, k=10, d=4, alpha=1.0, eps=0.05)
+        assert run_trial(cell, 3, 7) == run_trial(cell, 3, 7)
+
     @pytest.mark.parametrize("trial, seed", [(-1, 0), (0, -1)])
     def test_negative_trial_or_seed_rejected(self, trial, seed):
         cell = TrialCell(n=100, k=10, d=4, alpha=1.0, eps=0.0)
@@ -72,7 +76,8 @@ class TestTrialCell:
     @pytest.mark.parametrize("kw", [dict(n=1), dict(n=0), dict(k=0),
                                     dict(p_family="nope"), dict(eps=0.25), dict(eps=-0.01),
                                     dict(eps=math.nan), dict(eps=math.inf),
-                                    dict(eps=-math.inf)])
+                                    dict(eps=-math.inf), dict(attack="nope"),
+                                    dict(n="a"), dict(n=math.inf), dict(attack_params=5)])
     def test_rejects_out_of_range_settings(self, kw):
         base = dict(n=100, k=10, d=4, alpha=1.0, eps=0.0)
         base.update(kw)
@@ -114,6 +119,8 @@ class TestSweep:
         '"alpha_grid": [1.0], "eps_grid": [0.1]}',
         '{"n_grid": [10], "k_grid": [5], "d_grid": [4], "alpha_grid": [1.0], '
         '"eps_grid": [0.1], "trials": "many"}',
+        '{"n_grid": [10], "k_grid": [5], "d_grid": [4], "alpha_grid": [1.0], '
+        '"eps_grid": [0.1], "trails": 20}',
     ])
     def test_malformed_json_is_input_error(self, text):
         with pytest.raises(InvalidConfig) as exc:
@@ -294,8 +301,9 @@ class TestRuntimeSanity:
     def test_trial_wall_time_at_d16(self):
         cell = TrialCell(n=2000, k=50, d=16, alpha=1.0, eps=0.05,
                          attack="all_ones")
-        res = run_trial(cell, 0, 17)
-        assert res.wall_time_ms <= 60_000
+        t0 = time.monotonic()
+        run_trial(cell, 0, 17)
+        assert time.monotonic() - t0 <= 60.0
 
     def test_trial_memory_at_d128(self):
         # counts are held at one byte from the sampler to the scores, so the

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ldprobust import (
     BatchCollection,
     FiniteDist,
+    ProbVector,
     RapporChannel,
     RngSeed,
     check_nice_properties,
@@ -48,6 +49,14 @@ class TestMakeProbVector:
     def test_negative_mass(self):
         with pytest.raises(NegativeMass):
             make_prob_vector([0.5, 0.6, -0.1])
+
+    @pytest.mark.parametrize("build", [
+        make_prob_vector, ProbVector, lambda w: FiniteDist(("a", "b", "c"), w),
+    ], ids=["make_prob_vector", "ProbVector", "FiniteDist"])
+    def test_nan_entry_not_normalized(self, build):
+        # a NaN sum compares False with any tolerance; it must not pass for 1
+        with pytest.raises(NotNormalized):
+            build(np.array([0.5, math.nan, 0.5]))
 
     def test_small_alphabet(self):
         with pytest.raises(TooSmallAlphabet):
