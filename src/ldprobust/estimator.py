@@ -22,14 +22,18 @@ The stop is decided before any row is read.  In sdp mode two proofs that the
 Gram maximum lies below the threshold come first, an O(d^2) l1 bound and one
 d x d Cholesky (gram.upper_bound_below); only when neither passes is the Gram
 program solved, and only as far as the decision needs (gram._loop_solve): one
-start ascended to a loose tolerance whose value reaches the threshold shows
-that the loop goes on and supplies the factors to score with, and only below
-the threshold is the full, certified solve run.  So a stopping iteration
-reads no row and scores nothing, every stop rests on a proof or a certified
-solve, and only an iteration that deletes gathers the survivors and scores
-them.  The Gram solution M* = U V^T has rank r = ceil(2 sqrt(d)) + 1, and each
-row's score (c^T U) . (c^T V) comes from one product with the d x 2r factors,
-O(m d r).
+start at the small rank gram.LOOP_RANK, ascended to a loose tolerance, whose
+value reaches the threshold shows that the loop goes on and supplies the
+factors to score with, and only below the threshold is the full, certified
+solve run.  So a stopping iteration reads no row and scores nothing, every
+stop rests on a proof or a certified solve, and only an iteration that
+deletes gathers the survivors and scores them.  Each row's score
+(c^T U) . (c^T V) comes from one product with the d x 2r factors of
+M* = U V^T, O(m d r): r = min(LOOP_RANK, ceil(2 sqrt(d)) + 1) for a kept
+ascent, 4 at any d >= 2, and the full solve's ceil(2 sqrt(d)) + 1, 24 at
+d = 128, for the rare iteration whose full solve does not stop.  The loop's
+own d x d matrices are symmetric and finite by construction and are not
+checked again.
 
 Memory per pass: the row passes read the counts in blocks and allocate no
 block-sized temporary.  The scores are centred and projected in float64
@@ -60,7 +64,7 @@ from .errors import (
     InvalidConfig,
     TooFewBatches,
 )
-from .gram import GramSolution, _loop_solve, _rank, gram_maximize, upper_bound_below
+from .gram import GramSolution, _loop_solve, _rank, _upper_bound_below, gram_maximize
 from .prob import RngSeed
 
 #: Loop threshold on sqrt(tau) matching the termination constant of the
@@ -278,9 +282,10 @@ class ExactSums:
         if c.shape[0] < 2:
             raise TooFewBatches("need at least two batch rows")
         n, k = c.shape[0], int(k)
-        c = checked_counts(c, k)
+        # the O(1) bounds before the O(n d) range scan
         if n * k * k >= 2 ** 53 or n * k >= 3 * 10 ** 9:
             raise InexactStatistics(f"n={n}, k={k} exceed the exact-statistics bounds")
+        c = checked_counts(c, k)
         return cls(n=n, k=k, s1=c.sum(axis=0, dtype=np.int64), s2=_second_moment(c, k))
 
     def without(self, rows) -> ExactSums:
@@ -313,14 +318,25 @@ def model_cov(qhat, k: int, lam: float) -> np.ndarray:
     """Covariance of a clean batch mean when the response mean is qhat.
 
     k * C(q) = -(lam*1 - q)(lam*1 - q)^T + lam*(1-lam)*I - (1-2*lam)*Diag(lam*1 - q)
+
+    Built in the one d x d array, with the bits of the formula evaluated left
+    to right on dense I and Diag, zero signs included.
     """
     if k < 1:
         raise InvalidArgument(f"k must be >= 1, got {k}")
     q = np.asarray(qhat, dtype=np.float64).ravel()
     delta = lam - q
-    kc = -np.outer(delta, delta) + lam * (1.0 - lam) * np.eye(q.size) \
-        - (1.0 - 2.0 * lam) * np.diag(delta)
-    return kc / k
+    a, b = lam * (1.0 - lam), 1.0 - 2.0 * lam
+    kc = np.outer(-delta, delta)
+    diag = kc.reshape(-1)[::q.size + 1]
+    on_diag = (diag + a) - b * delta
+    # off the diagonal I and Diag add a * 0 and subtract b * 0, which can
+    # only change the sign of a zero
+    kc += a * 0.0
+    kc -= b * 0.0
+    diag[:] = on_diag
+    kc /= k
+    return kc
 
 
 def build_cov_bundle(sums: ExactSums, lam: float) -> CovBundle:
@@ -328,8 +344,8 @@ def build_cov_bundle(sums: ExactSums, lam: float) -> CovBundle:
     empirical minus the model covariance at that mean; O(d^2), reads no row."""
     qhat_col = sums.mean()
     chat = sums.cov()
-    return CovBundle(qhat_col=qhat_col, chat=chat,
-                     dmat=chat - model_cov(qhat_col, sums.k, lam))
+    dmat = model_cov(qhat_col, sums.k, lam)
+    return CovBundle(qhat_col=qhat_col, chat=chat, dmat=np.subtract(chat, dmat, out=dmat))
 
 
 def canonical_order(counts, k: int) -> np.ndarray:
@@ -398,7 +414,8 @@ def _special_scores(counts: np.ndarray, s_star: np.ndarray, k: int, lam: float) 
 
 def _score_scratch(counts: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
     """Float64 arrays (centred, proj) of shapes (rows, d) and (rows, 2 rank) that
-    _sdp_scores writes each block into, for counts or any selection of their rows."""
+    _sdp_scores writes each block into, for counts or any selection of their
+    rows, and factors of rank at most rank."""
     rows = _block_rows(counts)
     return np.empty((rows, counts.shape[1])), np.empty((rows, 2 * rank))
 
@@ -408,7 +425,9 @@ def _sdp_scores(counts: np.ndarray, sums: ExactSums, sol: GramSolution, k: int,
     """Each row's |c_b^T M* c_b| for its centred mean c_b, from the rank-r factors.
 
     Blocks are centred and projected in scratch (see _score_scratch), made for
-    the call when not passed, so no block allocates its own temporaries.
+    the call when not passed, so no block allocates its own temporaries.  A
+    scratch made for a larger rank is used through its first (rows, 2r)
+    entries, a contiguous array, so the scores do not depend on the scratch.
     """
     # c^T U V^T c = (c^T U) . (c^T V): one (rows, 2r) product per block.  Rows
     # are centred in count units (counts - S1/n, which is k c) by casting the
@@ -417,12 +436,13 @@ def _sdp_scores(counts: np.ndarray, sums: ExactSums, sol: GramSolution, k: int,
     # count centres to exactly zero; the k^2 is divided out at the end.
     r = sol.rank
     centred, proj = _score_scratch(counts, r) if scratch is None else scratch
+    proj = proj.reshape(-1)
     scores = np.empty(counts.shape[0], dtype=np.float64)
     factors = np.hstack([sol.u_factors, sol.v_factors])
     mean_count = sums.s1 / float(sums.n)
     for start, block in _row_blocks(counts):
         rows = block.shape[0]
-        c, p = centred[:rows], proj[:rows]
+        c, p = centred[:rows], proj[:rows * 2 * r].reshape(rows, 2 * r)
         np.copyto(c, block)
         c -= mean_count
         np.matmul(c, factors, out=p)
@@ -572,14 +592,14 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
     cheap proof that the Gram maximum lies below limit = tau_threshold^2 *
     rate_unit (gram.upper_bound_below), which needs no solve, and otherwise
     by the in-loop solve (gram._loop_solve) with the draws of
-    rng.child(4, iteration): one start ascended until a sweep gains at most
-    LOOP_TOL, kept when its value reaches limit, which proves the loop does
-    not stop, and otherwise the full gram_maximize, whose value stops the
-    loop when sqrt(tau) falls below the threshold.  An iteration that does
-    not stop scores the survivors, takes the floor(eps * n) rows with top
-    scores (ties to the lower canonical rank, the rank in lexicographic
-    order of count rows) and runs the randomized deletion on that pool, its
-    clocks assigned in canonical order.  When floor(eps * n) = 0, as at
+    rng.child(4, iteration): one start at rank gram.LOOP_RANK ascended until
+    a sweep gains at most LOOP_TOL, kept when its value reaches limit, which
+    proves the loop does not stop, and otherwise the full gram_maximize,
+    whose value stops the loop when sqrt(tau) falls below the threshold.
+    An iteration that does not stop scores the survivors, takes the
+    floor(eps * n) rows with top scores (ties to the lower canonical rank,
+    the rank in lexicographic order of count rows) and runs the randomized
+    deletion on that pool, its clocks assigned in canonical order.  When floor(eps * n) = 0, as at
     eps = 0, no row can be adversarial, and the result equals
     naive_estimate exactly.  Every
     iteration that does not stop deletes at least one row, so the loop ends;
@@ -592,8 +612,8 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
     rule on the solve's value alone; only the stopping record differs, with
     tau = bound / rate_unit, gram_value None, gram_upper the bound and
     certified_by the proof ("l1" or "uniform-dual").  Deletions after an
-    ascent are scored from its less polished factors, so they can differ
-    from those the full solve's factors would give.
+    ascent are scored from its less polished, lower-rank factors, so they
+    can differ from those the full solve's factors would give.
 
     The exact sums S1 and S2 of all rows are computed once, before the first
     iteration, so InexactStatistics is raised there, from the full n.  They
@@ -614,7 +634,9 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
     canonical = canonical_order(counts, k)
     # survivors are gathered into one buffer of the counts' width, and scored
     # in float64 scratch of one block, all reused by every iteration, so no
-    # iteration or block allocates an (m, d) or block-sized array
+    # iteration or block allocates an (m, d) or block-sized array; the scratch
+    # holds the full solve's rank, at which an iteration that falls back to
+    # the full solve and does not stop scores
     work = np.empty(counts.shape, dtype=counts.dtype)
     scratch = _score_scratch(counts, _rank(ch.d))
     surviving = np.ones(n, dtype=bool)
@@ -639,7 +661,7 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
         s_star = _special_mask(sums, ch.lam)
         if s_star is None:
             dmat = build_cov_bundle(sums, ch.lam).dmat
-            proved = upper_bound_below(dmat, limit)
+            proved = _upper_bound_below(dmat, limit)
             if proved is not None and _stops(proved[0] / unit, cfg):
                 record.update(mode="sdp", tau=proved[0] / unit, gram_upper=proved[0],
                               certified_by=proved[1])

@@ -38,10 +38,15 @@ upper_bound_below tries two proofs before any solve: sum |A_ij|, and the
 uniform dual y = c 1, feasible when d ||A||_2 <= sum(y), decided by the same
 shifted Cholesky at t = 0.  Where neither proof passes, the filter solves
 for factors to score rows with, and the bound matters only if the loop might
-stop.  _loop_solve ascends one start to the looser LOOP_TOL; a value at or
-above the limit is itself the proof that the loop goes on, and its factors
-are kept with the l1 sum as their bound.  Below the limit it runs the full,
-certified gram_maximize.
+stop.  _loop_solve ascends one start at the small rank LOOP_RANK to the
+looser LOOP_TOL; a value at or above the limit is itself the proof that the
+loop goes on, and its factors are kept with the l1 sum as their bound.  The
+scores need them only to within a constant factor, and for unit-row
+Grothendieck-type programs every local maximum at rank k is within a factor
+1 - O(1/k) of the optimum (Mei, Misiakiewicz, Montanari & Oliveira 2017).
+Below the limit it runs the full, certified gram_maximize.  The loop's
+matrices are symmetric and finite by construction, so _upper_bound_below
+and _loop_solve do not check them again; the public functions do.
 
 The subset side is exact: subset_bilinear_max enumerates all 2^d masks S for
 d <= MAX_ENUM_D, with the sums A 1_S built by a doubling table of elementwise
@@ -85,8 +90,9 @@ _GAP_FLOOR = np.finfo(np.float64).tiny
 #: or after MAX_SWEEPS sweeps.
 SWEEP_TOL = 1e-8
 MAX_SWEEPS = 500
-#: The sweep tolerance of the filter's in-loop ascent (see _loop_solve).
+#: The sweep tolerance and the rank of the filter's in-loop ascent (see _loop_solve).
 LOOP_TOL = 1e-3
+LOOP_RANK = 4
 #: Cap on the random starts of one solve.
 MAX_RESTARTS = 16
 #: Tolerance of both sides of the sandwich, relative to the Frobenius norm of A.
@@ -431,7 +437,11 @@ def upper_bound_below(A, limit: float) -> tuple[float, str] | None:
     when A's heaviest row x already shows ||A x|| >= (limit / d) ||x||, so
     that ||A||_2 >= limit / d and the uniform dual cannot be feasible.
     """
-    A = check_symmetric(A)
+    return _upper_bound_below(check_symmetric(A), limit)
+
+
+def _upper_bound_below(A: np.ndarray, limit: float) -> tuple[float, str] | None:
+    """upper_bound_below of an A that check_symmetric has already returned."""
     d = A.shape[0]
     abs_a = np.abs(A)
     l1 = _sum_rounded_up(abs_a.ravel(), 0.0)
@@ -518,7 +528,7 @@ def _gram_maximize(A: np.ndarray, rng: RngSeed | None) -> GramSolution:
     upper = math.inf
     certified_by = "eigvalsh"
     for r in range(MAX_RESTARTS):
-        U, V = _random_start(rng.generator(r), A.shape[0])
+        U, V = _random_start(rng.generator(r), A.shape[0], _rank(A.shape[0]))
         value, U, V, history, AU = _ascend(A, U, V)
         if best is None or value > best[0]:
             best = (value, U, V, history)
@@ -551,34 +561,33 @@ def _e(r: int, i: int) -> np.ndarray:
     return v
 
 
-def _random_start(gen: np.random.Generator, d: int):
-    """Unit-row factors (U, V) at the solver's rank from two standard normal
-    draws of gen, U's first; a row drawn as zero becomes e_0."""
-    rank = _rank(d)
+def _random_start(gen: np.random.Generator, d: int, rank: int):
+    """Unit-row (d, rank) factors (U, V) from two standard normal draws of gen,
+    U's first; a row drawn as zero becomes e_0."""
     fallback = np.tile(_e(rank, 0), (d, 1))
     U = _normalize_rows(gen.standard_normal((d, rank)), fallback)
     V = _normalize_rows(gen.standard_normal((d, rank)), fallback)
     return U, V
 
 
-def _loop_solve(A, limit: float, rng: RngSeed) -> GramSolution:
+def _loop_solve(A: np.ndarray, limit: float, rng: RngSeed) -> GramSolution:
     """The Gram solve of robust_estimate's loop, run only as far as the loop's
-    decision needs.
+    decision needs, for an A that is symmetric and finite (it is not checked).
 
-    Restart 0 of gram_maximize(A, rng) ascends until a full sweep gains at
-    most LOOP_TOL, in place of SWEEP_TOL.  Its value is feasible, so a value
-    at or above limit shows that the maximum reaches limit: the loop must
-    not stop, and these factors, which the scores need only to within a
-    constant factor, are returned as they stand.  Their upper bound is the
-    l1 sum sum |A_ij| rounded upward (at least the value), certified_by
-    "l1", restarts_used 1, and the history the start of restart 0's in
-    gram_maximize.  Below limit the result is gram_maximize(A, rng), so a
-    stop rests on a certified solve.  A is scaled into the solver's band as
-    in gram_maximize.
+    One start, drawn from rng.generator(0) at rank min(LOOP_RANK, _rank(d)),
+    ascends until a full sweep gains at most LOOP_TOL.  Its value is
+    feasible, so a value at or above limit shows that the maximum reaches
+    limit: the loop must not stop, and these factors, which the scores need
+    only to within a constant factor, are returned as they stand.  Their
+    upper bound is the l1 sum sum |A_ij| rounded upward (at least the
+    value), certified_by "l1", restarts_used 1, and the history the
+    ascent's.  Below limit the result is gram_maximize(A, rng), at the full
+    rank, so a stop rests on a certified solve.  A is scaled into the
+    solver's band as in gram_maximize.
     """
-    A = check_symmetric(A)
+    d = A.shape[0]
     scale = _band_exponent(A)
-    U, V = _random_start(rng.generator(0), A.shape[0])
+    U, V = _random_start(rng.generator(0), d, min(LOOP_RANK, _rank(d)))
     value, U, V, history, _ = _ascend(np.ldexp(A, -scale) if scale else A, U, V, tol=LOOP_TOL)
     value = math.ldexp(value, scale)
     if not value >= limit:

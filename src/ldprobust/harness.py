@@ -80,6 +80,15 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _whole(value) -> int:
+    """int(value) for a whole number; a float with a fraction, which int()
+    would truncate, raises ValueError."""
+    number = int(value)
+    if isinstance(value, float) and number != value:
+        raise ValueError(f"{value!r} is not a whole number")
+    return number
+
+
 def _convert(obj, kinds: dict) -> None:
     """Replace each named field of a frozen dataclass by kinds[name](value).
 
@@ -97,9 +106,10 @@ def _convert(obj, kinds: dict) -> None:
 class TrialCell:
     """One experiment cell: the fields, defaults and valid values of a trial.
 
-    Each field is converted to its annotated type.  A value that does not
-    convert, n below 2, k below 1, eps outside [0, 1/4), or an attack or p
-    family not in ATTACKS or P_FAMILIES raises InvalidConfig.
+    Each field is converted to its annotated type, an integer field only
+    from a whole number.  A value that does not convert, n below 2, k below
+    1, eps outside [0, 1/4), or an attack or p family not in ATTACKS or
+    P_FAMILIES raises InvalidConfig.
     """
 
     n: int
@@ -128,7 +138,9 @@ class TrialCell:
         return EstimatorConfig(eps=self.eps, tau_threshold=self.tau_threshold)
 
 
-_CELL_TYPES = get_type_hints(TrialCell)
+# each field's conversion: its annotated type, an int field by _whole
+_CELL_TYPES = {name: _whole if kind is int else kind
+               for name, kind in get_type_hints(TrialCell).items()}
 
 
 @dataclass
@@ -285,8 +297,14 @@ def hash_cell(cell: TrialCell) -> int:
 
 
 def _grid_of(kind):
-    """Conversion of a grid: a tuple of its values, each converted by kind."""
-    return lambda values: tuple(map(kind, values))
+    """Conversion of a grid: a tuple of its values, each converted by kind.  A
+    string is not a grid of its characters, nor a mapping of its keys: either
+    raises TypeError."""
+    def convert(values):
+        if isinstance(values, (str, bytes, dict)):
+            raise TypeError("a grid is a list of values")
+        return tuple(map(kind, values))
+    return convert
 
 
 @dataclass(frozen=True)
@@ -313,7 +331,7 @@ class SweepConfig:
     _cells: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kinds = {"trials": int, "seed": int}
+        kinds = {"trials": _whole, "seed": _whole}
         for name, kind in _CELL_TYPES.items():
             if name in GRID_AXES:
                 kinds[f"{name}_grid"] = _grid_of(kind)
@@ -337,7 +355,7 @@ class SweepConfig:
         a missing grid or a bad value raises InvalidConfig."""
         try:
             raw = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise InvalidConfig(f"sweep config is not valid JSON: {exc}") from exc
         try:
             return cls(**raw)

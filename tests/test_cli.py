@@ -242,12 +242,18 @@ class TestExitCodes:
         '"eps_grid": [0.0]}',
         '{"n_grid": [40], "k_grid": [5], "d_grid": [4], "alpha_grid": [1.0], '
         '"eps_grid": [0.0], "trials": 1e400}',
+        *(json.dumps({"n_grid": [40], "k_grid": [5], "d_grid": [4], "alpha_grid": [1.0],
+                      "eps_grid": [0.0], **fields})
+          for fields in [{"n_grid": "45"}, {"n_grid": {"40": 1}}, {"n_grid": [40.7]},
+                         {"trials": 2.9}]),
+        "[" * 200_000,
     ], ids=["empty-grid", "zero-trials", "malformed-json", "missing-grid",
             "not-an-object", "n-one", "unknown-family", "magnitude-not-a-number",
             "mix-not-a-number", "subset-size-not-a-number", "direction-not-a-number",
             "mix-negative", "subset-size-zero", "grid-not-a-number",
             "alpha-grid-not-a-number", "unknown-key", "unknown-attack-eps-zero",
-            "grid-overflow", "trials-overflow"])
+            "grid-overflow", "trials-overflow", "string-grid", "mapping-grid", "grid-not-whole",
+            "trials-not-whole", "nested-too-deeply"])
     def test_bad_sweep_config_exits_1(self, text, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)

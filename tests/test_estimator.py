@@ -205,6 +205,19 @@ class TestModelCov:
         cm = model_cov(mean_response(ch, p), 3, ch.lam)
         assert np.abs(cm - cm.T).max() == 0.0
 
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 1.0, 1.7, -0.3])
+    def test_bits_of_the_dense_formula(self, lam):
+        # zeros of lam - q make zero products whose sign the dense I and Diag
+        # terms set; the bytes count the sign of every zero
+        gen = np.random.default_rng(5)
+        for d, k in [(1, 1), (2, 3), (5, 20), (17, 7)]:
+            q = gen.random(d)
+            q[:d // 2] = lam
+            delta = lam - q
+            dense = (-np.outer(delta, delta) + lam * (1.0 - lam) * np.eye(d)
+                     - (1.0 - 2.0 * lam) * np.diag(delta)) / k
+            assert model_cov(q, k, lam).tobytes() == dense.tobytes()
+
     def test_rejects_k_below_one(self, ch, p):
         with pytest.raises(InvalidArgument) as exc:
             model_cov(mean_response(ch, p), 0, ch.lam)
@@ -533,11 +546,9 @@ def trial_collection(n, k, d, attack, eps, seed):
     return build_collection(cell, target, attack_spec, ch, rng.child(2)), ch
 
 
-def reference_loop_solve(A, limit, rng):
-    """The filter's in-loop Gram solve as a plain loop: restart 0 of
-    gram_maximize ascends until a full sweep gains at most LOOP_TOL, and is
-    kept at value >= limit with the l1 sum as its bound; below limit the
-    solve is gram_maximize.  Returns (value, upper bound, certified_by, U, V).
+def reference_ascent(A, gen, tol):
+    """One start at rank min(4, ceil(2 sqrt(d)) + 1) drawn from gen, ascended
+    until a full sweep gains at most tol: (value, U, V, history).
 
     The rows are normalized with a fresh norm and quotient every half sweep,
     as in test_gram's _reference_gram_maximize; the loop's Gram inputs lie in
@@ -546,8 +557,7 @@ def reference_loop_solve(A, limit, rng):
     """
     assert gram_module._band_exponent(A) == 0
     d = A.shape[0]
-    rank = math.ceil(2.0 * math.sqrt(d)) + 1
-    gen = rng.generator(0)
+    rank = min(4, math.ceil(2.0 * math.sqrt(d)) + 1)
 
     def normalize(G):
         return G / np.sqrt(np.einsum("ij,ij->i", G, G))[:, None]
@@ -556,16 +566,30 @@ def reference_loop_solve(A, limit, rng):
     V = normalize(gen.standard_normal((d, rank)))
     AV = A @ V
     value = float(np.vdot(U, AV))
+    history = [value]
     for _ in range(gram_module.MAX_SWEEPS):
         U = normalize(AV)
+        history.append(float(np.vdot(U, AV)))
         AU = A @ U
         V = normalize(AU)
         new_value = float(np.vdot(V, AU))
-        converged = new_value - value <= gram_module.LOOP_TOL * max(1.0, abs(new_value))
+        history.append(new_value)
+        converged = new_value - value <= tol * max(1.0, abs(new_value))
         value = new_value
         if converged:
             break
         AV = A @ V
+    return value, U, V, history
+
+
+def reference_loop_solve(A, limit, rng):
+    """The filter's in-loop Gram solve as a plain loop: restart 0's draws at
+    rank min(4, ceil(2 sqrt(d)) + 1) ascend until a full sweep gains at most
+    LOOP_TOL, kept at value >= limit with the l1 sum as their bound; below
+    limit the solve is gram_maximize, at its full rank.  Returns (value,
+    upper bound, certified_by, U, V).
+    """
+    value, U, V, _ = reference_ascent(A, rng.generator(0), gram_module.LOOP_TOL)
     if value >= limit:
         upper = max(gram_module._sum_rounded_up(np.abs(A).ravel(), 0.0), value)
         return value, upper, "l1", U, V
@@ -1122,10 +1146,10 @@ class TestCertifiedStop:
         assert [record_tuple(rec) for rec in res.trace[:-1]] == ref_trace[:-1]
         unit = rate_unit(cfg.eps, d, k)
         limit = cfg.tau_threshold ** 2 * unit
-        ascents, prefixes = self.check_ascents(res.trace, ref_stats, limit, RngSeed(3))
+        ascents = self.check_ascents(res.trace, ref_stats, limit, RngSeed(3))
         # the two attacks that delete keep an ascent on every deleting iteration
         if attack in ("all_ones", "targeted_subset"):
-            assert ascents == res.iterations - 1 and prefixes >= 1
+            assert ascents == res.iterations - 1
         last = res.trace[-1]
         if last.gram_value is not None:
             assert record_tuple(last) == ref_trace[-1]
@@ -1147,26 +1171,25 @@ class TestCertifiedStop:
     @staticmethod
     def check_ascents(trace, stats, limit, rng):
         """Each ascent record's Gram input, solved again: the full solve agrees
-        that the loop goes on, a one-restart full solve continues the ascent,
-        and with no limit reachable the in-loop solve is the full solve."""
+        that the loop goes on, the same start ascended to SWEEP_TOL continues
+        the ascent, and with no limit reachable the in-loop solve is the full
+        solve.  Returns the number of ascents."""
         ascents = [(i, stats[i][3]) for i, rec in enumerate(trace) if rec.certified_by == "l1"
                    and rec.gram_value is not None]
-        prefixes = 0
         for i, A in ascents:
             sol = gram_module._loop_solve(A, limit, rng.child(4, i))
             full = gram_maximize(A, rng=rng.child(4, i))
             assert sol.value == trace[i].gram_value and sol.certified_by == "l1"
             assert full.value >= limit
-            if full.restarts_used == 1:
-                assert full.history[:len(sol.history)] == sol.history
-                prefixes += 1
+            longer = reference_ascent(A, rng.child(4, i).generator(0), gram_module.SWEEP_TOL)[3]
+            assert longer[:len(sol.history)] == sol.history
             never = gram_module._loop_solve(A, math.inf, rng.child(4, i))
             assert np.array_equal(never.u_factors, full.u_factors)
             assert np.array_equal(never.v_factors, full.v_factors)
             assert (never.value, never.upper_bound, never.restarts_used, never.certified_by,
                     never.history) == (full.value, full.upper_bound, full.restarts_used,
                                        full.certified_by, full.history)
-        return len(ascents), prefixes
+        return len(ascents)
 
     def test_panel_stops_by_both_proofs(self):
         proofs = set()
@@ -1194,7 +1217,7 @@ class TestCertifiedStop:
         coll, ch = trial_collection(2000, 50, 5, "all_ones", 0.05, seed=0)
         cfg = EstimatorConfig(eps=0.05, tau_threshold=DESK_TAU_THRESHOLD)
         proved = robust_estimate(coll, cfg, ch, RngSeed(3))
-        monkeypatch.setattr(estimator_module, "upper_bound_below", lambda A, limit: None)
+        monkeypatch.setattr(estimator_module, "_upper_bound_below", lambda A, limit: None)
         solves = count_solves(monkeypatch)
         passes = record_scoring_passes(monkeypatch)
         res = robust_estimate(coll, cfg, ch, RngSeed(3))
@@ -1211,12 +1234,43 @@ class TestCertifiedStop:
         # stop to a full solve
         coll, ch = trial_collection(2000, 50, 5, "all_ones", 0.05, seed=0)
         cfg = EstimatorConfig(eps=0.05, tau_threshold=DESK_TAU_THRESHOLD)
-        monkeypatch.setattr(estimator_module, "upper_bound_below", lambda A, limit: None)
+        monkeypatch.setattr(estimator_module, "_upper_bound_below", lambda A, limit: None)
         monkeypatch.setattr(estimator_module, "_stops", lambda tau, cfg: math.isfinite(tau))
+        solve, solutions = estimator_module._loop_solve, []
+        monkeypatch.setattr(estimator_module, "_loop_solve",
+                            lambda *args: solutions.append(solve(*args)) or solutions[-1])
         res = robust_estimate(coll, cfg, ch, RngSeed(3))
         assert res.iterations >= 2
         assert all(rec.certified_by == "l1" and rec.deleted for rec in res.trace[:-1])
         assert res.trace[-1].certified_by in CERTIFICATE_PATHS
+        # the kept ascents are at rank 4 and the stop rests on a solve at the
+        # full rank ceil(2 sqrt(5)) + 1 = 6
+        assert [sol.rank for sol in solutions] == [4] * (res.iterations - 1) + [6]
+
+    def test_fallback_that_goes_on_scores_through_the_shared_scratch(self, monkeypatch):
+        # at a threshold no ascent reaches every solve is the full one; the
+        # first is made not to stop, so its iteration scores at the full rank
+        # ceil(2 sqrt(128)) + 1 = 24 through the scratch the loop holds
+        coll, ch = trial_collection(1000, 20, 128, "targeted_subset", 0.05, seed=0)
+        cfg = EstimatorConfig(eps=0.05, tau_threshold=1e6)
+        monkeypatch.setattr(estimator_module, "_upper_bound_below", lambda A, limit: None)
+        stops, decided = estimator_module._stops, []
+        monkeypatch.setattr(estimator_module, "_stops",
+                            lambda tau, cfg: decided.append(tau) or (len(decided) > 1
+                                                                      and stops(tau, cfg)))
+        score, scored = estimator_module._sdp_scores, []
+
+        def recording(counts, sums, sol, k, scratch=None):
+            scores = score(counts, sums, sol, k, scratch=scratch)
+            alone = score(counts, sums, sol, k)
+            scored.append((sol.rank, scratch[1].shape[1], scores.tobytes() == alone.tobytes()))
+            return scores
+
+        monkeypatch.setattr(estimator_module, "_sdp_scores", recording)
+        res = robust_estimate(coll, cfg, ch, RngSeed(3))
+        assert [rec.certified_by in CERTIFICATE_PATHS for rec in res.trace] == [True, True]
+        assert res.trace[0].deleted and not res.trace[1].deleted
+        assert scored == [(24, 48, True)]
 
     @pytest.mark.parametrize("threshold", [1e200, math.inf])
     def test_huge_threshold_stops_at_once(self, ch, p, threshold):

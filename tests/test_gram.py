@@ -221,44 +221,60 @@ def _reference_normalize_rows(G, fallback):
     return out
 
 
+def _reference_scale(A):
+    """The e of the power of two just above max |A_ij| when that lies outside
+    [2^-256, 2^256], else 0."""
+    amax = float(np.abs(A).max())
+    if amax > 0.0 and not gram_module._SAFE_SCALE[0] <= amax <= gram_module._SAFE_SCALE[1]:
+        return math.frexp(amax)[1]
+    return 0
+
+
+def _reference_ascent(A, gen, rank, tol):
+    """One start of unit-row (d, rank) factors drawn from gen, ascended with a
+    fresh A @ V, a zero-norm test and a fresh quotient at every half sweep
+    until a full sweep gains at most tol.  Returns (value, U, V, history, AU)."""
+    d = A.shape[0]
+    normalize_rows = _reference_normalize_rows
+    fallback = np.tile(gram_module._e(rank, 0), (d, 1))
+    U = normalize_rows(gen.standard_normal((d, rank)), fallback)
+    V = normalize_rows(gen.standard_normal((d, rank)), fallback)
+    AV = A @ V
+    value = float(np.vdot(U, AV))
+    history = [value]
+    for _ in range(gram_module.MAX_SWEEPS):
+        U = normalize_rows(AV, U)
+        history.append(float(np.vdot(U, AV)))
+        AU = A @ U
+        V = normalize_rows(AU, V)
+        new_value = float(np.vdot(V, AU))
+        history.append(new_value)
+        converged = new_value - value <= tol * max(1.0, abs(new_value))
+        value = new_value
+        if converged:
+            break
+        AV = A @ V
+    return value, U, V, history, AU
+
+
 def _reference_gram_maximize(A, rng=None):
     """gram_maximize with a fresh A @ V, a zero-norm test and a fresh quotient
     at every half sweep: the oracle the buffered sweeps match bit for bit."""
     A = gram_module.check_symmetric(A)
     d = A.shape[0]
-    amax = float(np.abs(A).max())
-    scale = 0
-    if amax > 0.0 and not gram_module._SAFE_SCALE[0] <= amax <= gram_module._SAFE_SCALE[1]:
-        scale = math.frexp(amax)[1]
+    scale = _reference_scale(A)
+    if scale:
         A = np.ldexp(A, -scale)
     rank = math.ceil(2.0 * math.sqrt(d)) + 1
     if rng is None:
         rng = RngSeed(0)
-    normalize_rows = _reference_normalize_rows
 
     best = None
     upper = math.inf
     certified_by = "eigvalsh"
-    fallback = np.tile(gram_module._e(rank, 0), (d, 1))
     for r in range(gram_module.MAX_RESTARTS):
-        gen = rng.generator(r)
-        U = normalize_rows(gen.standard_normal((d, rank)), fallback)
-        V = normalize_rows(gen.standard_normal((d, rank)), fallback)
-        AV = A @ V
-        value = float(np.vdot(U, AV))
-        history = [value]
-        for _ in range(gram_module.MAX_SWEEPS):
-            U = normalize_rows(AV, U)
-            history.append(float(np.vdot(U, AV)))
-            AU = A @ U
-            V = normalize_rows(AU, V)
-            new_value = float(np.vdot(V, AU))
-            history.append(new_value)
-            converged = new_value - value <= gram_module.SWEEP_TOL * max(1.0, abs(new_value))
-            value = new_value
-            if converged:
-                break
-            AV = A @ V
+        value, U, V, history, AU = _reference_ascent(A, rng.generator(r), rank,
+                                                     gram_module.SWEEP_TOL)
         if best is None or value > best[0]:
             best = (value, U, V, history)
             AV = A @ V
@@ -560,7 +576,8 @@ class TestCholeskyCertificate:
 
 
 class TestLoopSolve:
-    """The filter's in-loop solve: restart 0 ascended to LOOP_TOL, kept at the limit."""
+    """The filter's in-loop solve: restart 0's draws at rank 4 ascended to
+    LOOP_TOL, kept at the limit."""
 
     @pytest.mark.parametrize("e", [0, 300, -300])
     def test_kept_ascent_is_the_start_of_restart_zero(self, e):
@@ -569,9 +586,16 @@ class TestLoopSolve:
         full = gram_maximize(A, rng=RngSeed(4))
         limit = 0.5 * full.value
         sol = gram_module._loop_solve(A, limit, RngSeed(4))
-        assert (sol.certified_by, sol.restarts_used, full.restarts_used) == ("l1", 1, 1)
-        assert full.history[:len(sol.history)] == sol.history
-        assert len(sol.history) < len(full.history)
+        assert (sol.certified_by, sol.restarts_used, sol.rank, full.rank) == ("l1", 1, 4, 8)
+        scale = _reference_scale(A)
+        _, U, V, history, _ = _reference_ascent(np.ldexp(A, -scale), RngSeed(4).generator(0),
+                                                4, gram_module.LOOP_TOL)
+        assert np.array_equal(sol.u_factors, U) and np.array_equal(sol.v_factors, V)
+        assert sol.history == [math.ldexp(h, scale) for h in history]
+        # the same start ascended to SWEEP_TOL goes on from where the kept one stopped
+        longer = _reference_ascent(np.ldexp(A, -scale), RngSeed(4).generator(0), 4,
+                                   gram_module.SWEEP_TOL)[3]
+        assert longer[:len(history)] == history and len(history) < len(longer)
         assert sol.value == sol.history[-1] >= limit
         assert sol.upper_bound == max(gram_module._sum_rounded_up(np.abs(A).ravel(), 0.0),
                                       sol.value)
@@ -579,6 +603,16 @@ class TestLoopSolve:
         # with no reachable limit the in-loop solve is the full solve
         never = gram_module._loop_solve(A, math.inf, RngSeed(4))
         assert _solution_bits(never) == _solution_bits(full)
+
+    @pytest.mark.parametrize("d, rank", [(1, 3), (2, 4), (5, 4), (128, 4)])
+    def test_kept_factors_have_the_loop_rank(self, d, rank):
+        # min(4, ceil(2 sqrt(d)) + 1): the full solve's rank is 3 at d = 1
+        A = random_symmetric(d, 300 + d)
+        limit = 0.5 * gram_maximize(A, rng=RngSeed(2)).value
+        sol = gram_module._loop_solve(A, limit, RngSeed(2))
+        assert sol.certified_by == "l1" and sol.value >= limit
+        assert sol.u_factors.shape == sol.v_factors.shape == (d, rank)
+        sol.validate(A)
 
 
 class TestUpperBoundBelow:
