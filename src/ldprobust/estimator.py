@@ -33,7 +33,8 @@ M* = U V^T, O(m d r): r = min(LOOP_RANK, ceil(2 sqrt(d)) + 1) for a kept
 ascent, 4 at any d >= 2, and the full solve's ceil(2 sqrt(d)) + 1, 24 at
 d = 128, for the rare iteration whose full solve does not stop.  The loop's
 own d x d matrices are symmetric and finite by construction and are not
-checked again.
+checked again; the absolute values of the Gram input are built once per
+iteration, for both the l1 proof and the in-loop solve.
 
 Memory per pass: the row passes read the counts in blocks and allocate no
 block-sized temporary.  The scores are centred and projected in float64
@@ -248,7 +249,11 @@ def _mean(s1: np.ndarray, n: int, k: int) -> np.ndarray:
 
 def collection_mean(counts, k: int) -> np.ndarray:
     """qhat = S1 / (n k): the mean fraction of ones per coordinate of a nonempty selection."""
-    c = checked_counts(counts, k)
+    return _collection_mean(checked_counts(counts, k), k)
+
+
+def _collection_mean(c: np.ndarray, k: int) -> np.ndarray:
+    """collection_mean of counts already checked to lie in [0, k]."""
     if c.shape[0] == 0:
         raise EmptySelection("selection must be a nonempty (m, d) array of counts")
     return _mean(c.sum(axis=0, dtype=np.int64), c.shape[0], k)
@@ -362,7 +367,11 @@ def canonical_order(counts, k: int) -> np.ndarray:
     copy.
     """
     k = int(k)
-    c = checked_counts(counts, k)
+    return _canonical_order(checked_counts(counts, k), k)
+
+
+def _canonical_order(c: np.ndarray, k: int) -> np.ndarray:
+    """canonical_order of counts already checked to lie in [0, k]."""
     n, d = c.shape
     if (k + 1) ** d * n < 2 ** 63:
         key = np.zeros(n, dtype=np.int64)
@@ -561,8 +570,12 @@ def batch_deletion(indices, scores, gen: np.random.Generator) -> np.ndarray:
 
 
 def naive_estimate(coll: BatchCollection, ch: RapporChannel) -> EstimateResult:
-    """Mean over every batch row, inverted and normalized; no filtering."""
-    qhat = collection_mean(coll.counts, coll.k)
+    """Mean over every batch row, inverted and normalized; no filtering.
+
+    The counts are read without a range scan: the BatchCollection checked
+    them when it was built.
+    """
+    qhat = _collection_mean(coll.counts, coll.k)
     return _finalize(qhat, np.arange(coll.n, dtype=np.int64), [], ch)
 
 
@@ -616,7 +629,9 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
     can differ from those the full solve's factors would give.
 
     The exact sums S1 and S2 of all rows are computed once, before the first
-    iteration, so InexactStatistics is raised there, from the full n.  They
+    iteration, so InexactStatistics is raised there, from the full n, and
+    ExactSums.of's range check is the estimate's one scan of the counts: the
+    canonical order reads them unchecked.  They
     are downdated exactly after each deletion (ExactSums.without), so qhat,
     Chat and the Gram input of every iteration, and the returned qhat, are
     bitwise those of a recompute from the survivors.  The mode check and
@@ -631,7 +646,9 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
         return naive_estimate(coll, ch)
 
     counts, k = coll.counts, coll.k
-    canonical = canonical_order(counts, k)
+    # the one range scan of the counts; the canonical order reads them unchecked
+    sums = ExactSums.of(counts, k)
+    canonical = _canonical_order(counts, k)
     # survivors are gathered into one buffer of the counts' width, and scored
     # in float64 scratch of one block, all reused by every iteration, so no
     # iteration or block allocates an (m, d) or block-sized array; the scratch
@@ -640,7 +657,6 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
     work = np.empty(counts.shape, dtype=counts.dtype)
     scratch = _score_scratch(counts, _rank(ch.d))
     surviving = np.ones(n, dtype=bool)
-    sums = ExactSums.of(counts, k)
     unit = rate_unit(cfg.eps, ch.d, k)
     # a product, not ** 2, which raises OverflowError for a threshold above 1e154
     limit = cfg.tau_threshold * cfg.tau_threshold * unit
@@ -661,13 +677,14 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
         s_star = _special_mask(sums, ch.lam)
         if s_star is None:
             dmat = build_cov_bundle(sums, ch.lam).dmat
-            proved = _upper_bound_below(dmat, limit)
+            abs_dmat = np.abs(dmat)
+            proved = _upper_bound_below(dmat, limit, abs_dmat)
             if proved is not None and _stops(proved[0] / unit, cfg):
                 record.update(mode="sdp", tau=proved[0] / unit, gram_upper=proved[0],
                               certified_by=proved[1])
                 stop = True
             else:
-                sol = _loop_solve(dmat, limit, rng.child(4, iteration))
+                sol = _loop_solve(dmat, limit, rng.child(4, iteration), abs_dmat)
                 record.update(mode="sdp", tau=sol.value / unit, gram_value=sol.value,
                               gram_upper=sol.upper_bound, certified_by=sol.certified_by)
                 # an ascent kept at value >= limit shows the maximum reaches the

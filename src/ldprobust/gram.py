@@ -46,7 +46,9 @@ Grothendieck-type programs every local maximum at rank k is within a factor
 1 - O(1/k) of the optimum (Mei, Misiakiewicz, Montanari & Oliveira 2017).
 Below the limit it runs the full, certified gram_maximize.  The loop's
 matrices are symmetric and finite by construction, so _upper_bound_below
-and _loop_solve do not check them again; the public functions do.
+and _loop_solve do not check them again; the public functions do.  The
+filter builds |A| once per iteration and hands it to both, which take the
+l1 sum and the row sums from it.
 
 The subset side is exact: subset_bilinear_max enumerates all 2^d masks S for
 d <= MAX_ENUM_D, with the sums A 1_S built by a doubling table of elementwise
@@ -307,8 +309,9 @@ def _ascend(A: np.ndarray, U: np.ndarray, V: np.ndarray, tol: float = SWEEP_TOL)
 def _band_exponent(A: np.ndarray) -> int:
     """The e at which gram_maximize solves A 2^-e: 0 when A = 0 or its largest
     entry lies in [2^-256, 2^256], else that of 2^e, the power of two just
-    above that entry."""
-    amax = float(np.abs(A).max())
+    above that entry.  The largest |entry| of a finite A is read from its
+    extremes, so no |A| is built."""
+    amax = max(float(A.max()), -float(A.min()))
     if amax > 0.0 and not _SAFE_SCALE[0] <= amax <= _SAFE_SCALE[1]:
         return math.frexp(amax)[1]
     return 0
@@ -326,6 +329,13 @@ def _sum_rounded_up(y: np.ndarray, extra: float) -> float:
     # in gradual underflow, so no absolute term is needed
     err = (n + 1) * _UNIT * (float(np.abs(y).sum()) + extra)
     return math.nextafter(total + err, math.inf)
+
+
+def _l1_rounded_up(abs_a: np.ndarray) -> float:
+    """_sum_rounded_up(abs_a.ravel(), 0.0) for abs_a = |A|: entries that are
+    nonnegative are their own absolute values, so one sum serves both terms."""
+    total = float(abs_a.sum())
+    return math.nextafter(total + (abs_a.size + 2) * _UNIT * total, math.inf)
 
 
 def _dual_vector(U: np.ndarray, V: np.ndarray, AU: np.ndarray, AV: np.ndarray) -> np.ndarray:
@@ -437,14 +447,16 @@ def upper_bound_below(A, limit: float) -> tuple[float, str] | None:
     when A's heaviest row x already shows ||A x|| >= (limit / d) ||x||, so
     that ||A||_2 >= limit / d and the uniform dual cannot be feasible.
     """
-    return _upper_bound_below(check_symmetric(A), limit)
+    A = check_symmetric(A)
+    return _upper_bound_below(A, limit, np.abs(A))
 
 
-def _upper_bound_below(A: np.ndarray, limit: float) -> tuple[float, str] | None:
-    """upper_bound_below of an A that check_symmetric has already returned."""
+def _upper_bound_below(A: np.ndarray, limit: float,
+                       abs_a: np.ndarray) -> tuple[float, str] | None:
+    """upper_bound_below of an A that check_symmetric has already returned,
+    given abs_a = |A|."""
     d = A.shape[0]
-    abs_a = np.abs(A)
-    l1 = _sum_rounded_up(abs_a.ravel(), 0.0)
+    l1 = _l1_rounded_up(abs_a)
     if l1 < limit:
         return l1, "l1"
     abs_row_sums = abs_a.sum(axis=1)
@@ -570,9 +582,11 @@ def _random_start(gen: np.random.Generator, d: int, rank: int):
     return U, V
 
 
-def _loop_solve(A: np.ndarray, limit: float, rng: RngSeed) -> GramSolution:
+def _loop_solve(A: np.ndarray, limit: float, rng: RngSeed,
+                abs_a: np.ndarray) -> GramSolution:
     """The Gram solve of robust_estimate's loop, run only as far as the loop's
-    decision needs, for an A that is symmetric and finite (it is not checked).
+    decision needs, for an A that is symmetric and finite (it is not checked),
+    given abs_a = |A|.
 
     One start, drawn from rng.generator(0) at rank min(LOOP_RANK, _rank(d)),
     ascends until a full sweep gains at most LOOP_TOL.  Its value is
@@ -593,7 +607,7 @@ def _loop_solve(A: np.ndarray, limit: float, rng: RngSeed) -> GramSolution:
     if not value >= limit:
         return _gram_maximize(A, rng)
     return GramSolution(u_factors=U, v_factors=V, value=value,
-                        upper_bound=max(_sum_rounded_up(np.abs(A).ravel(), 0.0), value),
+                        upper_bound=max(_l1_rounded_up(abs_a), value),
                         restarts_used=1, certified_by="l1",
                         history=[math.ldexp(h, scale) for h in history])
 

@@ -7,9 +7,13 @@ are independent of scheduling and the CSV is byte-identical across reruns and
 thread counts.  Wall-clock timings are therefore excluded from primary
 outputs: the wall_ms column is written as 0.
 
-TrialCell is the one place that knows a cell's fields, defaults and valid
-values; SweepConfig, its JSON reader, the CLI and the output rows derive
-theirs from it.
+TrialCell is the one place that knows a cell's fields, attack parameters,
+defaults and valid values; SweepConfig, its JSON reader, the CLI and the
+output rows derive theirs from it.  Building a cell converts and checks all
+of its settings, once, so a sweep fails before its first trial or runs
+exactly the cells its config names.  The cell keeps its channel, estimator
+config and converted attack parameters, which run_trial reads as they are;
+only the hard pair, which holds arrays, is built per trial.
 
 Parallel sweeps run on one warm process pool kept by this module.  Its workers
 are forked at the first sweep with threads > 1 and reused by every later
@@ -80,36 +84,64 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _real(value) -> float:
+    """float(value) for a value that is not a bool, which float() would take as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _whole(value) -> int:
-    """int(value) for a whole number; a float with a fraction, which int()
-    would truncate, raises ValueError."""
+    """int(value) for a whole number; a bool, or a float with a fraction, which
+    int() would truncate, raises TypeError or ValueError."""
     number = int(value)
-    if isinstance(value, float) and number != value:
+    if isinstance(value, (bool, np.bool_, float)) and number != _real(value):
         raise ValueError(f"{value!r} is not a whole number")
     return number
 
 
-def _convert(obj, kinds: dict) -> None:
-    """Replace each named field of a frozen dataclass by kinds[name](value).
+def _convert(values: dict, kinds: dict) -> None:
+    """Replace each named entry of values by kinds[name](entry).
 
-    A value the conversion rejects raises InvalidConfig.
+    A value the conversion rejects raises InvalidConfig.  A frozen
+    dataclass passes vars(self).
     """
     for name, kind in kinds.items():
-        value = getattr(obj, name)
+        value = values[name]
         try:
-            object.__setattr__(obj, name, kind(value))
+            values[name] = kind(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfig(f"{name}={value!r}: {exc}") from exc
+
+
+#: The parameters each attack reads: name -> (conversion, default given d,
+#: whether a converted value is valid given d, the valid values in words).
+#: The other attacks read none.
+_ATTACK_PARAMS = {
+    "swap_mix": {"mix": (_real, lambda d: 0.5, lambda v, d: 0.0 <= v <= 1.0, "in [0, 1]")},
+    "targeted_subset": {
+        "subset_size": (_whole, lambda d: max(1, d // 2), lambda v, d: 1 <= v <= d, "in [1, d]"),
+        "direction": (_whole, lambda d: 1, lambda v, d: v in (-1, 1), "+1 or -1"),
+        "magnitude": (_real, lambda d: 1.0, lambda v, d: 0.0 <= v <= 1.0, "in [0, 1]"),
+    },
+}
 
 
 @dataclass(frozen=True)
 class TrialCell:
     """One experiment cell: the fields, defaults and valid values of a trial.
 
-    Each field is converted to its annotated type, an integer field only
-    from a whole number.  A value that does not convert, n below 2, k below
-    1, eps outside [0, 1/4), or an attack or p family not in ATTACKS or
-    P_FAMILIES raises InvalidConfig.
+    Construction converts and checks every setting, once: each field is
+    converted to its annotated type, an integer field only from a whole
+    number and no number field from a bool.  A value that does not convert,
+    n below 2, k below 1, eps outside [0, 1/4), an attack or p family not in
+    ATTACKS or P_FAMILIES, or an attack parameter that the attack does not
+    read (see _ATTACK_PARAMS) or that lies outside its valid values raises
+    InvalidConfig.  The cell then keeps what every trial would otherwise
+    re-derive: its channel, so that RapporChannel.create checks d and alpha,
+    its EstimatorConfig, which checks tau_threshold, and its attack
+    parameters converted, defaults filled in.  attack_params itself is kept
+    as given, for hash_cell.
     """
 
     n: int
@@ -121,9 +153,12 @@ class TrialCell:
     attack_params: dict = field(default_factory=dict)
     p_family: str = "dirichlet"
     tau_threshold: float = DESK_TAU_THRESHOLD
+    _params: dict = field(init=False, repr=False, compare=False)
+    _channel: RapporChannel = field(init=False, repr=False, compare=False)
+    _config: EstimatorConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _convert(self, _CELL_TYPES)
+        _convert(vars(self), _CELL_TYPES)
         if self.n < 2 or self.k < 1:
             raise InvalidConfig(f"need n >= 2 and k >= 1, got n={self.n}, k={self.k}")
         # also rejects NaN and +-inf, before floor(n * eps) sizes the attack
@@ -133,14 +168,28 @@ class TrialCell:
             raise InvalidConfig(f"unknown p family {self.p_family!r}")
         if self.attack not in ATTACKS:
             raise InvalidConfig(f"unknown attack {self.attack!r}")
+        vars(self).update(
+            _channel=RapporChannel.create(self.d, self.alpha), _params={},
+            _config=EstimatorConfig(eps=self.eps, tau_threshold=self.tau_threshold))
+        table = _ATTACK_PARAMS.get(self.attack, {})
+        for key in self.attack_params:
+            if key not in table:
+                raise InvalidConfig(f"attack {self.attack} reads no parameter {key!r}")
+        for key, (kind, default, valid, values) in table.items():
+            self._params[key] = self.attack_params.get(key, default(self.d))
+            _convert(self._params, {key: kind})
+            if not valid(self._params[key], self.d):
+                raise InvalidConfig(
+                    f"attack parameter {key}={self._params[key]!r} is not {values} at d={self.d}")
 
     def estimator_config(self) -> EstimatorConfig:
-        return EstimatorConfig(eps=self.eps, tau_threshold=self.tau_threshold)
+        return self._config
 
 
-# each field's conversion: its annotated type, an int field by _whole
-_CELL_TYPES = {name: _whole if kind is int else kind
-               for name, kind in get_type_hints(TrialCell).items()}
+# each field's conversion: an int field by _whole, a float field by _real,
+# any other by its annotated type
+_CELL_TYPES = {name: {int: _whole, float: _real}.get(kind, kind)
+               for name, kind in get_type_hints(TrialCell).items() if not name.startswith("_")}
 
 
 @dataclass
@@ -191,21 +240,18 @@ def sample_p(family: str, d: int, rng: RngSeed) -> ProbVector:
 
 
 def resolve_attack(cell: TrialCell, p: ProbVector, ch: RapporChannel) -> AttackSpec:
-    """Instantiate the cell's attack, resolving per-trial parameters.
+    """Instantiate the cell's attack from the parameters the cell converted.
 
     swap_mix swaps in a mixture of the target with a point mass, a fixed-shape
-    contamination the filter cannot tell apart batchwise.  A parameter that is
-    not a number, a mix outside [0, 1] or a subset size outside [1, d] raises
-    InvalidAttackParams (AttackSpec checks direction and magnitude).
+    contamination the filter cannot tell apart batchwise.
     """
     kind = cell.attack
-    params = cell.attack_params
+    params = cell._params
     if kind in ("all_ones", "all_zeros"):
         return AttackSpec(kind=kind, name=kind)
     if kind == "swap_mix":
-        mix = _attack_param(params, "mix", 0.5, float, 0.0, 1.0)
-        w = (1.0 - mix) * p.weights.copy()
-        w[0] += mix
+        w = (1.0 - params["mix"]) * p.weights.copy()
+        w[0] += params["mix"]
         return AttackSpec(kind="swap_distribution", q=make_prob_vector(w),
                           name="swap_mix")
     if kind == "swap_uniform":
@@ -213,26 +259,11 @@ def resolve_attack(cell: TrialCell, p: ProbVector, ch: RapporChannel) -> AttackS
                           q=ProbVector(np.full(ch.d, 1.0 / ch.d)),
                           name="swap_uniform")
     if kind == "targeted_subset":
-        size = _attack_param(params, "subset_size", max(1, ch.d // 2), int, 1, ch.d)
         mask = np.zeros(ch.d, dtype=bool)
-        mask[:size] = True
-        return AttackSpec(kind="targeted_subset", mask=mask,
-                          direction=_attack_param(params, "direction", 1, int),
-                          magnitude=_attack_param(params, "magnitude", 1.0, float),
-                          name="targeted_subset")
+        mask[:params["subset_size"]] = True
+        return AttackSpec(kind="targeted_subset", mask=mask, direction=params["direction"],
+                          magnitude=params["magnitude"], name="targeted_subset")
     raise InvalidAttackParams(f"unknown attack {kind!r}")
-
-
-def _attack_param(params: dict, key: str, default, kind, low=None, high=None):
-    """params[key] (or the default) converted by kind and checked against [low, high]."""
-    raw = params.get(key, default)
-    try:
-        value = kind(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidAttackParams(f"attack parameter {key}={raw!r} is not a number") from exc
-    if low is not None and not low <= value <= high:
-        raise InvalidAttackParams(f"attack parameter {key}={raw!r} outside [{low}, {high}]")
-    return value
 
 
 def build_collection(cell: TrialCell, p: ProbVector, attack: Optional[AttackSpec],
@@ -255,7 +286,7 @@ def run_trial(cell: TrialCell, trial: int, master_seed: int) -> TrialResult:
     if trial < 0:
         raise InvalidArgument(f"trial must be nonnegative, got {trial}")
     base = RngSeed(master_seed).child(hash_cell(cell), trial)
-    ch = RapporChannel.create(cell.d, cell.alpha)
+    ch = cell._channel
     if cell.attack == "hard_pair_swap" and cell.eps > 0.0:
         pair = hard_pair(ch, eps=cell.eps, k=cell.k)
         p = pair.p
@@ -337,7 +368,7 @@ class SweepConfig:
                 kinds[f"{name}_grid"] = _grid_of(kind)
             else:
                 kinds[name] = kind
-        _convert(self, kinds)
+        _convert(vars(self), kinds)
         grids = [getattr(self, f"{axis}_grid") for axis in GRID_AXES]
         for axis, grid in zip(GRID_AXES, grids):
             if not grid:

@@ -166,6 +166,38 @@ class TestUsageErrors:
         assert exc.value.code == 1
 
 
+def _sweep_text(**fields):
+    base = {"n_grid": [40], "k_grid": [5], "d_grid": [4], "alpha_grid": [1.0],
+            "eps_grid": [0.0]}
+    return json.dumps({**base, **fields})
+
+
+#: Sweep configs a cell rejects when it is built: attack parameters the attack
+#: does not read, bad at eps = 0, or not whole; booleans as numbers; and grids
+#: whose first cell is valid and a later one is not.
+_REJECTED_BEFORE_ANY_TRIAL = {
+    "misspelt-param": _sweep_text(eps_grid=[0.1], attack="targeted_subset",
+                                  attack_params={"magnitud": 0.5}),
+    "foreign-param": _sweep_text(eps_grid=[0.1], attack="targeted_subset",
+                                 attack_params={"mix": 0.3}),
+    "magnitude-not-a-number-eps-zero": _sweep_text(attack="targeted_subset",
+                                                   attack_params={"magnitude": "abc"}),
+    "subset-size-not-whole": _sweep_text(eps_grid=[0.1], attack="targeted_subset",
+                                         attack_params={"subset_size": 2.7}),
+    "direction-not-whole": _sweep_text(eps_grid=[0.1], attack="targeted_subset",
+                                       attack_params={"direction": 1.5}),
+    "subset-size-bool": _sweep_text(eps_grid=[0.1], attack="targeted_subset",
+                                    attack_params={"subset_size": True}),
+    "k-grid-bool": _sweep_text(k_grid=[True]),
+    "trials-bool": _sweep_text(trials=True),
+    "alpha-grid-bool": _sweep_text(alpha_grid=[True]),
+    "eps-grid-bool": _sweep_text(eps_grid=[False]),
+    "tau-threshold-bool": _sweep_text(tau_threshold=True),
+    "d-too-small-in-second-cell": _sweep_text(d_grid=[5, 2], trials=3),
+    "alpha-too-large-in-second-cell": _sweep_text(alpha_grid=[1.0, 3.0], trials=3),
+}
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ["simulate", "--attack", "nope"],
@@ -247,19 +279,36 @@ class TestExitCodes:
           for fields in [{"n_grid": "45"}, {"n_grid": {"40": 1}}, {"n_grid": [40.7]},
                          {"trials": 2.9}]),
         "[" * 200_000,
+        *_REJECTED_BEFORE_ANY_TRIAL.values(),
     ], ids=["empty-grid", "zero-trials", "malformed-json", "missing-grid",
             "not-an-object", "n-one", "unknown-family", "magnitude-not-a-number",
             "mix-not-a-number", "subset-size-not-a-number", "direction-not-a-number",
             "mix-negative", "subset-size-zero", "grid-not-a-number",
             "alpha-grid-not-a-number", "unknown-key", "unknown-attack-eps-zero",
             "grid-overflow", "trials-overflow", "string-grid", "mapping-grid", "grid-not-whole",
-            "trials-not-whole", "nested-too-deeply"])
+            "trials-not-whole", "nested-too-deeply", *_REJECTED_BEFORE_ANY_TRIAL])
     def test_bad_sweep_config_exits_1(self, text, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)
         out = tmp_path / "out.csv"
         assert exit_code(["sweep", "--config", cfg_path, "--out", out]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", _REJECTED_BEFORE_ANY_TRIAL.values(),
+                             ids=_REJECTED_BEFORE_ANY_TRIAL)
+    def test_bad_sweep_config_runs_no_trial(self, text, tmp_path, monkeypatch, capsys):
+        run_trial, calls = harness.run_trial, []
+
+        def counting(*args):
+            calls.append(args)
+            return run_trial(*args)
+
+        monkeypatch.setattr(harness, "run_trial", counting)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert exit_code(["sweep", "--config", cfg_path, "--out", tmp_path / "out.csv",
+                          "--threads", 1]) == 1
+        assert calls == []
 
     @pytest.mark.parametrize("args", [["--n", 5], ["--eps", "1e-200"]],
                              ids=["n-five", "eps-tiny"])

@@ -1177,13 +1177,13 @@ class TestCertifiedStop:
         ascents = [(i, stats[i][3]) for i, rec in enumerate(trace) if rec.certified_by == "l1"
                    and rec.gram_value is not None]
         for i, A in ascents:
-            sol = gram_module._loop_solve(A, limit, rng.child(4, i))
+            sol = gram_module._loop_solve(A, limit, rng.child(4, i), np.abs(A))
             full = gram_maximize(A, rng=rng.child(4, i))
             assert sol.value == trace[i].gram_value and sol.certified_by == "l1"
             assert full.value >= limit
             longer = reference_ascent(A, rng.child(4, i).generator(0), gram_module.SWEEP_TOL)[3]
             assert longer[:len(sol.history)] == sol.history
-            never = gram_module._loop_solve(A, math.inf, rng.child(4, i))
+            never = gram_module._loop_solve(A, math.inf, rng.child(4, i), np.abs(A))
             assert np.array_equal(never.u_factors, full.u_factors)
             assert np.array_equal(never.v_factors, full.v_factors)
             assert (never.value, never.upper_bound, never.restarts_used, never.certified_by,
@@ -1217,7 +1217,7 @@ class TestCertifiedStop:
         coll, ch = trial_collection(2000, 50, 5, "all_ones", 0.05, seed=0)
         cfg = EstimatorConfig(eps=0.05, tau_threshold=DESK_TAU_THRESHOLD)
         proved = robust_estimate(coll, cfg, ch, RngSeed(3))
-        monkeypatch.setattr(estimator_module, "_upper_bound_below", lambda A, limit: None)
+        monkeypatch.setattr(estimator_module, "_upper_bound_below", lambda A, limit, abs_a: None)
         solves = count_solves(monkeypatch)
         passes = record_scoring_passes(monkeypatch)
         res = robust_estimate(coll, cfg, ch, RngSeed(3))
@@ -1234,7 +1234,7 @@ class TestCertifiedStop:
         # stop to a full solve
         coll, ch = trial_collection(2000, 50, 5, "all_ones", 0.05, seed=0)
         cfg = EstimatorConfig(eps=0.05, tau_threshold=DESK_TAU_THRESHOLD)
-        monkeypatch.setattr(estimator_module, "_upper_bound_below", lambda A, limit: None)
+        monkeypatch.setattr(estimator_module, "_upper_bound_below", lambda A, limit, abs_a: None)
         monkeypatch.setattr(estimator_module, "_stops", lambda tau, cfg: math.isfinite(tau))
         solve, solutions = estimator_module._loop_solve, []
         monkeypatch.setattr(estimator_module, "_loop_solve",
@@ -1253,7 +1253,7 @@ class TestCertifiedStop:
         # ceil(2 sqrt(128)) + 1 = 24 through the scratch the loop holds
         coll, ch = trial_collection(1000, 20, 128, "targeted_subset", 0.05, seed=0)
         cfg = EstimatorConfig(eps=0.05, tau_threshold=1e6)
-        monkeypatch.setattr(estimator_module, "_upper_bound_below", lambda A, limit: None)
+        monkeypatch.setattr(estimator_module, "_upper_bound_below", lambda A, limit, abs_a: None)
         stops, decided = estimator_module._stops, []
         monkeypatch.setattr(estimator_module, "_stops",
                             lambda tau, cfg: decided.append(tau) or (len(decided) > 1

@@ -445,9 +445,9 @@ def filtering_run_solves(count, d=64):
     solves, runs = [], []
     solve = estimator_module._loop_solve
 
-    def recording(A, limit, rng):
+    def recording(A, limit, rng, abs_a):
         solves.append((A.copy(), rng))
-        return solve(A, limit, rng)
+        return solve(A, limit, rng, abs_a)
 
     cell = TrialCell(n=2000, k=20, d=d, alpha=1.0, eps=0.05, attack="targeted_subset")
     ch = RapporChannel.create(d, 1.0)
@@ -585,7 +585,7 @@ class TestLoopSolve:
         A = np.ldexp(random_symmetric(12, 77), e)
         full = gram_maximize(A, rng=RngSeed(4))
         limit = 0.5 * full.value
-        sol = gram_module._loop_solve(A, limit, RngSeed(4))
+        sol = gram_module._loop_solve(A, limit, RngSeed(4), np.abs(A))
         assert (sol.certified_by, sol.restarts_used, sol.rank, full.rank) == ("l1", 1, 4, 8)
         scale = _reference_scale(A)
         _, U, V, history, _ = _reference_ascent(np.ldexp(A, -scale), RngSeed(4).generator(0),
@@ -601,7 +601,7 @@ class TestLoopSolve:
                                       sol.value)
         sol.validate(A)
         # with no reachable limit the in-loop solve is the full solve
-        never = gram_module._loop_solve(A, math.inf, RngSeed(4))
+        never = gram_module._loop_solve(A, math.inf, RngSeed(4), np.abs(A))
         assert _solution_bits(never) == _solution_bits(full)
 
     @pytest.mark.parametrize("d, rank", [(1, 3), (2, 4), (5, 4), (128, 4)])
@@ -609,7 +609,7 @@ class TestLoopSolve:
         # min(4, ceil(2 sqrt(d)) + 1): the full solve's rank is 3 at d = 1
         A = random_symmetric(d, 300 + d)
         limit = 0.5 * gram_maximize(A, rng=RngSeed(2)).value
-        sol = gram_module._loop_solve(A, limit, RngSeed(2))
+        sol = gram_module._loop_solve(A, limit, RngSeed(2), np.abs(A))
         assert sol.certified_by == "l1" and sol.value >= limit
         assert sol.u_factors.shape == sol.v_factors.shape == (d, rank)
         sol.validate(A)

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 import ldprobust
-from ldprobust import harness, rate_fit, sweep
+from ldprobust import adversary, estimator, harness, rate_fit, sweep
+from ldprobust.channel import RapporChannel
+from ldprobust.prob import ProbVector
 from ldprobust.errors import (
     InputError,
     InsufficientData,
@@ -26,6 +28,9 @@ from ldprobust.harness import (
     SweepConfig,
     TrialCell,
     format_float,
+    hash_cell,
+    resolve_attack,
+    run_sweep,
     run_trial,
 )
 
@@ -65,6 +70,21 @@ class TestRunTrial:
         cell = TrialCell(n=120, k=10, d=4, alpha=1.0, eps=0.05)
         assert run_trial(cell, 3, 7) == run_trial(cell, 3, 7)
 
+    @pytest.mark.parametrize("eps, scans", [(0.0, 1), (0.05, 3)])
+    def test_counts_range_scans(self, eps, scans, monkeypatch):
+        # one per BatchCollection built (clean, then contaminated) and one in
+        # robust_estimate; naive_estimate reads the collection's checked counts
+        check, calls = adversary.checked_counts, []
+
+        def counting(counts, k):
+            calls.append(k)
+            return check(counts, k)
+
+        monkeypatch.setattr(adversary, "checked_counts", counting)
+        monkeypatch.setattr(estimator, "checked_counts", counting)
+        run_trial(TrialCell(n=200, k=20, d=4, alpha=1.0, eps=eps), 0, 13)
+        assert len(calls) == scans
+
     @pytest.mark.parametrize("trial, seed", [(-1, 0), (0, -1)])
     def test_negative_trial_or_seed_rejected(self, trial, seed):
         cell = TrialCell(n=100, k=10, d=4, alpha=1.0, eps=0.0)
@@ -72,17 +92,87 @@ class TestRunTrial:
             run_trial(cell, trial, seed)
 
 
+#: Attack parameters a cell rejects: a key its attack does not read, a value
+#: that does not convert or is not whole, a boolean, or one out of range.
+_BAD_ATTACK_PARAMS = [
+    ("targeted_subset", {"magnitud": 0.5}), ("targeted_subset", {"mix": 0.3}),
+    ("all_ones", {"mix": 0.3}), ("swap_mix", {"mix": True}), ("swap_mix", {"mix": math.nan}),
+    ("targeted_subset", {"magnitude": "abc"}), ("targeted_subset", {"magnitude": 1.5}),
+    ("targeted_subset", {"subset_size": 2.7}), ("targeted_subset", {"subset_size": 5}),
+    ("targeted_subset", {"subset_size": True}), ("targeted_subset", {"direction": 1.5}),
+    ("targeted_subset", {"direction": 0}),
+]
+
+
 class TestTrialCell:
     @pytest.mark.parametrize("kw", [dict(n=1), dict(n=0), dict(k=0),
                                     dict(p_family="nope"), dict(eps=0.25), dict(eps=-0.01),
                                     dict(eps=math.nan), dict(eps=math.inf),
                                     dict(eps=-math.inf), dict(attack="nope"),
-                                    dict(n="a"), dict(n=math.inf), dict(attack_params=5)])
+                                    dict(n="a"), dict(n=math.inf), dict(attack_params=5),
+                                    dict(alpha=True), dict(tau_threshold=0),
+                                    dict(k=True), dict(eps=False), dict(tau_threshold=True),
+                                    *(dict(attack=attack, attack_params=params)
+                                      for attack, params in _BAD_ATTACK_PARAMS)])
     def test_rejects_out_of_range_settings(self, kw):
+        # at eps = 0 too: a cell's settings are checked whether or not its attack runs
         base = dict(n=100, k=10, d=4, alpha=1.0, eps=0.0)
         base.update(kw)
         with pytest.raises(InvalidConfig):
             TrialCell(**base)
+
+    @pytest.mark.parametrize("kw", [dict(d=2), dict(d=4097), dict(alpha=3.0), dict(alpha=0.0)])
+    def test_channel_rejects_at_construction(self, kw):
+        base = dict(n=100, k=10, d=4, alpha=1.0, eps=0.0)
+        base.update(kw)
+        with pytest.raises(InputError):
+            TrialCell(**base)
+
+    def test_attack_params_kept_as_given_and_converted_once(self):
+        cell = TrialCell(n=100, k=10, d=8, alpha=1.0, eps=0.05, attack="targeted_subset",
+                         attack_params={"subset_size": 3.0, "direction": "-1"})
+        assert cell.attack_params == {"subset_size": 3.0, "direction": "-1"}
+        assert isinstance(cell.attack_params["subset_size"], float)
+        ch = RapporChannel.create(8, 1.0)
+        spec = resolve_attack(cell, ProbVector(np.full(8, 1 / 8)), ch)
+        assert spec.mask.sum() == 3 and spec.direction == -1 and spec.magnitude == 1.0
+        default = resolve_attack(TrialCell(n=100, k=10, d=8, alpha=1.0, eps=0.05,
+                                           attack="targeted_subset"),
+                                 ProbVector(np.full(8, 1 / 8)), ch)
+        assert default.mask.sum() == 4 and default.direction == 1
+
+    @pytest.mark.parametrize("kw, expected", [
+        (dict(n=100, k=10, d=4, alpha=1.0, eps=0.0), 72951880068634),
+        (dict(n=2000, k=50, d=5, alpha=0.5, eps=0.05, attack="swap_mix"), 234877586046880),
+        (dict(n=2000, k=50, d=5, alpha=0.5, eps=0.05, attack="swap_mix",
+              attack_params={"mix": 0.3}), 235109921433174),
+        (dict(n=4000, k=20, d=128, alpha=1.0, eps=0.05, attack="targeted_subset"),
+         221979591497623),
+        (dict(n=3000, k=20, d=16, alpha=1.0, eps=0.1, attack="targeted_subset",
+              attack_params={"subset_size": 3, "direction": -1, "magnitude": 0.5}),
+         202495917944593),
+        (dict(n=600, k=25, d=5, alpha=1.0, eps=0.1, attack="hard_pair_swap",
+              p_family="uniform"), 33020620023354),
+        (dict(n=60, k=5, d=4, alpha=1.0, eps=0.05, attack="all_zeros",
+              p_family="point_heavy", tau_threshold=1.2), 158931180638812),
+    ])
+    def test_hash_cell_pinned(self, kw, expected):
+        # every trial's seed derives from hash_cell, so these pin every output
+        assert hash_cell(TrialCell(**kw)) == expected
+
+    def test_one_channel_per_cell_none_per_trial(self, monkeypatch):
+        create, calls = RapporChannel.create, []
+
+        def counting(d, alpha):
+            calls.append((d, alpha))
+            return create(d, alpha)
+
+        monkeypatch.setattr(RapporChannel, "create", counting)
+        cfg = SweepConfig(n_grid=(60, 80), k_grid=(5,), d_grid=(4, 5), alpha_grid=(1.0,),
+                          eps_grid=(0.0, 0.05), attack="targeted_subset", trials=3)
+        assert len(calls) == len(cfg.cells()) == 8
+        run_sweep(cfg, threads=1)
+        assert len(calls) == 8
 
 
 class TestSweep:
