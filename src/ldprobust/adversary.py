@@ -14,7 +14,7 @@ only; estimators must never read them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -105,7 +105,6 @@ class AttackSpec:
     mask: Optional[np.ndarray] = None
     direction: int = 1
     magnitude: float = 1.0
-    name: str = field(default="", compare=False)
 
     def __post_init__(self):
         kinds = {"all_ones", "all_zeros", "swap_distribution", "targeted_subset"}
@@ -120,8 +119,6 @@ class AttackSpec:
                 raise InvalidAttackParams("direction must be +1 or -1")
             if not 0.0 <= self.magnitude <= 1.0:
                 raise InvalidAttackParams("magnitude must lie in [0, 1]")
-        if not self.name:
-            object.__setattr__(self, "name", self.kind)
 
 
 def make_clean_collection(ch: RapporChannel, p: ProbVector, n_prime: int, k: int,

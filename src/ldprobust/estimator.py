@@ -65,7 +65,14 @@ from .errors import (
     InvalidConfig,
     TooFewBatches,
 )
-from .gram import GramSolution, _loop_solve, _rank, _upper_bound_below, gram_maximize
+from .gram import (
+    GramSolution,
+    _l1_rounded_up,
+    _loop_solve,
+    _rank,
+    _upper_bound_below,
+    gram_maximize,
+)
 from .prob import RngSeed
 
 #: Loop threshold on sqrt(tau) matching the termination constant of the
@@ -126,8 +133,7 @@ class IterationRecord:
     gram_value and gram_upper are the Gram solver's value and an upper bound
     on the maximum, tau is gram_value / rate_unit, and certified_by the path
     that computed the bound (all three None and tau +inf in special mode).  A
-    full solve reports "cholesky" or "eigvalsh" and a bound within GAP_TOL of
-    the value.  An iteration that kept the in-loop ascent (gram._loop_solve)
+    full solve reports "eigvalsh" and a bound within GAP_TOL of the value.  An iteration that kept the in-loop ascent (gram._loop_solve)
     has gram_value at or above tau_threshold^2 * rate_unit, gram_upper the
     l1 sum sum |A_ij| rounded upward (at least gram_value) and certified_by
     "l1"; it never stops.  A stop proved before any solve has gram_value
@@ -678,13 +684,14 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
         if s_star is None:
             dmat = build_cov_bundle(sums, ch.lam).dmat
             abs_dmat = np.abs(dmat)
-            proved = _upper_bound_below(dmat, limit, abs_dmat)
+            l1 = _l1_rounded_up(abs_dmat)
+            proved = _upper_bound_below(dmat, limit, abs_dmat, l1)
             if proved is not None and _stops(proved[0] / unit, cfg):
                 record.update(mode="sdp", tau=proved[0] / unit, gram_upper=proved[0],
                               certified_by=proved[1])
                 stop = True
             else:
-                sol = _loop_solve(dmat, limit, rng.child(4, iteration), abs_dmat)
+                sol = _loop_solve(dmat, limit, rng.child(4, iteration), l1)
                 record.update(mode="sdp", tau=sol.value / unit, gram_value=sol.value,
                               gram_upper=sol.upper_bound, certified_by=sol.certified_by)
                 # an ascent kept at value >= limit shows the maximum reaches the

@@ -19,36 +19,31 @@ a-posteriori weak-duality certificate: with y_i = <(B Y)_i, Y_i>, the vector
 y + t 1 is dual feasible whenever Diag(y) - B + t I is positive semidefinite,
 and then every feasible X satisfies <B, X> <= sum(y) + 2d t.
 
-The certificate is decided in two rungs, t = delta0 = GAP_TOL |value| / (4d)
-and the tight t = 2^-20 delta0, the smaller passing one giving the bound.  A
-rung passes when D_u + t is positive and the d x d Schur complement
-(D_v + t) - (A/2)(D_u + t)^-1(A/2) has a Cholesky factor after an a-priori
-shift that covers the rounding in forming it and Rump's margin for the
-factorization (Rump 2006, "Verification of positive definiteness", BIT 46),
-so a factor proves Diag(y) - B + t I PSD.  A rung whose bound lies below
-the value one more half sweep would reach cannot pass and is skipped.  Only
-when delta0 fails is t taken from one symmetric eigenvalue problem of size
-2d, t = max(0, -lambda_min(Diag(y) - B)), plus a margin for the
-eigensolver's backward error.  Either bound is rounded upward.  Random
-restarts run only until the upper bound is within GAP_TOL of the value, so a
-solution carries both ends of an interval that holds the true maximum.
+The certificate takes t = max(0, -lambda_min(Diag(y) - B)) from one
+symmetric eigenvalue problem of size 2d, plus a margin for the eigensolver's
+backward error, and rounds the bound upward; dual_upper_bound is the same
+bound from any factors.  Random restarts run only until the upper bound is
+within GAP_TOL of the value, so a solution carries both ends of an interval
+that holds the true maximum.
 
 Where only an upper bound below a limit is wanted, as for the filter's stop,
 upper_bound_below tries two proofs before any solve: sum |A_ij|, and the
-uniform dual y = c 1, feasible when d ||A||_2 <= sum(y), decided by the same
-shifted Cholesky at t = 0.  Where neither proof passes, the filter solves
-for factors to score rows with, and the bound matters only if the loop might
-stop.  _loop_solve ascends one start at the small rank LOOP_RANK to the
-looser LOOP_TOL; a value at or above the limit is itself the proof that the
-loop goes on, and its factors are kept with the l1 sum as their bound.  The
-scores need them only to within a constant factor, and for unit-row
-Grothendieck-type programs every local maximum at rank k is within a factor
-1 - O(1/k) of the optimum (Mei, Misiakiewicz, Montanari & Oliveira 2017).
-Below the limit it runs the full, certified gram_maximize.  The loop's
-matrices are symmetric and finite by construction, so _upper_bound_below
-and _loop_solve do not check them again; the public functions do.  The
-filter builds |A| once per iteration and hands it to both, which take the
-l1 sum and the row sums from it.
+uniform dual y = c 1, feasible when d ||A||_2 <= sum(y), decided by one
+Cholesky factor of a d x d Schur complement after an a-priori shift that
+covers the rounding in forming it and Rump's margin for the factorization
+(Rump 2006, "Verification of positive definiteness", BIT 46).  Where neither
+proof passes, the filter solves for factors to score rows with, and the bound
+matters only if the loop might stop.  _loop_solve ascends one start at the
+small rank LOOP_RANK to the looser LOOP_TOL; a value at or above the limit is
+itself the proof that the loop goes on, and its factors are kept with the l1
+sum as their bound.  The scores need them only to within a constant factor,
+and for unit-row Grothendieck-type programs every local maximum at rank k is
+within a factor 1 - O(1/k) of the optimum (Mei, Misiakiewicz, Montanari &
+Oliveira 2017).  Below the limit it runs the full, certified gram_maximize.
+The loop's matrices are symmetric and finite by construction, so
+_upper_bound_below and _loop_solve do not check them again; the public
+functions do.  The filter builds |A| and its l1 sum once per iteration:
+_upper_bound_below takes both, and _loop_solve the l1 sum alone.
 
 The subset side is exact: subset_bilinear_max enumerates all 2^d masks S for
 d <= MAX_ENUM_D, with the sums A 1_S built by a doubling table of elementwise
@@ -100,13 +95,11 @@ MAX_RESTARTS = 16
 #: Tolerance of both sides of the sandwich, relative to the Frobenius norm of A.
 SANDWICH_TOL = 1e-6
 #: The paths that can compute GramSolution.upper_bound.
-CERTIFICATE_PATHS = ("cholesky", "eigvalsh")
+CERTIFICATE_PATHS = ("eigvalsh",)
 # Unit roundoff of float64, and the smallest normal float64, which bounds the
 # absolute error a gradual underflow adds to one operation.
 _UNIT = np.finfo(np.float64).eps / 2
 _TINY = np.finfo(np.float64).tiny
-# The tight rung of the Cholesky test, as a fraction of delta0.
-_TIGHT_RUNG = 2.0 ** -20
 # Largest entries of A that gram_maximize solves unscaled: the squared row
 # norms of A V, at most d^2 max|A|^2, stay finite and normal for any d < 2^250.
 _SAFE_SCALE = (2.0 ** -256, 2.0 ** 256)
@@ -194,11 +187,10 @@ class GramSolution:
     """Feasible factors (rows are unit vectors), the objective they achieve and a
     certified upper bound on the maximum over the whole Gram feasible set.
 
-    certified_by names the path that computed upper_bound: "cholesky" for the
-    shifted Cholesky test, "eigvalsh" for the eigenvalue bound of
-    dual_upper_bound, the reference, which hand-built solutions default to,
-    and "l1" for the l1 sum sum |A_ij| that the filter's in-loop ascent
-    reports (see _loop_solve).
+    certified_by names the path that computed upper_bound: "eigvalsh" for the
+    eigenvalue bound of dual_upper_bound, which every gram_maximize solve
+    reports and hand-built solutions default to, and "l1" for the l1 sum
+    sum |A_ij| that the filter's in-loop ascent reports (see _loop_solve).
     """
 
     u_factors: np.ndarray
@@ -357,40 +349,39 @@ def _eigvalsh_bound(A: np.ndarray, y: np.ndarray) -> float:
     return _sum_rounded_up(y, 2 * d * max(0.0, margin - lam_min))
 
 
-def _schur_cholesky_proves_psd(A: np.ndarray, y: np.ndarray, t: float,
-                               abs_a: np.ndarray, abs_row_sums: np.ndarray) -> bool:
-    """True if a shifted Cholesky proves Diag(y) - B + t I positive semidefinite.
+def _uniform_dual_proves_psd(A: np.ndarray, c: float, abs_a: np.ndarray,
+                             abs_row_sums: np.ndarray) -> bool:
+    """True if a shifted Cholesky proves c I - B positive semidefinite, that is
+    the uniform dual y = c 1 feasible.
 
-    With P = D_u + t > 0, the matrix is PSD exactly when the Schur complement
-    T = (D_v + t) - G^T G, G = P^-1/2 A / 2, is.  The computed T differs from it
-    by E with ||E||_2 <= (2d + 16) u (max row sum of |G|^T |G| + max(D_v + t)),
-    a row-sum bound on the rounding in P, G, G^T G and the diagonal.  If the
-    floating-point Cholesky of T - c I succeeds, T - c I is PSD up to
-    gamma_{d+1} / (1 - gamma_{d+1}) trace(T) (Rump 2006), so the shift c, the
+    With c > 0, c I - B is PSD exactly when the Schur complement
+    T = c I - G^T G, G = A / (2 sqrt(c)), is.  The computed T differs from it
+    by E with ||E||_2 <= (2d + 16) u (max row sum of |G|^T |G| + c), a
+    row-sum bound on the rounding in G, G^T G and the diagonal.  If the
+    floating-point Cholesky of T - e I succeeds, T - e I is PSD up to
+    gamma_{d+1} / (1 - gamma_{d+1}) trace(T) (Rump 2006), so the shift e, the
     sum of both bounds, makes success a proof.  abs_a and abs_row_sums are |A|
     and its row sums.
     """
     d = A.shape[0]
-    p = y[:d] + t
-    if not p.min() > 0.0:
+    if not c > 0.0:
         return False
-    s = 0.5 / np.sqrt(p)
-    G = A * s[:, None]
+    s = 0.5 / math.sqrt(c)
+    G = A * s
     T = G.T @ G
     np.negative(T, out=T)
     diag = T.reshape(-1)[::d + 1]
-    q = y[d:] + t
-    diag += q
-    # |G|^T |G| = |A| Diag(s^2) |A|, whose row sums are one product
+    diag += c
+    # |G|^T |G| = s^2 |A| |A|, whose row sums are one product
     row_sums = abs_a @ (s * s * abs_row_sums)
-    form_err = (2 * d + 16) * _UNIT * (float(row_sums.max()) + float(q.max()))
+    form_err = (2 * d + 16) * _UNIT * (float(row_sums.max()) + c)
     gamma = (d + 1) * _UNIT / (1.0 - (d + 1) * _UNIT)
     # a success leaves every diagonal entry positive, so the sum is the trace
     # Rump's margin needs; clamping it at 0 keeps the shift nonnegative
     trace = max(float(diag.sum()), 0.0)
     diag -= form_err + gamma * trace + 4 * (d + 1) * _TINY
-    # a NaN pivot does not stop every Cholesky kernel, so overflow in P^-1/2
-    # or in y must fail here
+    # a NaN pivot does not stop every Cholesky kernel, so overflow in G or in
+    # c must fail here
     if not np.isfinite(T).all():
         return False
     try:
@@ -398,39 +389,6 @@ def _schur_cholesky_proves_psd(A: np.ndarray, y: np.ndarray, t: float,
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def _cholesky_bound(A: np.ndarray, y: np.ndarray, value: float,
-                    AV: np.ndarray) -> float | None:
-    """sum(y) + 2d t, rounded upward, for the smaller rung t at which a shifted
-    Cholesky proves Diag(y) - B + t I positive semidefinite; None if neither
-    rung does.
-
-    The rungs are delta0 = GAP_TOL |value| / (4d) and 2^-20 delta0.  delta0
-    decides: a matrix PSD at the tight rung is PSD with margin at delta0, so
-    the tight rung is tried only after delta0 passes.  AV = A @ V gives a
-    lower bound on the maximum, the value sum_i ||(A V)_i|| that one more half
-    sweep U <- normalize(A V) would reach, less its rounding; a rung whose
-    bound lies below it cannot pass, so its Cholesky is not run.
-    """
-    d = A.shape[0]
-    delta0 = GAP_TOL * abs(value) / (4 * d)
-    if not delta0 > 0.0:
-        return None
-    abs_a = np.abs(A)
-    abs_row_sums = abs_a.sum(axis=1)
-    # rows of V are unit to within (rank + 3) u, and the product, the norms and
-    # their sum each add at most d or rank + 3 units; rank <= d + 2
-    reach = (float(np.sqrt(np.einsum("ij,ij->i", AV, AV)).sum())
-             - (4 * d + 16) * _UNIT * float(abs_row_sums.sum()))
-    bound = _sum_rounded_up(y, 2 * d * delta0)
-    if reach > bound or not _schur_cholesky_proves_psd(A, y, delta0, abs_a, abs_row_sums):
-        return None
-    tight = _TIGHT_RUNG * delta0
-    tight_bound = _sum_rounded_up(y, 2 * d * tight)
-    if reach <= tight_bound and _schur_cholesky_proves_psd(A, y, tight, abs_a, abs_row_sums):
-        return tight_bound
-    return bound
 
 
 def upper_bound_below(A, limit: float) -> tuple[float, str] | None:
@@ -442,21 +400,21 @@ def upper_bound_below(A, limit: float) -> tuple[float, str] | None:
     |M_ij| <= 1; "uniform-dual" is the dual vector y = c 1 with sum(y) = 2d c
     just below limit, feasible when c I - B is positive semidefinite, that is
     when c >= ||A||_2 / 2, which one shifted Cholesky decides
-    (_schur_cholesky_proves_psd at t = 0).  The first costs O(d^2), the
+    (_uniform_dual_proves_psd).  The first costs O(d^2), the
     second one d x d product and one d x d Cholesky; the Cholesky is skipped
     when A's heaviest row x already shows ||A x|| >= (limit / d) ||x||, so
     that ||A||_2 >= limit / d and the uniform dual cannot be feasible.
     """
     A = check_symmetric(A)
-    return _upper_bound_below(A, limit, np.abs(A))
+    abs_a = np.abs(A)
+    return _upper_bound_below(A, limit, abs_a, _l1_rounded_up(abs_a))
 
 
-def _upper_bound_below(A: np.ndarray, limit: float,
-                       abs_a: np.ndarray) -> tuple[float, str] | None:
+def _upper_bound_below(A: np.ndarray, limit: float, abs_a: np.ndarray,
+                       l1: float) -> tuple[float, str] | None:
     """upper_bound_below of an A that check_symmetric has already returned,
-    given abs_a = |A|."""
+    given abs_a = |A| and its l1 sum l1 = _l1_rounded_up(abs_a)."""
     d = A.shape[0]
-    l1 = _l1_rounded_up(abs_a)
     if l1 < limit:
         return l1, "l1"
     abs_row_sums = abs_a.sum(axis=1)
@@ -472,9 +430,9 @@ def _upper_bound_below(A: np.ndarray, limit: float,
         return None
     # summing the 2d equal entries and rounding the sum upward add at most
     # about (4d + 5) u, so this c keeps the rounded-up sum(y) below limit
-    y = np.full(2 * d, limit / (2 * d) * (1.0 - (8 * d + 16) * _UNIT))
-    bound = _sum_rounded_up(y, 0.0)
-    if bound < limit and _schur_cholesky_proves_psd(A, y, 0.0, abs_a, abs_row_sums):
+    c = limit / (2 * d) * (1.0 - (8 * d + 16) * _UNIT)
+    bound = _sum_rounded_up(np.full(2 * d, c), 0.0)
+    if bound < limit and _uniform_dual_proves_psd(A, c, abs_a, abs_row_sums):
         return bound, "uniform-dual"
     return None
 
@@ -487,8 +445,8 @@ def dual_upper_bound(A, u_factors, v_factors) -> float:
     bound is sum(y) + 2d t.  t comes from one eigvalsh of the 2d x 2d matrix,
     raised by 2d u ||Diag(y) - B||_inf to cover the eigensolver's backward
     error, and the sum is rounded upward, so the bound is rigorous.  It is
-    the reference gram_maximize falls back on when its Cholesky test fails.
-    It equals the maximum, to rounding, when the factors are optimal and
+    gram_maximize's own certificate, computed here from any factors.  It
+    equals the maximum, to rounding, when the factors are optimal and
     Diag(y) - B is positive semidefinite.
     """
     A = check_symmetric(A)
@@ -507,17 +465,12 @@ def gram_maximize(A, rng: RngSeed | None = None) -> GramSolution:
 
     Each start runs until a sweep gains at most SWEEP_TOL, or for MAX_SWEEPS
     sweeps, and start r draws its factors from rng.generator(r).  After a
-    start that improves the best value, the best factors are certified: y
-    comes from them, the start's last A U and one more A V, the shifted
-    Cholesky test of the Schur complement tries t = delta0 =
-    GAP_TOL |value| / (4d) and, if that passes, the tight t = 2^-20 delta0;
-    only if delta0 fails is the eigvalsh bound of dual_upper_bound computed.  A pass at delta0 means
-    lambda_min(Diag(y) - B) >= -delta0, where the eigvalsh bound is within
-    GAP_TOL too, and a failure falls back on that bound, so every restart
-    decision is the one the eigvalsh bound alone would make.  Restarting
-    stops once the relative gap is at most GAP_TOL, or after MAX_RESTARTS
-    starts.  Ties break toward the lowest restart index.  The smallest bound
-    is returned, and certified_by names the path that computed it.
+    start that improves the best value, the best factors are certified by
+    the eigvalsh bound of dual_upper_bound, its y from them, the start's
+    last A U and one more A V.  Restarting stops once the relative gap is at
+    most GAP_TOL, or after MAX_RESTARTS starts.  Ties break toward the
+    lowest restart index.  The smallest bound is returned, certified_by
+    "eigvalsh".
 
     An A whose largest entry lies outside [2^-256, 2^256] is solved as
     A 2^-e, with 2^e the power of two just above that entry, and the value,
@@ -538,19 +491,12 @@ def _gram_maximize(A: np.ndarray, rng: RngSeed | None) -> GramSolution:
 
     best = None
     upper = math.inf
-    certified_by = "eigvalsh"
     for r in range(MAX_RESTARTS):
         U, V = _random_start(rng.generator(r), A.shape[0], _rank(A.shape[0]))
         value, U, V, history, AU = _ascend(A, U, V)
         if best is None or value > best[0]:
             best = (value, U, V, history)
-            AV = A @ V
-            y = _dual_vector(U, V, AU, AV)
-            bound, path = _cholesky_bound(A, y, value, AV), "cholesky"
-            if bound is None:
-                bound, path = _eigvalsh_bound(A, y), "eigvalsh"
-            if bound < upper:
-                upper, certified_by = bound, path
+            upper = min(upper, _eigvalsh_bound(A, _dual_vector(U, V, AU, A @ V)))
         if _relative_gap(best[0], upper) <= GAP_TOL:
             break
     value, U, V, history = best
@@ -564,7 +510,7 @@ def _gram_maximize(A: np.ndarray, rng: RngSeed | None) -> GramSolution:
         # the product rounds only in gradual underflow, where it must not fall
         upper = scaled if math.ldexp(scaled, -scale) >= upper else math.nextafter(scaled, math.inf)
     return GramSolution(u_factors=U, v_factors=V, value=value, upper_bound=upper,
-                        restarts_used=r + 1, certified_by=certified_by, history=history)
+                        restarts_used=r + 1, history=history)
 
 
 def _e(r: int, i: int) -> np.ndarray:
@@ -582,20 +528,18 @@ def _random_start(gen: np.random.Generator, d: int, rank: int):
     return U, V
 
 
-def _loop_solve(A: np.ndarray, limit: float, rng: RngSeed,
-                abs_a: np.ndarray) -> GramSolution:
+def _loop_solve(A: np.ndarray, limit: float, rng: RngSeed, l1: float) -> GramSolution:
     """The Gram solve of robust_estimate's loop, run only as far as the loop's
     decision needs, for an A that is symmetric and finite (it is not checked),
-    given abs_a = |A|.
+    given its l1 sum l1 = _l1_rounded_up(|A|).
 
     One start, drawn from rng.generator(0) at rank min(LOOP_RANK, _rank(d)),
     ascends until a full sweep gains at most LOOP_TOL.  Its value is
     feasible, so a value at or above limit shows that the maximum reaches
     limit: the loop must not stop, and these factors, which the scores need
     only to within a constant factor, are returned as they stand.  Their
-    upper bound is the l1 sum sum |A_ij| rounded upward (at least the
-    value), certified_by "l1", restarts_used 1, and the history the
-    ascent's.  Below limit the result is gram_maximize(A, rng), at the full
+    upper bound is l1 (at least the value), certified_by "l1", restarts_used
+    1, and the history the ascent's.  Below limit the result is gram_maximize(A, rng), at the full
     rank, so a stop rests on a certified solve.  A is scaled into the
     solver's band as in gram_maximize.
     """
@@ -607,7 +551,7 @@ def _loop_solve(A: np.ndarray, limit: float, rng: RngSeed,
     if not value >= limit:
         return _gram_maximize(A, rng)
     return GramSolution(u_factors=U, v_factors=V, value=value,
-                        upper_bound=max(_l1_rounded_up(abs_a), value),
+                        upper_bound=max(l1, value),
                         restarts_used=1, certified_by="l1",
                         history=[math.ldexp(h, scale) for h in history])
 

@@ -248,21 +248,18 @@ def resolve_attack(cell: TrialCell, p: ProbVector, ch: RapporChannel) -> AttackS
     kind = cell.attack
     params = cell._params
     if kind in ("all_ones", "all_zeros"):
-        return AttackSpec(kind=kind, name=kind)
+        return AttackSpec(kind=kind)
     if kind == "swap_mix":
         w = (1.0 - params["mix"]) * p.weights.copy()
         w[0] += params["mix"]
-        return AttackSpec(kind="swap_distribution", q=make_prob_vector(w),
-                          name="swap_mix")
+        return AttackSpec(kind="swap_distribution", q=make_prob_vector(w))
     if kind == "swap_uniform":
-        return AttackSpec(kind="swap_distribution",
-                          q=ProbVector(np.full(ch.d, 1.0 / ch.d)),
-                          name="swap_uniform")
+        return AttackSpec(kind="swap_distribution", q=ProbVector(np.full(ch.d, 1.0 / ch.d)))
     if kind == "targeted_subset":
         mask = np.zeros(ch.d, dtype=bool)
         mask[:params["subset_size"]] = True
         return AttackSpec(kind="targeted_subset", mask=mask, direction=params["direction"],
-                          magnitude=params["magnitude"], name="targeted_subset")
+                          magnitude=params["magnitude"])
     raise InvalidAttackParams(f"unknown attack {kind!r}")
 
 
@@ -290,7 +287,7 @@ def run_trial(cell: TrialCell, trial: int, master_seed: int) -> TrialResult:
     if cell.attack == "hard_pair_swap" and cell.eps > 0.0:
         pair = hard_pair(ch, eps=cell.eps, k=cell.k)
         p = pair.p
-        attack = AttackSpec(kind="swap_distribution", q=pair.q, name="hard_pair_swap")
+        attack = AttackSpec(kind="swap_distribution", q=pair.q)
     else:
         p = sample_p(cell.p_family, cell.d, base.child(1))
         attack = resolve_attack(cell, p, ch) if cell.eps > 0.0 else None

@@ -17,7 +17,7 @@ CALLERS = sorted((ROOT / "src" / "ldprobust").glob("*.py")) + [ROOT / "tests" / 
 
 #: Public names that nothing in CALLERS uses, each with the reason it stays.
 KEPT_REFERENCES = {
-    "dual_upper_bound": "the reference the Gram certificate is tested against",
+    "dual_upper_bound": "the Gram solver's own certificate, computed from any factors",
     "sup_subset_gap": "the subset-error reference of the estimator tests",
     "check_nice_properties": "checks the paper's concentration lemma on clean collections",
     "covariance_lipschitz_check": "checks the paper's covariance Lipschitz lemma",

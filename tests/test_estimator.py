@@ -539,7 +539,7 @@ def trial_collection(n, k, d, attack, eps, seed):
     if attack == "hard_pair_swap":
         pair = hard_pair(ch, eps=eps, k=k)
         target = pair.p
-        attack_spec = AttackSpec(kind="swap_distribution", q=pair.q, name="hard_pair_swap")
+        attack_spec = AttackSpec(kind="swap_distribution", q=pair.q)
     else:
         target = sample_p(cell.p_family, d, rng.child(1))
         attack_spec = resolve_attack(cell, target, ch)
@@ -1177,13 +1177,14 @@ class TestCertifiedStop:
         ascents = [(i, stats[i][3]) for i, rec in enumerate(trace) if rec.certified_by == "l1"
                    and rec.gram_value is not None]
         for i, A in ascents:
-            sol = gram_module._loop_solve(A, limit, rng.child(4, i), np.abs(A))
+            l1 = gram_module._l1_rounded_up(np.abs(A))
+            sol = gram_module._loop_solve(A, limit, rng.child(4, i), l1)
             full = gram_maximize(A, rng=rng.child(4, i))
             assert sol.value == trace[i].gram_value and sol.certified_by == "l1"
             assert full.value >= limit
             longer = reference_ascent(A, rng.child(4, i).generator(0), gram_module.SWEEP_TOL)[3]
             assert longer[:len(sol.history)] == sol.history
-            never = gram_module._loop_solve(A, math.inf, rng.child(4, i), np.abs(A))
+            never = gram_module._loop_solve(A, math.inf, rng.child(4, i), l1)
             assert np.array_equal(never.u_factors, full.u_factors)
             assert np.array_equal(never.v_factors, full.v_factors)
             assert (never.value, never.upper_bound, never.restarts_used, never.certified_by,
@@ -1212,12 +1213,34 @@ class TestCertifiedStop:
         # one solve and one scoring pass per deleting iteration, none on the stop
         assert len(solves) == len(passes) == res.iterations - 1
 
+    @pytest.mark.parametrize("n, k, d, attack", [(2000, 50, 5, "swap_mix"),
+                                                 (2000, 50, 5, "all_ones"),
+                                                 (1000, 20, 128, "targeted_subset")])
+    def test_one_l1_sum_per_sdp_iteration(self, monkeypatch, n, k, d, attack):
+        # the stop proofs and a kept ascent's bound share the iteration's one l1 sum
+        coll, ch = trial_collection(n, k, d, attack, 0.05, seed=0)
+        cfg = TrialCell(n=n, k=k, d=d, alpha=1.0, eps=0.05, attack=attack).estimator_config()
+        l1_sum, calls = gram_module._l1_rounded_up, []
+
+        def counting(abs_a):
+            calls.append(abs_a.shape)
+            return l1_sum(abs_a)
+
+        monkeypatch.setattr(estimator_module, "_l1_rounded_up", counting)
+        monkeypatch.setattr(gram_module, "_l1_rounded_up", counting)
+        res = robust_estimate(coll, cfg, ch, RngSeed(3))
+        sdp = [rec for rec in res.trace if rec.mode == "sdp"]
+        # all_ones and targeted_subset keep an ascent on every deleting iteration
+        kept = sum(rec.certified_by == "l1" and bool(rec.deleted) for rec in sdp)
+        assert kept == (0 if attack == "swap_mix" else len(sdp) - 1)
+        assert calls == [(d, d)] * len(sdp)
+
     def test_solver_stop_scores_nothing(self, monkeypatch):
         # with no proof passing, the stop rests on the solver's value, as before
         coll, ch = trial_collection(2000, 50, 5, "all_ones", 0.05, seed=0)
         cfg = EstimatorConfig(eps=0.05, tau_threshold=DESK_TAU_THRESHOLD)
         proved = robust_estimate(coll, cfg, ch, RngSeed(3))
-        monkeypatch.setattr(estimator_module, "_upper_bound_below", lambda A, limit, abs_a: None)
+        monkeypatch.setattr(estimator_module, "_upper_bound_below", lambda A, limit, abs_a, l1: None)
         solves = count_solves(monkeypatch)
         passes = record_scoring_passes(monkeypatch)
         res = robust_estimate(coll, cfg, ch, RngSeed(3))
@@ -1234,7 +1257,7 @@ class TestCertifiedStop:
         # stop to a full solve
         coll, ch = trial_collection(2000, 50, 5, "all_ones", 0.05, seed=0)
         cfg = EstimatorConfig(eps=0.05, tau_threshold=DESK_TAU_THRESHOLD)
-        monkeypatch.setattr(estimator_module, "_upper_bound_below", lambda A, limit, abs_a: None)
+        monkeypatch.setattr(estimator_module, "_upper_bound_below", lambda A, limit, abs_a, l1: None)
         monkeypatch.setattr(estimator_module, "_stops", lambda tau, cfg: math.isfinite(tau))
         solve, solutions = estimator_module._loop_solve, []
         monkeypatch.setattr(estimator_module, "_loop_solve",
@@ -1253,7 +1276,7 @@ class TestCertifiedStop:
         # ceil(2 sqrt(128)) + 1 = 24 through the scratch the loop holds
         coll, ch = trial_collection(1000, 20, 128, "targeted_subset", 0.05, seed=0)
         cfg = EstimatorConfig(eps=0.05, tau_threshold=1e6)
-        monkeypatch.setattr(estimator_module, "_upper_bound_below", lambda A, limit, abs_a: None)
+        monkeypatch.setattr(estimator_module, "_upper_bound_below", lambda A, limit, abs_a, l1: None)
         stops, decided = estimator_module._stops, []
         monkeypatch.setattr(estimator_module, "_stops",
                             lambda tau, cfg: decided.append(tau) or (len(decided) > 1
