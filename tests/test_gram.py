@@ -547,6 +547,23 @@ class TestUpperBoundBelow:
         assert upper_bound_below(A, spectral * (1 - 1e-9)) is None
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("d", [1, 3, 12, 64])
+    def test_psd_proof_is_sharp_at_half_the_spectral_norm(self, d):
+        # c I - B is PSD exactly when c >= ||A||_2 / 2; the rounding margin is
+        # far below 1e-6 of that, and below it the Schur complement is indefinite
+        A = random_symmetric(d, 500 + d)
+        abs_a = np.abs(A)
+        row_sums = abs_a.sum(axis=1)
+        half_norm = 0.5 * float(np.abs(np.linalg.eigvalsh(A)).max())
+        proves = gram_module._uniform_dual_proves_psd
+        assert proves(A, half_norm * (1 + 1e-6), abs_a, row_sums)
+        assert not proves(A, half_norm * (1 - 1e-9), abs_a, row_sums)
+        assert not proves(A, 0.0, abs_a, row_sums)
+        assert not proves(A, -half_norm, abs_a, row_sums)
+        # an infinite c leaves inf - inf on the diagonal, which must fail
+        with np.errstate(invalid="ignore"):
+            assert not proves(A, math.inf, abs_a, row_sums)
+
     def test_never_below_the_solver_value(self):
         gen = np.random.default_rng(5)
         proved = set()
