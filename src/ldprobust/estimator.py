@@ -38,8 +38,9 @@ iteration, for both the l1 proof and the in-loop solve.
 
 Memory per pass: the row passes read the counts in blocks and allocate no
 block-sized temporary.  The scores are centred and projected in float64
-scratch made once per estimate, and S2 converts its blocks into one scratch
-array per call, float32 where its integers fit in 24 bits.  Scratch held
+scratch made once per estimate.  The sums S1 and S2 convert the blocks into
+one scratch array per call, float32 where their integers fit in 24 bits,
+and S1 is one product with a ones vector per block.  Scratch held
 across blocks stays mapped, where a freed block temporary would be handed
 back to the kernel and faulted in again by the next block.
 """
@@ -229,24 +230,36 @@ def _block_rows(c: np.ndarray) -> int:
     return min(c.shape[0], _block_step(c.shape[1]) + 1)
 
 
-def _second_moment(c: np.ndarray, k: int) -> np.ndarray:
-    """S2 = sum of c_b c_b^T over the rows of c, in int64, from one GEMM per row block.
+def _exact_sums(c: np.ndarray, k: int,
+                second: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """(S1, S2): S1 = sum of c_b and, if second, S2 = sum of c_b c_b^T over the
+    rows of c, in int64, from one product per row block; S2 is None otherwise.
 
     Each block is converted into one scratch array made for the call, so no
-    block allocates its own float copy.  Counts lie in [0, k], so every
-    partial sum of a block's product is an integer of at most rows * k^2.
-    The scratch is float32 while that lies below 2^24 and float64 otherwise,
-    which holds integers up to 2^53 (ExactSums.of keeps n k^2 below it), so
-    either is exact in any summation order.
+    block allocates its own float copy, and S1 is one ones @ block on it.
+    Counts lie in [0, k], so every partial sum of a block's products is an
+    integer of at most rows * k^2, or rows * k for S1 alone.  The scratch is
+    float32 while that lies below 2^24 and float64 otherwise, which holds
+    integers up to 2^53 (ExactSums.of keeps n k^2 below it), so either is
+    exact in any summation order.  Where a block's S1 alone could reach 2^53
+    it is summed in int64.
     """
     rows = _block_rows(c)
-    f = np.empty((rows, c.shape[1]), dtype=np.float32 if rows * k * k < 2 ** 24 else np.float64)
-    s2 = np.zeros((c.shape[1], c.shape[1]), dtype=np.int64)
+    peak = rows * k * k if second else rows * k
+    if not second and peak >= 2 ** 53:
+        return c.sum(axis=0, dtype=np.int64), None
+    dtype = np.float32 if peak < 2 ** 24 else np.float64
+    f = np.empty((rows, c.shape[1]), dtype=dtype)
+    ones = np.ones(rows, dtype=dtype)
+    s1 = np.zeros(c.shape[1], dtype=np.int64)
+    s2 = np.zeros((c.shape[1], c.shape[1]), dtype=np.int64) if second else None
     for _, block in _row_blocks(c):
         b = f[:block.shape[0]]
         np.copyto(b, block)
-        s2 += (b.T @ b).astype(np.int64)
-    return s2
+        s1 += (ones[:b.shape[0]] @ b).astype(np.int64)
+        if second:
+            s2 += (b.T @ b).astype(np.int64)
+    return s1, s2
 
 
 def _mean(s1: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -262,7 +275,7 @@ def _collection_mean(c: np.ndarray, k: int) -> np.ndarray:
     """collection_mean of counts already checked to lie in [0, k]."""
     if c.shape[0] == 0:
         raise EmptySelection("selection must be a nonempty (m, d) array of counts")
-    return _mean(c.sum(axis=0, dtype=np.int64), c.shape[0], k)
+    return _mean(_exact_sums(c, k, second=False)[0], c.shape[0], k)
 
 
 @dataclass(frozen=True)
@@ -285,7 +298,7 @@ class ExactSums:
         the covariance exact.
 
         Counts outside [0, k] raise CountMismatch.  S2 is exact while n k^2 <
-        2^53 (see _second_moment), and the numerator n S2 - S1 S1^T is exact in
+        2^53 (see _exact_sums), and the numerator n S2 - S1 S1^T is exact in
         int64 while (n k)^2 < 9.2e18; outside these bounds InexactStatistics is
         raised.  Rows removed later only lower n.
         """
@@ -297,14 +310,14 @@ class ExactSums:
         if n * k * k >= 2 ** 53 or n * k >= 3 * 10 ** 9:
             raise InexactStatistics(f"n={n}, k={k} exceed the exact-statistics bounds")
         c = checked_counts(c, k)
-        return cls(n=n, k=k, s1=c.sum(axis=0, dtype=np.int64), s2=_second_moment(c, k))
+        s1, s2 = _exact_sums(c, k)
+        return cls(n=n, k=k, s1=s1, s2=s2)
 
     def without(self, rows) -> ExactSums:
         """Sums after the given count rows, a subset of the summed rows, are removed."""
         c = as_counts(rows)
-        return ExactSums(n=self.n - c.shape[0], k=self.k,
-                         s1=self.s1 - c.sum(axis=0, dtype=np.int64),
-                         s2=self.s2 - _second_moment(c, self.k))
+        s1, s2 = _exact_sums(c, self.k)
+        return ExactSums(n=self.n - c.shape[0], k=self.k, s1=self.s1 - s1, s2=self.s2 - s2)
 
     def mean(self) -> np.ndarray:
         """qhat = S1 / (n k), rounded as collection_mean rounds it."""

@@ -24,7 +24,12 @@ symmetric eigenvalue problem of size 2d, plus a margin for the eigensolver's
 backward error, and rounds the bound upward; dual_upper_bound is the same
 bound from any factors.  Random restarts run only until the upper bound is
 within GAP_TOL of the value, so a solution carries both ends of an interval
-that holds the true maximum.
+that holds the true maximum.  The ascent converges linearly, so polishing a
+start to SWEEP_TOL buys digits the GAP_TOL promise does not need: each start
+is certified on the way, when its sweep gain first falls to each of
+STAGE_TOLS, and ends at the first bound within GAP_TOL; only a start that no
+such check certifies runs on to SWEEP_TOL.  A solve's certificates share
+one 2d x 2d buffer, whose off-diagonal blocks are written once.
 
 Where only an upper bound below a limit is wanted, as for the filter's stop,
 upper_bound_below tries two proofs before any solve: sum |A_ij|, and the
@@ -87,6 +92,10 @@ _GAP_FLOOR = np.finfo(np.float64).tiny
 #: or after MAX_SWEEPS sweeps.
 SWEEP_TOL = 1e-8
 MAX_SWEEPS = 500
+#: A start of a full solve is certified on the way when a full sweep's gain
+#: first falls to each of these (relative above 1), and ends there once its
+#: bound is within GAP_TOL (see _ascend).
+STAGE_TOLS = (1e-6, 1e-7)
 #: The sweep tolerance and the rank of the filter's in-loop ascent (see _loop_solve).
 LOOP_TOL = 1e-3
 LOOP_RANK = 4
@@ -267,11 +276,22 @@ def _half_sweep(G: np.ndarray, prev: np.ndarray, out: np.ndarray,
     return factor, float(np.vdot(factor, G)), out
 
 
-def _ascend(A: np.ndarray, U: np.ndarray, V: np.ndarray, tol: float = SWEEP_TOL):
+def _ascend(A: np.ndarray, U: np.ndarray, V: np.ndarray, tol: float = SWEEP_TOL,
+            S: np.ndarray | None = None):
     """Alternate half sweeps from unit-row factors U and V until a full sweep
     gains at most tol (relative above 1), or for MAX_SWEEPS sweeps.
 
-    Returns (value, U, V, history, AU), AU = A @ U for the returned U.  The
+    Given S = _dual_matrix(A), the start is also certified on the way: after
+    the first full sweep whose gain falls to STAGE_TOLS[0], and again after
+    the first to fall to STAGE_TOLS[1] (one check serves both when one sweep
+    passes both), the current factors get the eigvalsh bound, and the start
+    ends once it is within GAP_TOL of the value.  A check takes y from the
+    sweep's A U and the A V the next sweep needs, so it adds no product, and
+    a check that fails resumes the same start, so the history is a prefix
+    of the one without S.
+
+    Returns (value, U, V, history, AU, bound), AU = A @ U for the returned U
+    and bound the certifying check's, or None where no check certified.  The
     products, row norms and quotients go into buffers made once per call,
     and the given U and V rotate with one spare factor buffer, so a half
     sweep allocates nothing; the arrays passed in are overwritten.
@@ -283,6 +303,7 @@ def _ascend(A: np.ndarray, U: np.ndarray, V: np.ndarray, tol: float = SWEEP_TOL)
     free = np.empty_like(U)
     value = float(np.vdot(U, AV))
     history = [value]
+    stages = list(STAGE_TOLS) if S is not None else []
     with np.errstate(invalid="ignore", divide="ignore"):
         for _ in range(MAX_SWEEPS):
             U, u_value, free = _half_sweep(AV, U, free, norms, norms_col)
@@ -290,12 +311,18 @@ def _ascend(A: np.ndarray, U: np.ndarray, V: np.ndarray, tol: float = SWEEP_TOL)
             np.matmul(A, U, out=AU)
             V, new_value, free = _half_sweep(AU, V, free, norms, norms_col)
             history.append(new_value)
-            converged = new_value - value <= tol * max(1.0, abs(new_value))
+            gain, scale = new_value - value, max(1.0, abs(new_value))
+            converged = gain <= tol * scale
             value = new_value
             if converged:
                 break
             np.matmul(A, V, out=AV)
-    return value, U, V, history, AU
+            if stages and gain <= stages[0] * scale:
+                stages = [t for t in stages if gain > t * scale]
+                bound = _eigvalsh_bound(S, _dual_vector(U, V, AU, AV))
+                if _relative_gap(value, bound) <= GAP_TOL:
+                    return value, U, V, history, AU, bound
+    return value, U, V, history, AU, None
 
 
 def _band_exponent(A: np.ndarray) -> int:
@@ -336,17 +363,25 @@ def _dual_vector(U: np.ndarray, V: np.ndarray, AU: np.ndarray, AV: np.ndarray) -
                                  np.einsum("ij,ij->i", V, AU)])
 
 
-def _eigvalsh_bound(A: np.ndarray, y: np.ndarray) -> float:
-    """sum(y) + 2d t, rounded upward, with t from lambda_min(Diag(y) - B)."""
+def _dual_matrix(A: np.ndarray) -> np.ndarray:
+    """-B = [[0, -A/2], [-A/2, 0]], the 2d x 2d buffer of _eigvalsh_bound,
+    made once per solve: each bound overwrites only its diagonal."""
     d = A.shape[0]
     S = np.zeros((2 * d, 2 * d))
     S[:d, d:] = S[d:, :d] = -0.5 * A
-    S[np.diag_indices(2 * d)] = y
+    return S
+
+
+def _eigvalsh_bound(S: np.ndarray, y: np.ndarray) -> float:
+    """sum(y) + 2d t, rounded upward, with t from lambda_min(Diag(y) - B),
+    for S = _dual_matrix(A), whose diagonal becomes y."""
+    n = S.shape[0]
+    S.reshape(-1)[::n + 1] = y
     lam_min = float(np.linalg.eigvalsh(S)[0])
     # the computed eigenvalues are those of S + E with ||E||_2 a modest multiple
     # of n u ||S||_2 (n = 2d); the row-sum norm bounds ||S||_2
-    margin = 2 * d * _UNIT * float(np.abs(S).sum(axis=1).max())
-    return _sum_rounded_up(y, 2 * d * max(0.0, margin - lam_min))
+    margin = n * _UNIT * float(np.abs(S).sum(axis=1).max())
+    return _sum_rounded_up(y, n * max(0.0, margin - lam_min))
 
 
 def _uniform_dual_proves_psd(A: np.ndarray, c: float, abs_a: np.ndarray,
@@ -452,7 +487,7 @@ def dual_upper_bound(A, u_factors, v_factors) -> float:
     A = check_symmetric(A)
     U = np.asarray(u_factors, dtype=np.float64)
     V = np.asarray(v_factors, dtype=np.float64)
-    return _eigvalsh_bound(A, _dual_vector(U, V, A @ U, A @ V))
+    return _eigvalsh_bound(_dual_matrix(A), _dual_vector(U, V, A @ U, A @ V))
 
 
 def gram_maximize(A, rng: RngSeed | None = None) -> GramSolution:
@@ -463,13 +498,17 @@ def gram_maximize(A, rng: RngSeed | None = None) -> GramSolution:
     with A, whose result also gives the objective: after U = normalize(A V)
     the value is <U, A V>.  The rank is ceil(2 sqrt(d)) + 1.
 
-    Each start runs until a sweep gains at most SWEEP_TOL, or for MAX_SWEEPS
-    sweeps, and start r draws its factors from rng.generator(r).  After a
-    start that improves the best value, the best factors are certified by
-    the eigvalsh bound of dual_upper_bound, its y from them, the start's
-    last A U and one more A V.  Restarting stops once the relative gap is at
-    most GAP_TOL, or after MAX_RESTARTS starts.  Ties break toward the
-    lowest restart index.  The smallest bound is returned, certified_by
+    Start r draws its factors from rng.generator(r).  Each start takes the
+    eigvalsh bound of dual_upper_bound after the first sweep whose gain
+    falls to each of STAGE_TOLS, and ends at the first bound within GAP_TOL
+    of its value (see _ascend); that bound counts whether or not the start's
+    value is the best.  A start that no such check certifies runs until a
+    sweep gains at most SWEEP_TOL, or for MAX_SWEEPS sweeps, and if it
+    improves the best value its final factors are certified, y from them,
+    the start's last A U and one more A V.  Restarting stops once the
+    relative gap of the best value to the smallest bound is at most
+    GAP_TOL, or after MAX_RESTARTS starts.  Ties break toward the lowest
+    restart index.  The smallest bound is returned, certified_by
     "eigvalsh".
 
     An A whose largest entry lies outside [2^-256, 2^256] is solved as
@@ -489,14 +528,18 @@ def _gram_maximize(A: np.ndarray, rng: RngSeed | None) -> GramSolution:
     if rng is None:
         rng = RngSeed(0)
 
+    S = _dual_matrix(A)
     best = None
     upper = math.inf
     for r in range(MAX_RESTARTS):
         U, V = _random_start(rng.generator(r), A.shape[0], _rank(A.shape[0]))
-        value, U, V, history, AU = _ascend(A, U, V)
+        value, U, V, history, AU, bound = _ascend(A, U, V, S=S)
         if best is None or value > best[0]:
             best = (value, U, V, history)
-            upper = min(upper, _eigvalsh_bound(A, _dual_vector(U, V, AU, A @ V)))
+            if bound is None:
+                bound = _eigvalsh_bound(S, _dual_vector(U, V, AU, A @ V))
+        if bound is not None:
+            upper = min(upper, bound)
         if _relative_gap(best[0], upper) <= GAP_TOL:
             break
     value, U, V, history = best
@@ -546,7 +589,7 @@ def _loop_solve(A: np.ndarray, limit: float, rng: RngSeed, l1: float) -> GramSol
     d = A.shape[0]
     scale = _band_exponent(A)
     U, V = _random_start(rng.generator(0), d, min(LOOP_RANK, _rank(d)))
-    value, U, V, history, _ = _ascend(np.ldexp(A, -scale) if scale else A, U, V, tol=LOOP_TOL)
+    value, U, V, history, _, _ = _ascend(np.ldexp(A, -scale) if scale else A, U, V, tol=LOOP_TOL)
     value = math.ldexp(value, scale)
     if not value >= limit:
         return _gram_maximize(A, rng)

@@ -424,7 +424,7 @@ class TestRowBlocks:
         # which float32 could not hold
         counts = np.full((m, 4), k, dtype=count_dtype(k))
         wide = counts.astype(np.int64)
-        assert np.array_equal(estimator_module._second_moment(counts, k), wide.T @ wide)
+        assert np.array_equal(estimator_module._exact_sums(counts, k)[1], wide.T @ wide)
         assert np.array_equal(ExactSums.of(counts, k).s2, wide.T @ wide)
 
     def test_second_moment_in_float32_is_exact_on_mixed_counts(self):
@@ -433,7 +433,42 @@ class TestRowBlocks:
         counts = gen.integers(0, 21, size=(4000, 128)).astype(np.uint8)
         counts[:600] = 20
         wide = counts.astype(np.int64)
-        assert np.array_equal(estimator_module._second_moment(counts, 20), wide.T @ wide)
+        assert np.array_equal(estimator_module._exact_sums(counts, 20)[1], wide.T @ wide)
+
+    @pytest.mark.parametrize("dtype,k", [(np.uint8, 255), (np.uint16, 255), (np.uint16, 300),
+                                         (np.int64, 255), (np.int64, 300)])
+    @pytest.mark.parametrize("rows", ["1", "2", "step+1", "step+2", "2step+1", "3step"])
+    def test_column_sums_by_float_product_are_the_integer_sums(self, dtype, k, rows):
+        # d = 1 blocks 65536 rows: with a lone last row joined, 65537 * 255
+        # lies just below 2^24, so S1 alone sums in float32 at k = 255 and in
+        # float64 at k = 300, and S2 in float64 at both
+        step = _block_step(1)
+        m = {"1": 1, "2": 2, "step+1": step + 1, "step+2": step + 2,
+             "2step+1": 2 * step + 1, "3step": 3 * step}[rows]
+        gen = np.random.default_rng(m + k)
+        counts = gen.integers(0, k + 1, size=(m, 1)).astype(dtype)
+        # a full block of the largest odd count reaches the largest partial
+        # sums, odd ones, which float32 holds only below 2^24
+        counts[:step + 1] = k - 1 + k % 2
+        exact = counts.sum(axis=0, dtype=np.int64)
+        for second in (False, True):
+            assert np.array_equal(estimator_module._exact_sums(counts, k, second)[0], exact)
+        assert np.array_equal(collection_mean(counts, k), exact / float(m * k))
+        if m >= 3:
+            gone = np.sort(gen.choice(m, size=m // 3, replace=False))
+            sums = ExactSums.of(counts, k).without(counts[gone])
+            assert np.array_equal(sums.s1, np.delete(counts, gone, axis=0).sum(axis=0, dtype=np.int64))
+
+    def test_column_sums_stay_integer_where_a_block_could_reach_2_53(self):
+        # 513 rows a block at d = 128: rows * k >= 2^53 is summed in int64
+        d = 128
+        rows = _block_step(d) + 1
+        k = 2 ** 53 // rows + 1
+        gen = np.random.default_rng(6)
+        counts = gen.integers(k - 1000, k + 1, size=(3 * rows, d), dtype=np.int64)
+        s1, s2 = estimator_module._exact_sums(counts, k, second=False)
+        assert s2 is None
+        assert np.array_equal(s1, counts.sum(axis=0, dtype=np.int64))
 
     def test_sdp_scores_allocate_no_block(self):
         # with the estimate's scratch a pass allocates its scores (30 KB), the
@@ -460,10 +495,10 @@ class TestRowBlocks:
         # copy of each block would add 525 KB
         d, k = 128, 20
         counts = np.random.default_rng(3).integers(0, k + 1, size=(3800, d)).astype(np.uint8)
-        estimator_module._second_moment(counts, k)
+        estimator_module._exact_sums(counts, k)
         tracemalloc.start()
         try:
-            estimator_module._second_moment(counts, k)
+            estimator_module._exact_sums(counts, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

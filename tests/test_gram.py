@@ -226,10 +226,14 @@ def _reference_scale(A):
     return 0
 
 
-def _reference_ascent(A, gen, rank, tol):
+def _reference_ascent(A, gen, rank, tol, certify=False):
     """One start of unit-row (d, rank) factors drawn from gen, ascended with a
     fresh A @ V, a zero-norm test and a fresh quotient at every half sweep
-    until a full sweep gains at most tol.  Returns (value, U, V, history, AU)."""
+    until a full sweep gains at most tol.  With certify, the factors after the
+    first sweep whose gain falls to each of STAGE_TOLS (one bound for all the
+    tolerances one sweep passes) are bounded by dual_upper_bound, and the
+    start ends at a bound within GAP_TOL of the value.  Returns (value, U, V,
+    history, bound), bound None unless such a check ended the start."""
     d = A.shape[0]
     normalize_rows = _reference_normalize_rows
     fallback = np.tile(gram_module._e(rank, 0), (d, 1))
@@ -238,6 +242,7 @@ def _reference_ascent(A, gen, rank, tol):
     AV = A @ V
     value = float(np.vdot(U, AV))
     history = [value]
+    unchecked = list(gram_module.STAGE_TOLS) if certify else []
     for _ in range(gram_module.MAX_SWEEPS):
         U = normalize_rows(AV, U)
         history.append(float(np.vdot(U, AV)))
@@ -245,17 +250,27 @@ def _reference_ascent(A, gen, rank, tol):
         V = normalize_rows(AU, V)
         new_value = float(np.vdot(V, AU))
         history.append(new_value)
-        converged = new_value - value <= tol * max(1.0, abs(new_value))
+        gain = new_value - value
+        converged = gain <= tol * max(1.0, abs(new_value))
         value = new_value
         if converged:
             break
         AV = A @ V
-    return value, U, V, history, AU
+        passed = [t for t in unchecked if gain <= t * max(1.0, abs(value))]
+        if passed:
+            unchecked = [t for t in unchecked if t not in passed]
+            bound = dual_upper_bound(A, U, V)
+            if (bound - value) / max(abs(bound), np.finfo(np.float64).tiny) <= GAP_TOL:
+                return value, U, V, history, bound
+    return value, U, V, history, None
 
 
 def _reference_gram_maximize(A, rng=None):
     """gram_maximize with a fresh A @ V, a zero-norm test and a fresh quotient
-    at every half sweep: the oracle the buffered sweeps match bit for bit."""
+    at every half sweep: the oracle the buffered sweeps match bit for bit.
+    The bound of a start that a stage check ended counts whether or not its
+    value is the best; otherwise only a start that improves the best value
+    is bounded, at its last factors."""
     A = gram_module.check_symmetric(A)
     d = A.shape[0]
     scale = _reference_scale(A)
@@ -268,13 +283,14 @@ def _reference_gram_maximize(A, rng=None):
     best = None
     upper = math.inf
     for r in range(gram_module.MAX_RESTARTS):
-        value, U, V, history, AU = _reference_ascent(A, rng.generator(r), rank,
-                                                     gram_module.SWEEP_TOL)
+        value, U, V, history, bound = _reference_ascent(A, rng.generator(r), rank,
+                                                        gram_module.SWEEP_TOL, certify=True)
         if best is None or value > best[0]:
             best = (value, U, V, history)
-            bound = gram_module._eigvalsh_bound(A, gram_module._dual_vector(U, V, AU, A @ V))
-            if bound < upper:
-                upper = bound
+            if bound is None:
+                bound = dual_upper_bound(A, U, V)
+        if bound is not None and bound < upper:
+            upper = bound
         if gram_module._relative_gap(best[0], upper) <= GAP_TOL:
             break
     value, U, V, history = best
@@ -357,6 +373,73 @@ class TestHalfSweepOracle:
             assert sol.restarts_used == 4
             assert _solution_bits(sol) == _solution_bits(
                 _reference_gram_maximize(A, rng=RngSeed(seed)))
+
+
+def _traced_solve(monkeypatch, A, rng, stages):
+    """gram_maximize(A, rng) at STAGE_TOLS = stages, with each start's history
+    and the number of eigvalsh bounds taken from its ascent until the next."""
+    ascend, bound = gram_module._ascend, gram_module._eigvalsh_bound
+    starts = []
+
+    def tracing_ascend(*args, **kwargs):
+        starts.append({"bounds": 0})
+        out = ascend(*args, **kwargs)
+        starts[-1]["history"] = out[3]
+        return out
+
+    def counting_bound(*args):
+        starts[-1]["bounds"] += 1
+        return bound(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(gram_module, "STAGE_TOLS", stages)
+        m.setattr(gram_module, "_ascend", tracing_ascend)
+        m.setattr(gram_module, "_eigvalsh_bound", counting_bound)
+        sol = gram_maximize(A, rng=rng)
+    assert len(starts) == sol.restarts_used
+    return sol, starts
+
+
+class TestStagedStop:
+    """A full solve's starts end at the first stage check whose bound is within
+    GAP_TOL, on every fifth of criterion 3's matrices."""
+
+    def test_starts_are_prefixes_of_the_sweep_tol_ascent(self, monkeypatch):
+        rng = RngSeed(333)
+        half_sweeps = {"staged": [], "sweep_tol": []}
+        for d in (4, 8, 12):
+            for i in range(0, 500, 5):
+                raw = rng.generator(d, i).standard_normal((d, d))
+                A = 0.5 * (raw + raw.T)
+                sol, starts = _traced_solve(monkeypatch, A, rng.child(d, i),
+                                            gram_module.STAGE_TOLS)
+                full, full_starts = _traced_solve(monkeypatch, A, rng.child(d, i), ())
+                assert sol.restarts_used <= full.restarts_used
+                assert sol.relative_gap <= GAP_TOL or sol.restarts_used == full.restarts_used
+                for start, full_start in zip(starts, full_starts):
+                    history = start["history"]
+                    assert full_start["history"][:len(history)] == history
+                    assert start["bounds"] <= 3
+                assert any(sol.history == start["history"] for start in starts)
+                if d == 12:
+                    half_sweeps["staged"].append(sum(len(s["history"]) - 1 for s in starts))
+                    half_sweeps["sweep_tol"].append(
+                        sum(len(s["history"]) - 1 for s in full_starts))
+        assert np.mean(half_sweeps["staged"]) <= 0.7 * np.mean(half_sweeps["sweep_tol"])
+
+    @pytest.mark.parametrize("seed", [646, 658, 745])
+    def test_bound_of_a_start_that_is_not_the_best_counts(self, monkeypatch, seed):
+        # start 1 is ended by a stage check a little below start 0's value,
+        # and its bound certifies start 0's factors
+        raw = np.random.default_rng(1005000 + seed).standard_normal((5, 5))
+        A = 0.5 * (raw + raw.T)
+        sol, starts = _traced_solve(monkeypatch, A, RngSeed(seed), gram_module.STAGE_TOLS)
+        assert sol.restarts_used == 2
+        assert sol.history == starts[0]["history"]
+        assert starts[1]["history"][-1] < sol.value
+        assert sol.upper_bound < dual_upper_bound(A, sol.u_factors, sol.v_factors)
+        assert sol.relative_gap <= GAP_TOL
+        assert _solution_bits(sol) == _solution_bits(_reference_gram_maximize(A, rng=RngSeed(seed)))
 
 
 def random_factors(d, rank, gen):
@@ -760,10 +843,10 @@ for d in (4, 8, 12):
 print(digest.hexdigest())
 """
 _SOLUTION_DIGESTS = {
-    ("2.4", "Nehalem"): "0662f2dbea4cddd1db91b91036782ad44d66849984eb6651225d47053ebe5752",
-    ("2.4", "Sandybridge"): "371ae848fe89fb391755c54158109bb982586c8d0a55735a52c4cd18ab7732d6",
-    ("2.4", "Haswell"): "164a839732b7e6bc634e3806a3bc4a695114d4568707a25593c760caca57e09b",
-    ("2.4", "SkylakeX"): "917b45febf6acbc45f9311d848a544c80bcce1c94a7553bfa1bd3319e1780a38",
+    ("2.4", "Nehalem"): "ceaceca560742dd77a0701819b25373aa278c6d482ca446d4057bb30487bae41",
+    ("2.4", "Sandybridge"): "0940ec376e3f09a2337fe0d997a5db04fc7392cbe36ec3d37301f2736c1b622b",
+    ("2.4", "Haswell"): "dd68bf88533a65ac84f4d3c29d88b564f15dced189222b89a61c2b0261d3a1b5",
+    ("2.4", "SkylakeX"): "4474fa67e86965b270da7260941a4aa34440d0d28427b0ef95567ee7beacb638",
 }
 
 
