@@ -19,14 +19,11 @@ from .channel import (
     sample_privatized,
     subset_sum_law_sample,
 )
-from .checks import check_nice_properties, covariance_lipschitz_check
 from .estimator import (
     DESK_TAU_THRESHOLD,
     EstimateResult,
     EstimatorConfig,
     batch_deletion,
-    collection_mean,
-    empirical_cov,
     model_cov,
     naive_estimate,
     robust_estimate,
@@ -69,7 +66,6 @@ from .prob import (
     make_prob_vector,
     subset_mask,
     subset_mass,
-    sup_subset_gap,
     tv_product_bound,
 )
 

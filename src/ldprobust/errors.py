@@ -97,10 +97,6 @@ class NotSymmetric(ArtifactError):
     pass
 
 
-class InvalidGramSolution(ArtifactError):
-    pass
-
-
 # --- estimator ---
 
 class EmptyBatch(ArtifactError):
@@ -123,10 +119,6 @@ class Exhausted(InputError):
     """The filtering loop ran out of batch rows before sqrt(tau) fell below its
     threshold: fewer than two rows survive, or every candidate scores zero.
     The collection is too small (n too low for its d and eps)."""
-
-
-class ShiftTooLarge(ArtifactError):
-    pass
 
 
 class InexactStatistics(ArtifactError):

@@ -266,13 +266,10 @@ def _mean(s1: np.ndarray, n: int, k: int) -> np.ndarray:
     return s1 / float(n * k)
 
 
-def collection_mean(counts, k: int) -> np.ndarray:
-    """qhat = S1 / (n k): the mean fraction of ones per coordinate of a nonempty selection."""
-    return _collection_mean(checked_counts(counts, k), k)
-
-
 def _collection_mean(c: np.ndarray, k: int) -> np.ndarray:
-    """collection_mean of counts already checked to lie in [0, k]."""
+    """qhat = S1 / (n k), the mean fraction of ones per coordinate, of a nonempty
+    selection of counts already checked to lie in [0, k]; S1 alone, without
+    the bound on n k^2 that S2 needs."""
     if c.shape[0] == 0:
         raise EmptySelection("selection must be a nonempty (m, d) array of counts")
     return _mean(_exact_sums(c, k, second=False)[0], c.shape[0], k)
@@ -320,22 +317,12 @@ class ExactSums:
         return ExactSums(n=self.n - c.shape[0], k=self.k, s1=self.s1 - s1, s2=self.s2 - s2)
 
     def mean(self) -> np.ndarray:
-        """qhat = S1 / (n k), rounded as collection_mean rounds it."""
+        """qhat = S1 / (n k), rounded as the naive estimate's mean is rounded."""
         return _mean(self.s1, self.n, self.k)
 
     def cov(self) -> np.ndarray:
         """(n S2 - S1 S1^T) / (n^2 k^2): the exact integer numerator, one rounding, one division."""
         return (self.n * self.s2 - np.outer(self.s1, self.s1)) / float((self.n * self.k) ** 2)
-
-
-def empirical_cov(counts, k: int) -> np.ndarray:
-    """Covariance of the batch means, (n S2 - S1 S1^T) / (n^2 k^2), from exact sums.
-
-    Converting the exact integer numerator to float64 and dividing are the
-    only roundings; InexactStatistics is raised where the sums could not be
-    exact (see ExactSums.of).
-    """
-    return ExactSums.of(counts, k).cov()
 
 
 def model_cov(qhat, k: int, lam: float) -> np.ndarray:

@@ -68,7 +68,6 @@ import numpy as np
 from .errors import (
     DimensionTooLarge,
     InvalidArgument,
-    InvalidGramSolution,
     NotSymmetric,
 )
 from .prob import RngSeed
@@ -225,23 +224,6 @@ class GramSolution:
 
     def matrix(self) -> np.ndarray:
         return self.u_factors @ self.v_factors.T
-
-    def recompute_value(self, A: np.ndarray) -> float:
-        return float(np.sum(self.matrix() * np.asarray(A, dtype=np.float64)))
-
-    def validate(self, A: np.ndarray | None = None) -> None:
-        for F in (self.u_factors, self.v_factors):
-            norms = np.linalg.norm(F, axis=1)
-            if float(np.abs(norms - 1.0).max()) > 1e-10:
-                raise InvalidGramSolution("factor rows are not unit vectors")
-        M = self.matrix()
-        if float(np.abs(M).max()) > 1.0 + 1e-10:
-            raise InvalidGramSolution("Gram entries exceed 1 in absolute value")
-        tol = 1e-9 * max(1.0, abs(self.value))
-        if self.upper_bound < self.value - tol:
-            raise InvalidGramSolution("upper bound lies below the value")
-        if A is not None and abs(self.recompute_value(A) - self.value) > tol:
-            raise InvalidGramSolution("stored value does not match factors")
 
 
 def _normalize_rows(G: np.ndarray, fallback: np.ndarray) -> np.ndarray:

@@ -93,10 +93,10 @@ def _real(value) -> float:
 
 def _whole(value) -> int:
     """int(value) for a whole number; a bool, or a float with a fraction, which
-    int() would truncate, raises TypeError or ValueError."""
+    int() would truncate, raises TypeError."""
     number = int(value)
     if isinstance(value, (bool, np.bool_, float)) and number != _real(value):
-        raise ValueError(f"{value!r} is not a whole number")
+        raise TypeError(f"{value!r} is not a whole number")
     return number
 
 

@@ -169,28 +169,6 @@ def subset_mass(v, mask: np.ndarray) -> float:
     return float(va[m].sum())
 
 
-def sup_subset_gap(p, v) -> tuple[float, np.ndarray]:
-    """Largest absolute subset-mass gap max_S |p(S) - v(S)| with an attaining mask.
-
-    Computed in O(d) from the sign split of p - v: the maximum over all 2^d
-    subsets is attained either on the positive-difference support or on the
-    negative-difference support.  The value always satisfies
-    value <= l1_dist(p, v) <= 2 * value.
-    """
-    pa = p.weights if isinstance(p, ProbVector) else np.asarray(p, dtype=np.float64).ravel()
-    va = v.weights if isinstance(v, ProbVector) else np.asarray(v, dtype=np.float64).ravel()
-    if pa.size != va.size:
-        raise LengthMismatch("lengths differ")
-    diff = pa - va
-    pos = diff > 0
-    neg = diff < 0
-    val_pos = float(diff[pos].sum())
-    val_neg = float(-diff[neg].sum())
-    if val_pos >= val_neg:
-        return val_pos, pos
-    return val_neg, neg
-
-
 def tv_product_bound(chi2_single: float, k: int) -> float:
     """Upper bound sqrt((1 + chi2)^k - 1) on the TV of k-fold products, clamped at 1.
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ldprobust import cli, harness
 from ldprobust.cli import main
-from ldprobust.errors import InvalidGramSolution
+from ldprobust.errors import InexactStatistics
 
 
 def run_cli(args):
@@ -333,7 +333,7 @@ class TestExitCodes:
 
     def test_broken_invariant_exits_2(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
-            raise InvalidGramSolution("factor rows are not unit vectors")
+            raise InexactStatistics("n=50, k=5 exceed the exact-statistics bounds")
 
         monkeypatch.setattr(harness, "robust_estimate", broken)
         assert exit_code(["simulate", "--n", 50, "--k", 5, "--d", 4,

@@ -5,19 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ldprobust import (
-    BatchCollection,
     FiniteDist,
     ProbVector,
     RapporChannel,
     RngSeed,
-    check_nice_properties,
     rate_fit,
     l1_dist,
     make_prob_vector,
     sample_privatized,
     subset_mask,
     subset_mass,
-    sup_subset_gap,
     tv_product_bound,
 )
 from ldprobust.errors import (
@@ -28,8 +25,6 @@ from ldprobust.errors import (
     NotNormalized,
     TooSmallAlphabet,
 )
-
-from conftest import brute_force_sup_gap
 
 
 class TestMakeProbVector:
@@ -99,39 +94,6 @@ class TestSubsetMass:
             subset_mass([0.1, 0.2], np.zeros(3, dtype=bool))
 
 
-class TestSupSubsetGap:
-    def test_zero_at_equal(self):
-        val, mask = sup_subset_gap([0.2, 0.3, 0.5], [0.2, 0.3, 0.5])
-        assert val == 0.0
-        assert not mask.any()
-
-    def test_direct(self):
-        p = [0.6, 0.4, 0.0]
-        v = [0.4, 0.4, 0.2]
-        val, mask = sup_subset_gap(p, v)
-        assert abs(val - 0.2) < 1e-12
-        # the witness attains the value
-        assert abs(abs(subset_mass(p, mask) - subset_mass(v, mask)) - val) < 1e-15
-        assert abs(val - brute_force_sup_gap(p, v)) < 1e-15
-
-    def test_point_masses(self):
-        val, mask = sup_subset_gap([1, 0, 0], [0, 1, 0])
-        assert val == 1.0
-        assert mask.tolist() == [True, False, False]
-
-    @settings(max_examples=200, derandomize=True)
-    @given(st.integers(3, 10), st.integers(0, 2 ** 32 - 1))
-    def test_matches_brute_force_and_l1_sandwich(self, d, seed):
-        gen = np.random.default_rng(seed)
-        p = gen.dirichlet(np.ones(d))
-        v = gen.normal(0.2, 0.3, size=d)
-        val, mask = sup_subset_gap(p, v)
-        assert abs(val - brute_force_sup_gap(p, v)) < 1e-12
-        assert val <= l1_dist(p, v) + 1e-12
-        assert l1_dist(p, v) <= 2 * val + 1e-12
-        assert abs(abs(subset_mass(p, mask) - subset_mass(v, mask)) - val) < 1e-12
-
-
 class TestTvProductBound:
     def test_zero(self):
         assert tv_product_bound(0.0, 5) == 0.0
@@ -171,7 +133,6 @@ class TestRngSeed:
 
 _P3 = make_prob_vector([0.5, 0.3, 0.2])
 _CH3 = RapporChannel.create(3, 1.0)
-_ZEROS = np.zeros((4, 3), dtype=np.int64)
 
 
 class TestInvalidArgument:
@@ -182,10 +143,8 @@ class TestInvalidArgument:
         lambda tmp: tv_product_bound(0.1, 0),
         lambda tmp: sample_privatized(_CH3, _P3, -1, RngSeed(0)),
         lambda tmp: rate_fit(tmp / "sweep.csv", "alpha"),
-        lambda tmp: check_nice_properties(BatchCollection(_ZEROS, k=2, truth=[0, 1, 0, 0]),
-                                          _P3, 0.1, _CH3),
     ], ids=["vector-2d", "repeated-outcomes", "tv-negative-chi2", "tv-k-zero",
-            "privatized-count", "fit-axis", "nice-properties-not-clean"])
+            "privatized-count", "fit-axis"])
     def test_contract_violation_is_typed_value_error(self, call, tmp_path):
         with pytest.raises(InvalidArgument) as exc:
             call(tmp_path)
