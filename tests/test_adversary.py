@@ -70,6 +70,11 @@ class TestCleanCollection:
         se = np.sqrt(q * (1 - q) / (n * k))
         assert np.all(np.abs(grand - q) <= 4.5 * se)
 
+    @pytest.mark.parametrize("n_prime, k", [(0, 3), (2, 0)])
+    def test_rejects_empty_sizes(self, ch, p, n_prime, k):
+        with pytest.raises(CountMismatch):
+            make_clean_collection(ch, p, n_prime, k, RngSeed(0))
+
     def test_deterministic(self, ch, p):
         a = make_clean_collection(ch, p, 10, 5, RngSeed(3))
         b = make_clean_collection(ch, p, 10, 5, RngSeed(3))
@@ -137,6 +142,15 @@ class TestAttackBatch:
             attack_counts(spec, ch, 2, 3, RngSeed(0).generator())
         with pytest.raises(InvalidAttackParams):
             attack_counts(AttackSpec(kind="all_ones"), ch, 2, 0, RngSeed(0).generator())
+        with pytest.raises(InvalidAttackParams):
+            attack_counts(AttackSpec(kind="all_ones"), ch, -1, 3, RngSeed(0).generator())
+
+    @pytest.mark.parametrize("params", [
+        dict(mask=None), dict(direction=0), dict(magnitude=1.5), dict(magnitude=-0.1),
+    ], ids=["no-mask", "direction-zero", "magnitude-above-one", "magnitude-negative"])
+    def test_bad_targeted_params(self, params):
+        with pytest.raises(InvalidAttackParams):
+            AttackSpec(kind="targeted_subset", **{"mask": np.ones(5, dtype=bool), **params})
 
     def test_swap_uniform_indistinguishable_from_clean(self, ch):
         d = 4
@@ -291,6 +305,10 @@ class TestBatchCollection:
             BatchCollection(counts=np.array([[0.5, 0.0]]), k=3)
         with pytest.raises(DimensionMismatch):
             BatchCollection(counts=np.zeros((2, 3, 4), dtype=np.int64), k=3)
+
+    def test_rejects_truth_of_another_length(self):
+        with pytest.raises(CountMismatch):
+            BatchCollection(counts=np.zeros((2, 3), dtype=np.int64), k=3, truth=[0, 0, 1])
 
     def test_rejects_empty_batch(self):
         with pytest.raises(EmptyBatch):

@@ -13,6 +13,7 @@ from ldprobust import (
     invert_mean,
     lambda_of_alpha,
     ldp_ratio_check,
+    make_clean_collection,
     make_prob_vector,
     mean_response,
     privatize_batch,
@@ -21,6 +22,7 @@ from ldprobust import (
     subset_sum_law_sample,
 )
 from ldprobust.errors import (
+    AlphaOutOfRange,
     DimensionMismatch,
     EmptySubset,
     NonPositiveAlpha,
@@ -138,6 +140,28 @@ class TestInvertMean:
         ch = RapporChannel.create(4, 1.0)
         with pytest.raises(DimensionMismatch):
             invert_mean(ch, np.zeros(5))
+
+    def test_not_invertible_at_half(self):
+        with pytest.raises(AlphaOutOfRange):
+            invert_mean(RapporChannel.from_lambda(4, 0.5), np.full(4, 0.5))
+
+
+class TestChannelOfAnotherDimension:
+    @pytest.mark.parametrize("call", [
+        lambda ch, p: sample_privatized(ch, p, 3, RngSeed(0)),
+        lambda ch, p: sample_counts(ch, p, 2, 3, RngSeed(0).generator()),
+        lambda ch, p: mean_response(ch, p),
+        lambda ch, p: subset_sum_law_sample(ch, p, np.ones(p.d, dtype=bool),
+                                            RngSeed(0).generator()),
+        lambda ch, p: make_clean_collection(ch, p, 2, 3, RngSeed(0)),
+    ], ids=["privatized", "counts", "mean-response", "sum-law", "clean-collection"])
+    def test_dimension_mismatch(self, call):
+        with pytest.raises(DimensionMismatch):
+            call(RapporChannel.create(4, 1.0), make_prob_vector([0.2] * 5))
+
+    def test_lambda_above_half(self):
+        with pytest.raises(AlphaOutOfRange):
+            RapporChannel.from_lambda(4, 0.6)
 
 
 class TestSumLaw:

@@ -279,6 +279,16 @@ class TestScoreCollection:
             score_collection(np.full((4, ch.d), 3), EstimatorConfig(eps=0.05), ch, RngSeed(0))
         assert isinstance(exc.value, InputError) and isinstance(exc.value, ValueError)
 
+    def test_one_row_is_too_few(self, ch):
+        with pytest.raises(TooFewBatches):
+            score_collection(np.full((1, ch.d), 3), EstimatorConfig(eps=0.05), ch, RngSeed(0),
+                             k=5)
+
+    @pytest.mark.parametrize("eps", [-0.01, 0.25])
+    def test_config_eps_outside_range(self, eps):
+        with pytest.raises(EpsOutOfRange):
+            EstimatorConfig(eps=eps)
+
     def test_requires_positive_eps_for_sdp(self, ch, p):
         coll = make_clean_collection(ch, p, 10, 5, RngSeed(2))
         with pytest.raises(EpsOutOfRange):
@@ -816,6 +826,10 @@ class TestBatchDeletion:
     def test_all_zero_scores(self):
         with pytest.raises(AllZeroScores):
             batch_deletion([0, 1], [0.0, 0.0], RngSeed(0).generator())
+
+    def test_empty_pool(self):
+        with pytest.raises(AllZeroScores):
+            batch_deletion([], [], RngSeed(0).generator())
 
     @pytest.mark.parametrize("indices, scores", [([0, 1, 2], [1.0, 2.0]),
                                                  ([0, 1], [1.0, -0.5])],

@@ -46,6 +46,14 @@ class TestMakeProbVector:
             make_prob_vector([0.5, 0.6, -0.1])
 
     @pytest.mark.parametrize("build", [
+        ProbVector, lambda w: FiniteDist(("a", "b", "c"), w),
+    ], ids=["ProbVector", "FiniteDist"])
+    def test_negative_mass_unnormalized_constructors(self, build):
+        # the constructors check masses themselves, not through make_prob_vector
+        with pytest.raises(NegativeMass):
+            build(np.array([0.5, 0.6, -0.1]))
+
+    @pytest.mark.parametrize("build", [
         make_prob_vector, ProbVector, lambda w: FiniteDist(("a", "b", "c"), w),
     ], ids=["make_prob_vector", "ProbVector", "FiniteDist"])
     def test_nan_entry_not_normalized(self, build):
@@ -92,6 +100,15 @@ class TestSubsetMass:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             subset_mass([0.1, 0.2], np.zeros(3, dtype=bool))
+
+    @pytest.mark.parametrize("symbol", [0, 4])
+    def test_mask_symbol_outside_alphabet(self, symbol):
+        with pytest.raises(LengthMismatch):
+            subset_mask(3, [1, symbol])
+
+    def test_finite_dist_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            FiniteDist(("a", "b", "c"), [0.5, 0.5])
 
 
 class TestTvProductBound:
