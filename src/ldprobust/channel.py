@@ -211,14 +211,17 @@ def sample_counts(ch: RapporChannel, p: ProbVector, m: int, k: int,
       process for each (k, lam), and the last few tables are kept,
       read-only.  Up to k = 200 a build takes at most about 17 ms, so the
       rule charges it to no call; above that each call must pay for it.
-      A guide table of 2^10 cells per symbol count answers most
-      entries outright; the rest search the key (c << 53) + u in the flattened
-      thresholds (c << 53) + ceil(CDF * 2^53).  Otherwise (large k, or too
-      few entries to pay for the table) by two binomials per entry.
+      Otherwise (large k, or too few entries to pay for the table) by two
+      binomials per entry.
 
-    Every table is built from elementwise products and sums only (no exp,
-    log or BLAS), so it has the same bits on every IEEE machine.  Inversion
-    takes one uniform per entry and resolves the CDF to 2^-53, as
+    The three table draws are one inversion, `_invert`: each CDF is held as
+    integer thresholds ceil(CDF * 2^53), the uniforms of `Generator.random`
+    lie on the 2^-53 grid, so comparing u * 2^53 with a threshold is exact,
+    and a guide table answers most entries outright; the rest search the
+    key (row << 53) + u * 2^53 in the thresholds (row << 53) + t.  Every
+    table is built from elementwise products and sums only (no exp, log or
+    BLAS), so it has the same bits on every IEEE machine.  Inversion takes
+    one uniform per entry and resolves the CDF to 2^-53, as
     `Generator.random` does: each probability is off by less than 2^-53
     (plus the table's rounding, about 1e-15), so an outcome of probability
     below 2^-53 may never be drawn, and no symbol of zero mass ever is.
@@ -280,38 +283,33 @@ def _categorical_counts(w: np.ndarray, m: int, k: int,
 
     Sample i of row b takes uniform b*k + i of the call and draws the symbol
     #{j < d-1 : cdf_j <= u} from the CDF of the normalized weights w, as a
-    `searchsorted` of u would.  A guide of 2^10 equal cells over [0, 1)
-    holds that symbol for every cell no CDF value lies strictly inside;
-    only the uniforms of the other cells search the CDF.  Rows go in blocks
-    of about _BLOCK_ENTRIES uniforms or counts, whichever a row has more of;
-    each block draws its uniforms as one (rows, k) array, so the output is
-    the same for any block size, and one `bincount` per block writes its
-    counts into the output.
+    `searchsorted` of u would on the 2^-53 grid that `Generator.random`
+    draws from: `_invert` reads it from a one-row table of the integer
+    thresholds ceil(cdf_j * 2^53), whose guide of 2^10 cells leaves a
+    search only where a cell holds a threshold.  Rows go in blocks of about
+    _BLOCK_ENTRIES uniforms or counts, whichever a row has more of; each
+    block draws its rows * k uniforms in one call, so the output is the
+    same for any block size, and one `bincount` per block writes its counts
+    into the output.
     """
     d = w.size
     # every entry from the last symbol of positive mass on is exactly 1, so
     # no uniform lands on a symbol of zero mass
     cdf = np.cumsum(w)
     cdf /= cdf[-1]
-    inner = cdf[:-1]
-    cells = 1 << _GUIDE_BITS
-    edges = np.arange(cells + 1) / cells
-    # a cell's symbol is that of its first uniform, unless a CDF value lies
-    # strictly inside the cell (before its right edge)
-    guide = np.searchsorted(inner, edges[:-1], side="right")
-    guide[np.searchsorted(inner, edges[1:], side="left") > guide] = -1
+    guide, keys = _inversion_table(_thresholds(cdf[None, :-1]), _GUIDE_BITS)
     counts = np.empty((m, d), dtype=count_dtype(k))
     step = max(1, _BLOCK_ENTRIES // max(k, d))
+    size = min(step, m) * k
+    u_buf, cell_buf, symbol_buf = np.empty(size), np.empty(size, np.int64), np.empty(size, np.int64)
     for lo in range(0, m, step):
         block = counts[lo:lo + step]
         rows = block.shape[0]
-        u = gen.random((rows, k))
-        symbol = guide[(u * cells).astype(np.intp)]  # exact: the integer part is the cell
-        todo = np.flatnonzero(symbol < 0)
-        if todo.size:
-            symbol.ravel()[todo] = np.searchsorted(inner, u.ravel()[todo], side="right")
-        symbol += np.arange(0, rows * d, d)[:, None]
-        block[...] = np.bincount(symbol.ravel(), minlength=rows * d).reshape(rows, d)
+        n = rows * k
+        symbol = _invert(guide, keys, None, gen.random(out=u_buf[:n]), _GUIDE_BITS, d - 1,
+                         cell_buf[:n], symbol_buf[:n])
+        symbol.reshape(rows, k)[...] += np.arange(0, rows * d, d)[:, None]
+        block[...] = np.bincount(symbol, minlength=rows * d).reshape(rows, d)
     return counts
 
 
@@ -343,10 +341,7 @@ def _symbol_thresholds(w: np.ndarray, k: int) -> np.ndarray:
         nxt[:, 1:n + 2] += hit * prev
     cdf = pmf[:, :, :k]
     np.cumsum(cdf, axis=2, out=cdf)
-    cdf *= 1 << _UNIT_BITS
-    np.ceil(cdf, out=cdf)
-    np.minimum(cdf, 1 << _UNIT_BITS, out=cdf)
-    thresholds = cdf.astype(np.int64)
+    thresholds = _thresholds(cdf)
     thresholds[:, np.arange(k + 1)[:, None] <= np.arange(k)] = 1 << _UNIT_BITS
     return thresholds
 
@@ -356,40 +351,27 @@ def _conditional_counts(w: np.ndarray, m: int, k: int,
     """(m, d) counts, of dtype count_dtype(k), of m rows of k iid symbols from w,
     by conditional binomials.
 
-    Column j draws c_j ~ Bin(n, r_j) with n = k - c_<j by guided inversion
-    of one uniform per entry; the last column takes what is left.  Entry
-    (i, j) takes uniform i * (d-1) + j of the call: rows go in blocks of
-    about _BLOCK_ENTRIES uniforms, each drawn as one (rows, d-1) array, so
-    the output is the same for any block size.  The tables are local to the
-    call: at d = 64, k = 200, m = 10^5 this draw peaks at 98 MB (tracemalloc),
-    its 51 MB output included, where `multinomial` allocates only the output.
+    Column j draws c_j ~ Bin(n, r_j) with n = k - c_<j by `_invert` of one
+    uniform per entry in column j's table, whose rows are n = 0, ..., k; the
+    last column takes what is left.  Entry (i, j) takes uniform i * (d-1) + j
+    of the call: rows go in blocks of about _BLOCK_ENTRIES uniforms, each
+    drawn as one (rows, d-1) array, so the output is the same for any block
+    size.  The tables are local to the call: at d = 64, k = 200, m = 10^5
+    this draw peaks at 98 MB (tracemalloc), its 51 MB output included, where
+    `multinomial` allocates only the output.
     """
     d = w.size
     bits = _SYMBOL_GUIDE_BITS
-    thresholds = _symbol_thresholds(w, k)
-    guide = _guide_table(thresholds.reshape(-1, k), bits)
-    # the search keys (n << 53) + t, written over the thresholds
-    keys = thresholds.view(np.uint64)
-    keys += np.arange(k + 1, dtype=np.uint64)[:, None] << np.uint64(_UNIT_BITS)
-    keys = keys.reshape(d - 1, -1)
+    guide, keys = _inversion_table(_symbol_thresholds(w, k), bits)
     counts = np.empty((m, d), dtype=count_dtype(k))
     step = max(1, _BLOCK_ENTRIES // (d - 1))
     for lo in range(0, m, step):
         block = counts[lo:lo + step]
         uniforms = gen.random((block.shape[0], d - 1))
         left = np.full(block.shape[0], k, dtype=np.int64)
+        cell, c = np.empty_like(left), np.empty_like(left)
         for j in range(d - 1):
-            u = uniforms[:, j]
-            cell = left + j * (k + 1)
-            cell <<= bits
-            cell += (u * (1 << bits)).astype(np.int64)  # exact: the integer part is the cell
-            c = guide[cell]
-            todo = np.flatnonzero(c < 0)
-            if todo.size:
-                n = left[todo]
-                key = ((n.astype(np.uint64) << _UNIT_BITS)
-                       + (u[todo] * (1 << _UNIT_BITS)).astype(np.uint64))
-                c[todo] = np.searchsorted(keys[j], key, side="right") - n * k
+            _invert(guide[j], keys[j], left, uniforms[:, j], bits, k, cell, c)
             block[:, j] = c
             left -= c
         block[:, -1] = left
@@ -422,82 +404,110 @@ def _ones_thresholds(k: int, lam: float) -> np.ndarray:
     An integer uniform u in [0, 2^53) draws ones = #{i : t[c, i] <= u} from
     L_c, to a resolution of 2^-53.  Each row is nondecreasing and at most 2^53.
     """
-    cdf = np.cumsum(_ones_pmf(k, lam)[:, :k], axis=1)
-    return np.minimum(np.ceil(cdf * (1 << _UNIT_BITS)), 1 << _UNIT_BITS).astype(np.int64)
+    return _thresholds(np.cumsum(_ones_pmf(k, lam)[:, :k], axis=1))
 
 
-def _guide_table(thresholds: np.ndarray, bits: int = _GUIDE_BITS) -> np.ndarray:
-    """Flattened (rows * 2^bits,) guide table of the (rows, k) thresholds.
+def _thresholds(cdf: np.ndarray) -> np.ndarray:
+    """int64 thresholds ceil(cdf * 2^53), at most 2^53, scaled and rounded in place of cdf.
 
-    Cell j of row c covers the integer uniforms [j, j + 1) * 2^(53 - bits).
-    It holds the common count of every u in the cell when no threshold of
-    row c lies strictly inside it, and -1 otherwise.
+    On the uniforms u of `Generator.random`, which are multiples of 2^-53,
+    cdf <= u holds exactly when ceil(cdf * 2^53) <= u * 2^53.
     """
-    rows, k = thresholds.shape
+    cdf *= 1 << _UNIT_BITS
+    np.ceil(cdf, out=cdf)
+    np.minimum(cdf, 1 << _UNIT_BITS, out=cdf)
+    return cdf.astype(np.int64)
+
+
+def _inversion_table(thresholds: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The guide and the search keys of (..., rows, width) thresholds, each row nondecreasing.
+
+    Returns a guide of shape (..., rows * 2^bits) and keys of shape
+    (..., rows * width).  Cell j of row r covers the integer uniforms
+    [j, j + 1) * 2^(53 - bits) and holds their common count
+    #{i : t[r, i] <= u} when no threshold of row r lies strictly inside it,
+    and -1 otherwise.  The keys (r << 53) + t[r, i], written over the
+    thresholds, are sorted, since every t is at most 2^53.
+    """
+    *lead, rows, width = thresholds.shape
+    n = math.prod(thresholds.shape[:-1])
+    flat = thresholds.reshape(n, width)
     cells = 1 << bits
     shift = _UNIT_BITS - bits
-    base = np.arange(rows)[:, None] * (cells + 1)
     # outside the cell of t, t <= u for every u of cell j exactly when
     # j >= t >> shift; the cell of t is marked -1 unless t is its first u
-    ones = np.bincount((base + (thresholds >> shift)).ravel(), minlength=rows * (cells + 1))
-    ones = ones.reshape(rows, cells + 1).cumsum(axis=1)[:, :cells]
-    row, col = np.nonzero((thresholds & ((1 << shift) - 1)) != 0)
-    ones[row, thresholds[row, col] >> shift] = -1
-    return ones.ravel()
+    cell = (flat >> shift) + np.arange(0, n * (cells + 1), cells + 1)[:, None]
+    guide = np.bincount(cell.ravel(), minlength=n * (cells + 1)).reshape(n, cells + 1).cumsum(axis=1)
+    guide.ravel()[cell[(flat & ((1 << shift) - 1)) != 0]] = -1
+    keys = thresholds.view(np.uint64)
+    keys += np.arange(rows, dtype=np.uint64)[:, None] << np.uint64(_UNIT_BITS)
+    return guide[:, :cells].reshape(*lead, rows * cells), keys.reshape(*lead, rows * width)
+
+
+def _invert(guide: np.ndarray, keys: np.ndarray, row, u: np.ndarray, bits: int,
+            width: int, cell: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write each entry's count #{i : t[row, i] <= u} into `out` and return it.
+
+    `guide` and `keys` are one table of `_inversion_table` with 2^bits cells
+    and `width` thresholds per row; `row` holds the entries' rows, or is
+    None for a table of one row.  The uniforms `u`, multiples of 2^-53, are
+    scaled in place; `cell` and `out` are int64 scratch.  All four are 1-D
+    and of one length.  The guide answers most entries outright; the rest
+    search the key (row << 53) + u * 2^53, whose rank in the keys less
+    row * width is the count.
+    """
+    u *= 1 << bits  # exact: the integer part is the cell
+    np.copyto(cell, u, casting="unsafe")  # truncates to the integer part
+    if row is not None:
+        cell += np.left_shift(row, bits, out=out, dtype=np.int64)
+    # cells are in range, and mode="clip" writes into out with no buffer
+    np.take(guide, cell, out=out, mode="clip")
+    todo = np.flatnonzero(out < 0)
+    if todo.size:
+        key = (u[todo] * (1 << (_UNIT_BITS - bits))).astype(np.uint64)
+        r = 0
+        if row is not None:
+            r = cell[todo] >> bits
+            key += r.view(np.uint64) << _UNIT_BITS
+        out[todo] = np.searchsorted(keys, key, side="right") - r * width
+    return out
 
 
 @functools.lru_cache(maxsize=4)
 def _inversion_tables(k: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """The guide table and the flattened search keys (c << 53) + t[c, i] of L_0, ..., L_k.
+    """`_inversion_table` of the thresholds of L_0, ..., L_k, with 2^10 cells per row.
 
     Built once per process for each (k, lam), up to the last few pairs, and
     read-only, since every caller shares them.
     """
-    thresholds = _ones_thresholds(k, lam)
-    guide = _guide_table(thresholds)
-    flat = ((np.arange(k + 1, dtype=np.uint64)[:, None] << _UNIT_BITS)
-            + thresholds.astype(np.uint64)).ravel()
-    guide.flags.writeable = False
-    flat.flags.writeable = False
-    return guide, flat
+    tables = _inversion_table(_ones_thresholds(k, lam), _GUIDE_BITS)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _invert_ones(symbols: np.ndarray, k: int, lam: float,
                  gen: np.random.Generator) -> np.ndarray:
-    """Draw each entry's ones from L_{symbols} by guided inversion.
+    """Draw each entry's ones from L_{symbols} by `_invert`.
 
     Takes one uniform per entry, in row-major order, and overwrites
     `symbols`, of any integer dtype, with the ones.  Rows go in blocks of
-    about _BLOCK_ENTRIES entries, each indexed through an int64 scratch of
-    the block's guide cells; the uniforms are those of one draw of the
+    about _BLOCK_ENTRIES entries; the uniforms are those of one draw of the
     whole shape, so the block size never changes the output.  The
-    uniforms, the cells and the looked-up ones go into three buffers made
-    once per call: fresh block-sized temporaries are freed and faulted in
-    again on every block when the heap is small.
+    uniforms, the guide cells and the ones go into three buffers made once
+    per call: fresh block-sized temporaries are freed and faulted in again
+    on every block when the heap is small.
     """
-    table, flat = _inversion_tables(k, lam)
+    guide, keys = _inversion_tables(k, lam)
     rows, d = symbols.shape
     step = max(1, _BLOCK_ENTRIES // d)
-    size = (min(step, rows), d)
+    size = min(step, rows) * d
     u_buf, cell_buf, ones_buf = np.empty(size), np.empty(size, np.int64), np.empty(size, np.int64)
     for lo in range(0, rows, step):
         block = symbols[lo:lo + step]
-        b = block.shape[0]
-        u = gen.random(out=u_buf[:b])
-        u *= 1 << _GUIDE_BITS  # exact: the integer part is the cell
-        ones = ones_buf[:b]
-        np.copyto(ones, u, casting="unsafe")  # truncates to the integer part
-        cell = np.left_shift(block, _GUIDE_BITS, out=cell_buf[:b], dtype=np.int64)
-        cell += ones
-        # cells are in range, and mode="clip" writes into out with no buffer
-        np.take(table, cell, out=ones, mode="clip")
-        todo = np.flatnonzero(ones < 0)
-        if todo.size:
-            c = cell.ravel()[todo] >> _GUIDE_BITS
-            key = ((c.astype(np.uint64) << _UNIT_BITS)
-                   + (u.ravel()[todo] * (1 << (_UNIT_BITS - _GUIDE_BITS))).astype(np.uint64))
-            ones.ravel()[todo] = np.searchsorted(flat, key, side="right") - c * k
-        block[...] = ones
+        n = block.size
+        block[...] = _invert(guide, keys, block.reshape(-1), gen.random(out=u_buf[:n]),
+                             _GUIDE_BITS, k, cell_buf[:n], ones_buf[:n]).reshape(block.shape)
     return symbols
 
 

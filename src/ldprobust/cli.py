@@ -15,6 +15,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import harness
 from .channel import RapporChannel
 from .errors import ArtifactError, InputError
@@ -148,14 +150,13 @@ def _cmd_assouad(args) -> int:
     family = assouad_family(args.d, args.n, args.alpha, args.c_gamma)
     ch = RapporChannel.create(args.d, args.alpha)
     report = assouad_chi2_check(family, ch)
-    gen = RngSeed(args.seed).generator(7)
+    ones = np.ones(family.half, dtype=np.int64)
     identity_ok = True
-    for _ in range(32):
-        s1 = gen.choice([-1, 1], size=family.half)
-        s2 = gen.choice([-1, 1], size=family.half)
-        measured, exact = assouad_l1(family, s1, s2)
-        if measured != exact:
-            identity_ok = False
+    for h in range(family.half + 1):  # one sign pair at each Hamming distance
+        flipped = ones.copy()
+        flipped[:h] = -1
+        measured, exact = assouad_l1(family, ones, flipped)
+        identity_ok &= measured == exact
     _emit({
         "d": args.d, "n": args.n, "alpha": args.alpha, "c_gamma": args.c_gamma,
         "gamma": family.gamma, "members": family.size,
@@ -220,7 +221,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_mixture_check)
 
     p = sub.add_parser("assouad", help="hypothesis-cube family report")
-    common(p)
+    common(p, seed_help="ignored: the l1 identity is checked on fixed sign pairs")
     p.add_argument("--d", type=int, default=6)
     p.add_argument("--n", type=int, default=400)
     p.add_argument("--alpha", type=float, default=1.0)

@@ -121,8 +121,9 @@ class Exhausted(InputError):
     The collection is too small (n too low for its d and eps)."""
 
 
-class InexactStatistics(ArtifactError):
-    pass
+class InexactStatistics(InputError):
+    """n and k lie outside the bounds within which the batch statistics are
+    exact integers (see `ExactSums.of`)."""
 
 
 # --- lower-bound constructions ---

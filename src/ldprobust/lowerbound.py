@@ -297,13 +297,12 @@ def common_mixture(pair: HardPair, ch: RapporChannel, k: int) -> CommonMixture:
     )
 
 
-def _snap_gamma(gamma: float, bits: int = 16) -> float:
+def _snap_gamma(gamma: float) -> float:
     """Round gamma to a 16-bit significand so paired offsets subtract exactly."""
     if not 0.0 < gamma < math.inf:
         raise InvalidArgument(f"gamma must be positive and finite, got {gamma}")
-    exp = math.floor(math.log2(gamma))
-    scale = 2.0 ** (exp - (bits - 1))
-    return round(gamma / scale) * scale
+    significand, exp = math.frexp(gamma)
+    return math.ldexp(round(math.ldexp(significand, 16)), exp - 16)
 
 
 @dataclass(frozen=True)
@@ -335,9 +334,8 @@ class AssouadFamily:
         if s.size != self.half or not np.all(np.abs(s) == 1):
             raise BadSigns(f"need a +-1 vector of length {self.half}")
         w = np.full(self.d, 1.0 / self.d)
-        for j in range(self.half):
-            w[j] = 1.0 / self.d + s[j] * self.gamma
-            w[self.d - 1 - j] = 1.0 / self.d - s[j] * self.gamma
+        w[:self.half] = 1.0 / self.d + s * self.gamma
+        w[self.d - self.half:] = (1.0 / self.d - s * self.gamma)[::-1]
         # No renormalization: the paired +-gamma offsets must stay exact so the
         # l1 distance between members is exactly 4 * gamma * Hamming distance.
         return ProbVector(w)
@@ -350,9 +348,14 @@ def assouad_family(d: int, n: int, alpha: float, c_gamma: float) -> AssouadFamil
         raise InvalidArgument(f"c_gamma must lie in (0, 1), got {c_gamma}")
     if not (0.0 < alpha < math.inf and n >= 1):
         raise InvalidArgument(f"need a finite alpha > 0 and n >= 1, got alpha={alpha}, n={n}")
-    gamma = min(c_gamma / (alpha * math.sqrt(n)), c_gamma / d)
-    return AssouadFamily(d=d, n=n, alpha=alpha, c_gamma=c_gamma,
-                         gamma=_snap_gamma(gamma))
+    gamma = _snap_gamma(min(c_gamma / (alpha * math.sqrt(n)), c_gamma / d))
+    center = 1.0 / d
+    if (center + gamma) - center != gamma or center - (center - gamma) != gamma:
+        raise InvalidArgument(f"gamma={gamma!r} is too small for 1/d +- gamma to be exact at "
+                              f"d={d}; raise c_gamma")
+    if gamma > center:  # the 16-bit rounding lifted a c_gamma near 1 above 1/d
+        raise InvalidArgument(f"gamma={gamma!r} exceeds 1/d at d={d}; lower c_gamma")
+    return AssouadFamily(d=d, n=n, alpha=alpha, c_gamma=c_gamma, gamma=gamma)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldprobust import (
+    AttackSpec,
     ProbVector,
     RapporChannel,
     RngSeed,
+    attack_counts,
     count_dtype,
     invert_mean,
     lambda_of_alpha,
@@ -23,6 +26,7 @@ from ldprobust import (
 )
 from ldprobust.errors import (
     AlphaOutOfRange,
+    CountMismatch,
     DimensionMismatch,
     EmptySubset,
     NonPositiveAlpha,
@@ -232,6 +236,12 @@ _PATHS = {
     "conditional-binomial": (3, 250, 45_000),
     "multinomial-table": (5, 50, 1000),
     "multinomial-binomial": (5, 300, 50),
+}
+
+
+#: sha256 of `TestSampleCounts.test_counts_pinned`'s draws, by numpy release
+_COUNT_DIGESTS = {
+    "2.4": "1959d2a31c1dc100f076ea39ce9d7639418f75ae02290717bd237c74a7137e54",
 }
 
 
@@ -455,8 +465,9 @@ class TestSamplerParts:
             "uniform-1024", "uniform-2048", "dirichlet-2048", "sparse-128"])
     def test_guided_categorical_matches_search(self, w):
         # weights whose CDF lands on cell edges or between them, more
-        # symbols than cells, and every uniform at a CDF value, a cell
-        # edge or the float next to either
+        # symbols than cells, and every uniform on the 2^-53 grid that
+        # `Generator.random` draws from at a CDF value or a cell edge
+        # (floor and ceil of its multiple of 2^-53) or the point on each side
         w = np.asarray(w, dtype=np.float64)
         for m, k in ((0, 5), (4, 0), (1, 1), (300, 20), (37, 200)):
             got = channel_module._categorical_counts(w, m, k, RngSeed(40).generator(m, k))
@@ -465,9 +476,11 @@ class TestSamplerParts:
         cdf = np.cumsum(w)
         cdf /= cdf[-1]
         edges = np.arange(1025) / 1024
-        u = np.concatenate([cdf, edges])
-        u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
-        u = np.unique(u[(u >= 0.0) & (u < 1.0)])
+        grid = np.concatenate([cdf, edges]) * 2.0 ** 53
+        grid = np.concatenate([np.floor(grid), np.ceil(grid)])
+        grid = np.concatenate([grid - 1.0, grid, grid + 1.0])
+        u = np.unique(grid[(grid >= 0.0) & (grid < 2.0 ** 53)]) / 2.0 ** 53
+        assert np.array_equal(np.floor(u * 2.0 ** 53), u * 2.0 ** 53)
         got = channel_module._categorical_counts(w, 1, u.size, _FixedUniforms(u))
         assert np.array_equal(got, _searched_counts(w, 1, u.size, _FixedUniforms(u)))
 
@@ -485,7 +498,8 @@ def _searched_counts(w, m, k, gen):
 
 class _FixedUniforms:
     """Stands in for a Generator whose `random` calls return the given uniforms
-    in order, as the calls of a Generator continue one stream."""
+    in order, as the calls of a Generator continue one stream, each call in
+    a fresh array or in `out`."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=np.float64).ravel()
@@ -497,7 +511,7 @@ class _FixedUniforms:
         draw = self.u[self.used:self.used + size].reshape(shape)
         self.used += size
         if out is None:
-            return draw
+            return draw.copy()
         out[...] = draw
         return out
 
@@ -582,6 +596,32 @@ class TestSampleCounts:
             empty = sample_counts(ch, p, 0, k, RngSeed(3).generator())
             assert empty.shape == (0, 4) and empty.dtype == dtype
 
+    def test_counts_pinned(self):
+        # the sampler's bits on every path, weight family and two alphas, and
+        # on the targeted attack at the ladder's two shapes; the sampler runs
+        # no BLAS, so only numpy's release can move them
+        release = ".".join(np.__version__.split(".")[:2])
+        if release not in _COUNT_DIGESTS:
+            pytest.skip(f"no count digest is pinned for numpy {release}")
+        digest = hashlib.sha256()
+
+        def add(counts):
+            digest.update(f"{counts.dtype.str}{counts.shape}".encode())
+            digest.update(counts.tobytes())
+
+        for seed, (path, (d, k, m)) in enumerate(sorted(_PATHS.items())):
+            for family in ("dirichlet", "zero-tail", "hard-pair"):
+                for alpha in (0.5, 1.0):
+                    ch = RapporChannel.create(d, alpha)
+                    p = _path_prob_vector(family, ch, k)
+                    add(sample_counts(ch, p, m, k, RngSeed(50 + seed).generator()))
+        for d, k, m in ((128, 20, 200), (5, 50, 960)):
+            ch = RapporChannel.create(d, 1.0)
+            spec = AttackSpec(kind="targeted_subset", mask=np.arange(d) < d // 2,
+                              direction=1, magnitude=0.5)
+            add(attack_counts(spec, ch, m, k, RngSeed(60, d).generator()))
+        assert digest.hexdigest() == _COUNT_DIGESTS[release]
+
     def test_noiseless_counts_are_symbol_counts(self):
         ch = RapporChannel.from_lambda(3, 0.0)
         counts = sample_counts(ch, make_prob_vector([0.5, 0.5, 0.0]), 100, 8,
@@ -593,6 +633,12 @@ class TestSampleCounts:
         ch = RapporChannel.create(4, 1.0)
         with pytest.raises(DimensionMismatch):
             sample_counts(ch, make_prob_vector([0.5, 0.3, 0.2]), 3, 2, RngSeed(0).generator())
+
+    @pytest.mark.parametrize("m, k", [(-1, 5), (5, -1)])
+    def test_negative_sizes(self, m, k):
+        ch = RapporChannel.create(4, 1.0)
+        with pytest.raises(CountMismatch):
+            sample_counts(ch, make_prob_vector([0.25] * 4), m, k, RngSeed(0).generator())
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

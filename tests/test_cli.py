@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ldprobust import cli, harness
 from ldprobust.cli import main
-from ldprobust.errors import InexactStatistics
+from ldprobust.errors import CertificateViolation
 
 
 def run_cli(args):
@@ -106,7 +106,9 @@ class TestCertificates:
         assert run_cli(args + ["--out", out]) == 0
         assert out.exists()
 
-    @pytest.mark.parametrize("command", ["lowerbound", "mixture-check"])
+    # assouad too: it checks its l1 identity on one fixed sign pair per
+    # Hamming distance
+    @pytest.mark.parametrize("command", ["lowerbound", "mixture-check", "assouad"])
     def test_hard_pair_ignores_seed(self, command, tmp_path):
         outs = [tmp_path / f"seed{seed}.json" for seed in (0, 9)]
         for seed, out in zip((0, 9), outs):
@@ -248,6 +250,18 @@ class TestExitCodes:
         assert exit_code(args + ["--out", out]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--n", 200, "--k", 100_000_000, "--d", 5],
+        ["assouad", "--c-gamma", "1e-15"],
+        ["assouad", "--c-gamma", "1e-320"],
+    ], ids=["inexact-statistics", "assouad-gamma-rounds", "assouad-gamma-subnormal"])
+    def test_outside_exact_bounds_exits_1_with_one_error_line(self, args, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert exit_code(args + ["--out", out]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("text", [
         json.dumps({"n_grid": [], "k_grid": [5], "d_grid": [4], "alpha_grid": [1.0],
                     "eps_grid": [0.0]}),
@@ -333,7 +347,7 @@ class TestExitCodes:
 
     def test_broken_invariant_exits_2(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
-            raise InexactStatistics("n=50, k=5 exceed the exact-statistics bounds")
+            raise CertificateViolation("trace bound violated")
 
         monkeypatch.setattr(harness, "robust_estimate", broken)
         assert exit_code(["simulate", "--n", 50, "--k", 5, "--d", 4,
@@ -346,11 +360,12 @@ _OPTIONS = {
     "sdp-check": ("--d", "--instances", "--seed"),
     "lowerbound": ("--d", "--alpha", "--k", "--eps", "--seed"),
     "mixture-check": ("--d", "--alpha", "--k", "--eps", "--seed"),
-    "assouad": ("--d", "--n", "--alpha", "--seed"),
+    "assouad": ("--d", "--n", "--alpha", "--c-gamma", "--seed"),
 }
 # Values in range for every subcommand that has the option, kept tiny so that
 # every draw runs in milliseconds.  Some subcommands still reject some of
-# them (simulate needs d >= 3), so they may exit 1.
+# them (simulate needs d >= 3, and assouad a c_gamma large enough for
+# 1/d +- gamma to be exact), so they may exit 1.
 _IN_RANGE = {
     "--d": st.integers(1, 6).map(str),
     "--n": st.integers(1, 60).map(str),
@@ -358,6 +373,7 @@ _IN_RANGE = {
     "--alpha": st.floats(0.05, 3.0).map(repr),
     "--eps": st.floats(0.0, 0.3).map(repr),
     "--instances": st.integers(1, 3).map(str),
+    "--c-gamma": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(repr),
     "--seed": st.integers(0, 2 ** 32).map(str),
 }
 # Values outside the contract of every subcommand that has the option.
@@ -369,6 +385,7 @@ _OUT_OF_RANGE = {
     "--alpha": ["0", "-1", "nan", "inf", "-inf", "abc", ""],
     "--eps": ["-1", "-0.1", "0.7", "nan", "inf", "abc", ""],
     "--instances": ["0", "-1", *_NOT_INT],
+    "--c-gamma": ["0", "-0.1", "1", "1.5", "nan", "inf", "abc", ""],
     "--seed": ["-1", *_NOT_INT],
 }
 
@@ -402,6 +419,9 @@ class TestCliProperty:
     @example(case=(["mixture-check", "--d", "3", "--k", "2", "--eps", "1e-09"], False))
     @example(case=(["lowerbound", "--eps", "1e-232"], False))
     @example(case=(["lowerbound", "--eps", "2.220446049250313e-16"], False))
+    @example(case=(["simulate", "--n", "200", "--k", "100000000", "--d", "5"], True))
+    @example(case=(["assouad", "--c-gamma", "1e-15"], True))
+    @example(case=(["assouad", "--c-gamma", "1e-320"], True))
     def test_exit_code_class(self, case):
         # nothing escapes main; a value outside the contract exits 1, and an
         # in-range draw exits 0 or 1 (a subcommand-specific limit)

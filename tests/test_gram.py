@@ -108,6 +108,11 @@ class TestSubsetBilinearMax:
         with pytest.raises(NotSymmetric):
             subset_bilinear_max(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(NotSymmetric):
+            subset_bilinear_max(np.zeros(shape))
+
 
 @pytest.mark.parametrize("solve", [
     subset_bilinear_max,

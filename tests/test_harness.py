@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 import ldprobust
-from ldprobust import adversary, estimator, harness, rate_fit, sweep
+from ldprobust import RngSeed, adversary, estimator, harness, rate_fit, sweep
 from ldprobust.channel import RapporChannel
 from ldprobust.prob import ProbVector
 from ldprobust.errors import (
     InputError,
     InsufficientData,
     InvalidArgument,
+    InvalidAttackParams,
     InvalidConfig,
 )
 from ldprobust.harness import (
@@ -140,6 +141,15 @@ class TestTrialCell:
                                            attack="targeted_subset"),
                                  ProbVector(np.full(8, 1 / 8)), ch)
         assert default.mask.sum() == 4 and default.direction == 1
+
+    def test_unknown_names_called_directly(self):
+        # a TrialCell rejects these names; the helpers reject them on their own too
+        with pytest.raises(InvalidConfig):
+            harness.sample_p("nope", 4, RngSeed(0))
+        cell = TrialCell(n=100, k=10, d=4, alpha=1.0, eps=0.05)
+        object.__setattr__(cell, "attack", "nope")
+        with pytest.raises(InvalidAttackParams):
+            resolve_attack(cell, ProbVector(np.full(4, 1 / 4)), RapporChannel.create(4, 1.0))
 
     @pytest.mark.parametrize("kw, expected", [
         (dict(n=100, k=10, d=4, alpha=1.0, eps=0.0), 72951880068634),
@@ -353,6 +363,15 @@ class TestRateFit:
         rep = rate_fit(path, "n")
         assert rep.slope == pytest.approx(-0.5, abs=1e-9)
         assert rep.stderr < 1e-9
+
+    def test_empty_csv(self, tmp_path):
+        path = tmp_path / "fit.csv"
+        self._write(path, [])
+        with pytest.raises(InsufficientData):
+            rate_fit(path, "n")
+        path.write_text("")
+        with pytest.raises(InsufficientData):
+            rate_fit(path, "n")
 
     def test_requires_three_values(self, tmp_path):
         path = tmp_path / "fit.csv"

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldprobust import (
     AttackSpec,
@@ -25,7 +27,9 @@ from ldprobust.errors import (
     DimensionTooLarge,
     EpsOutOfRange,
     InputError,
+    InvalidArgument,
     ProductSpaceTooLarge,
+    TooSmallAlphabet,
 )
 from ldprobust import lowerbound as lowerbound_module
 from ldprobust.estimator import DESK_TAU_THRESHOLD
@@ -169,6 +173,10 @@ class TestLowEigenspaceDelta:
         assert om.low_eigencount() == 1
         with pytest.raises(CertificateViolation, match="exceeds the cap"):
             low_eigenspace_delta(om, 0.1, 100)
+
+    def test_too_small_alphabet(self):
+        with pytest.raises(TooSmallAlphabet):
+            low_eigenspace_delta(OmegaMatrix(a=1.0, b=0.0, alpha=1.0, d=2), 0.1, 100)
 
 
 class TestChi2Upper:
@@ -421,6 +429,53 @@ class TestAssouadFamily:
         fam = assouad_family(6, 400, 1.0, 0.1)
         measured, exact = assouad_l1(fam, [1, 1, 1], [1, -1, 1])
         assert measured == exact == 4.0 * fam.gamma
+
+    @pytest.mark.parametrize("d", [3, 8, 9, 4096])
+    def test_member_offsets_per_coordinate(self, d):
+        # each coordinate pair holds 1/d +- s_j gamma, the middle one 1/d
+        fam = assouad_family(d, 400, 1.0, 0.1)
+        signs = np.random.default_rng(d).choice([-1, 1], size=fam.half)
+        w = fam.member(signs).weights
+        for j in range(fam.half):
+            assert w[j] == 1.0 / d + signs[j] * fam.gamma
+            assert w[d - 1 - j] == 1.0 / d - signs[j] * fam.gamma
+        assert np.all(w[fam.half:d - fam.half] == 1.0 / d)
+
+    def test_too_small_alphabet(self):
+        with pytest.raises(TooSmallAlphabet):
+            assouad_family(2, 400, 1.0, 0.1)
+
+    @pytest.mark.parametrize("d, n, c_gamma", [
+        (6, 400, 1e-15), (6, 400, 1e-320), (6, 400, 5e-324), (5, 1, 0.9999999999999998)])
+    def test_rejects_gamma_whose_offsets_round(self, d, n, c_gamma):
+        # the last gamma rounds up past 1/d, which would give negative mass
+        with pytest.raises(InvalidArgument):
+            assouad_family(d, n, 1.0, c_gamma)
+
+    @pytest.mark.parametrize("gamma", [0.1, 1 / 3, 2.0 ** -40, 1e-300, 1e-320, 5e-324])
+    def test_snapped_gamma_has_a_16_bit_significand(self, gamma):
+        snapped = lowerbound_module._snap_gamma(gamma)
+        significand, _ = math.frexp(snapped)
+        assert snapped > 0.0 and significand * 2 ** 16 == int(significand * 2 ** 16)
+        if gamma > 2.0 ** -1000:  # above the subnormals the rounding is relative
+            assert abs(snapped - gamma) <= gamma * 2.0 ** -16
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(3, 64), n=st.integers(1, 10 ** 6),
+           c_gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_accepted_gamma_gives_exact_identity(self, d, n, c_gamma):
+        # a family is built only when its offsets are exact; then the l1
+        # distance is 4 gamma rho at every Hamming distance rho
+        try:
+            fam = assouad_family(d, n, 1.0, c_gamma)
+        except InvalidArgument:
+            return
+        ones = np.ones(fam.half, dtype=np.int64)
+        for h in range(fam.half + 1):
+            flipped = ones.copy()
+            flipped[:h] = -1
+            measured, exact = assouad_l1(fam, ones, flipped)
+            assert measured == exact == 4.0 * fam.gamma * h
 
     def test_bad_signs(self):
         fam = assouad_family(6, 400, 1.0, 0.1)

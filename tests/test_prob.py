@@ -65,6 +65,10 @@ class TestMakeProbVector:
         with pytest.raises(TooSmallAlphabet):
             make_prob_vector([0.5, 0.5])
 
+    def test_small_alphabet_prob_vector(self):
+        with pytest.raises(TooSmallAlphabet):
+            ProbVector(np.array([0.5, 0.5]))
+
     def test_tiny_negative_clamped(self):
         p = make_prob_vector([0.5, 0.5, -1e-13])
         assert p.weights[2] == 0.0
