@@ -29,7 +29,6 @@ from .errors import (
 )
 from .prob import ProbVector, RngSeed
 
-LABEL_GOOD = 0
 LABEL_ADVERSARIAL = 1
 
 
@@ -82,11 +81,6 @@ class BatchCollection:
     @property
     def d(self) -> int:
         return int(self.counts.shape[1])
-
-    def adversarial_count(self) -> int:
-        if self.truth is None:
-            return 0
-        return int((self.truth == LABEL_ADVERSARIAL).sum())
 
 
 @dataclass(frozen=True)

@@ -115,21 +115,10 @@ class RapporChannel:
             raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
         if alpha > MAX_ALPHA:
             raise AlphaOutOfRange(f"alpha capped at {MAX_ALPHA}, got {alpha}")
-        return cls(d=d, alpha=alpha, lam=lambda_of_alpha(alpha))
-
-    @classmethod
-    def from_lambda(cls, d: int, lam: float) -> "RapporChannel":
-        """Test hook: build a channel directly from a flip probability.
-
-        Allows the degenerate endpoints lam = 0 (noiseless, alpha = inf) and
-        lam = 1/2 (fully randomized, alpha = 0) that `create` rejects.
-        """
-        if lam <= 0.0:
-            alpha = math.inf
-        elif lam >= 0.5:
-            alpha = 0.0
-        else:
-            alpha = 2.0 * math.log((1.0 - lam) / lam)
+        lam = lambda_of_alpha(alpha)
+        if lam == 0.5:
+            raise AlphaOutOfRange(f"alpha={alpha!r} is so small that lambda rounds to 1/2, "
+                                  f"where the mean map is not invertible")
         return cls(d=d, alpha=alpha, lam=lam)
 
     @property

@@ -173,11 +173,11 @@ def build_parser() -> _Parser:
                      description="Robust estimation from privatized batch data")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_default=0, seed_help=None):
+    def common(p, seed_default=0, seed_help=None,
+               threads_help="ignored: the command runs in one process"):
         p.add_argument("--seed", type=_non_negative_int, default=seed_default, help=seed_help)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--threads", type=_non_negative_int, default=1,
-                       help="0 = auto; affects scheduling only, never results")
+        p.add_argument("--threads", type=_non_negative_int, default=1, help=threads_help)
 
     p = sub.add_parser("simulate", help="run a single experiment cell")
     common(p)
@@ -194,7 +194,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="run a parameter sweep from a JSON config")
-    common(p, seed_default=None)
+    common(p, seed_default=None,
+           threads_help="0 = auto; affects scheduling only, never results")
     p.add_argument("--config", type=str, required=True)
     p.set_defaults(func=_cmd_sweep)
 

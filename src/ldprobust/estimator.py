@@ -20,7 +20,7 @@ exactly, so an iteration costs O(|deleted| d^2) for the statistics rather
 than O(m d^2), with results bitwise those of a recompute.
 The stop is decided before any row is read.  In sdp mode two proofs that the
 Gram maximum lies below the threshold come first, an O(d^2) l1 bound and one
-d x d Cholesky (gram.upper_bound_below); only when neither passes is the Gram
+d x d eigvalsh (gram._upper_bound_below); only when neither passes is the Gram
 program solved, and only as far as the decision needs (gram._loop_solve): one
 start at the small rank gram.LOOP_RANK, ascended to a loose tolerance, whose
 value reaches the threshold shows that the loop goes on and supplies the
@@ -359,12 +359,12 @@ def build_cov_bundle(sums: ExactSums, lam: float) -> CovBundle:
     return CovBundle(qhat_col=qhat_col, chat=chat, dmat=np.subtract(chat, dmat, out=dmat))
 
 
-def canonical_order(counts, k: int) -> np.ndarray:
-    """Stable permutation sorting count rows lexicographically, first column first.
+def _canonical_order(c: np.ndarray, k: int) -> np.ndarray:
+    """Stable permutation sorting count rows lexicographically, first column
+    first, for counts c already checked to lie in [0, k].
 
-    Equals np.lexsort(counts.T[::-1]); entries outside [0, k] raise
-    CountMismatch.  When (k+1)^d * n < 2^63 each row's key is the exact
-    mixed-radix integer sum_j c_j (k+1)^(d-1-j), built by integer
+    Equals np.lexsort(c.T[::-1]).  When (k+1)^d * n < 2^63 each row's key is
+    the exact mixed-radix integer sum_j c_j (k+1)^(d-1-j), built by integer
     multiply-adds; key * n + row makes the keys unique, so one unstable sort
     gives the stable order and the row is read back as the remainder mod n.
     Otherwise each row is viewed as one byte string of big-endian entries of
@@ -372,12 +372,6 @@ def canonical_order(counts, k: int) -> np.ndarray:
     rows, and one stable argsort sorts them; uint8 rows are viewed without a
     copy.
     """
-    k = int(k)
-    return _canonical_order(checked_counts(counts, k), k)
-
-
-def _canonical_order(c: np.ndarray, k: int) -> np.ndarray:
-    """canonical_order of counts already checked to lie in [0, k]."""
     n, d = c.shape
     if (k + 1) ** d * n < 2 ** 63:
         key = np.zeros(n, dtype=np.int64)
@@ -609,7 +603,7 @@ def robust_estimate(coll: BatchCollection, cfg: EstimatorConfig, ch: RapporChann
     Per iteration: check the mode (special mode has tau = +inf and never
     stops); in sdp mode decide the stop before any row is scored, first by a
     cheap proof that the Gram maximum lies below limit = tau_threshold^2 *
-    rate_unit (gram.upper_bound_below), which needs no solve, and otherwise
+    rate_unit (gram._upper_bound_below), which needs no solve, and otherwise
     by the in-loop solve (gram._loop_solve) with the draws of
     rng.child(4, iteration): one start at rank gram.LOOP_RANK ascended until
     a sweep gains at most LOOP_TOL, kept when its value reaches limit, which

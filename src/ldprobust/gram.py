@@ -32,13 +32,11 @@ such check certifies runs on to SWEEP_TOL.  A solve's certificates share
 one 2d x 2d buffer, whose off-diagonal blocks are written once.
 
 Where only an upper bound below a limit is wanted, as for the filter's stop,
-upper_bound_below tries two proofs before any solve: sum |A_ij|, and the
+_upper_bound_below tries two proofs before any solve: sum |A_ij|, and the
 uniform dual y = c 1, feasible when d ||A||_2 <= sum(y), decided by one
-Cholesky factor of a d x d Schur complement after an a-priori shift that
-covers the rounding in forming it and Rump's margin for the factorization
-(Rump 2006, "Verification of positive definiteness", BIT 46).  Where neither
-proof passes, the filter solves for factors to score rows with, and the bound
-matters only if the loop might stop.  _loop_solve ascends one start at the
+eigvalsh of A with the backward-error margin of the full solves' bound.
+Where neither proof passes, the filter solves for factors to score rows
+with, and the bound matters only if the loop might stop.  _loop_solve ascends one start at the
 small rank LOOP_RANK to the looser LOOP_TOL; a value at or above the limit is
 itself the proof that the loop goes on, and its factors are kept with the l1
 sum as their bound.  The scores need them only to within a constant factor,
@@ -46,8 +44,8 @@ and for unit-row Grothendieck-type programs every local maximum at rank k is
 within a factor 1 - O(1/k) of the optimum (Mei, Misiakiewicz, Montanari &
 Oliveira 2017).  Below the limit it runs the full, certified gram_maximize.
 The loop's matrices are symmetric and finite by construction, so
-_upper_bound_below and _loop_solve do not check them again; the public
-functions do.  The filter builds |A| and its l1 sum once per iteration:
+_upper_bound_below and _loop_solve do not check them; the public functions
+do.  The filter builds |A| and its l1 sum once per iteration:
 _upper_bound_below takes both, and _loop_solve the l1 sum alone.
 
 The subset side is exact: subset_bilinear_max enumerates all 2^d masks S for
@@ -104,10 +102,8 @@ MAX_RESTARTS = 16
 SANDWICH_TOL = 1e-6
 #: The paths that can compute GramSolution.upper_bound.
 CERTIFICATE_PATHS = ("eigvalsh",)
-# Unit roundoff of float64, and the smallest normal float64, which bounds the
-# absolute error a gradual underflow adds to one operation.
+# Unit roundoff of float64.
 _UNIT = np.finfo(np.float64).eps / 2
-_TINY = np.finfo(np.float64).tiny
 # Largest entries of A that gram_maximize solves unscaled: the squared row
 # norms of A V, at most d^2 max|A|^2, stay finite and normal for any d < 2^250.
 _SAFE_SCALE = (2.0 ** -256, 2.0 ** 256)
@@ -214,11 +210,6 @@ class GramSolution:
         return int(self.u_factors.shape[1])
 
     @property
-    def gap(self) -> float:
-        """upper_bound - value: how far below the true maximum value may lie."""
-        return self.upper_bound - self.value
-
-    @property
     def relative_gap(self) -> float:
         return _relative_gap(self.value, self.upper_bound)
 
@@ -307,15 +298,16 @@ def _ascend(A: np.ndarray, U: np.ndarray, V: np.ndarray, tol: float = SWEEP_TOL,
     return value, U, V, history, AU, None
 
 
-def _band_exponent(A: np.ndarray) -> int:
-    """The e at which gram_maximize solves A 2^-e: 0 when A = 0 or its largest
-    entry lies in [2^-256, 2^256], else that of 2^e, the power of two just
-    above that entry.  The largest |entry| of a finite A is read from its
-    extremes, so no |A| is built."""
+def _in_band(A: np.ndarray) -> tuple[np.ndarray, int]:
+    """(A 2^-e, e), the matrix the solvers ascend on and its scale: e = 0 and
+    A itself when A = 0 or its largest entry lies in [2^-256, 2^256], else 2^e
+    is the power of two just above that entry.  The largest |entry| of a
+    finite A is read from its extremes, so no |A| is built."""
     amax = max(float(A.max()), -float(A.min()))
     if amax > 0.0 and not _SAFE_SCALE[0] <= amax <= _SAFE_SCALE[1]:
-        return math.frexp(amax)[1]
-    return 0
+        e = math.frexp(amax)[1]
+        return np.ldexp(A, -e), e
+    return A, 0
 
 
 def _rank(d: int) -> int:
@@ -366,77 +358,46 @@ def _eigvalsh_bound(S: np.ndarray, y: np.ndarray) -> float:
     return _sum_rounded_up(y, n * max(0.0, margin - lam_min))
 
 
-def _uniform_dual_proves_psd(A: np.ndarray, c: float, abs_a: np.ndarray,
-                             abs_row_sums: np.ndarray) -> bool:
-    """True if a shifted Cholesky proves c I - B positive semidefinite, that is
-    the uniform dual y = c 1 feasible.
+def _uniform_dual_proves_psd(A: np.ndarray, c: float, abs_row_sums: np.ndarray) -> bool:
+    """True if one eigvalsh of A proves c I - B positive semidefinite, that is
+    the uniform dual y = c 1 feasible; a c that is not positive and finite
+    proves nothing.
 
-    With c > 0, c I - B is PSD exactly when the Schur complement
-    T = c I - G^T G, G = A / (2 sqrt(c)), is.  The computed T differs from it
-    by E with ||E||_2 <= (2d + 16) u (max row sum of |G|^T |G| + c), a
-    row-sum bound on the rounding in G, G^T G and the diagonal.  If the
-    floating-point Cholesky of T - e I succeeds, T - e I is PSD up to
-    gamma_{d+1} / (1 - gamma_{d+1}) trace(T) (Rump 2006), so the shift e, the
-    sum of both bounds, makes success a proof.  abs_a and abs_row_sums are |A|
-    and its row sums.
+    B's eigenvalues are +-lambda_i(A) / 2, so c I - B is PSD exactly when
+    max |lambda_i(A)| <= 2c.  The proof rests on the backward-error assumption
+    of _eigvalsh_bound: the computed eigenvalues are those of A + E with
+    ||E||_2 a modest multiple of d u ||A||_2, and d u times the largest of
+    abs_row_sums, the row sums of |A|, bounds d u ||A||_2.
     """
-    d = A.shape[0]
-    if not c > 0.0:
+    if not 0.0 < c < math.inf:
         return False
-    s = 0.5 / math.sqrt(c)
-    G = A * s
-    T = G.T @ G
-    np.negative(T, out=T)
-    diag = T.reshape(-1)[::d + 1]
-    diag += c
-    # |G|^T |G| = s^2 |A| |A|, whose row sums are one product
-    row_sums = abs_a @ (s * s * abs_row_sums)
-    form_err = (2 * d + 16) * _UNIT * (float(row_sums.max()) + c)
-    gamma = (d + 1) * _UNIT / (1.0 - (d + 1) * _UNIT)
-    # a success leaves every diagonal entry positive, so the sum is the trace
-    # Rump's margin needs; clamping it at 0 keeps the shift nonnegative
-    trace = max(float(diag.sum()), 0.0)
-    diag -= form_err + gamma * trace + 4 * (d + 1) * _TINY
-    # a NaN pivot does not stop every Cholesky kernel, so overflow in G or in
-    # c must fail here
-    if not np.isfinite(T).all():
-        return False
-    try:
-        np.linalg.cholesky(T)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    lam = np.linalg.eigvalsh(A)
+    margin = A.shape[0] * _UNIT * float(abs_row_sums.max())
+    return max(-float(lam[0]), float(lam[-1])) + margin <= 2.0 * c
 
 
-def upper_bound_below(A, limit: float) -> tuple[float, str] | None:
+def _upper_bound_below(A: np.ndarray, limit: float, abs_a: np.ndarray,
+                       l1: float) -> tuple[float, str] | None:
     """A certified upper bound on max <M, A> over the Gram set that lies below
     limit, and the proof that gave it; None if neither cheap proof gets there.
+    abs_a is |A| and l1 its sum, _l1_rounded_up(abs_a).
 
     The two proofs run in this order and solve nothing:
     "l1" is sum |A_ij|, rounded upward, a bound because every Gram entry has
     |M_ij| <= 1; "uniform-dual" is the dual vector y = c 1 with sum(y) = 2d c
     just below limit, feasible when c I - B is positive semidefinite, that is
-    when c >= ||A||_2 / 2, which one shifted Cholesky decides
-    (_uniform_dual_proves_psd).  The first costs O(d^2), the
-    second one d x d product and one d x d Cholesky; the Cholesky is skipped
-    when A's heaviest row x already shows ||A x|| >= (limit / d) ||x||, so
-    that ||A||_2 >= limit / d and the uniform dual cannot be feasible.
+    when c >= ||A||_2 / 2, which one eigvalsh of A decides
+    (_uniform_dual_proves_psd).  The first costs O(d^2), the second one
+    d x d eigvalsh, which is skipped when A's heaviest row x already shows
+    ||A x|| >= (limit / d) ||x||, so that ||A||_2 >= limit / d and the
+    uniform dual cannot be feasible.
     """
-    A = check_symmetric(A)
-    abs_a = np.abs(A)
-    return _upper_bound_below(A, limit, abs_a, _l1_rounded_up(abs_a))
-
-
-def _upper_bound_below(A: np.ndarray, limit: float, abs_a: np.ndarray,
-                       l1: float) -> tuple[float, str] | None:
-    """upper_bound_below of an A that check_symmetric has already returned,
-    given abs_a = |A| and its l1 sum l1 = _l1_rounded_up(abs_a)."""
     d = A.shape[0]
     if l1 < limit:
         return l1, "l1"
     abs_row_sums = abs_a.sum(axis=1)
     # x = A's heaviest row: ||A x|| >= (limit / d) ||x|| shows ||A||_2 >= limit / d,
-    # where no uniform dual below limit is feasible, so the Cholesky is not run.
+    # where no uniform dual below limit is feasible, so the eigvalsh is not run.
     # The slack covers the rounding in A x, at most gamma_d ||A||_inf ||x||, and
     # in both norms
     heaviest = int(np.argmax(abs_row_sums))
@@ -449,7 +410,7 @@ def _upper_bound_below(A: np.ndarray, limit: float, abs_a: np.ndarray,
     # about (4d + 5) u, so this c keeps the rounded-up sum(y) below limit
     c = limit / (2 * d) * (1.0 - (8 * d + 16) * _UNIT)
     bound = _sum_rounded_up(np.full(2 * d, c), 0.0)
-    if bound < limit and _uniform_dual_proves_psd(A, c, abs_a, abs_row_sums):
+    if bound < limit and _uniform_dual_proves_psd(A, c, abs_row_sums):
         return bound, "uniform-dual"
     return None
 
@@ -504,9 +465,7 @@ def gram_maximize(A, rng: RngSeed | None = None) -> GramSolution:
 
 def _gram_maximize(A: np.ndarray, rng: RngSeed | None) -> GramSolution:
     """gram_maximize of an A that check_symmetric has already returned."""
-    scale = _band_exponent(A)
-    if scale:
-        A = np.ldexp(A, -scale)
+    A, scale = _in_band(A)
     if rng is None:
         rng = RngSeed(0)
 
@@ -569,9 +528,9 @@ def _loop_solve(A: np.ndarray, limit: float, rng: RngSeed, l1: float) -> GramSol
     solver's band as in gram_maximize.
     """
     d = A.shape[0]
-    scale = _band_exponent(A)
+    scaled, scale = _in_band(A)
     U, V = _random_start(rng.generator(0), d, min(LOOP_RANK, _rank(d)))
-    value, U, V, history, _, _ = _ascend(np.ldexp(A, -scale) if scale else A, U, V, tol=LOOP_TOL)
+    value, U, V, history, _, _ = _ascend(scaled, U, V, tol=LOOP_TOL)
     value = math.ldexp(value, scale)
     if not value >= limit:
         return _gram_maximize(A, rng)
@@ -648,9 +607,7 @@ def _mask_ascent(A: np.ndarray, s_mask: np.ndarray, sp_mask: np.ndarray) -> floa
     into the solver's band as in gram_maximize.
     """
     d = A.shape[0]
-    scale = _band_exponent(A)
-    if scale:
-        A = np.ldexp(A, -scale)
+    A, scale = _in_band(A)
     rank = _rank(d)
     sign = math.copysign(1.0, float(A[np.ix_(s_mask, sp_mask)].sum()))
     U = np.zeros((d, rank))

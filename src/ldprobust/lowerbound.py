@@ -350,11 +350,14 @@ def assouad_family(d: int, n: int, alpha: float, c_gamma: float) -> AssouadFamil
         raise InvalidArgument(f"need a finite alpha > 0 and n >= 1, got alpha={alpha}, n={n}")
     gamma = _snap_gamma(min(c_gamma / (alpha * math.sqrt(n)), c_gamma / d))
     center = 1.0 / d
-    if (center + gamma) - center != gamma or center - (center - gamma) != gamma:
-        raise InvalidArgument(f"gamma={gamma!r} is too small for 1/d +- gamma to be exact at "
-                              f"d={d}; raise c_gamma")
     if gamma > center:  # the 16-bit rounding lifted a c_gamma near 1 above 1/d
         raise InvalidArgument(f"gamma={gamma!r} exceeds 1/d at d={d}; lower c_gamma")
+    if (center + gamma) - center != gamma or center - (center - gamma) != gamma:
+        # past the power of two above 1/d the float spacing doubles
+        top = math.ldexp(1.0, math.frexp(center)[1])
+        cause = (f"1/d + gamma reaches {top!r}; lower c_gamma" if gamma >= top - center
+                 else "gamma is below the spacing of 1/d; raise c_gamma")
+        raise InvalidArgument(f"gamma={gamma!r} leaves 1/d +- gamma inexact at d={d}: {cause}")
     return AssouadFamily(d=d, n=n, alpha=alpha, c_gamma=c_gamma, gamma=gamma)
 
 

@@ -1,13 +1,27 @@
 """Shared brute-force oracles and statistical helpers for the test suite."""
 
 import itertools
+import math
 
 import numpy as np
 from scipy import stats
 
-from ldprobust import ProbVector, privatize_batch
+from ldprobust import ProbVector, RapporChannel, privatize_batch
 from ldprobust.gram import check_symmetric
 from ldprobust.prob import subset_indicators
+
+
+def channel_at(d, lam):
+    """A channel built directly from its flip probability, the endpoints
+    RapporChannel.create rejects included: lam = 0 (noiseless, alpha = inf)
+    and lam = 1/2 (fully randomized, alpha = 0)."""
+    if lam <= 0.0:
+        alpha = math.inf
+    elif lam >= 0.5:
+        alpha = 0.0
+    else:
+        alpha = 2.0 * math.log((1.0 - lam) / lam)
+    return RapporChannel(d=d, alpha=alpha, lam=lam)
 
 
 def brute_force_sup_gap(p, v):

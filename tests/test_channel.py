@@ -36,7 +36,7 @@ from ldprobust import channel as channel_module
 from ldprobust.lowerbound import hard_pair
 from ldprobust.prob import subset_mask
 
-from conftest import batch_sums, chi2_quantile, count_law_stats, two_sample_chi2
+from conftest import batch_sums, channel_at, chi2_quantile, count_law_stats, two_sample_chi2
 
 
 class TestLambda:
@@ -56,12 +56,12 @@ class TestLambda:
 
 class TestPrivatize:
     def test_noiseless(self):
-        ch = RapporChannel.from_lambda(3, 0.0)
+        ch = channel_at(3, 0.0)
         z = privatize_batch(ch, [2], RngSeed(0).generator())
         assert z.tolist() == [[0, 1, 0]]
 
     def test_fully_randomized(self):
-        ch = RapporChannel.from_lambda(4, 0.5)
+        ch = channel_at(4, 0.5)
         bits = privatize_batch(ch, np.full(10 ** 5, 1), RngSeed(5).generator())
         assert np.abs(bits.mean(axis=0) - 0.5).max() < 0.01
 
@@ -91,7 +91,7 @@ class TestPrivatize:
 
 class TestMeanResponse:
     def test_point_mass(self):
-        ch = RapporChannel.from_lambda(4, 0.25)
+        ch = channel_at(4, 0.25)
         p = make_prob_vector([1, 0, 0, 0])
         q = mean_response(ch, p)
         assert np.allclose(q, [0.75, 0.25, 0.25, 0.25])
@@ -147,7 +147,7 @@ class TestInvertMean:
 
     def test_not_invertible_at_half(self):
         with pytest.raises(AlphaOutOfRange):
-            invert_mean(RapporChannel.from_lambda(4, 0.5), np.full(4, 0.5))
+            invert_mean(channel_at(4, 0.5), np.full(4, 0.5))
 
 
 class TestChannelOfAnotherDimension:
@@ -165,7 +165,15 @@ class TestChannelOfAnotherDimension:
 
     def test_lambda_above_half(self):
         with pytest.raises(AlphaOutOfRange):
-            RapporChannel.from_lambda(4, 0.6)
+            channel_at(4, 0.6)
+
+    @pytest.mark.parametrize("alpha", [5e-16, 1e-300, 5e-324])
+    def test_alpha_whose_lambda_rounds_to_half(self, alpha):
+        # the mean map is not invertible at lambda = 1/2, so create refuses it
+        assert lambda_of_alpha(alpha) == 0.5
+        with pytest.raises(AlphaOutOfRange, match=f"alpha={alpha!r}"):
+            RapporChannel.create(5, alpha)
+        assert RapporChannel.create(5, 1e-15).lam < 0.5
 
 
 class TestSumLaw:
@@ -177,7 +185,7 @@ class TestSumLaw:
         assert abs(draws.mean() - (1 - ch.lam)) < 0.01
 
     def test_half_lambda_binomial(self):
-        ch = RapporChannel.from_lambda(5, 0.5)
+        ch = channel_at(5, 0.5)
         p = make_prob_vector([0.2] * 5)
         mask = subset_mask(5, [1, 2, 3])
         draws = subset_sum_law_sample(ch, p, mask, RngSeed(4).generator(), count=50_000)
@@ -208,7 +216,7 @@ class TestPrivacyRatio:
         assert abs(ldp_ratio_check(ch) - math.exp(alpha)) < 1e-10
 
     def test_limit_at_zero(self):
-        ch = RapporChannel.from_lambda(5, 0.5)
+        ch = channel_at(5, 0.5)
         assert ldp_ratio_check(ch) == 1.0
 
 
@@ -367,7 +375,7 @@ class TestSamplerParts:
         # coordinate of zero mass
         d, k, m = _PATHS[path]
         p = _path_prob_vector(family, RapporChannel.create(d, 1.0), k)
-        counts = sample_counts(RapporChannel.from_lambda(d, 0.0), p, m, k,
+        counts = sample_counts(channel_at(d, 0.0), p, m, k,
                                RngSeed(6).generator())
         assert np.all(counts.sum(axis=1) == k)
         assert np.all(counts[:, p.weights == 0.0] == 0)
@@ -623,7 +631,7 @@ class TestSampleCounts:
         assert digest.hexdigest() == _COUNT_DIGESTS[release]
 
     def test_noiseless_counts_are_symbol_counts(self):
-        ch = RapporChannel.from_lambda(3, 0.0)
+        ch = channel_at(3, 0.0)
         counts = sample_counts(ch, make_prob_vector([0.5, 0.5, 0.0]), 100, 8,
                                RngSeed(4).generator())
         assert np.all(counts[:, :2].sum(axis=1) == 8)
@@ -647,7 +655,7 @@ class TestSampleCounts:
         p = _prob_vectors(data, d)
         k = data.draw(st.integers(1, 60))
         lam = data.draw(st.sampled_from([0.0, 0.1, 0.3775, 0.5]))
-        ch = RapporChannel.from_lambda(d, lam)
+        ch = channel_at(d, lam)
         gen = RngSeed(data.draw(st.integers(0, 2 ** 32))).generator()
         counts = sample_counts(ch, p, 5, k, gen)
         assert counts.shape == (5, d) and counts.dtype == count_dtype(k)
@@ -662,7 +670,7 @@ class TestSampleCounts:
         p = _prob_vectors(data, d)
         m = data.draw(st.sampled_from([0, 1, 5, 3000]))
         k = data.draw(st.integers(0, 60))
-        ch = RapporChannel.from_lambda(d, 0.0)
+        ch = channel_at(d, 0.0)
         gen = RngSeed(data.draw(st.integers(0, 2 ** 32))).generator()
         counts = sample_counts(ch, p, m, k, gen)
         assert counts.shape == (m, d) and counts.dtype == count_dtype(k)

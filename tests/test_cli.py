@@ -167,6 +167,17 @@ class TestUsageErrors:
             run_cli(["simulate", "--nonsense", 4])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "sdp-check", "lowerbound",
+                                         "mixture-check", "assouad"])
+    def test_threads_help_says_where_it_is_ignored(self, command, capsys):
+        # only sweep runs more than one process
+        with pytest.raises(SystemExit):
+            run_cli([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        ignored = "--threads THREADS ignored: the command runs in one process"
+        assert (ignored in text) == (command != "sweep")
+        assert ("affects scheduling only" in text) == (command == "sweep")
+
 
 def _sweep_text(**fields):
     base = {"n_grid": [40], "k_grid": [5], "d_grid": [4], "alpha_grid": [1.0],
@@ -197,6 +208,7 @@ _REJECTED_BEFORE_ANY_TRIAL = {
     "tau-threshold-bool": _sweep_text(tau_threshold=True),
     "d-too-small-in-second-cell": _sweep_text(d_grid=[5, 2], trials=3),
     "alpha-too-large-in-second-cell": _sweep_text(alpha_grid=[1.0, 3.0], trials=3),
+    "lambda-half-in-second-cell": _sweep_text(alpha_grid=[1.0, 1e-300], trials=3),
 }
 
 
@@ -254,7 +266,10 @@ class TestExitCodes:
         ["simulate", "--n", 200, "--k", 100_000_000, "--d", 5],
         ["assouad", "--c-gamma", "1e-15"],
         ["assouad", "--c-gamma", "1e-320"],
-    ], ids=["inexact-statistics", "assouad-gamma-rounds", "assouad-gamma-subnormal"])
+        ["assouad", "--d", 3, "--n", 1, "--alpha", 2, "--c-gamma", 0.5],
+        ["simulate", "--alpha", "1e-300"],
+    ], ids=["inexact-statistics", "assouad-gamma-rounds", "assouad-gamma-subnormal",
+            "assouad-gamma-crosses-half", "alpha-lambda-rounds-to-half"])
     def test_outside_exact_bounds_exits_1_with_one_error_line(self, args, tmp_path, capsys):
         out = tmp_path / "out.json"
         assert exit_code(args + ["--out", out]) == 1

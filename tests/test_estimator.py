@@ -30,7 +30,7 @@ from ldprobust import (
 )
 from ldprobust import estimator as estimator_module
 from ldprobust import gram as gram_module
-from ldprobust.adversary import BatchCollection
+from ldprobust.adversary import BatchCollection, checked_counts
 from ldprobust.errors import (
     AllZeroScores,
     CountMismatch,
@@ -55,14 +55,13 @@ from ldprobust.estimator import (
     _sdp_scores,
     _top_pool,
     build_cov_bundle,
-    canonical_order,
     rate_unit,
 )
 from ldprobust.gram import CERTIFICATE_PATHS, GAP_TOL, GramSolution
 from ldprobust.harness import TrialCell, build_collection, resolve_attack, sample_p
 from ldprobust.prob import subset_indicators
 
-from conftest import brute_force_special_gap, brute_force_sup_gap
+from conftest import brute_force_special_gap, brute_force_sup_gap, channel_at
 
 #: The proofs that can stop the filter before a Gram solve.
 PROOFS = ("l1", "uniform-dual")
@@ -83,6 +82,11 @@ def attacked_collection(ch, p, n=2000, k=50, eps=0.05, seed=0, kind="all_ones"):
     n_adv = int(math.floor(n * eps))
     clean = make_clean_collection(ch, p, n - n_adv, k, rng.child(1))
     return contaminate(clean, AttackSpec(kind=kind), eps, n, ch, rng.child(2)), rng
+
+
+def canonical_order(counts, k):
+    """The filter's canonical order of counts, checked first to lie in [0, k]."""
+    return estimator_module._canonical_order(checked_counts(counts, k), k)
 
 
 def naive_mean(counts, k):
@@ -259,7 +263,7 @@ class TestScoreCollection:
         # gap >= 11 requires d * (1 - lam) beyond 11; three all-ones batches
         # out of four at d = 24 push the collection mean far above lambda * |S|
         d = 24
-        ch = RapporChannel.from_lambda(d, 0.38)
+        ch = channel_at(d, 0.38)
         gen = np.random.default_rng(3)
         p = make_prob_vector(gen.dirichlet(np.ones(d)))
         q = mean_response(ch, p)
@@ -345,7 +349,7 @@ class TestRowBlocks:
 
     def test_special_scores_in_any_blocking(self, block_scalars):
         d = 24
-        ch = RapporChannel.from_lambda(d, 0.38)
+        ch = channel_at(d, 0.38)
         gen = np.random.default_rng(3)
         clean = gen.integers(0, 31, size=(10, d))
         counts = np.concatenate([clean, np.full((60, d), 30)])
@@ -598,7 +602,7 @@ def reference_ascent(A, gen, tol):
     the solver's band and have no zero row of A V, which this reference
     does not handle.
     """
-    assert gram_module._band_exponent(A) == 0
+    assert gram_module._in_band(A)[1] == 0
     d = A.shape[0]
     rank = min(4, math.ceil(2.0 * math.sqrt(d)) + 1)
 
@@ -1365,7 +1369,7 @@ class TestCertifiedStop:
 
 class TestNaive:
     def test_noiseless_point_mass(self):
-        ch = RapporChannel.from_lambda(3, 0.0)
+        ch = channel_at(3, 0.0)
         p = make_prob_vector([1.0, 0.0, 0.0])
         coll = make_clean_collection(ch, p, 1, 5, RngSeed(15))
         res = naive_estimate(coll, ch)
@@ -1377,7 +1381,7 @@ class TestNaive:
         res = naive_estimate(coll, ch)
         clean_means = coll.counts[coll.truth == 0] / coll.k
         qc = clean_means.mean(axis=0)
-        f = coll.adversarial_count() / n
+        f = (coll.truth == 1).sum() / n
         predicted = (qc - ch.lam) / (1 - 2 * ch.lam) + f * (1 - qc) / (1 - 2 * ch.lam)
         assert np.abs(res.phat - predicted).max() < 1e-12
 

@@ -23,9 +23,17 @@ from ldprobust.errors import (
     NotSymmetric,
 )
 from ldprobust import gram as gram_module
-from ldprobust.gram import GAP_TOL, GramSolution, upper_bound_below
+from ldprobust.gram import GAP_TOL, GramSolution
 
 from conftest import bit_matrix_subset_bilinear_max, brute_force_bilinear
+
+
+def upper_bound_below(A, limit):
+    """The filter's stop proof, gram._upper_bound_below, of a checked A, given
+    |A| and its l1 sum as the filter gives them."""
+    A = gram_module.check_symmetric(A)
+    abs_a = np.abs(A)
+    return gram_module._upper_bound_below(A, limit, abs_a, gram_module._l1_rounded_up(abs_a))
 
 
 def random_symmetric(d, seed):
@@ -501,7 +509,7 @@ class TestDualCertificate:
     ], ids=["zero", "identity", "negative-identity", "rank-one", "rank-one-uneven"])
     def test_gap_closes_on_closed_form_optima(self, A):
         sol = gram_maximize(A, rng=RngSeed(8))
-        assert abs(sol.gap) <= 1e-9 * max(abs(sol.upper_bound), 1.0)
+        assert abs(sol.upper_bound - sol.value) <= 1e-9 * max(abs(sol.upper_bound), 1.0)
         assert abs(sol.relative_gap) <= 1e-9
         assert sol.restarts_used == 1
 
@@ -627,39 +635,36 @@ class TestUpperBoundBelow:
         assert spectral * (1 - 1e-12) <= bound < spectral * (1 + 1e-6)
         assert upper_bound_below(A, spectral * (1 - 1e-9)) is None
 
-    def test_cholesky_skipped_where_the_heaviest_row_rules_it_out(self, monkeypatch):
+    def test_eigvalsh_skipped_where_the_heaviest_row_rules_it_out(self, monkeypatch):
         A = random_symmetric(64, 9)
         spectral = 64 * float(np.abs(np.linalg.eigvalsh(A)).max())
-        proves = gram_module._uniform_dual_proves_psd
+        eigvalsh = np.linalg.eigvalsh
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return proves(*args)
+        def counting(M):
+            calls.append(M.shape)
+            return eigvalsh(M)
 
-        monkeypatch.setattr(gram_module, "_uniform_dual_proves_psd", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         assert upper_bound_below(A, spectral / 2) is None
         assert calls == []
-        # just below the norm only the Cholesky can tell
+        # just below the norm only the eigenvalues can tell
         assert upper_bound_below(A, spectral * (1 - 1e-9)) is None
-        assert len(calls) == 1
+        assert calls == [(64, 64)]
 
     @pytest.mark.parametrize("d", [1, 3, 12, 64])
     def test_psd_proof_is_sharp_at_half_the_spectral_norm(self, d):
-        # c I - B is PSD exactly when c >= ||A||_2 / 2; the rounding margin is
-        # far below 1e-6 of that, and below it the Schur complement is indefinite
+        # c I - B is PSD exactly when c >= ||A||_2 / 2; the eigensolver's
+        # margin is far below 1e-6 of that
         A = random_symmetric(d, 500 + d)
-        abs_a = np.abs(A)
-        row_sums = abs_a.sum(axis=1)
+        row_sums = np.abs(A).sum(axis=1)
         half_norm = 0.5 * float(np.abs(np.linalg.eigvalsh(A)).max())
         proves = gram_module._uniform_dual_proves_psd
-        assert proves(A, half_norm * (1 + 1e-6), abs_a, row_sums)
-        assert not proves(A, half_norm * (1 - 1e-9), abs_a, row_sums)
-        assert not proves(A, 0.0, abs_a, row_sums)
-        assert not proves(A, -half_norm, abs_a, row_sums)
-        # an infinite c leaves inf - inf on the diagonal, which must fail
-        with np.errstate(invalid="ignore"):
-            assert not proves(A, math.inf, abs_a, row_sums)
+        assert proves(A, half_norm * (1 + 1e-6), row_sums)
+        assert not proves(A, half_norm * (1 - 1e-9), row_sums)
+        # a c that is not positive and finite proves nothing
+        for c in (0.0, -half_norm, math.inf, math.nan):
+            assert not proves(A, c, row_sums)
 
     def test_never_below_the_solver_value(self):
         gen = np.random.default_rng(5)
@@ -683,12 +688,6 @@ class TestUpperBoundBelow:
         assert upper_bound_below(A, math.inf)[1] == "l1"
         assert upper_bound_below(A, math.nan) is None
         assert upper_bound_below(A, -1.0) is None
-
-    def test_rejects_invalid_matrix(self):
-        with pytest.raises(InvalidArgument):
-            upper_bound_below(np.full((2, 2), np.nan), 1.0)
-        with pytest.raises(NotSymmetric):
-            upper_bound_below(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
 class TestSandwich:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import json
 import math
 import multiprocessing
@@ -18,6 +19,7 @@ from ldprobust import RngSeed, adversary, estimator, harness, rate_fit, sweep
 from ldprobust.channel import RapporChannel
 from ldprobust.prob import ProbVector
 from ldprobust.errors import (
+    AlphaOutOfRange,
     InputError,
     InsufficientData,
     InvalidArgument,
@@ -91,6 +93,35 @@ class TestRunTrial:
         cell = TrialCell(n=100, k=10, d=4, alpha=1.0, eps=0.0)
         with pytest.raises(InvalidArgument):
             run_trial(cell, trial, seed)
+
+    def test_uniform_dual_stops_pinned(self, monkeypatch):
+        # targeted trials at d = 64 and 128 whose every stop the uniform dual
+        # proves; their records hang on BLAS products, pinned per numpy release
+        release = ".".join(np.__version__.split(".")[:2])
+        if release not in _UNIFORM_DUAL_DIGESTS:
+            pytest.skip(f"no trial digest is pinned for numpy {release}")
+        estimate = harness.robust_estimate
+        stops = []
+
+        def recording(*args):
+            result = estimate(*args)
+            stops.append(result.trace[-1].certified_by)
+            return result
+
+        monkeypatch.setattr(harness, "robust_estimate", recording)
+        digest = hashlib.sha256()
+        for d, n in ((64, 2000), (128, 4000)):
+            cell = TrialCell(n=n, k=20, d=d, alpha=1.0, eps=0.05, attack="targeted_subset")
+            for trial in range(3):
+                digest.update(",".join(run_trial(cell, trial, 7).csv_row()).encode() + b"\n")
+        assert stops == ["uniform-dual"] * 6
+        assert digest.hexdigest() == _UNIFORM_DUAL_DIGESTS[release]
+
+
+#: sha256 of `TestRunTrial.test_uniform_dual_stops_pinned`'s records, by numpy release
+_UNIFORM_DUAL_DIGESTS = {
+    "2.4": "0a318b0f260b68f5fce7a2aabe25d1787aab68522e6ba426af317a2471f4cf1a",
+}
 
 
 #: Attack parameters a cell rejects: a key its attack does not read, a value
@@ -226,6 +257,11 @@ class TestSweep:
         with pytest.raises(InvalidConfig) as exc:
             SweepConfig.from_json(text)
         assert isinstance(exc.value, InputError)
+
+    def test_alpha_whose_lambda_rounds_to_half_is_rejected(self):
+        with pytest.raises(AlphaOutOfRange, match="alpha=1e-300"):
+            SweepConfig(n_grid=(60,), k_grid=(5,), d_grid=(4,), alpha_grid=(1.0, 1e-300),
+                        eps_grid=(0.1,))
 
     def test_json_round_trip(self):
         cfg = SweepConfig(n_grid=(10,), k_grid=(5,), d_grid=(4,),

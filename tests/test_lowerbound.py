@@ -452,6 +452,16 @@ class TestAssouadFamily:
         with pytest.raises(InvalidArgument):
             assouad_family(d, n, 1.0, c_gamma)
 
+    @pytest.mark.parametrize("d, n, alpha, c_gamma, cause", [
+        (6, 400, 1.0, 1e-15, "gamma is below the spacing of 1/d; raise c_gamma"),
+        (3, 1, 2.0, 0.5, r"1/d \+ gamma reaches 0\.5; lower c_gamma"),
+        (6, 1, 1.0, 0.95, r"1/d \+ gamma reaches 0\.25; lower c_gamma"),
+        (5, 1, 1.0, 0.9999999999999998, "exceeds 1/d at d=5; lower c_gamma"),
+    ], ids=["gamma-below-spacing", "crosses-half", "crosses-quarter", "above-center"])
+    def test_rejection_names_its_cause_and_direction(self, d, n, alpha, c_gamma, cause):
+        with pytest.raises(InvalidArgument, match=cause):
+            assouad_family(d, n, alpha, c_gamma)
+
     @pytest.mark.parametrize("gamma", [0.1, 1 / 3, 2.0 ** -40, 1e-300, 1e-320, 5e-324])
     def test_snapped_gamma_has_a_16_bit_significand(self, gamma):
         snapped = lowerbound_module._snap_gamma(gamma)
