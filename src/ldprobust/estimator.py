@@ -275,6 +275,14 @@ def _collection_mean(c: np.ndarray, k: int) -> np.ndarray:
     return _mean(_exact_sums(c, k, second=False)[0], c.shape[0], k)
 
 
+def check_exact_bounds(n: int, k: int) -> None:
+    """Raise InexactStatistics unless n k^2 < 2^53 and n k < 3e9, the bounds
+    within which ExactSums of n rows of counts in [0, k] are exact.  O(1): a
+    sweep cell calls it before its first trial."""
+    if n * k * k >= 2 ** 53 or n * k >= 3 * 10 ** 9:
+        raise InexactStatistics(f"n={n}, k={k} exceed the exact-statistics bounds")
+
+
 @dataclass(frozen=True)
 class ExactSums:
     """Exact integer sums of n count rows: S1 = sum c_b and S2 = sum c_b c_b^T.
@@ -304,8 +312,7 @@ class ExactSums:
             raise TooFewBatches("need at least two batch rows")
         n, k = c.shape[0], int(k)
         # the O(1) bounds before the O(n d) range scan
-        if n * k * k >= 2 ** 53 or n * k >= 3 * 10 ** 9:
-            raise InexactStatistics(f"n={n}, k={k} exceed the exact-statistics bounds")
+        check_exact_bounds(n, k)
         c = checked_counts(c, k)
         s1, s2 = _exact_sums(c, k)
         return cls(n=n, k=k, s1=s1, s2=s2)

@@ -13,7 +13,10 @@ output rows derive theirs from it.  Building a cell converts and checks all
 of its settings, once, so a sweep fails before its first trial or runs
 exactly the cells its config names.  The cell keeps its channel, estimator
 config and converted attack parameters, which run_trial reads as they are;
-only the hard pair, which holds arrays, is built per trial.
+only the hard pair, which holds arrays, is built per trial.  The cell makes
+the trial's O(1) checks of the hard pair and of the exact sums itself, where
+a trial would make them, so that such a setting fails before a sweep's
+first trial.
 
 Parallel sweeps run on one warm process pool kept by this module.  Its workers
 are forked at the first sweep with threads > 1 and reused by every later
@@ -49,19 +52,15 @@ from .adversary import (
     make_clean_collection,
 )
 from .channel import RapporChannel
-from .errors import (
-    InsufficientData,
-    InvalidArgument,
-    InvalidAttackParams,
-    InvalidConfig,
-)
+from .errors import InsufficientData, InvalidArgument, InvalidConfig
 from .estimator import (
     DESK_TAU_THRESHOLD,
     EstimatorConfig,
+    check_exact_bounds,
     naive_estimate,
     robust_estimate,
 )
-from .lowerbound import hard_pair
+from .lowerbound import check_hard_pair, hard_pair
 from .prob import ProbVector, RngSeed, l1_dist, make_prob_vector
 
 #: The cell fields a sweep varies; SweepConfig lists the values of each in <axis>_grid.
@@ -141,7 +140,9 @@ class TrialCell:
     re-derive: its channel, so that RapporChannel.create checks d and alpha,
     its EstimatorConfig, which checks tau_threshold, and its attack
     parameters converted, defaults filled in.  attack_params itself is kept
-    as given, for hash_cell.
+    as given, for hash_cell.  Last, where a trial would raise on them, it
+    raises the errors of the trial's own O(1) checks: check_hard_pair's for
+    hard_pair_swap at eps > 0, and check_exact_bounds' when floor(eps n) > 0.
     """
 
     n: int
@@ -181,9 +182,10 @@ class TrialCell:
             if not valid(self._params[key], self.d):
                 raise InvalidConfig(
                     f"attack parameter {key}={self._params[key]!r} is not {values} at d={self.d}")
-
-    def estimator_config(self) -> EstimatorConfig:
-        return self._config
+        if self.attack == "hard_pair_swap" and self.eps > 0.0:
+            check_hard_pair(self._channel, self.eps, self.k)
+        if math.floor(self.n * self.eps) > 0:
+            check_exact_bounds(self.n, self.k)
 
 
 # each field's conversion: an int field by _whole, a float field by _real,
@@ -204,7 +206,10 @@ class TrialResult:
     deleted_bad: int
     iterations: int
     final_tau: float
-    alpha_exceeds_theory: bool = False
+
+    @property
+    def alpha_exceeds_theory(self) -> bool:
+        return self.cell._channel.exceeds_theory_range
 
     def _record(self) -> dict:
         """The result's values in CSV_COLUMNS order, wall_ms 0."""
@@ -224,77 +229,62 @@ class TrialResult:
         return record
 
 
-def sample_p(family: str, d: int, rng: RngSeed) -> ProbVector:
-    """Draw the estimation target from one of the configured families."""
-    if family == "uniform":
-        return ProbVector(np.full(d, 1.0 / d))
-    gen = rng.generator()
-    if family == "dirichlet":
-        return make_prob_vector(gen.dirichlet(np.ones(d)))
-    if family == "point_heavy":
-        w = gen.dirichlet(np.ones(d))
-        w = 0.3 * w
-        w[0] += 0.7
-        return make_prob_vector(w)
-    raise InvalidConfig(f"unknown p family {family!r}")
+def trial_collection(cell: TrialCell, rng: RngSeed) -> tuple[ProbVector, BatchCollection]:
+    """A trial's target p and its collection of n batches, floor(eps n) of them
+    adversarial, drawn from rng as run_trial draws them.
 
-
-def resolve_attack(cell: TrialCell, p: ProbVector, ch: RapporChannel) -> AttackSpec:
-    """Instantiate the cell's attack from the parameters the cell converted.
-
-    swap_mix swaps in a mixture of the target with a point mass, a fixed-shape
-    contamination the filter cannot tell apart batchwise.
+    p is drawn from the cell's p family with rng.child(1), the clean batches
+    with rng.child(2).child(10) and the contamination with rng.child(2).child(12).
+    For hard_pair_swap at eps > 0, p is the certified pair's p instead and
+    the adversarial batches simulate its companion q, which is the scenario
+    the indistinguishability construction speaks about.  swap_mix swaps in a
+    mixture of the target with a point mass, a fixed-shape contamination the
+    filter cannot tell apart batchwise.  Each step is called through this
+    module's globals, so a wrapper set on them sees it.
     """
-    kind = cell.attack
-    params = cell._params
-    if kind in ("all_ones", "all_zeros"):
-        return AttackSpec(kind=kind)
-    if kind == "swap_mix":
-        w = (1.0 - params["mix"]) * p.weights.copy()
-        w[0] += params["mix"]
-        return AttackSpec(kind="swap_distribution", q=make_prob_vector(w))
-    if kind == "swap_uniform":
-        return AttackSpec(kind="swap_distribution", q=ProbVector(np.full(ch.d, 1.0 / ch.d)))
-    if kind == "targeted_subset":
-        mask = np.zeros(ch.d, dtype=bool)
-        mask[:params["subset_size"]] = True
-        return AttackSpec(kind="targeted_subset", mask=mask, direction=params["direction"],
-                          magnitude=params["magnitude"])
-    raise InvalidAttackParams(f"unknown attack {kind!r}")
-
-
-def build_collection(cell: TrialCell, p: ProbVector, attack: Optional[AttackSpec],
-                     ch: RapporChannel, rng: RngSeed) -> BatchCollection:
-    n_adv = int(math.floor(cell.n * cell.eps))
-    n_prime = cell.n - n_adv
-    clean = make_clean_collection(ch, p, n_prime, cell.k, rng.child(10))
-    if cell.eps == 0.0:
-        return clean
-    return contaminate(clean, attack, cell.eps, cell.n, ch, rng.child(12))
-
-
-def run_trial(cell: TrialCell, trial: int, master_seed: int) -> TrialResult:
-    """One full generate / contaminate / estimate cycle with derived randomness.
-
-    For the hard-pair attack the estimation target is the certified pair's p:
-    the adversarial batch records simulate its companion q, which is the scenario the
-    indistinguishability construction speaks about.
-    """
-    if trial < 0:
-        raise InvalidArgument(f"trial must be nonnegative, got {trial}")
-    base = RngSeed(master_seed).child(hash_cell(cell), trial)
-    ch = cell._channel
+    ch, params, d = cell._channel, cell._params, cell.d
     if cell.attack == "hard_pair_swap" and cell.eps > 0.0:
         pair = hard_pair(ch, eps=cell.eps, k=cell.k)
         p = pair.p
-        attack = AttackSpec(kind="swap_distribution", q=pair.q)
+    elif cell.p_family == "uniform":
+        p = ProbVector(np.full(d, 1.0 / d))
     else:
-        p = sample_p(cell.p_family, cell.d, base.child(1))
-        attack = resolve_attack(cell, p, ch) if cell.eps > 0.0 else None
-    coll = build_collection(cell, p, attack, ch, base.child(2))
+        w = rng.child(1).generator().dirichlet(np.ones(d))
+        if cell.p_family == "point_heavy":
+            w = 0.3 * w
+            w[0] += 0.7
+        p = make_prob_vector(w)
+    draws = rng.child(2)
+    n_adv = math.floor(cell.n * cell.eps)
+    coll = make_clean_collection(ch, p, cell.n - n_adv, cell.k, draws.child(10))
+    if cell.eps == 0.0:
+        return p, coll
+    if cell.attack == "hard_pair_swap":
+        attack = AttackSpec(kind="swap_distribution", q=pair.q)
+    elif cell.attack == "swap_mix":
+        w = (1.0 - params["mix"]) * p.weights
+        w[0] += params["mix"]
+        attack = AttackSpec(kind="swap_distribution", q=make_prob_vector(w))
+    elif cell.attack == "swap_uniform":
+        attack = AttackSpec(kind="swap_distribution", q=ProbVector(np.full(d, 1.0 / d)))
+    elif cell.attack == "targeted_subset":
+        attack = AttackSpec(kind="targeted_subset", mask=np.arange(d) < params["subset_size"],
+                            direction=params["direction"], magnitude=params["magnitude"])
+    else:
+        attack = AttackSpec(kind=cell.attack)
+    return p, contaminate(coll, attack, cell.eps, cell.n, ch, draws.child(12))
 
-    robust = robust_estimate(coll, cell.estimator_config(), ch, base.child(3))
-    naive = naive_estimate(coll, ch)
+
+def run_trial(cell: TrialCell, trial: int, master_seed: int) -> TrialResult:
+    """One full generate / contaminate / estimate cycle with derived randomness:
+    trial_collection draws from base = RngSeed(master_seed).child(hash_cell(cell),
+    trial), and the robust estimate from base.child(3)."""
+    if trial < 0:
+        raise InvalidArgument(f"trial must be nonnegative, got {trial}")
+    base = RngSeed(master_seed).child(hash_cell(cell), trial)
+    p, coll = trial_collection(cell, base)
+    robust = robust_estimate(coll, cell._config, cell._channel, base.child(3))
+    naive = naive_estimate(coll, cell._channel)
 
     deleted = robust.deleted_indices()
     if coll.truth is not None and deleted.size:
@@ -308,7 +298,6 @@ def run_trial(cell: TrialCell, trial: int, master_seed: int) -> TrialResult:
         l1_naive=l1_dist(naive.phat, p.weights),
         deleted_good=int(deleted.size - bad), deleted_bad=bad,
         iterations=robust.iterations, final_tau=robust.final_tau,
-        alpha_exceeds_theory=ch.exceeds_theory_range,
     )
 
 

@@ -204,14 +204,11 @@ class HardPair:
             raise CertificateViolation("k-fold TV bound exceeds eps")
 
 
-def hard_pair(ch: RapporChannel, eps: float, k: int) -> HardPair:
-    """Construct and certify a hard pair for the given channel, eps and k, at any d.
-
-    Deterministic, with no enumeration: Omega, Delta and the chi-square are
-    closed forms (omega_matrix, low_eigenspace_delta, _chi2_upper).  p places
-    mass |Delta_j| / ||Delta||_1 on symbol j and q = p - Delta, valid since
-    ||Delta||_1 <= 1.  The guarantees assume alpha <= 1; a budget
-    C * eps^2 / k below MIN_QUAD_BUDGET raises EpsOutOfRange.
+def check_hard_pair(ch: RapporChannel, eps: float, k: int) -> None:
+    """Raise the error hard_pair raises for settings it builds no pair for: eps
+    outside (0, 1/2) or a budget C * eps^2 / k below MIN_QUAD_BUDGET
+    (EpsOutOfRange), k below 1 (InvalidArgument) or alpha above 1
+    (AlphaOutOfRange).  O(1): a sweep cell calls it before its first trial.
     """
     if not 0.0 < eps < 0.5:
         raise EpsOutOfRange("eps must lie in (0, 1/2)")
@@ -222,6 +219,18 @@ def hard_pair(ch: RapporChannel, eps: float, k: int) -> HardPair:
                             "is below 2^-88, where rounding swamps Delta")
     if ch.alpha > 1.0:
         raise AlphaOutOfRange("hard pair construction requires alpha <= 1")
+
+
+def hard_pair(ch: RapporChannel, eps: float, k: int) -> HardPair:
+    """Construct and certify a hard pair for the given channel, eps and k, at any d.
+
+    Deterministic, with no enumeration: Omega, Delta and the chi-square are
+    closed forms (omega_matrix, low_eigenspace_delta, _chi2_upper).  p places
+    mass |Delta_j| / ||Delta||_1 on symbol j and q = p - Delta, valid since
+    ||Delta||_1 <= 1.  The guarantees assume alpha <= 1; the settings are
+    those check_hard_pair accepts.
+    """
+    check_hard_pair(ch, eps, k)
     omega = omega_matrix(ch)
     delta = low_eigenspace_delta(omega, eps, k)
     p = make_prob_vector(np.abs(delta) / float(np.abs(delta).sum()))

@@ -59,14 +59,26 @@ class TestSweepCommand:
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        outs = [tmp_path / f"o{i}.csv" for i in range(3)]
+        outs = [tmp_path / f"o{i}.csv" for i in range(4)]
         assert run_cli(["sweep", "--config", cfg_path, "--out", outs[0]]) == 0
-        assert run_cli(["sweep", "--config", cfg_path, "--out", outs[1],
-                        "--threads", 1]) == 0
-        assert run_cli(["sweep", "--config", cfg_path, "--out", outs[2],
-                        "--threads", 8]) == 0
+        # 0 is one worker per CPU
+        for out, threads in zip(outs[1:], (1, 8, 0)):
+            assert run_cli(["sweep", "--config", cfg_path, "--out", out,
+                            "--threads", threads]) == 0
         data = [o.read_bytes() for o in outs]
-        assert data[0] == data[1] == data[2]
+        assert data[0] == data[1] == data[2] == data[3]
+
+    def test_seed_flag_replaces_the_config_seed(self, tmp_path):
+        cfg = {"n_grid": [40, 60], "k_grid": [5], "d_grid": [4], "alpha_grid": [1.0],
+               "eps_grid": [0.05], "trials": 2, "seed": 5}
+        given, seeded = tmp_path / "given.json", tmp_path / "seeded.json"
+        given.write_text(json.dumps(cfg))
+        seeded.write_text(json.dumps({**cfg, "seed": 9}))
+        outs = [tmp_path / f"o{i}.csv" for i in range(3)]
+        assert run_cli(["sweep", "--config", given, "--out", outs[0], "--seed", 9]) == 0
+        assert run_cli(["sweep", "--config", seeded, "--out", outs[1]]) == 0
+        assert run_cli(["sweep", "--config", given, "--out", outs[2]]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() != outs[2].read_bytes()
 
     def test_missing_config_is_usage_error(self, tmp_path):
         assert run_cli(["sweep", "--config", tmp_path / "none.json",
@@ -187,7 +199,8 @@ def _sweep_text(**fields):
 
 #: Sweep configs a cell rejects when it is built: attack parameters the attack
 #: does not read, bad at eps = 0, or not whole; booleans as numbers; and grids
-#: whose first cell is valid and a later one is not.
+#: whose first cell is valid and a later one is not, by the channel's checks or
+#: by those of hard_pair and of the exact sums.
 _REJECTED_BEFORE_ANY_TRIAL = {
     "misspelt-param": _sweep_text(eps_grid=[0.1], attack="targeted_subset",
                                   attack_params={"magnitud": 0.5}),
@@ -209,6 +222,12 @@ _REJECTED_BEFORE_ANY_TRIAL = {
     "d-too-small-in-second-cell": _sweep_text(d_grid=[5, 2], trials=3),
     "alpha-too-large-in-second-cell": _sweep_text(alpha_grid=[1.0, 3.0], trials=3),
     "lambda-half-in-second-cell": _sweep_text(alpha_grid=[1.0, 1e-300], trials=3),
+    "hard-pair-alpha-in-second-cell": _sweep_text(eps_grid=[0.05], alpha_grid=[1.0, 2.0],
+                                                  attack="hard_pair_swap", trials=3),
+    "hard-pair-budget-in-second-cell": _sweep_text(eps_grid=[0.05, 1e-30],
+                                                   attack="hard_pair_swap", trials=3),
+    "inexact-statistics-in-second-cell": _sweep_text(n_grid=[200], k_grid=[50, 100_000_000],
+                                                     eps_grid=[0.05], trials=3),
 }
 
 
@@ -339,10 +358,15 @@ class TestExitCodes:
                           "--threads", 1]) == 1
         assert calls == []
 
-    @pytest.mark.parametrize("args", [["--n", 5], ["--eps", "1e-200"]],
-                             ids=["n-five", "eps-tiny"])
+    @pytest.mark.parametrize("args", [
+        ["--n", 5], ["--eps", "1e-200"],
+        ["--attack", "hard_pair_swap", "--alpha", 2, "--eps", 0],
+        ["--n", 10, "--k", 100_000_000], ["--k", 100_000_000, "--eps", 0],
+    ], ids=["n-five", "eps-tiny", "hard-pair-alpha-eps-zero", "inexact-k-n-ten",
+            "inexact-k-eps-zero"])
     def test_no_adversarial_row_exits_0(self, args, tmp_path):
-        # floor(eps * n) = 0: the estimate is the naive one
+        # floor(eps * n) = 0: the estimate is the naive one, so neither the
+        # hard pair nor the exact sums are built or checked
         out = tmp_path / "t.json"
         assert exit_code(["simulate", *args, "--out", out]) == 0
         assert out.exists()

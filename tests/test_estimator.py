@@ -16,7 +16,7 @@ from ldprobust import (
     count_dtype,
     contaminate,
     gram_maximize,
-    hard_pair,
+    harness,
     l1_dist,
     make_clean_collection,
     make_prob_vector,
@@ -58,7 +58,7 @@ from ldprobust.estimator import (
     rate_unit,
 )
 from ldprobust.gram import CERTIFICATE_PATHS, GAP_TOL, GramSolution
-from ldprobust.harness import TrialCell, build_collection, resolve_attack, sample_p
+from ldprobust.harness import TrialCell
 from ldprobust.prob import subset_indicators
 
 from conftest import brute_force_special_gap, brute_force_sup_gap, channel_at
@@ -579,18 +579,10 @@ def _at_every_width(coll, cfg, ch, rng):
 
 
 def trial_collection(n, k, d, attack, eps, seed):
-    """A harness trial's collection and channel, without running the estimator."""
+    """A harness trial's collection and channel, drawn from base RngSeed(seed),
+    without running the estimator."""
     cell = TrialCell(n=n, k=k, d=d, alpha=1.0, eps=eps, attack=attack)
-    ch = RapporChannel.create(d, 1.0)
-    rng = RngSeed(seed)
-    if attack == "hard_pair_swap":
-        pair = hard_pair(ch, eps=eps, k=k)
-        target = pair.p
-        attack_spec = AttackSpec(kind="swap_distribution", q=pair.q)
-    else:
-        target = sample_p(cell.p_family, d, rng.child(1))
-        attack_spec = resolve_attack(cell, target, ch)
-    return build_collection(cell, target, attack_spec, ch, rng.child(2)), ch
+    return harness.trial_collection(cell, RngSeed(seed))[1], cell._channel
 
 
 def reference_ascent(A, gen, tol):
@@ -1182,7 +1174,7 @@ class TestCertifiedStop:
                              ids=["d5", "d64", "d128"])
     def test_matches_reference_loop(self, n, k, d, attack):
         coll, ch = trial_collection(n, k, d, attack, 0.05, seed=0)
-        cfg = TrialCell(n=n, k=k, d=d, alpha=1.0, eps=0.05, attack=attack).estimator_config()
+        cfg = TrialCell(n=n, k=k, d=d, alpha=1.0, eps=0.05, attack=attack)._config
         ref_trace, ref_stats, ref = reference_estimate(coll, cfg, ch, RngSeed(3))
         ref_dmat = ref_stats[-1][3]
         res = robust_estimate(coll, cfg, ch, RngSeed(3))
@@ -1244,7 +1236,7 @@ class TestCertifiedStop:
         proofs = set()
         for n, k, d, attack in [(2000, 50, 5, "swap_mix"), (1000, 20, 128, "targeted_subset")]:
             coll, ch = trial_collection(n, k, d, attack, 0.05, seed=0)
-            cfg = TrialCell(n=n, k=k, d=d, alpha=1.0, eps=0.05, attack=attack).estimator_config()
+            cfg = TrialCell(n=n, k=k, d=d, alpha=1.0, eps=0.05, attack=attack)._config
             proofs.add(robust_estimate(coll, cfg, ch, RngSeed(3)).trace[-1].certified_by)
         assert proofs == set(PROOFS)
 
@@ -1253,7 +1245,7 @@ class TestCertifiedStop:
                                                  (1000, 20, 128, "targeted_subset")])
     def test_proved_stop_solves_nothing(self, monkeypatch, n, k, d, attack):
         coll, ch = trial_collection(n, k, d, attack, 0.05, seed=0)
-        cfg = TrialCell(n=n, k=k, d=d, alpha=1.0, eps=0.05, attack=attack).estimator_config()
+        cfg = TrialCell(n=n, k=k, d=d, alpha=1.0, eps=0.05, attack=attack)._config
         solves = count_solves(monkeypatch)
         passes = record_scoring_passes(monkeypatch)
         res = robust_estimate(coll, cfg, ch, RngSeed(3))
@@ -1267,7 +1259,7 @@ class TestCertifiedStop:
     def test_one_l1_sum_per_sdp_iteration(self, monkeypatch, n, k, d, attack):
         # the stop proofs and a kept ascent's bound share the iteration's one l1 sum
         coll, ch = trial_collection(n, k, d, attack, 0.05, seed=0)
-        cfg = TrialCell(n=n, k=k, d=d, alpha=1.0, eps=0.05, attack=attack).estimator_config()
+        cfg = TrialCell(n=n, k=k, d=d, alpha=1.0, eps=0.05, attack=attack)._config
         l1_sum, calls = gram_module._l1_rounded_up, []
 
         def counting(abs_a):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -17,24 +18,24 @@ import pytest
 import ldprobust
 from ldprobust import RngSeed, adversary, estimator, harness, rate_fit, sweep
 from ldprobust.channel import RapporChannel
-from ldprobust.prob import ProbVector
 from ldprobust.errors import (
     AlphaOutOfRange,
     InputError,
     InsufficientData,
     InvalidArgument,
-    InvalidAttackParams,
     InvalidConfig,
 )
 from ldprobust.harness import (
+    ATTACKS,
     CSV_COLUMNS,
+    P_FAMILIES,
     SweepConfig,
     TrialCell,
     format_float,
     hash_cell,
-    resolve_attack,
     run_sweep,
     run_trial,
+    trial_collection,
 )
 
 
@@ -117,10 +118,28 @@ class TestRunTrial:
         assert stops == ["uniform-dual"] * 6
         assert digest.hexdigest() == _UNIFORM_DUAL_DIGESTS[release]
 
+    def test_every_attack_and_family_pinned(self):
+        # each branch of trial_collection: every attack on every p family at
+        # eps > 0, and one eps = 0 cell; pinned per numpy release
+        release = ".".join(np.__version__.split(".")[:2])
+        if release not in _RECIPE_DIGESTS:
+            pytest.skip(f"no trial digest is pinned for numpy {release}")
+        cells = [TrialCell(n=300, k=20, d=5, alpha=1.0, eps=0.05, attack=attack, p_family=family)
+                 for attack in ATTACKS for family in P_FAMILIES]
+        cells.append(TrialCell(n=300, k=20, d=5, alpha=1.0, eps=0.0))
+        digest = hashlib.sha256()
+        for cell in cells:
+            digest.update(",".join(run_trial(cell, 0, 4).csv_row()).encode() + b"\n")
+        assert digest.hexdigest() == _RECIPE_DIGESTS[release]
+
 
 #: sha256 of `TestRunTrial.test_uniform_dual_stops_pinned`'s records, by numpy release
 _UNIFORM_DUAL_DIGESTS = {
     "2.4": "0a318b0f260b68f5fce7a2aabe25d1787aab68522e6ba426af317a2471f4cf1a",
+}
+#: sha256 of `TestRunTrial.test_every_attack_and_family_pinned`'s records, by numpy release
+_RECIPE_DIGESTS = {
+    "2.4": "6891dc80f97b6adc1534ec48a0cb84641c32ca78cb181a367d1086327a803254",
 }
 
 
@@ -153,34 +172,38 @@ class TestTrialCell:
         with pytest.raises(InvalidConfig):
             TrialCell(**base)
 
-    @pytest.mark.parametrize("kw", [dict(d=2), dict(d=4097), dict(alpha=3.0), dict(alpha=0.0)])
+    @pytest.mark.parametrize("kw", [
+        dict(d=2), dict(d=4097), dict(alpha=3.0), dict(alpha=0.0),
+        # the checks of hard_pair and of ExactSums.of, where a trial would make them
+        dict(attack="hard_pair_swap", eps=0.05, alpha=2.0),
+        dict(attack="hard_pair_swap", eps=1e-30),
+        dict(n=200, k=100_000_000, eps=0.05),
+    ])
     def test_channel_rejects_at_construction(self, kw):
         base = dict(n=100, k=10, d=4, alpha=1.0, eps=0.0)
         base.update(kw)
         with pytest.raises(InputError):
             TrialCell(**base)
 
-    def test_attack_params_kept_as_given_and_converted_once(self):
+    def test_attack_params_kept_as_given_and_converted_once(self, monkeypatch):
         cell = TrialCell(n=100, k=10, d=8, alpha=1.0, eps=0.05, attack="targeted_subset",
                          attack_params={"subset_size": 3.0, "direction": "-1"})
         assert cell.attack_params == {"subset_size": 3.0, "direction": "-1"}
         assert isinstance(cell.attack_params["subset_size"], float)
-        ch = RapporChannel.create(8, 1.0)
-        spec = resolve_attack(cell, ProbVector(np.full(8, 1 / 8)), ch)
-        assert spec.mask.sum() == 3 and spec.direction == -1 and spec.magnitude == 1.0
-        default = resolve_attack(TrialCell(n=100, k=10, d=8, alpha=1.0, eps=0.05,
-                                           attack="targeted_subset"),
-                                 ProbVector(np.full(8, 1 / 8)), ch)
-        assert default.mask.sum() == 4 and default.direction == 1
+        default = TrialCell(n=100, k=10, d=8, alpha=1.0, eps=0.05, attack="targeted_subset")
+        contaminate, specs = harness.contaminate, []
 
-    def test_unknown_names_called_directly(self):
-        # a TrialCell rejects these names; the helpers reject them on their own too
-        with pytest.raises(InvalidConfig):
-            harness.sample_p("nope", 4, RngSeed(0))
-        cell = TrialCell(n=100, k=10, d=4, alpha=1.0, eps=0.05)
-        object.__setattr__(cell, "attack", "nope")
-        with pytest.raises(InvalidAttackParams):
-            resolve_attack(cell, ProbVector(np.full(4, 1 / 4)), RapporChannel.create(4, 1.0))
+        def recording(clean, attack, *args):
+            specs.append(attack)
+            return contaminate(clean, attack, *args)
+
+        monkeypatch.setattr(harness, "contaminate", recording)
+        trial_collection(cell, RngSeed(0))
+        trial_collection(default, RngSeed(0))
+        converted, defaults = specs
+        assert converted.mask.tolist() == [True] * 3 + [False] * 5
+        assert converted.direction == -1 and converted.magnitude == 1.0
+        assert defaults.mask.sum() == 4 and defaults.direction == 1
 
     @pytest.mark.parametrize("kw, expected", [
         (dict(n=100, k=10, d=4, alpha=1.0, eps=0.0), 72951880068634),
@@ -354,6 +377,34 @@ class TestWarmPool:
         assert _wait_until(lambda: not _worker_pids(), 10.0)
         assert self._csv(tmp_path / "b.csv", 2) == serial
         assert len(_worker_pids()) == 2 and not _worker_pids() & old
+
+    def test_worker_dying_in_a_sweep_breaks_it_and_the_next_forks_afresh(
+            self, tmp_path, monkeypatch):
+        serial = self._csv(tmp_path / "s.csv", 1)
+        estimate = harness.robust_estimate
+
+        def dying(coll, cfg, ch, rng):
+            if coll.n == 80 and cfg.eps > 0.0:
+                os._exit(1)
+            return estimate(coll, cfg, ch, rng)
+
+        try:
+            # patched before the fork, so that the workers see it
+            if harness._pool is not None:
+                harness._discard_pool()
+            monkeypatch.setattr(harness, "robust_estimate", dying)
+            with pytest.raises(BrokenProcessPool):
+                harness.run_sweep(self.cfg, threads=2)
+            assert harness._pool is None and not _worker_pids()
+        finally:
+            monkeypatch.undo()
+            if harness._pool is not None:
+                harness._discard_pool()
+        try:
+            assert self._csv(tmp_path / "a.csv", 2) == serial
+            assert len(_worker_pids()) == 2
+        finally:
+            harness._discard_pool()
 
     @pytest.mark.parametrize("kill_parent", [False, True], ids=["exit", "sigkill"])
     def test_no_worker_outlives_its_parent(self, kill_parent):
